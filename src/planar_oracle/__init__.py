@@ -29,24 +29,19 @@ from .ddg import (
     DdgStore,
     DenseDistanceGraph,
     PieceDistanceTable,
-    ShiftConstant,
     compute_ddg,
     compute_ddg_internal,
     compute_leaf_ddg,
     compute_piece_distance_table,
     minplus_closure,
-    shift_constant_for,
 )
 from .frdijkstra import (
-    Cone,
     DdgUnion,
     MultiDijkstraResult,
     SparseMember,
-    assemble_cone,
-    cone_distances,
     multi_dijkstra,
 )
-from .external import ExternalDdgBuilder, compute_ddg_external
+from .external import ExternalDdgBuilder
 from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
 from .dynamic_oracle import DynamicOracle
@@ -57,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport",
-    "Cone",
     "DdgStore",
     "DdgUnion",
     "DecompositionTree",
@@ -73,19 +67,15 @@ __all__ = [
     "OracleFileError",
     "Piece",
     "PieceDistanceTable",
-    "ShiftConstant",
     "SparseMember",
     "TradeoffOracle",
     "UNREACHABLE",
-    "assemble_cone",
     "bench_config",
     "build_decomposition",
     "compute_ddg",
-    "compute_ddg_external",
     "compute_ddg_internal",
     "compute_leaf_ddg",
     "compute_piece_distance_table",
-    "cone_distances",
     "distance_avoiding",
     "dumps_graph",
     "generate_grid",
@@ -98,7 +88,6 @@ __all__ = [
     "run_bench",
     "save_graph",
     "save_oracle",
-    "shift_constant_for",
     "sssp",
     "trace_faces",
     "__version__",

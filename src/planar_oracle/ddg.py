@@ -4,23 +4,22 @@ Three variants are computed here:
 
 * standard: all-pairs distances between boundary vertices, paths free to
   wander anywhere inside the piece.
-* strict internal: paths must stay internally disjoint from the boundary;
-  computed by the C-shift construction (every arc whose tail is a boundary
-  vertex gets a large constant C added, one Dijkstra per boundary vertex,
-  C subtracted afterwards; totals of 2C or more mean the path touched the
-  boundary twice and map to the unreachable sentinel).
+* strict internal: paths must stay internally disjoint from the boundary.
+  One Dijkstra per boundary vertex settles the other boundary vertices but
+  never relaxes out of them, so every entry is a path that touches the
+  boundary only at its two ends.
 * strict external (see the external module): distances outside a tuple of
   pieces except at the endpoints.
 
-Matrices store plain integer residuals; the shift constant never survives
-into a stored entry, so those residuals are independent of C's actual value.
+All in-piece variants run through one blocked-relaxation kernel that fills
+a flat matrix row by row.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graph import (
     MATRIX_SENTINEL,
@@ -30,9 +29,7 @@ from .graph import (
 
 __all__ = [
     "DenseDistanceGraph",
-    "ShiftConstant",
     "PieceDistanceTable",
-    "shift_constant_for",
     "compute_ddg",
     "compute_ddg_internal",
     "compute_leaf_ddg",
@@ -40,31 +37,8 @@ __all__ = [
     "minplus_closure",
     "DdgStore",
     "piece_adjacency",
+    "strict_matrix",
 ]
-
-
-class ShiftConstant:
-    """Shared placeholder for the boundary-shift constant C = 2 * sum |w(e)|.
-
-    All shifted arithmetic references this one object; stored matrices hold
-    residuals with C already removed, so updating ``value`` (the dynamic
-    oracle does this on every weight change) invalidates nothing.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        if value <= 0:
-            raise ValueError("shift constant must be positive")
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"ShiftConstant({self.value})"
-
-
-def shift_constant_for(g: EmbeddedPlanarGraph) -> ShiftConstant:
-    """C = 2 * sum of |weights|, floored at 1 so zero-weight graphs work."""
-    return ShiftConstant(max(2 * g.total_weight, 1))
 
 
 class DenseDistanceGraph:
@@ -156,42 +130,65 @@ class PieceDistanceTable:
 
 
 def piece_adjacency(
-    g: EmbeddedPlanarGraph, vertices: Sequence[int], arcs: Iterable[int]
+    vertices: Sequence[int], arcs: Iterable[tuple[int, int, int]]
 ) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
-    """Local index map and out-adjacency lists for a piece subgraph."""
+    """Local index map and out-adjacency lists for (tail, head, weight)
+    arcs whose endpoints all lie in ``vertices``."""
     loc = {v: i for i, v in enumerate(vertices)}
     adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    for a in arcs:
-        adj[loc[g.tails[a]]].append((loc[g.heads[a]], g.weights[a]))
+    for t, h, w in arcs:
+        adj[loc[t]].append((loc[h], w))
     return loc, adj
 
 
-def _dijkstra_local(
-    n: int,
+def _dijkstra_rows(
     adj: list[list[tuple[int, int]]],
-    source: int,
-    blocked_tails=None,
-) -> list[int]:
-    """Single-source distances over local adjacency lists.
+    sources: Sequence[int],
+    targets: Sequence[int],
+    blocked: Sequence[bool] | None = None,
+) -> array:
+    """Flat matrix of local distances, one row per source, one column per
+    target; unreachable entries hold MATRIX_SENTINEL.
 
-    ``blocked_tails`` is an optional flag list; flagged vertices (other than
-    the source) are settled but never relaxed out of.
+    ``blocked`` is an optional flag list; flagged vertices other than the
+    row's source are settled but never relaxed out of.
     """
-    dist = [MATRIX_SENTINEL] * n
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if blocked_tails is not None and blocked_tails[u] and u != source:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    n = len(adj)
+    if blocked is None:
+        blocked = [False] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
+    matrix = array("q")
+    for s in sources:
+        dist = [MATRIX_SENTINEL] * n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u] or (blocked[u] and u != s):
+                continue
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        matrix.extend([dist[t] for t in targets])
+    return matrix
+
+
+def strict_matrix(
+    vertices: Sequence[int],
+    nodes: Sequence[int],
+    arcs: Iterable[tuple[int, int, int]],
+) -> array:
+    """Strict matrix over ``nodes``: entry (i, j) is the shortest
+    nodes[i]-to-nodes[j] path over ``arcs`` that passes through no other
+    node.  Every node must be one of ``vertices``."""
+    loc, adj = piece_adjacency(vertices, arcs)
+    local = [loc[v] for v in nodes]
+    blocked = [False] * len(vertices)
+    for i in local:
+        blocked[i] = True
+    return _dijkstra_rows(adj, local, local, blocked)
 
 
 # ----------------------------------------------------------------------
@@ -201,52 +198,19 @@ def _dijkstra_local(
 
 def compute_ddg(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
     """Standard DDG: within-piece distances between boundary vertices."""
-    nodes = piece.boundary
-    loc, adj = piece_adjacency(g, piece.vertices, piece.arcs)
-    k = len(nodes)
-    matrix = array("q", [MATRIX_SENTINEL]) * (k * k)
-    for i, s in enumerate(nodes):
-        dist = _dijkstra_local(len(piece.vertices), adj, loc[s])
-        row = i * k
-        for j, t in enumerate(nodes):
-            matrix[row + j] = dist[loc[t]]
-    return DenseDistanceGraph("standard", nodes, matrix, (piece.id,))
+    loc, adj = piece_adjacency(piece.vertices, (g.arcs[a] for a in piece.arcs))
+    local = [loc[v] for v in piece.boundary]
+    matrix = _dijkstra_rows(adj, local, local)
+    return DenseDistanceGraph("standard", piece.boundary, matrix, (piece.id,))
 
 
-def compute_ddg_internal(
-    g: EmbeddedPlanarGraph, piece, shift: ShiftConstant
-) -> DenseDistanceGraph:
-    """Strict-internal DDG via the C-shift construction.
-
-    Every arc whose tail lies on the piece boundary gets C added.  A path
-    between boundary vertices that stays internally disjoint from the
-    boundary pays the shift exactly once; any boundary-touching path pays
-    at least 2C.  Entries are d' - C when d' < 2C, sentinel otherwise.
-    """
-    nodes = piece.boundary
-    c = shift.value
-    loc, adj = piece_adjacency(g, piece.vertices, piece.arcs)
-    boundary_local = [False] * len(piece.vertices)
-    for v in nodes:
-        boundary_local[loc[v]] = True
-    shifted: list[list[tuple[int, int]]] = [
-        [(t, w + c) for t, w in row] if boundary_local[u] else row
-        for u, row in enumerate(adj)
-    ]
-    k = len(nodes)
-    matrix = array("q", [MATRIX_SENTINEL]) * (k * k)
-    twoc = 2 * c
-    for i, s in enumerate(nodes):
-        dist = _dijkstra_local(len(piece.vertices), shifted, loc[s])
-        row = i * k
-        for j, t in enumerate(nodes):
-            if i == j:
-                matrix[row + j] = 0
-                continue
-            d = dist[loc[t]]
-            if d < twoc:
-                matrix[row + j] = d - c
-    return DenseDistanceGraph("strict_internal", nodes, matrix, (piece.id,))
+def compute_ddg_internal(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
+    """Strict-internal DDG: boundary-to-boundary paths inside the piece
+    that visit no other boundary vertex."""
+    matrix = strict_matrix(
+        piece.vertices, piece.boundary, (g.arcs[a] for a in piece.arcs)
+    )
+    return DenseDistanceGraph("strict_internal", piece.boundary, matrix, (piece.id,))
 
 
 def compute_leaf_ddg(
@@ -259,43 +223,25 @@ def compute_leaf_ddg(
 
     ``failed`` vertices are removed outright; ``extras`` (query endpoints
     living in this leaf) join the boundary as first-class matrix vertices.
-    Strictness is enforced by never relaxing out of a non-source matrix
-    vertex, which is equivalent to the C-shift and keeps numbers small.
     """
-    node_set = (set(piece.boundary) | set(extras)) - failed
-    nodes = tuple(sorted(node_set))
-    loc, adj = piece_adjacency(g, piece.vertices, piece.arcs)
+    nodes = tuple(sorted((set(piece.boundary) | set(extras)) - failed))
+    vertices = piece.vertices
+    arcs = (g.arcs[a] for a in piece.arcs)
     if failed:
-        dead = [v in failed for v in piece.vertices]
-        adj = [
-            [] if dead[u] else [(t, w) for t, w in row if not dead[t]]
-            for u, row in enumerate(adj)
-        ]
-    blocked = [False] * len(piece.vertices)
-    for v in nodes:
-        blocked[loc[v]] = True
-    k = len(nodes)
-    matrix = array("q", [MATRIX_SENTINEL]) * (k * k)
-    for i, s in enumerate(nodes):
-        dist = _dijkstra_local(len(piece.vertices), adj, loc[s], blocked)
-        row = i * k
-        for j, t in enumerate(nodes):
-            matrix[row + j] = 0 if i == j else dist[loc[t]]
+        vertices = [v for v in vertices if v not in failed]
+        arcs = (
+            (t, h, w) for t, h, w in arcs if t not in failed and h not in failed
+        )
+    matrix = strict_matrix(vertices, nodes, arcs)
     return DenseDistanceGraph("strict_internal", nodes, matrix, (piece.id,))
 
 
 def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistanceTable:
     """Plain distances from each boundary vertex to every piece vertex."""
-    loc, adj = piece_adjacency(g, piece.vertices, piece.arcs)
+    loc, adj = piece_adjacency(piece.vertices, (g.arcs[a] for a in piece.arcs))
     sources = piece.boundary
     targets = piece.vertices
-    k = len(targets)
-    matrix = array("q", [MATRIX_SENTINEL]) * (len(sources) * k)
-    for i, s in enumerate(sources):
-        dist = _dijkstra_local(k, adj, loc[s])
-        row = i * k
-        for j in range(k):
-            matrix[row + j] = dist[j]
+    matrix = _dijkstra_rows(adj, [loc[s] for s in sources], range(len(targets)))
     return PieceDistanceTable(piece.id, sources, targets, matrix)
 
 
@@ -345,17 +291,16 @@ class DdgStore:
     only — leaf DDGs under failures are rebuilt per query).
     """
 
-    def __init__(self, g: EmbeddedPlanarGraph, tree, shift: ShiftConstant):
+    def __init__(self, g: EmbeddedPlanarGraph, tree):
         self.graph = g
         self.tree = tree
-        self.shift = shift
         self._strict: dict[int, DenseDistanceGraph] = {}
 
     def strict(self, node_id: int) -> DenseDistanceGraph:
         got = self._strict.get(node_id)
         if got is None:
             piece = self.tree.pieces[node_id]
-            got = compute_ddg_internal(self.graph, piece, self.shift)
+            got = compute_ddg_internal(self.graph, piece)
             self._strict[node_id] = got
         return got
 

@@ -25,7 +25,6 @@ __all__ = [
     "Piece",
     "DecompositionTree",
     "build_decomposition",
-    "extract_r_division",
     "highest_excluding_ancestor",
     "TREE_DEBUG_SCHEMA",
 ]
@@ -337,11 +336,6 @@ def build_decomposition(
     return DecompositionTree(
         g, pieces, leaf_size, r_base, tuple(rs), marks, tuple(leaf_of)
     )
-
-
-def extract_r_division(tree: DecompositionTree, r: int) -> tuple[int, ...]:
-    """The marked antichain of piece ids for a value in the r-sequence."""
-    return tree.r_division(r)
 
 
 def highest_excluding_ancestor(

@@ -5,8 +5,9 @@ graph, a strict boundary matrix per region, and public vertex/arc ids that
 stay stable across internal rebuilds.  Updates touch only the regions they
 land in:
 
-* weight changes recompute one region matrix (entries never embed the
-  shift constant, so every other region's matrix stays bit-identical),
+* weight changes recompute one region matrix (each matrix depends only on
+  its own region's arcs, so every other region's matrix stays
+  bit-identical),
 * edge insertions splice the rotations, re-validate planarity by a full
   face trace (rolling back on failure), and recompute the regions whose
   arc set or boundary grew,
@@ -24,20 +25,17 @@ raw arcs plus all region matrices.
 
 from __future__ import annotations
 
-import heapq
 import math
-from array import array
-from typing import Iterable
 
 from .graph import (
-    MATRIX_SENTINEL,
-    UNREACHABLE,
+    _MAX_WEIGHT_SUM,
     EmbeddedPlanarGraph,
     EmbeddingError,
-    trace_faces,
+    WeightOverflowError,
+    check_planar,
 )
 from .decomposition import build_decomposition
-from .ddg import DenseDistanceGraph
+from .ddg import DenseDistanceGraph, strict_matrix
 from .frdijkstra import SparseMember, multi_dijkstra
 
 __all__ = ["DynamicOracle"]
@@ -75,8 +73,7 @@ class DynamicOracle:
         self.arc_alive: list[bool] = [True] * g.m
         self.rot: list[list[int]] = [list(row) for row in g.rotation]
 
-        self.weight_sum = sum(abs(w) for w in g.weights)
-        self.shift_value = max(2 * self.weight_sum, 1)
+        self.weight_sum = g.total_weight
 
         self.regions: list[_Region] = []
         self.region_of_arc: dict[int, int] = {}
@@ -105,6 +102,12 @@ class DynamicOracle:
 
     def _regions_of_vertex(self, v: int) -> list[int]:
         return [ri for ri, reg in enumerate(self.regions) if v in reg.vertices]
+
+    def _check_budget(self, weight_sum: int) -> None:
+        if weight_sum > _MAX_WEIGHT_SUM:
+            raise WeightOverflowError(
+                f"sum of |weights| {weight_sum} would exceed the 63-bit budget"
+            )
 
     def _tick(self) -> None:
         self.ops_since_rebuild += 1
@@ -164,34 +167,12 @@ class DynamicOracle:
         """Strict boundary-to-boundary matrix of one region, public ids."""
         nodes = tuple(sorted(v for v in reg.boundary if self.v_alive[v]))
         verts = tuple(sorted(v for v in reg.vertices if self.v_alive[v]))
-        loc = {v: i for i, v in enumerate(verts)}
-        adj: list[list[tuple[int, int]]] = [[] for _ in verts]
-        for a in sorted(reg.arcs):
-            if self.arc_alive[a]:
-                adj[loc[self.arc_tail[a]]].append((loc[self.arc_head[a]], self.arc_weight[a]))
-        blocked = [False] * len(verts)
-        for v in nodes:
-            blocked[loc[v]] = True
-        k = len(nodes)
-        matrix = array("q", [MATRIX_SENTINEL]) * (k * k)
-        for i, s in enumerate(nodes):
-            dist = [MATRIX_SENTINEL] * len(verts)
-            dist[loc[s]] = 0
-            heap = [(0, loc[s])]
-            while heap:
-                d, x = heapq.heappop(heap)
-                if d > dist[x]:
-                    continue
-                if blocked[x] and x != loc[s]:
-                    continue
-                for y, w in adj[x]:
-                    nd = d + w
-                    if nd < dist[y]:
-                        dist[y] = nd
-                        heapq.heappush(heap, (nd, y))
-            row = i * k
-            for j, t in enumerate(nodes):
-                matrix[row + j] = 0 if i == j else dist[loc[t]]
+        arcs = (
+            (self.arc_tail[a], self.arc_head[a], self.arc_weight[a])
+            for a in sorted(reg.arcs)
+            if self.arc_alive[a]
+        )
+        matrix = strict_matrix(verts, nodes, arcs)
         reg.ddg = DenseDistanceGraph("strict_internal", nodes, matrix, (-1,))
 
     # -- operations -------------------------------------------------------------
@@ -200,10 +181,10 @@ class DynamicOracle:
         self._check_alive_arc(arc)
         if weight < 0:
             raise ValueError("arc weights must be nonnegative")
-        old = self.arc_weight[arc]
+        weight_sum = self.weight_sum + weight - self.arc_weight[arc]
+        self._check_budget(weight_sum)
         self.arc_weight[arc] = weight
-        self.weight_sum += abs(weight) - abs(old)
-        self.shift_value = max(2 * self.weight_sum, 1)
+        self.weight_sum = weight_sum
         self._recompute(self.regions[self.region_of_arc[arc]])
         self._tick()
 
@@ -232,6 +213,7 @@ class DynamicOracle:
             raise ValueError("tail rotation position out of range")
         if not (0 <= head_pos <= len(self.rot[head])):
             raise ValueError("head rotation position out of range")
+        self._check_budget(self.weight_sum + weight)
 
         arc = len(self.arc_alive)
         self.arc_tail.append(tail)
@@ -249,8 +231,7 @@ class DynamicOracle:
             del self.arc_tail[arc:], self.arc_head[arc:], self.arc_weight[arc:], self.arc_alive[arc:]
             raise
 
-        self.weight_sum += abs(weight)
-        self.shift_value = max(2 * self.weight_sum, 1)
+        self.weight_sum += weight
 
         rt = self._regions_of_vertex(tail)
         rh = self._regions_of_vertex(head)
@@ -288,8 +269,7 @@ class DynamicOracle:
         self.arc_alive[arc] = False
         self.rot[self.arc_tail[arc]].remove(arc)
         self.rot[self.arc_head[arc]].remove(arc)
-        self.weight_sum -= abs(self.arc_weight[arc])
-        self.shift_value = max(2 * self.weight_sum, 1)
+        self.weight_sum -= self.arc_weight[arc]
         ri = self.region_of_arc.pop(arc)
         reg = self.regions[ri]
         reg.arcs.discard(arc)
@@ -305,10 +285,9 @@ class DynamicOracle:
             self.arc_alive[a] = False
             other = self.arc_head[a] if self.arc_tail[a] == v else self.arc_tail[a]
             self.rot[other].remove(a)
-            self.weight_sum -= abs(self.arc_weight[a])
+            self.weight_sum -= self.arc_weight[a]
             touched.add(self.region_of_arc.pop(a))
         self.rot[v] = []
-        self.shift_value = max(2 * self.weight_sum, 1)
         self.v_alive[v] = False
         homes = self._regions_of_vertex(v)
         for ri in homes:
@@ -330,45 +309,7 @@ class DynamicOracle:
             for v in range(len(self.v_alive))
             if self.v_alive[v]
         }
-        if not alive_arcs:
-            return
-        faces = trace_faces(alive_arcs, self.arc_tail, self.arc_head, rot_map)
-        # union-find over alive arcs' endpoints
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in alive_arcs:
-            for z in (self.arc_tail[a], self.arc_head[a]):
-                parent.setdefault(z, z)
-            rt, rh = find(self.arc_tail[a]), find(self.arc_head[a])
-            if rt != rh:
-                parent[rt] = rh
-        comp_v: dict[int, int] = {}
-        for z in parent:
-            root = find(z)
-            comp_v[root] = comp_v.get(root, 0) + 1
-        comp_e: dict[int, int] = {}
-        comp_f: dict[int, set[int]] = {}
-        face_of: dict[int, list[int]] = {}
-        for fi, face in enumerate(faces):
-            for d in face:
-                face_of.setdefault(d >> 1, []).append(fi)
-        for a in alive_arcs:
-            root = find(self.arc_tail[a])
-            comp_e[root] = comp_e.get(root, 0) + 1
-            comp_f.setdefault(root, set()).update(face_of[a])
-        for root, nv in comp_v.items():
-            ne = comp_e.get(root, 0)
-            nf = len(comp_f.get(root, ()))
-            if nv - ne + nf != 2:
-                raise EmbeddingError(
-                    f"edge insertion breaks planarity: V={nv} E={ne} F={nf}"
-                )
+        check_planar(alive_arcs, self.arc_tail, self.arc_head, rot_map)
 
     # -- queries ------------------------------------------------------------------
 

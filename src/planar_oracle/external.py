@@ -21,26 +21,19 @@ from array import array
 from typing import Iterable, Sequence
 
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
-from .ddg import DdgStore, DenseDistanceGraph, ShiftConstant
+from .ddg import DdgStore, DenseDistanceGraph
 from .frdijkstra import DdgUnion, multi_dijkstra
 
-__all__ = ["ExternalDdgBuilder", "compute_ddg_external"]
+__all__ = ["ExternalDdgBuilder"]
 
 
 class ExternalDdgBuilder:
     """Memoizing builder for external DDGs over one decomposition tree."""
 
-    def __init__(
-        self,
-        g: EmbeddedPlanarGraph,
-        tree,
-        shift: ShiftConstant,
-        store: DdgStore | None = None,
-    ):
+    def __init__(self, g: EmbeddedPlanarGraph, tree, store: DdgStore | None = None):
         self.graph = g
         self.tree = tree
-        self.shift = shift
-        self.store = store if store is not None else DdgStore(g, tree, shift)
+        self.store = store if store is not None else DdgStore(g, tree)
         self.levels: tuple[int, ...] = tree.r_sequence
         self._mark_sets = {r: frozenset(tree.r_division(r)) for r in self.levels}
         self._ext: dict[tuple[int, tuple[int, ...]], DenseDistanceGraph] = {}
@@ -173,16 +166,3 @@ def _all_unreachable(nodes: tuple[int, ...], ids: tuple[int, ...]) -> DenseDista
         matrix[i * k + i] = 0
     return DenseDistanceGraph("strict_external", nodes, matrix, ids)
 
-
-def compute_ddg_external(
-    g: EmbeddedPlanarGraph,
-    tree,
-    piece_ids: Iterable[int],
-    shift: ShiftConstant,
-    builder: ExternalDdgBuilder | None = None,
-    r: int | None = None,
-) -> DenseDistanceGraph:
-    """External DDG of a piece tuple; see ExternalDdgBuilder."""
-    if builder is None:
-        builder = ExternalDdgBuilder(g, tree, shift)
-    return builder.ext(piece_ids, r=r)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .graph import EmbeddedPlanarGraph, UNREACHABLE
 from .decomposition import DecompositionTree, build_decomposition
-from .ddg import DdgStore, compute_leaf_ddg, shift_constant_for
+from .ddg import DdgStore, compute_leaf_ddg
 from .frdijkstra import MultiDijkstraResult, multi_dijkstra
 
 __all__ = ["FailureAssembly", "FailureOracle"]
@@ -57,8 +57,7 @@ class FailureOracle:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.graph = g
         self.tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
-        self.shift = shift_constant_for(g)
-        self.store = DdgStore(g, self.tree, self.shift)
+        self.store = DdgStore(g, self.tree)
         self.strategy = strategy
         self.store.prefetch_nonleaf()
 

@@ -17,16 +17,12 @@ import heapq
 from typing import Iterable, Sequence
 
 from .graph import MATRIX_SENTINEL, UNREACHABLE
-from .ddg import DdgStore, DenseDistanceGraph, compute_leaf_ddg
 
 __all__ = [
     "SparseMember",
     "DdgUnion",
     "MultiDijkstraResult",
     "multi_dijkstra",
-    "Cone",
-    "assemble_cone",
-    "cone_distances",
 ]
 
 
@@ -250,39 +246,3 @@ def multi_dijkstra(
         relaxations,
     )
 
-
-class Cone:
-    """The member family covering all distances out of one vertex.
-
-    Holds the leaf matrix of ``vertex`` (with the vertex itself added as a
-    matrix node) plus the strict matrix of every sibling along the leaf's
-    root path.  Distances from the vertex inside this union agree with the
-    full graph for every union vertex.
-    """
-
-    __slots__ = ("vertex", "leaf", "parts", "members")
-
-    def __init__(self, vertex, leaf, parts, members):
-        self.vertex: int = vertex
-        self.leaf: int = leaf
-        self.parts: tuple[tuple[str, int], ...] = parts
-        self.members: tuple = members
-
-
-def assemble_cone(store: DdgStore, v: int) -> Cone:
-    tree = store.tree
-    leaf = tree.leaf_of[v]
-    members = [compute_leaf_ddg(store.graph, tree.pieces[leaf], extras=(v,))]
-    parts = [("leaf", leaf)]
-    for node in tree.root_path(leaf):
-        sib = tree.sibling_of(node)
-        if sib is not None:
-            members.append(store.strict(sib))
-            parts.append(("sibling", sib))
-    return Cone(v, leaf, tuple(parts), tuple(members))
-
-
-def cone_distances(store: DdgStore, v: int, strategy: str = "naive") -> MultiDijkstraResult:
-    """Distances from ``v`` to every vertex of its cone."""
-    cone = assemble_cone(store, v)
-    return multi_dijkstra(cone.members, [(v, 0)], strategy=strategy)

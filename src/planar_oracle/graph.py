@@ -25,7 +25,7 @@ __all__ = [
     "save_graph",
     "dumps_graph",
     "trace_faces",
-    "dart_origin",
+    "check_planar",
     "dart_target",
 ]
 
@@ -35,8 +35,9 @@ UNREACHABLE = float("inf")
 MATRIX_SENTINEL = 1 << 62
 """Stand-in for UNREACHABLE inside integer distance matrices."""
 
-# Sum of absolute arc weights must fit a 63-bit signed budget so that the
-# doubled sum used as a shift constant cannot overflow 64-bit storage.
+# A simple path uses each arc at most once, so keeping the sum of absolute
+# arc weights below MATRIX_SENTINEL keeps every path length below it too,
+# and a finite distance never reads as unreachable in a matrix.
 _MAX_WEIGHT_SUM = (1 << 62) - 1
 
 
@@ -54,11 +55,6 @@ class EmbeddingError(ValueError):
 
 class WeightOverflowError(ValueError):
     """Total absolute weight exceeds the 63-bit accumulation budget."""
-
-
-def dart_origin(dart: int, tails: Sequence[int], heads: Sequence[int]) -> int:
-    arc = dart >> 1
-    return tails[arc] if dart & 1 == 0 else heads[arc]
 
 
 def dart_target(dart: int, tails: Sequence[int], heads: Sequence[int]) -> int:
@@ -109,6 +105,51 @@ def trace_faces(
             raise EmbeddingError("rotation system produced a broken face walk")
         faces.append(face)
     return faces
+
+
+def check_planar(
+    arc_ids: Sequence[int],
+    tails: Sequence[int],
+    heads: Sequence[int],
+    rotation: Mapping[int, Sequence[int]],
+) -> tuple[int, int]:
+    """Trace the faces of an embedded (sub)graph and check Euler's formula.
+
+    Every connected component that has an arc must satisfy V - E + F = 2,
+    counting the vertices, arcs and faces it holds; isolated vertices are
+    not counted.  Returns (faces, arc-bearing components) and raises
+    EmbeddingError when the rotation system is not planar.
+    """
+    faces = trace_faces(arc_ids, tails, heads, rotation)
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in arc_ids:
+        t, h = tails[a], heads[a]
+        parent.setdefault(t, t)
+        parent.setdefault(h, h)
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[rt] = rh
+    # per component root: [V, E, F]
+    counts: dict[int, list[int]] = {}
+    for x in parent:
+        counts.setdefault(find(x), [0, 0, 0])[0] += 1
+    for a in arc_ids:
+        counts[find(tails[a])][1] += 1
+    for face in faces:
+        counts[find(tails[face[0] >> 1])][2] += 1
+    for nv, ne, nf in counts.values():
+        if nv - ne + nf != 2:
+            raise EmbeddingError(
+                f"Euler check failed on a component: V={nv} E={ne} F={nf}"
+            )
+    return len(faces), len(counts)
 
 
 class EmbeddedPlanarGraph:
@@ -229,52 +270,13 @@ class EmbeddedPlanarGraph:
         if not self.arcs:
             return 1 if self.n else 0
         rot_map = {v: self.rotation[v] for v in range(self.n)}
-        faces = trace_faces(range(len(self.arcs)), self.tails, self.heads, rot_map)
-        face_of_arc: dict[int, list[int]] = {}
-        for fi, face in enumerate(faces):
-            for d in face:
-                face_of_arc.setdefault(d >> 1, []).append(fi)
-
-        # Group arcs into components, then count V/E/F per component.
-        label = [-1] * self.n
-        next_label = 0
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for t, h, _ in self.arcs:
-            adj[t].append(h)
-            adj[h].append(t)
-        for s in range(self.n):
-            if label[s] != -1 or not adj[s]:
-                continue
-            stack = [s]
-            label[s] = next_label
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if label[y] == -1:
-                        label[y] = next_label
-                        stack.append(y)
-            next_label += 1
-
-        verts = [0] * next_label
-        edges = [0] * next_label
-        comp_faces: list[set[int]] = [set() for _ in range(next_label)]
-        for v in range(self.n):
-            if label[v] != -1:
-                verts[label[v]] += 1
-        for a, (t, h, _) in enumerate(self.arcs):
-            edges[label[t]] += 1
-            for fi in face_of_arc[a]:
-                comp_faces[label[t]].add(fi)
-        for c in range(next_label):
-            if verts[c] - edges[c] + len(comp_faces[c]) != 2:
-                raise EmbeddingError(
-                    "Euler check failed on a component: "
-                    f"V={verts[c]} E={edges[c]} F={len(comp_faces[c])}"
-                )
+        faces, components = check_planar(
+            range(len(self.arcs)), self.tails, self.heads, rot_map
+        )
         # Isolated vertices live inside existing faces and add none of
         # their own; arc-bearing components each contribute their face sets,
         # of which the unbounded ones merge into a single outer face.
-        return len(faces) - (next_label - 1)
+        return faces - (components - 1)
 
     # ------------------------------------------------------------------
     # accessors

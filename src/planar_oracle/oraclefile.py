@@ -1,12 +1,12 @@
 """Byte-deterministic oracle files.
 
-Layout (little-endian, fixed-width): a four-byte magic, a format version,
-a kind byte, the graph in its text form, the build parameters, the shift
-constant, the decomposition tree, and the stored matrices.  Trade-off
-files append the per-tuple external matrices, the directional tables and
-the piece tables.  Unreachable entries are written as -1.  All dictionary
-sections are emitted in sorted key order, so building the same oracle
-twice produces identical bytes.
+Layout (little-endian, fixed-width): a four-byte magic, the format version
+(currently 2; files of any other version are rejected), a kind byte, the
+graph in its text form, the build parameters, the decomposition tree, and
+the stored matrices.  Trade-off files append the per-tuple external
+matrices, the directional tables and the piece tables.  Unreachable
+entries are written as -1.  All dictionary sections are emitted in sorted
+key order, so building the same oracle twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import BinaryIO
 
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece
-from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable, ShiftConstant
+from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
 from .external import ExternalDdgBuilder
 from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
@@ -27,7 +27,7 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 1
+_VERSION = 2
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
 
@@ -193,7 +193,6 @@ def save_oracle(oracle, path: str) -> None:
     buf.write(struct.pack("<HB", _VERSION, kind))
     _w_blob(buf, dumps_graph(oracle.graph).encode("ascii"))
     _w_u32(buf, 1 if oracle.strategy == "monge" else 0)
-    _w_i64(buf, oracle.shift.value)
     _write_tree(buf, oracle.tree)
 
     if kind == _KIND_FAILURE:
@@ -250,7 +249,6 @@ def load_oracle(path: str):
             raise OracleFileError(f"unknown oracle kind {kind}")
         g = loads_graph(rd.blob().decode("ascii"))
         strategy = "monge" if rd.u32() else "naive"
-        shift_value = rd.i64()
         tree = _read_tree(rd, g)
 
         if kind == _KIND_FAILURE:
@@ -258,7 +256,7 @@ def load_oracle(path: str):
             for _ in range(rd.u32()):
                 pid = rd.u32()
                 strict[pid] = _read_ddg(rd)
-            return _restore_failure(g, tree, shift_value, strategy, strict)
+            return _restore_failure(g, tree, strategy, strict)
 
         r = rd.u32()
         k = rd.u32()
@@ -283,35 +281,29 @@ def load_oracle(path: str):
             targets = rd.ids()
             matrix = rd.matrix()
             tables[node] = PieceDistanceTable(node, sources, targets, matrix)
-        return _restore_tradeoff(
-            g, tree, shift_value, strategy, r, k, strict, ext, vor, tables
-        )
+        return _restore_tradeoff(g, tree, strategy, r, k, strict, ext, vor, tables)
 
 
-def _restore_failure(g, tree, shift_value, strategy, strict) -> FailureOracle:
+def _restore_failure(g, tree, strategy, strict) -> FailureOracle:
     oracle = object.__new__(FailureOracle)
     oracle.graph = g
     oracle.tree = tree
-    oracle.shift = ShiftConstant(shift_value)
-    oracle.store = DdgStore(g, tree, oracle.shift)
+    oracle.store = DdgStore(g, tree)
     oracle.store._strict.update(strict)
     oracle.strategy = strategy
     return oracle
 
 
-def _restore_tradeoff(
-    g, tree, shift_value, strategy, r, k, strict, ext, vor, tables
-) -> TradeoffOracle:
+def _restore_tradeoff(g, tree, strategy, r, k, strict, ext, vor, tables) -> TradeoffOracle:
     oracle = object.__new__(TradeoffOracle)
     oracle.graph = g
     oracle.tree = tree
     oracle.r = r
     oracle.k = k
     oracle.strategy = strategy
-    oracle.shift = ShiftConstant(shift_value)
-    oracle.store = DdgStore(g, tree, oracle.shift)
+    oracle.store = DdgStore(g, tree)
     oracle.store._strict.update(strict)
-    oracle.ext_builder = ExternalDdgBuilder(g, tree, oracle.shift, oracle.store)
+    oracle.ext_builder = ExternalDdgBuilder(g, tree, oracle.store)
     oracle.rdiv = tree.r_division(r)
     oracle.ext = ext
     oracle.vor = vor

@@ -38,7 +38,6 @@ from .ddg import (
     PieceDistanceTable,
     compute_leaf_ddg,
     compute_piece_distance_table,
-    shift_constant_for,
 )
 from .external import ExternalDdgBuilder
 from .frdijkstra import multi_dijkstra
@@ -76,9 +75,8 @@ class TradeoffOracle:
         self.r = r
         self.k = k
         self.strategy = strategy
-        self.shift = shift_constant_for(g)
-        self.store = DdgStore(g, self.tree, self.shift)
-        self.ext_builder = ExternalDdgBuilder(g, self.tree, self.shift, self.store)
+        self.store = DdgStore(g, self.tree)
+        self.ext_builder = ExternalDdgBuilder(g, self.tree, self.store)
         self.rdiv: tuple[int, ...] = self.tree.r_division(r)
 
         self.ext: dict[tuple[int, ...], DenseDistanceGraph] = {}

@@ -21,7 +21,6 @@ from planar_oracle.ddg import (
     compute_ddg,
     compute_leaf_ddg,
     minplus_closure,
-    shift_constant_for,
 )
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
@@ -201,7 +200,7 @@ def test_criterion_3_closure_identity_per_piece(zoo, capsys):
     for _name, g in sorted(zoo.items()):
         leaf = 8 if g.n > 100 else 6
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
-        store = DdgStore(g, tree, shift_constant_for(g))
+        store = DdgStore(g, tree)
         for p in tree.pieces:
             base = compute_leaf_ddg(g, p) if p.is_leaf else store.strict(p.id)
             bad += minplus_closure(base).matrix != compute_ddg(g, p).matrix
@@ -254,8 +253,7 @@ def test_criterion_4_external_tables_match_direct_computation(zoo, capsys):
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
         if not tree.r_sequence:
             continue
-        shift = shift_constant_for(g)
-        builder = ExternalDdgBuilder(g, tree, shift, DdgStore(g, tree, shift))
+        builder = ExternalDdgBuilder(g, tree, DdgStore(g, tree))
         r = tree.r_sequence[0]
         rdiv = tree.r_division(r)
         for size in (1, 2, 3):

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
+from planar_oracle import ddg
 from planar_oracle.bench import BenchReport, bench_config, run_bench, thread_cap
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def small_configs():
@@ -95,3 +99,18 @@ def test_report_round_trip_types():
     assert isinstance(rec["build_ms"], float)
     assert isinstance(rec["bytes_on_disk"], int)
     assert isinstance(BenchReport(report.records).to_csv(), str)
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # the benchmark's tracer rebinds package names by string; a rename
+    # must fail here rather than silently break traced runs
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    strict = ddg.compute_ddg_internal
+    tracer = tracing.Tracer()
+    try:
+        assert ddg.compute_ddg_internal is not strict
+    finally:
+        tracer.close()
+    assert ddg.compute_ddg_internal is strict

@@ -3,6 +3,7 @@
 import heapq
 import random
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +12,10 @@ from planar_oracle.ddg import (
     DdgStore,
     DenseDistanceGraph,
     compute_ddg,
+    compute_ddg_internal,
     compute_leaf_ddg,
     compute_piece_distance_table,
     minplus_closure,
-    shift_constant_for,
 )
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
@@ -46,24 +47,23 @@ def in_piece_distance(g, piece, src, dst, failed=frozenset()):
 @pytest.fixture(scope="module")
 def setup8(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    return grid8, tree, shift_constant_for(grid8)
+    return grid8, tree
 
 
-def test_shift_constant(grid8):
-    assert shift_constant_for(grid8).value == max(
-        2 * sum(abs(w) for w in grid8.weights), 1
-    )
-
-
-def test_shift_constant_zero_weights():
+def test_strict_matrix_zero_weights():
+    # a zero-length path through another boundary vertex is still not strict
     g = EmbeddedPlanarGraph(
         3, [(0, 1, 0), (1, 2, 0)], [[0], [0, 1], [1]]
     )
-    assert shift_constant_for(g).value == 1
+    piece = SimpleNamespace(id=0, vertices=(0, 1, 2), boundary=(0, 1, 2), arcs=(0, 1))
+    strict = compute_ddg_internal(g, piece)
+    S = MATRIX_SENTINEL
+    assert list(strict.matrix) == [0, 0, S, S, 0, 0, S, S, 0]
+    assert compute_ddg(g, piece).dist(0, 2) == 0
 
 
 def test_full_ddg_matches_in_piece_brute(setup8):
-    g, tree, _ = setup8
+    g, tree = setup8
     for p in tree.pieces[:12]:
         ddg = compute_ddg(g, p)
         assert ddg.nodes == p.boundary
@@ -82,7 +82,7 @@ def test_closure_identity(setup8, tri60, path12, disconnected):
     for g in (tri60, path12, disconnected):
         cases.append((g, build_decomposition(g, leaf_size=6, r_base=4)))
     for g, tree in cases:
-        store = DdgStore(g, tree, shift_constant_for(g))
+        store = DdgStore(g, tree)
         for p in tree.pieces:
             if p.is_leaf:
                 continue
@@ -92,8 +92,8 @@ def test_closure_identity(setup8, tri60, path12, disconnected):
 
 def test_strict_entries_dominate_full(setup8):
     # strict paths are a subset of all paths, so entries only grow
-    g, tree, shift = setup8
-    store = DdgStore(g, tree, shift)
+    g, tree = setup8
+    store = DdgStore(g, tree)
     for p in tree.pieces:
         if p.is_leaf:
             continue
@@ -105,7 +105,7 @@ def test_strict_entries_dominate_full(setup8):
 
 
 def test_leaf_ddg_with_failures(setup8):
-    g, tree, _ = setup8
+    g, tree = setup8
     rng = random.Random(3)
     for leaf in tree.leaves()[:6]:
         piece = tree.pieces[leaf]
@@ -126,7 +126,7 @@ def test_leaf_ddg_with_failures(setup8):
 
 
 def test_leaf_extras_become_nodes(setup8):
-    g, tree, _ = setup8
+    g, tree = setup8
     leaf = tree.leaves()[0]
     piece = tree.pieces[leaf]
     interior = [v for v in piece.vertices if v not in piece.boundary]
@@ -138,7 +138,7 @@ def test_leaf_extras_become_nodes(setup8):
 
 
 def test_piece_distance_table(setup8):
-    g, tree, _ = setup8
+    g, tree = setup8
     for leaf in tree.leaves()[:4]:
         piece = tree.pieces[leaf]
         table = compute_piece_distance_table(g, piece)
@@ -182,8 +182,8 @@ def test_closure_matches_floyd_warshall():
 
 
 def test_store_memoizes(setup8):
-    g, tree, shift = setup8
-    store = DdgStore(g, tree, shift)
+    g, tree = setup8
+    store = DdgStore(g, tree)
     assert store.stored_entry_count() == 0
     a = store.strict(0)
     assert store.strict(0) is a
@@ -201,7 +201,7 @@ def test_ddg_validation():
 
 
 def test_dist_accessor(setup8):
-    g, tree, _ = setup8
+    g, tree = setup8
     p = next(p for p in tree.pieces if not p.is_leaf and p.boundary)
     ddg = compute_ddg(g, p)
     s = ddg.nodes[0]
@@ -209,7 +209,7 @@ def test_dist_accessor(setup8):
 
 
 def test_root_ddg_is_empty(setup8):
-    g, tree, _ = setup8
+    g, tree = setup8
     ddg = compute_ddg(g, tree.root)
     assert ddg.nodes == ()
     assert len(ddg.matrix) == 0
@@ -217,7 +217,7 @@ def test_root_ddg_is_empty(setup8):
 
 def test_sssp_consistency_of_full_ddg(setup8):
     # full DDG entries never beat the unrestricted graph distance
-    g, tree, _ = setup8
+    g, tree = setup8
     p = next(p for p in tree.pieces if not p.is_leaf and p.boundary)
     ddg = compute_ddg(g, p)
     for s in ddg.nodes[:3]:

@@ -9,7 +9,6 @@ import pytest
 from planar_oracle.decomposition import (
     TREE_DEBUG_SCHEMA,
     build_decomposition,
-    extract_r_division,
     highest_excluding_ancestor,
 )
 
@@ -107,7 +106,6 @@ def test_one_mark_per_root_path(tree8):
 
 def test_r_division_alias(tree8):
     r = tree8.r_sequence[0]
-    assert extract_r_division(tree8, r) == tree8.r_division(r)
     with pytest.raises(ValueError):
         tree8.r_division(r + 1)
 

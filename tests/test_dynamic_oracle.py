@@ -7,7 +7,7 @@ import pytest
 from planar_oracle.baseline import sssp
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.generate import generate_grid
-from planar_oracle.graph import UNREACHABLE, EmbeddingError
+from planar_oracle.graph import UNREACHABLE, EmbeddingError, WeightOverflowError
 
 
 def fresh_distance(dyn, u, v):
@@ -98,6 +98,21 @@ def test_validation(dyn10):
         dyn10.insert_edge(0, 1, 3)
     with pytest.raises(ValueError):
         dyn10.delete_vertex(10**6)
+
+
+def test_weight_budget_rejects_before_mutation():
+    dyn = DynamicOracle(generate_grid(4, 4), r=16)
+    pairs = [(u, v) for u in range(16) for v in range(16)]
+    before = [dyn.distance(u, v) for u, v in pairs]
+    arcs = len(dyn.arc_alive)
+    for a in [a for a in dyn.rot[5] if dyn.arc_tail[a] == 5]:
+        with pytest.raises(WeightOverflowError):
+            dyn.set_weight(a, 1 << 62)
+    with pytest.raises(WeightOverflowError):
+        dyn.insert_edge(0, 5, 1 << 62)
+    assert len(dyn.arc_alive) == arcs
+    assert [dyn.distance(u, v) for u, v in pairs] == before
+    assert [fresh_distance(dyn, u, v) for u, v in pairs] == before
 
 
 def test_rebuild_cadence():

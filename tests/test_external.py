@@ -5,9 +5,9 @@ import itertools
 
 import pytest
 
-from planar_oracle.ddg import DdgStore, minplus_closure, shift_constant_for
+from planar_oracle.ddg import DdgStore, minplus_closure
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.external import ExternalDdgBuilder, compute_ddg_external
+from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.graph import MATRIX_SENTINEL
 
 
@@ -57,9 +57,8 @@ def check_tuple(g, tree, builder, ids, r):
 @pytest.fixture(scope="module")
 def world(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    shift = shift_constant_for(grid8)
-    store = DdgStore(grid8, tree, shift)
-    return grid8, tree, ExternalDdgBuilder(grid8, tree, shift, store)
+    store = DdgStore(grid8, tree)
+    return grid8, tree, ExternalDdgBuilder(grid8, tree, store)
 
 
 def test_single_pieces(world):
@@ -79,8 +78,7 @@ def test_pairs(world):
 
 def test_triple(tri200):
     tree = build_decomposition(tri200, leaf_size=8, r_base=4)
-    shift = shift_constant_for(tri200)
-    builder = ExternalDdgBuilder(tri200, tree, shift, DdgStore(tri200, tree, shift))
+    builder = ExternalDdgBuilder(tri200, tree, DdgStore(tri200, tree))
     r = tree.r_sequence[0]
     rdiv = tree.r_division(r)
     ids = tuple(sorted(rdiv[:3]))
@@ -104,17 +102,6 @@ def test_input_validation(world):
         builder.ext((0,), r=tree.r_sequence[0])  # root is not marked
     with pytest.raises(ValueError):
         builder.ext((tree.r_division(tree.r_sequence[0])[0],), r=12345)
-
-
-def test_module_level_helper(grid8):
-    tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    shift = shift_constant_for(grid8)
-    r = tree.r_sequence[0]
-    pid = tree.r_division(r)[0]
-    got = compute_ddg_external(grid8, tree, (pid,), shift)
-    builder = ExternalDdgBuilder(grid8, tree, shift, DdgStore(grid8, tree, shift))
-    want = builder.ext((pid,), r=r)
-    assert got.nodes == want.nodes and got.matrix == want.matrix
 
 
 def test_duplicate_ids_collapse(world):

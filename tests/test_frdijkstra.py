@@ -7,15 +7,10 @@ from array import array
 import pytest
 
 from planar_oracle.baseline import sssp
-from planar_oracle.ddg import DdgStore, DenseDistanceGraph, shift_constant_for
+from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.frdijkstra import (
-    DdgUnion,
-    SparseMember,
-    assemble_cone,
-    cone_distances,
-    multi_dijkstra,
-)
+from planar_oracle.failure_oracle import FailureOracle
+from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 
 
@@ -159,38 +154,39 @@ def test_source_overrides_forbidden():
     assert res.label(1) == 2
 
 
+def cone_members(g, u):
+    """Home leaf of u (with u as a node) plus every root-path sibling."""
+    return FailureOracle(g, leaf_size=8, r_base=4).assemble(u, u).members
+
+
 def test_forbidden_monotone(grid8):
-    tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    store = DdgStore(grid8, tree, shift_constant_for(grid8))
-    cone = assemble_cone(store, 0)
-    base = multi_dijkstra(cone.members, [(0, 0)], strategy="monge")
-    walled = multi_dijkstra(cone.members, [(0, 0)], forbidden=[9, 18], strategy="monge")
+    members = cone_members(grid8, 0)
+    base = multi_dijkstra(members, [(0, 0)], strategy="monge")
+    walled = multi_dijkstra(members, [(0, 0)], forbidden=[9, 18], strategy="monge")
     for v in base.vertices:
         assert walled.label(v) >= base.label(v)
 
 
 def test_cone_equals_global_sssp(grid8, tri60):
     for g in (grid8, tri60):
-        tree = build_decomposition(g, leaf_size=8, r_base=4)
-        store = DdgStore(g, tree, shift_constant_for(g))
         for u in (0, g.n // 3, g.n - 1):
             ref = sssp(g, u)
+            members = cone_members(g, u)
             for strategy in ("naive", "monge"):
-                res = cone_distances(store, u, strategy=strategy)
+                res = multi_dijkstra(members, [(u, 0)], strategy=strategy)
                 for v in res.vertices:
                     assert res.label(v) == ref[v], (u, v, strategy)
 
 
 def test_cone_structure(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    store = DdgStore(grid8, tree, shift_constant_for(grid8))
-    cone = assemble_cone(store, 5)
+    members = cone_members(grid8, 5)
     # first member is the home leaf with the vertex grafted in
-    assert 5 in cone.members[0].nodes
+    assert 5 in members[0].nodes
     # one member per root-path sibling
     leaf = tree.leaf_of[5]
     sibs = [tree.sibling_of(x) for x in tree.root_path(leaf)]
-    assert len(cone.members) == 1 + sum(1 for s in sibs if s is not None)
+    assert len(members) == 1 + sum(1 for s in sibs if s is not None)
 
 
 def test_error_cases():

@@ -93,11 +93,12 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-def test_bad_version(tmp_path, fo8):
+@pytest.mark.parametrize("version", [1, 99])
+def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
     raw = bytearray(p.read_bytes())
-    raw[4:8] = (99).to_bytes(4, "little")
+    raw[4:6] = version.to_bytes(2, "little")
     p.write_bytes(bytes(raw))
     with pytest.raises(OracleFileError):
         load_oracle(p)
