@@ -167,7 +167,7 @@ def _run_one(cfg: dict) -> dict:
     for u, v, x in batch:
         t0 = time.perf_counter()
         if cfg["mode"] == "failure":
-            res = oracle.query_result(u, v, x)
+            res = oracle.query_result(u, v, x, target=v)
             times.append(time.perf_counter() - t0)
             got = res.label(v)
             unions.append(res.union_vertices)

@@ -84,13 +84,9 @@ class DenseDistanceGraph:
 
     @property
     def min_entry(self) -> int:
-        """Smallest finite entry (0 for empty matrices); validates sign."""
+        """Smallest entry, clamped at 0 (0 for empty matrices); validates sign."""
         if self._min is None:
-            m = 0
-            for x in self.matrix:
-                if x < m:
-                    m = x
-            self._min = m
+            self._min = min(min(self.matrix, default=0), 0)
         return self._min
 
     def __repr__(self) -> str:

@@ -337,6 +337,10 @@ class DynamicOracle:
             if reg.ddg is not None and len(reg.ddg.nodes):
                 members.append(reg.ddg)
         res = multi_dijkstra(
-            members, [(u, 0)], forbidden=self.deleted_boundary, strategy=strategy
+            members,
+            [(u, 0)],
+            forbidden=self.deleted_boundary,
+            strategy=strategy,
+            target=v,
         )
         return res.label(v)

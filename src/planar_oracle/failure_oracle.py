@@ -130,13 +130,19 @@ class FailureOracle:
         v: int,
         failed: Iterable[int] = (),
         strategy: str | None = None,
+        target: int | None = None,
     ) -> MultiDijkstraResult:
+        """Union Dijkstra from u over the assembly for (u, v, failed).
+
+        Without a ``target`` every label is final; with one, the scan stops
+        when the target settles (see ``multi_dijkstra``)."""
         asm = self.assemble(u, v, failed)
         return multi_dijkstra(
             asm.members,
             [(u, 0)],
             forbidden=frozenset(failed),
             strategy=strategy or self.strategy,
+            target=target,
         )
 
     def distance(
@@ -150,7 +156,7 @@ class FailureOracle:
         x = self._validate(u, v, failed)
         if u == v:
             return 0
-        return self.query_result(u, v, x, strategy).label(v)
+        return self.query_result(u, v, x, strategy, target=v).label(v)
 
     # -- introspection -----------------------------------------------------
 

@@ -7,13 +7,17 @@ the union equal distances in the graph the members jointly describe.
 
 Two relaxation strategies are provided.  ``naive`` relaxes a member's whole
 row whenever one of its vertices settles.  ``monge`` keeps a linked list of
-not-yet-settled vertices per member and only scans those, which is where
-dense-row batching saves work; both return identical labels.
+not-yet-settled columns per member and scans only those, skipping settled
+columns; it uses no further Monge structure.  Both return identical labels.
+
+Given a ``target``, the scan stops as soon as the target settles, as point
+queries do.  The target's label is then exact, and so is every label at or
+below it; other labels are upper bounds only.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .graph import MATRIX_SENTINEL, UNREACHABLE
@@ -61,6 +65,7 @@ class DdgUnion:
         "members",
         "vertices",
         "slot_of",
+        "member_slots",
         "dense_in",
         "sparse_adj",
         "union_vertices",
@@ -75,24 +80,37 @@ class DdgUnion:
             seen.update(m.nodes)
         self.union_vertices = total
         self.vertices = tuple(sorted(seen))
-        self.slot_of = {v: i for i, v in enumerate(self.vertices)}
+        slot_of = self.slot_of = {v: i for i, v in enumerate(self.vertices)}
+        # member index -> union slot of each local index (empty for sparse
+        # members)
+        member_slots: list[list[int]] = []
         # dense membership: slot -> [(member index, local index)]
-        self.dense_in: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        dense_in: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         # sparse arcs: slot -> [(target slot, weight)]
-        self.sparse_adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        sparse_adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for mi, m in enumerate(self.members):
             if m.min_entry < 0:
                 raise ValueError(f"negative member weight in member {mi}")
+            slots = []
             if isinstance(m, SparseMember):
                 for t, h, w in m.arcs:
-                    self.sparse_adj[self.slot_of[t]].append((self.slot_of[h], w))
+                    sparse_adj[slot_of[t]].append((slot_of[h], w))
             else:
-                for li, v in enumerate(m.nodes):
-                    self.dense_in[self.slot_of[v]].append((mi, li))
+                slots = [slot_of[v] for v in m.nodes]
+                for li, slot in enumerate(slots):
+                    dense_in[slot].append((mi, li))
+            member_slots.append(slots)
+        self.member_slots = member_slots
+        self.dense_in = dense_in
+        self.sparse_adj = sparse_adj
 
 
 class MultiDijkstraResult:
-    """Labels plus work counters from one union Dijkstra run."""
+    """Labels plus work counters from one union Dijkstra run.
+
+    After a run with a ``target``, only the labels at or below the target's
+    are final; the others are upper bounds.
+    """
 
     __slots__ = (
         "vertices",
@@ -132,6 +150,7 @@ def multi_dijkstra(
     sources: Sequence[tuple[int, int]],
     forbidden: Iterable[int] = (),
     strategy: str = "naive",
+    target: int | None = None,
 ) -> MultiDijkstraResult:
     """Multi-source Dijkstra over a union of members.
 
@@ -139,12 +158,18 @@ def multi_dijkstra(
     vertex must belong to some member.  ``forbidden`` vertices are settled
     when reached but never relaxed out of (sources override this), so no
     path may pass through them.
+
+    With a ``target``, the run stops when the target settles.  Its label is
+    exact, as is every label at or below it; labels of vertices not yet
+    settled are upper bounds only.  A target outside the union never
+    settles, so the run goes on to the end and its label is unreachable.
     """
     if strategy not in ("naive", "monge"):
         raise ValueError(f"unknown strategy {strategy!r}")
     union = members if isinstance(members, DdgUnion) else DdgUnion(members)
     n = len(union.vertices)
     slot_of = union.slot_of
+    stop = slot_of.get(target, -1)
 
     dist = [MATRIX_SENTINEL] * n
     is_source = bytearray(n)
@@ -158,7 +183,7 @@ def multi_dijkstra(
         is_source[slot] = 1
         if d0 < dist[slot]:
             dist[slot] = d0
-            heapq.heappush(heap, (d0, slot))
+            heappush(heap, (d0, slot))
     blocked = bytearray(n)
     for v in forbidden:
         slot = slot_of.get(v)
@@ -166,6 +191,7 @@ def multi_dijkstra(
             blocked[slot] = 1
 
     mems = union.members
+    member_slots = union.member_slots
     dense_in = union.dense_in
     sparse_adj = union.sparse_adj
     done = bytearray(n)
@@ -184,20 +210,24 @@ def multi_dijkstra(
             head.append(0 if k else -1)
 
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if done[u] or d > dist[u]:
             continue
         done[u] = 1
         settled += 1
+        if u == stop:
+            break
         if strategy == "monge":
             for mi, li in dense_in[u]:
-                nx, pv = nxt[mi][li], prv[mi][li]
+                mnxt = nxt[mi]
+                mprv = prv[mi]
+                nx, pv = mnxt[li], mprv[li]
                 if pv >= 0:
-                    nxt[mi][pv] = nx
+                    mnxt[pv] = nx
                 else:
                     head[mi] = nx
-                if nx < len(mems[mi].nodes):
-                    prv[mi][nx] = pv
+                if nx < len(mnxt):
+                    mprv[nx] = pv
         if blocked[u] and not is_source[u]:
             continue
         for vslot, w in sparse_adj[u]:
@@ -205,13 +235,12 @@ def multi_dijkstra(
             nd = d + w
             if nd < dist[vslot]:
                 dist[vslot] = nd
-                heapq.heappush(heap, (nd, vslot))
+                heappush(heap, (nd, vslot))
         for mi, li in dense_in[u]:
-            m = mems[mi]
-            mat = m.matrix
-            k = len(m.nodes)
+            mat = mems[mi].matrix
+            slots = member_slots[mi]
+            k = len(slots)
             row = li * k
-            nodes = m.nodes
             if strategy == "naive":
                 for lj in range(k):
                     w = mat[row + lj]
@@ -219,22 +248,23 @@ def multi_dijkstra(
                         continue
                     relaxations += 1
                     nd = d + w
-                    vslot = slot_of[nodes[lj]]
+                    vslot = slots[lj]
                     if nd < dist[vslot]:
                         dist[vslot] = nd
-                        heapq.heappush(heap, (nd, vslot))
+                        heappush(heap, (nd, vslot))
             else:
+                mnxt = nxt[mi]
                 lj = head[mi]
                 while lj < k:
                     w = mat[row + lj]
                     if w < MATRIX_SENTINEL:
                         relaxations += 1
                         nd = d + w
-                        vslot = slot_of[nodes[lj]]
+                        vslot = slots[lj]
                         if nd < dist[vslot]:
                             dist[vslot] = nd
-                            heapq.heappush(heap, (nd, vslot))
-                    lj = nxt[mi][lj]
+                            heappush(heap, (nd, vslot))
+                    lj = mnxt[lj]
 
     return MultiDijkstraResult(
         union.vertices,

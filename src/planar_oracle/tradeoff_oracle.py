@@ -86,6 +86,8 @@ class TradeoffOracle:
         self.exits: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.piece_tables: dict[int, PieceDistanceTable] = {}
         # Search result of the most recent query, kept for instrumentation.
+        # Its union_vertices is always valid; after a fallback query the
+        # scan stopped at v, so its labels are partial.
         self.last_result = None
         self._build()
 
@@ -364,7 +366,9 @@ class TradeoffOracle:
                 chosen.append(pid)
         ids = tuple(sorted(set(chosen)))
         members = self._assembly(ids, u, v, x, extras_for=(u, v))
-        res = multi_dijkstra(members, [(u, 0)], forbidden=x, strategy=strategy)
+        res = multi_dijkstra(
+            members, [(u, 0)], forbidden=x, strategy=strategy, target=v
+        )
         self.last_result = res
         return res.label(v)
 

@@ -132,6 +132,39 @@ def test_matches_explicit_union_graph():
             assert got.raw(v) == w or (w >= MATRIX_SENTINEL and got.raw(v) >= MATRIX_SENTINEL)
 
 
+def test_target_stop_keeps_exact_label():
+    rng = random.Random(59)
+    stopped_early = 0
+    for i in range(20):
+        members = random_members(rng)
+        ids = sorted({v for m in members for v in m.nodes})
+        if i % 2:
+            extra = [
+                (rng.choice(ids), rng.choice(ids), rng.randrange(0, 20))
+                for _ in range(4)
+            ]
+            members.append(SparseMember(tuple(ids), [a for a in extra if a[0] != a[1]]))
+        src = [(v, rng.randrange(0, 5)) for v in rng.sample(ids, 2)]
+        forb = rng.sample(ids, rng.randrange(0, 3))
+        for strategy in ("naive", "monge"):
+            full = multi_dijkstra(members, src, forbidden=forb, strategy=strategy)
+            for t in ids:
+                got = multi_dijkstra(
+                    members, src, forbidden=forb, strategy=strategy, target=t
+                )
+                assert got.raw(t) == full.raw(t), (i, strategy, t)
+                assert got.settled <= full.settled
+                stopped_early += got.settled < full.settled
+    assert stopped_early > 0
+    m = dense([0, 1, 2], {(0, 1): 1, (1, 2): 1, (0, 2): 9})
+    # a target outside the union is unreachable
+    assert multi_dijkstra([m], [(0, 0)], target=7).label(7) == UNREACHABLE
+    # a forbidden target is still reached, with its exact label
+    walled = multi_dijkstra([m], [(0, 0)], forbidden=[1], target=1)
+    assert walled.label(1) == 1
+    assert walled.settled == 2
+
+
 def test_multi_source():
     m = dense([0, 1, 2], {(0, 2): 10, (1, 2): 1})
     res = multi_dijkstra([m], [(0, 0), (1, 3)])
