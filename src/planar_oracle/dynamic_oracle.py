@@ -8,9 +8,11 @@ land in:
 * weight changes recompute one region matrix (each matrix depends only on
   its own region's arcs, so every other region's matrix stays
   bit-identical),
-* edge insertions splice the rotations, re-validate planarity by a full
-  face trace (rolling back on failure), and recompute the regions whose
-  arc set or boundary grew,
+* edge insertions first decide planarity locally, before anything changes:
+  one walk of the face at the tail's splice corner, plus a search of the
+  tail's component when the walk misses the head's corner; accepted arcs
+  are spliced in and the regions whose arc set or boundary grew are
+  recomputed,
 * edge deletions shrink one region, leaving its old boundary as a valid
   superset,
 * vertex deletions excise the incident arcs; a deleted boundary vertex is
@@ -18,9 +20,12 @@ land in:
   that mentions it, which is sound because strict entries never pass
   through boundary vertices internally.
 
-Every ceil(sqrt(r)) operations the whole structure is rebuilt from the
-current graph.  Queries run one union Dijkstra over the endpoint regions'
-raw arcs plus all region matrices.
+Every ceil(sqrt(r)) structural operations (arc or vertex insertions and
+deletions) the whole structure is rebuilt from the current graph.  Weight
+changes never trigger a rebuild: the decomposition reads only topology, so
+a rebuild after weight changes alone would reproduce the same regions and
+matrices.  Queries run one union Dijkstra over the endpoint regions' raw
+arcs plus all region matrices.
 """
 
 from __future__ import annotations
@@ -32,13 +37,18 @@ from .graph import (
     EmbeddedPlanarGraph,
     EmbeddingError,
     WeightOverflowError,
-    check_planar,
+    dart_target,
 )
 from .decomposition import build_decomposition
 from .ddg import DenseDistanceGraph, strict_matrix
 from .frdijkstra import SparseMember, multi_dijkstra
 
 __all__ = ["DynamicOracle"]
+
+
+def _is_index(x) -> bool:
+    """A nonnegative int that is not a bool (True would alias id 1)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 class _Region:
@@ -71,6 +81,7 @@ class DynamicOracle:
         self.arc_head: list[int] = list(g.heads)
         self.arc_weight: list[int] = list(g.weights)
         self.arc_alive: list[bool] = [True] * g.m
+        # rotations hold alive arcs only: deletions take arcs out of them
         self.rot: list[list[int]] = [list(row) for row in g.rotation]
 
         self.weight_sum = g.total_weight
@@ -93,12 +104,12 @@ class DynamicOracle:
         return sum(self.arc_alive)
 
     def _check_alive_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < len(self.v_alive)) or not self.v_alive[v]:
-            raise ValueError(f"vertex {v} does not exist")
+        if not (_is_index(v) and v < len(self.v_alive)) or not self.v_alive[v]:
+            raise ValueError(f"vertex {v!r} does not exist")
 
     def _check_alive_arc(self, a: int) -> None:
-        if not (isinstance(a, int) and 0 <= a < len(self.arc_alive)) or not self.arc_alive[a]:
-            raise ValueError(f"arc {a} does not exist")
+        if not (_is_index(a) and a < len(self.arc_alive)) or not self.arc_alive[a]:
+            raise ValueError(f"arc {a!r} does not exist")
 
     def _regions_of_vertex(self, v: int) -> list[int]:
         return [ri for ri, reg in enumerate(self.regions) if v in reg.vertices]
@@ -133,8 +144,8 @@ class DynamicOracle:
 
     def _rebuild(self) -> None:
         g, pub_v, pub_a = self.export_graph()
-        leaf_size = min(32, max(3, self.r))
-        tree = build_decomposition(g, leaf_size=leaf_size, r_base=self.r_base, extra_marks=(self.r,))
+        # only the r-division is read, so pieces need not split below r
+        tree = build_decomposition(g, leaf_size=max(3, self.r), r_base=self.r_base, extra_marks=(self.r,))
         self.regions = []
         self.region_of_arc = {}
         for pid in tree.r_division(self.r):
@@ -186,7 +197,6 @@ class DynamicOracle:
         self.arc_weight[arc] = weight
         self.weight_sum = weight_sum
         self._recompute(self.regions[self.region_of_arc[arc]])
-        self._tick()
 
     def insert_vertex(self) -> int:
         self.v_alive.append(True)
@@ -199,7 +209,8 @@ class DynamicOracle:
     ) -> int:
         """Add an arc, splicing it into the two rotations at the given
         positions; raises EmbeddingError (and changes nothing) if the spliced
-        rotation system is not planar."""
+        rotation system is not planar.  Planarity is decided by walking the
+        one face at the tail's splice corner, not by tracing every face."""
         self._check_alive_vertex(tail)
         self._check_alive_vertex(head)
         if tail == head:
@@ -209,11 +220,12 @@ class DynamicOracle:
         for a in self.rot[tail]:
             if self.arc_alive[a] and self.arc_tail[a] == tail and self.arc_head[a] == head:
                 raise ValueError(f"arc {tail}->{head} already exists")
-        if not (0 <= tail_pos <= len(self.rot[tail])):
+        if not (_is_index(tail_pos) and tail_pos <= len(self.rot[tail])):
             raise ValueError("tail rotation position out of range")
-        if not (0 <= head_pos <= len(self.rot[head])):
+        if not (_is_index(head_pos) and head_pos <= len(self.rot[head])):
             raise ValueError("head rotation position out of range")
         self._check_budget(self.weight_sum + weight)
+        self._validate_planar(tail, head, tail_pos, head_pos)
 
         arc = len(self.arc_alive)
         self.arc_tail.append(tail)
@@ -222,15 +234,6 @@ class DynamicOracle:
         self.arc_alive.append(True)
         self.rot[tail].insert(tail_pos, arc)
         self.rot[head].insert(head_pos, arc)
-        try:
-            self._validate_planar()
-        except EmbeddingError:
-            self.rot[tail].remove(arc)
-            self.rot[head].remove(arc)
-            self.arc_alive[arc] = False
-            del self.arc_tail[arc:], self.arc_head[arc:], self.arc_weight[arc:], self.arc_alive[arc:]
-            raise
-
         self.weight_sum += weight
 
         rt = self._regions_of_vertex(tail)
@@ -301,15 +304,55 @@ class DynamicOracle:
             self._recompute(self.regions[ri])
         self._tick()
 
-    def _validate_planar(self) -> None:
-        """Face trace plus per-component Euler over the current alive graph."""
-        alive_arcs = [a for a in range(len(self.arc_alive)) if self.arc_alive[a]]
-        rot_map = {
-            v: [a for a in self.rot[v] if self.arc_alive[a]]
-            for v in range(len(self.v_alive))
-            if self.v_alive[v]
-        }
-        check_planar(alive_arcs, self.arc_tail, self.arc_head, rot_map)
+    def _corner(self, v: int, pos: int) -> int:
+        """The dart that a new arc spliced in at ``rot[v][pos]`` would follow.
+
+        It is the dart arriving at ``v`` along ``rot[v][pos - 1]``
+        (cyclically): a face walk continues such a dart with the next
+        rotation entry, which becomes the new arc."""
+        a = self.rot[v][pos - 1]
+        return 2 * a if self.arc_head[a] == v else 2 * a + 1
+
+    def _validate_planar(self, tail: int, head: int, tail_pos: int, head_pos: int) -> None:
+        """Raise EmbeddingError if splicing tail->head at the given rotation
+        positions would make the (planar) rotation system non-planar.
+
+        One arc between two corners of the same face splits that face, and
+        one arc between two components joins them; both keep every
+        component's Euler characteristic at 2.  Any other arc merges two
+        faces of one component and raises its genus.  Only the face at the
+        tail's corner is walked; a search of the tail's component separates
+        the two remaining cases.
+        """
+        rot, tails, heads = self.rot, self.arc_tail, self.arc_head
+        if not rot[tail] or not rot[head]:
+            return
+        start = self._corner(tail, tail_pos)
+        goal = self._corner(head, head_pos)
+        d = start
+        while True:
+            if d == goal:
+                return
+            v = dart_target(d, tails, heads)
+            rv = rot[v]
+            a2 = rv[(rv.index(d >> 1) + 1) % len(rv)]
+            d = 2 * a2 if tails[a2] == v else 2 * a2 + 1
+            if d == start:
+                break
+        seen = {tail}
+        stack = [tail]
+        while stack:
+            v = stack.pop()
+            for a in rot[v]:
+                w = heads[a] if tails[a] == v else tails[a]
+                if w == head:
+                    raise EmbeddingError(
+                        f"arc {tail}->{head} at rotation positions "
+                        f"({tail_pos}, {head_pos}) would break planarity"
+                    )
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
 
     # -- queries ------------------------------------------------------------------
 

@@ -3,11 +3,19 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from planar_oracle.baseline import sssp
+from planar_oracle import dynamic_oracle
+from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.dynamic_oracle import DynamicOracle
-from planar_oracle.generate import generate_grid
-from planar_oracle.graph import UNREACHABLE, EmbeddingError, WeightOverflowError
+from planar_oracle.generate import generate_grid, generate_random_triangulation
+from planar_oracle.graph import (
+    UNREACHABLE,
+    EmbeddingError,
+    WeightOverflowError,
+    check_planar,
+)
 
 
 def fresh_distance(dyn, u, v):
@@ -115,13 +123,79 @@ def test_weight_budget_rejects_before_mutation():
     assert [fresh_distance(dyn, u, v) for u, v in pairs] == before
 
 
+def region_state(dyn):
+    return [
+        (reg.vertices, reg.boundary, reg.arcs, reg.ddg.nodes, reg.ddg.matrix.tobytes())
+        for reg in dyn.regions
+    ]
+
+
 def test_rebuild_cadence():
     dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
     start = dyn.rebuild_count
     alive = [a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]]
     for i in range(dyn.rebuild_every):
-        dyn.set_weight(alive[i], 3)
+        dyn.delete_edge(alive[i])
     assert dyn.rebuild_count > start
+
+
+def test_weight_changes_never_rebuild():
+    dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
+    start = dyn.rebuild_count
+    alive = [a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]]
+    for i in range(2 * dyn.rebuild_every):
+        dyn.set_weight(alive[3 * i], 7 + i)
+    assert dyn.rebuild_count == start
+    assert dyn.ops_since_rebuild == 0
+    # a rebuild after weight changes alone reproduces every region exactly
+    before = region_state(dyn)
+    dyn._rebuild()
+    assert region_state(dyn) == before
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_grid(16, 16, max_weight=9, seed=3),
+        generate_random_triangulation(300, max_weight=9, seed=3),
+    ],
+    ids=["grid16", "tri300"],
+)
+def test_regions_independent_of_leaf_size(g, monkeypatch):
+    # pieces above r split the same way whatever the leaf size, so stopping
+    # the decomposition at r instead of 32 yields the same r-division
+    r = 64
+    ours = region_state(DynamicOracle(g, r=r))
+    real = dynamic_oracle.build_decomposition
+
+    def leaf_32(graph, leaf_size, **kw):
+        assert leaf_size == r
+        return real(graph, leaf_size=min(32, leaf_size), **kw)
+
+    monkeypatch.setattr(dynamic_oracle, "build_decomposition", leaf_32)
+    assert region_state(DynamicOracle(g, r=r)) == ours
+    assert len(ours) > 1
+
+
+def test_boolean_ids_rejected(dyn10):
+    before = dyn10.export_graph()[0]
+    with pytest.raises(ValueError):
+        dyn10.distance(True, 5)
+    with pytest.raises(ValueError):
+        dyn10.distance(5, False)
+    with pytest.raises(ValueError):
+        dyn10.set_weight(True, 3)
+    with pytest.raises(ValueError):
+        dyn10.delete_edge(False)
+    with pytest.raises(ValueError):
+        dyn10.delete_vertex(True)
+    with pytest.raises(ValueError):
+        dyn10.insert_edge(True, 12, 1)
+    w = dyn10.insert_vertex()
+    for pos in [(True, 0), (0, False)]:
+        with pytest.raises(ValueError):
+            dyn10.insert_edge(0, w, 1, *pos)
+    assert dyn10.export_graph()[0].arcs == before.arcs
 
 
 def test_far_update_leaves_other_regions_alone(dyn10):
@@ -175,3 +249,174 @@ def test_mixed_fuzz_against_fresh_rebuild():
             u, v = rng.choice(alive_v), rng.choice(alive_v)
             want = sssp(snap, idx[u])[idx[v]]
             assert dyn.distance(u, v) == want, (step, u, v)
+
+
+def spliced_is_planar(dyn, tail, head, tail_pos, head_pos):
+    """Full face trace of the rotation system with the arc spliced in."""
+    arc = len(dyn.arc_alive)
+    tails = dyn.arc_tail + [tail]
+    heads = dyn.arc_head + [head]
+    rotation = {
+        v: list(dyn.rot[v]) for v in range(len(dyn.v_alive)) if dyn.v_alive[v]
+    }
+    rotation[tail].insert(tail_pos, arc)
+    rotation[head].insert(head_pos, arc)
+    alive = [a for a in range(arc) if dyn.arc_alive[a]] + [arc]
+    try:
+        check_planar(alive, tails, heads, rotation)
+    except EmbeddingError:
+        return False
+    return True
+
+
+def component_of(dyn, v):
+    seen, stack = {v}, [v]
+    while stack:
+        x = stack.pop()
+        for a in dyn.rot[x]:
+            for y in (dyn.arc_tail[a], dyn.arc_head[a]):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_grid(4, 5, max_weight=5, seed=7),
+        generate_random_triangulation(16, max_weight=5, seed=7),
+    ],
+    ids=["grid", "tri"],
+)
+def test_local_planarity_matches_full_check(g):
+    dyn = DynamicOracle(g, r=9, r_base=2)
+    rng = random.Random("local-planarity")
+    seen = dict.fromkeys(
+        ["accepted", "rejected", "isolated", "other_component", "pos_0", "pos_end"], 0
+    )
+    for _ in range(400):
+        alive_v = [v for v in range(len(dyn.v_alive)) if dyn.v_alive[v]]
+        roll = rng.random()
+        if roll < 0.06:
+            dyn.insert_vertex()
+            continue
+        if roll < 0.12 and len(alive_v) > 6:
+            dyn.delete_vertex(rng.choice(alive_v))
+            continue
+        if roll < 0.25:
+            alive = [a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]]
+            if alive:
+                dyn.delete_edge(rng.choice(alive))
+            continue
+        t, h = rng.sample(alive_v, 2)
+        if any(dyn.arc_head[a] == h for a in dyn.rot[t] if dyn.arc_tail[a] == t):
+            continue
+        tp = rng.choice([0, len(dyn.rot[t]), rng.randrange(len(dyn.rot[t]) + 1)])
+        hp = rng.choice([0, len(dyn.rot[h]), rng.randrange(len(dyn.rot[h]) + 1)])
+        want = spliced_is_planar(dyn, t, h, tp, hp)
+        if not dyn.rot[t] or not dyn.rot[h]:
+            seen["isolated"] += 1
+        elif h not in component_of(dyn, t):
+            seen["other_component"] += 1
+        seen["pos_0"] += tp == 0 < len(dyn.rot[t])
+        seen["pos_end"] += tp == len(dyn.rot[t]) > 0
+        before = dyn.export_graph()
+        try:
+            arc = dyn.insert_edge(t, h, rng.randrange(8), tail_pos=tp, head_pos=hp)
+        except EmbeddingError:
+            assert not want, (t, h, tp, hp)
+            assert dyn.export_graph() == before
+            seen["rejected"] += 1
+        else:
+            assert want, (t, h, tp, hp)
+            assert dyn.arc_alive[arc]
+            seen["accepted"] += 1
+    assert min(seen.values()) > 0, seen
+    # every accepted insertion kept the system planar: a full check passes
+    dyn.export_graph()
+
+
+class DynamicMachine(RuleBasedStateMachine):
+    """Random update sequences checked against Dijkstra on the snapshot."""
+
+    @initialize(
+        rows=st.integers(2, 4), cols=st.integers(2, 4), seed=st.integers(0, 99)
+    )
+    def build(self, rows, cols, seed):
+        self.dyn = DynamicOracle(
+            generate_grid(rows, cols, max_weight=9, seed=seed), r=4, r_base=2
+        )
+
+    def alive_vertices(self):
+        return [v for v in range(len(self.dyn.v_alive)) if self.dyn.v_alive[v]]
+
+    def alive_arcs(self):
+        return [a for a in range(len(self.dyn.arc_alive)) if self.dyn.arc_alive[a]]
+
+    @rule(pick=st.integers(0, 999), weight=st.integers(0, 20))
+    def set_weight(self, pick, weight):
+        alive = self.alive_arcs()
+        if alive:
+            self.dyn.set_weight(alive[pick % len(alive)], weight)
+
+    @rule(pick=st.integers(0, 999))
+    def delete_edge(self, pick):
+        alive = self.alive_arcs()
+        if alive:
+            self.dyn.delete_edge(alive[pick % len(alive)])
+
+    @rule()
+    def insert_vertex(self):
+        self.dyn.insert_vertex()
+
+    @rule(pick=st.integers(0, 999))
+    def delete_vertex(self, pick):
+        alive = self.alive_vertices()
+        if len(alive) > 2:
+            self.dyn.delete_vertex(alive[pick % len(alive)])
+
+    @rule(
+        picks=st.tuples(st.integers(0, 999), st.integers(0, 999)),
+        positions=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+        weight=st.integers(0, 20),
+    )
+    def insert_edge(self, picks, positions, weight):
+        dyn = self.dyn
+        alive = self.alive_vertices()
+        t = alive[picks[0] % len(alive)]
+        h = alive[picks[1] % len(alive)]
+        if t == h or any(
+            dyn.arc_head[a] == h for a in dyn.rot[t] if dyn.arc_tail[a] == t
+        ):
+            return
+        tp = positions[0] % (len(dyn.rot[t]) + 1)
+        hp = positions[1] % (len(dyn.rot[h]) + 1)
+        want = spliced_is_planar(dyn, t, h, tp, hp)
+        before = dyn.export_graph()
+        try:
+            dyn.insert_edge(t, h, weight, tail_pos=tp, head_pos=hp)
+        except EmbeddingError:
+            assert not want
+            assert dyn.export_graph() == before
+        else:
+            assert want
+
+    @rule(picks=st.tuples(st.integers(0, 999), st.integers(0, 999)))
+    def query(self, picks):
+        alive = self.alive_vertices()
+        u = alive[picks[0] % len(alive)]
+        v = alive[picks[1] % len(alive)]
+        snap, vmap, _ = self.dyn.export_graph()
+        idx = {p: i for i, p in enumerate(vmap)}
+        assert self.dyn.distance(u, v) == distance_avoiding(snap, idx[u], idx[v])
+
+    @invariant()
+    def rebuild_schedule(self):
+        assert self.dyn.ops_since_rebuild < self.dyn.rebuild_every
+
+
+TestDynamicMachine = DynamicMachine.TestCase
+TestDynamicMachine.settings = settings(
+    max_examples=30, stateful_step_count=30, deadline=None
+)
