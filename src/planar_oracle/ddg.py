@@ -13,6 +13,10 @@ Three variants are computed here:
 
 All in-piece variants run through one blocked-relaxation kernel that fills
 a flat matrix row by row.
+
+Anchor leaves get no matrix at query time: each joins the union as its
+own arcs, with failed vertices and their arcs removed, so no per-query
+Dijkstra runs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import heapq
 from array import array
 from typing import Iterable, Sequence
 
+from .frdijkstra import SparseMember
 from .graph import (
     MATRIX_SENTINEL,
     UNREACHABLE,
@@ -213,23 +218,20 @@ def compute_leaf_ddg(
     g: EmbeddedPlanarGraph,
     piece,
     failed: frozenset[int] = frozenset(),
-    extras: tuple[int, ...] = (),
-) -> DenseDistanceGraph:
-    """On-the-fly strict-internal DDG of a leaf piece.
+) -> SparseMember:
+    """A leaf piece as a union member of its own arcs.
 
-    ``failed`` vertices are removed outright; ``extras`` (query endpoints
-    living in this leaf) join the boundary as first-class matrix vertices.
+    Every leaf vertex except the ``failed`` ones is a node, and every arc
+    of the leaf without a failed endpoint is kept; no Dijkstra runs here.
     """
-    nodes = tuple(sorted((set(piece.boundary) | set(extras)) - failed))
-    vertices = piece.vertices
-    arcs = (g.arcs[a] for a in piece.arcs)
-    if failed:
-        vertices = [v for v in vertices if v not in failed]
-        arcs = (
-            (t, h, w) for t, h, w in arcs if t not in failed and h not in failed
-        )
-    matrix = strict_matrix(vertices, nodes, arcs)
-    return DenseDistanceGraph("strict_internal", nodes, matrix, (piece.id,))
+    arcs = g.arcs
+    nodes = tuple(v for v in piece.vertices if v not in failed)
+    kept = [
+        arcs[a]
+        for a in piece.arcs
+        if arcs[a][0] not in failed and arcs[a][1] not in failed
+    ]
+    return SparseMember(nodes, kept, piece_id=piece.id)
 
 
 def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistanceTable:
@@ -283,8 +285,9 @@ class DdgStore:
     """Lazy cache of strict-internal DDGs, one per decomposition node.
 
     Non-leaf matrices are what the failure oracle precomputes; leaf
-    matrices are cheap and memoized on first use (the failure-free case
-    only — leaf DDGs under failures are rebuilt per query).
+    matrices are cheap and memoized on first use, for leaves that join a
+    union as siblings.  Anchor leaves never come from here: they join as
+    their own arcs (see ``compute_leaf_ddg``).
     """
 
     def __init__(self, g: EmbeddedPlanarGraph, tree):

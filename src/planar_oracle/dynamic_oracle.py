@@ -34,6 +34,7 @@ import math
 
 from .graph import (
     _MAX_WEIGHT_SUM,
+    _check_weight,
     EmbeddedPlanarGraph,
     EmbeddingError,
     WeightOverflowError,
@@ -190,8 +191,7 @@ class DynamicOracle:
 
     def set_weight(self, arc: int, weight: int) -> None:
         self._check_alive_arc(arc)
-        if weight < 0:
-            raise ValueError("arc weights must be nonnegative")
+        _check_weight(weight)
         weight_sum = self.weight_sum + weight - self.arc_weight[arc]
         self._check_budget(weight_sum)
         self.arc_weight[arc] = weight
@@ -215,8 +215,7 @@ class DynamicOracle:
         self._check_alive_vertex(head)
         if tail == head:
             raise ValueError("self-loops are not allowed")
-        if weight < 0:
-            raise ValueError("arc weights must be nonnegative")
+        _check_weight(weight)
         for a in self.rot[tail]:
             if self.arc_alive[a] and self.arc_tail[a] == tail and self.arc_head[a] == head:
                 raise ValueError(f"arc {tail}->{head} already exists")

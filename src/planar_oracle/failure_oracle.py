@@ -4,9 +4,10 @@ Build time precomputes the decomposition tree and the strict matrix of
 every internal node.  A query with failed set X assembles a small union of
 matrices that jointly cover every path from u that avoids X:
 
-* for each anchor vertex w in {u, v} plus X, the matrix of w's home leaf is
-  rebuilt on the fly with the failed vertices deleted (and u, v added as
-  matrix nodes when they live there), and
+* for each anchor vertex w in {u, v} plus X, w's home leaf joins the union
+  as its own arcs, with the failed vertices and their arcs removed (every
+  leaf vertex is a node, so u and v need no grafting, and no per-query
+  Dijkstra runs), and
 * walking from each anchor leaf to the root, the stored strict matrix of
   every sibling hanging off the path joins in, except siblings whose piece
   has a failed vertex strictly inside it; such a piece is exactly one whose
@@ -36,7 +37,8 @@ class FailureAssembly:
 
     def __init__(self, members, parts, marked, anchor_leaves):
         self.members: tuple = members
-        # parts[i] describes members[i]: ("leaf", piece id) or ("sibling", piece id)
+        # parts[i] describes members[i]: ("leaf", piece id) for an anchor
+        # leaf's own arcs, or ("sibling", piece id) for a stored matrix
         self.parts: tuple[tuple[str, int], ...] = parts
         self.marked: frozenset[int] = marked
         self.anchor_leaves: tuple[int, ...] = anchor_leaves
@@ -88,7 +90,6 @@ class FailureOracle:
         x = self._validate(u, v, failed)
         tree = self.tree
         marked = self._marked(x)
-        endpoints = (u, v)
 
         anchor_leaves: list[int] = []
         seen_leaves: set[int] = set()
@@ -103,13 +104,11 @@ class FailureOracle:
         seen_sibs: set[int] = set()
         for leaf in anchor_leaves:
             piece = tree.pieces[leaf]
-            extras = tuple(w for w in endpoints if piece.contains(w))
             members.append(
                 compute_leaf_ddg(
                     self.graph,
                     piece,
                     failed=frozenset(f for f in x if piece.contains(f)),
-                    extras=extras,
                 )
             )
             parts.append(("leaf", leaf))

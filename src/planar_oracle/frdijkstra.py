@@ -33,7 +33,7 @@ __all__ = [
 class SparseMember:
     """Union member backed by raw arcs instead of a distance matrix."""
 
-    __slots__ = ("nodes", "arcs", "piece_id", "_min")
+    __slots__ = ("nodes", "arcs", "piece_id")
 
     def __init__(
         self,
@@ -44,15 +44,6 @@ class SparseMember:
         self.nodes = nodes
         self.arcs = tuple(arcs)
         self.piece_id = piece_id
-        self._min: int | None = None
-
-    @property
-    def min_entry(self) -> int:
-        if self._min is None:
-            self._min = min((w for _, _, w in self.arcs), default=0)
-            if self._min > 0:
-                self._min = 0
-        return self._min
 
     def __repr__(self) -> str:
         return f"SparseMember(|nodes|={len(self.nodes)}, |arcs|={len(self.arcs)})"
@@ -89,13 +80,15 @@ class DdgUnion:
         # sparse arcs: slot -> [(target slot, weight)]
         sparse_adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for mi, m in enumerate(self.members):
-            if m.min_entry < 0:
-                raise ValueError(f"negative member weight in member {mi}")
             slots = []
             if isinstance(m, SparseMember):
                 for t, h, w in m.arcs:
+                    if w < 0:
+                        raise ValueError(f"negative member weight in member {mi}")
                     sparse_adj[slot_of[t]].append((slot_of[h], w))
             else:
+                if m.min_entry < 0:
+                    raise ValueError(f"negative member weight in member {mi}")
                 slots = [slot_of[v] for v in m.nodes]
                 for li, slot in enumerate(slots):
                     dense_in[slot].append((mi, li))

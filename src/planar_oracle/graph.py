@@ -41,6 +41,16 @@ MATRIX_SENTINEL = 1 << 62
 _MAX_WEIGHT_SUM = (1 << 62) - 1
 
 
+def _check_weight(w) -> int:
+    """``w`` if it is an arc weight, a nonnegative int; ValueError otherwise.
+    A float would be truncated and a bool is not a length, so both fail."""
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise ValueError(f"arc weight {w!r} is not an integer")
+    if w < 0:
+        raise ValueError(f"arc weight {w} is negative")
+    return w
+
+
 class GraphFormatError(ValueError):
     """Malformed graph text; carries the 1-based offending line number."""
 
@@ -181,7 +191,7 @@ class EmbeddedPlanarGraph:
         rotation: Sequence[Sequence[int]],
     ):
         self.n = n
-        self.arcs = tuple((int(t), int(h), int(w)) for t, h, w in arcs)
+        self.arcs = tuple((int(t), int(h), _check_weight(w)) for t, h, w in arcs)
         self.rotation = tuple(tuple(r) for r in rotation)
         self.tails = tuple(a[0] for a in self.arcs)
         self.heads = tuple(a[1] for a in self.arcs)
@@ -220,8 +230,6 @@ class EmbeddedPlanarGraph:
                 raise ValueError(f"arc {i} endpoint out of range")
             if t == h:
                 raise ValueError(f"arc {i} is a self-loop")
-            if w < 0:
-                raise ValueError(f"arc {i} has negative weight {w}")
             if (t, h) in seen_pairs:
                 raise ValueError(f"arc {i} duplicates ordered pair {(t, h)}")
             seen_pairs.add((t, h))

@@ -271,9 +271,12 @@ class TradeoffOracle:
         return ids, q_node
 
     def _assembly(self, ids, u, v, x, extras_for):
-        """Union members for a chosen tuple under failures: per-resident leaf
-        matrices and unmarked siblings up to the piece top, strict matrices
-        for pieces with no resident inside, plus ext of the tuple.
+        """Union members for a chosen tuple under failures: each resident's
+        home leaf as its own arcs (failed vertices and their arcs removed,
+        no per-query Dijkstra) and the unmarked siblings up to the piece top,
+        strict matrices for pieces with no resident inside, plus ext of the
+        tuple.  ``extras_for`` names the query endpoints that count as
+        residents.
 
         A resident whose home leaf lies outside the piece necessarily sits
         on the piece boundary, so the strict matrix already exposes it as a
@@ -305,9 +308,6 @@ class TradeoffOracle:
                             self.graph,
                             lpiece,
                             failed=frozenset(f for f in x if lpiece.contains(f)),
-                            extras=tuple(
-                                e for e in extras_for if lpiece.contains(e)
-                            ),
                         )
                     )
                 node = leaf

@@ -5,9 +5,11 @@ triangulations, a one-way path (asymmetric reachability), a disconnected
 graph with an isolated vertex, and a single-vertex graph.
 """
 
+import heapq
+
 import pytest
 
-from planar_oracle.graph import EmbeddedPlanarGraph
+from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 
 
@@ -34,6 +36,30 @@ def make_disconnected() -> EmbeddedPlanarGraph:
 
 def make_single() -> EmbeddedPlanarGraph:
     return EmbeddedPlanarGraph(1, [], [[]])
+
+
+def in_piece_distance(g, piece, src, dst, failed=frozenset()):
+    """Dijkstra restricted to the piece's own arcs, avoiding ``failed``;
+    MATRIX_SENTINEL when ``dst`` is out of reach."""
+    if src in failed or dst in failed:
+        return MATRIX_SENTINEL
+    dist = {src: 0}
+    heap = [(0, src)]
+    adj = {}
+    for a in piece.arcs:
+        adj.setdefault(g.tails[a], []).append((g.heads[a], g.weights[a]))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist.get(v, MATRIX_SENTINEL):
+            continue
+        for u, w in adj.get(v, ()):
+            if u in failed:
+                continue
+            nd = d + w
+            if nd < dist.get(u, MATRIX_SENTINEL):
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return dist.get(dst, MATRIX_SENTINEL)
 
 
 @pytest.fixture(scope="session")

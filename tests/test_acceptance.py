@@ -19,8 +19,8 @@ from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.ddg import (
     DdgStore,
     compute_ddg,
-    compute_leaf_ddg,
     minplus_closure,
+    strict_matrix,
 )
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
@@ -202,7 +202,14 @@ def test_criterion_3_closure_identity_per_piece(zoo, capsys):
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
         store = DdgStore(g, tree)
         for p in tree.pieces:
-            base = compute_leaf_ddg(g, p) if p.is_leaf else store.strict(p.id)
+            base = store.strict(p.id)
+            if p.is_leaf:
+                # a leaf's stored matrix is the strict matrix over its
+                # sorted boundary
+                nodes = tuple(sorted(p.boundary))
+                arcs = (g.arcs[a] for a in p.arcs)
+                assert base.nodes == nodes
+                assert base.matrix.tobytes() == strict_matrix(p.vertices, nodes, arcs).tobytes()
             bad += minplus_closure(base).matrix != compute_ddg(g, p).matrix
             pieces += 1
     elapsed = time.monotonic() - t0

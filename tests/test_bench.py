@@ -7,8 +7,10 @@ import os
 
 import pytest
 
-from planar_oracle import ddg
+from planar_oracle import ddg, failure_oracle, tradeoff_oracle
 from planar_oracle.bench import BenchReport, bench_config, run_bench, thread_cap
+from planar_oracle.failure_oracle import FailureOracle
+from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -114,3 +116,20 @@ def test_tracer_targets_exist(monkeypatch):
     finally:
         tracer.close()
     assert ddg.compute_ddg_internal is strict
+
+
+def test_leaf_hook_reached(grid8, monkeypatch):
+    # the tracer's ddg.leaf_rebuild span wraps these module-global names;
+    # if a query stopped going through them the span would read 0
+    fo = FailureOracle(grid8, leaf_size=8, r_base=4)
+    to = TradeoffOracle(grid8, r=32, k=1, leaf_size=8, r_base=4)
+    calls = {}
+    for mod in (failure_oracle, tradeoff_oracle):
+        def counting(*args, _orig=mod.compute_leaf_ddg, _key=mod.__name__, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "compute_leaf_ddg", counting)
+    assert fo.distance(0, 63, {27}) == to.distance(0, 63, {27})
+    assert calls.get(failure_oracle.__name__, 0) > 0
+    assert calls.get(tradeoff_oracle.__name__, 0) > 0

@@ -1,6 +1,5 @@
 """Dense distance graphs: full, strict, leaf, tables, and the closure law."""
 
-import heapq
 import random
 from array import array
 from types import SimpleNamespace
@@ -18,30 +17,10 @@ from planar_oracle.ddg import (
     minplus_closure,
 )
 from planar_oracle.decomposition import build_decomposition
+from planar_oracle.frdijkstra import multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
-
-def in_piece_distance(g, piece, src, dst, failed=frozenset()):
-    """Dijkstra restricted to the piece's own arcs."""
-    if src in failed or dst in failed:
-        return MATRIX_SENTINEL
-    dist = {src: 0}
-    heap = [(0, src)]
-    adj = {}
-    for a in piece.arcs:
-        adj.setdefault(g.tails[a], []).append((g.heads[a], g.weights[a]))
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist.get(v, MATRIX_SENTINEL):
-            continue
-        for u, w in adj.get(v, ()):
-            if u in failed:
-                continue
-            nd = d + w
-            if nd < dist.get(u, MATRIX_SENTINEL):
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return dist.get(dst, MATRIX_SENTINEL)
+from conftest import in_piece_distance
 
 
 @pytest.fixture(scope="module")
@@ -105,36 +84,37 @@ def test_strict_entries_dominate_full(setup8):
 
 
 def test_leaf_ddg_with_failures(setup8):
+    # the leaf member's own arcs give exact in-leaf distances avoiding the
+    # failed vertices, boundary and interior alike
     g, tree = setup8
     rng = random.Random(3)
     for leaf in tree.leaves()[:6]:
         piece = tree.pieces[leaf]
-        pool = [v for v in piece.vertices if v not in piece.boundary]
-        failed = frozenset(rng.sample(pool, min(2, len(pool))))
-        ddg = compute_leaf_ddg(g, piece, failed=failed)
-        for s in ddg.nodes:
-            for t in ddg.nodes:
-                want = in_piece_distance(g, piece, s, t, failed)
-                got = ddg.matrix[ddg.index_of(s) * len(ddg) + ddg.index_of(t)]
-                if s == t:
-                    assert got == 0
-                elif want >= MATRIX_SENTINEL:
-                    assert got >= MATRIX_SENTINEL
-                else:
-                    # strict variant: direct hop may exceed the closed length
-                    assert got >= want
+        failed = frozenset(rng.sample(piece.vertices, min(2, len(piece.vertices) - 1)))
+        member = compute_leaf_ddg(g, piece, failed=failed)
+        assert member.piece_id == leaf
+        alive = [v for v in piece.vertices if v not in failed]
+        for s in alive:
+            res = multi_dijkstra([member], [(s, 0)])
+            for t in alive:
+                assert res.raw(t) == in_piece_distance(g, piece, s, t, failed)
 
 
 def test_leaf_extras_become_nodes(setup8):
+    # every leaf vertex is a node, so query endpoints need no grafting;
+    # failed vertices and every arc touching one are gone
     g, tree = setup8
-    leaf = tree.leaves()[0]
-    piece = tree.pieces[leaf]
-    interior = [v for v in piece.vertices if v not in piece.boundary]
-    v = interior[0]
-    ddg = compute_leaf_ddg(g, piece, extras=(v,))
-    assert v in ddg.nodes
-    plain = compute_leaf_ddg(g, piece)
-    assert v not in plain.nodes
+    rng = random.Random(5)
+    for leaf in tree.leaves()[:6]:
+        piece = tree.pieces[leaf]
+        assert compute_leaf_ddg(g, piece).nodes == piece.vertices
+        failed = frozenset(rng.sample(piece.vertices, min(3, len(piece.vertices) - 1)))
+        member = compute_leaf_ddg(g, piece, failed=failed)
+        assert set(member.nodes) == set(piece.vertices) - failed
+        for t, h, _ in member.arcs:
+            assert t not in failed and h not in failed
+        kept = {g.arcs[a] for a in piece.arcs} - set(member.arcs)
+        assert all(t in failed or h in failed for t, h, _ in kept)
 
 
 def test_piece_distance_table(setup8):

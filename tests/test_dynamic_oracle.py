@@ -123,6 +123,24 @@ def test_weight_budget_rejects_before_mutation():
     assert [fresh_distance(dyn, u, v) for u, v in pairs] == before
 
 
+@pytest.mark.parametrize("w", [2.5, 3.0, True, False, "4"])
+def test_non_integer_weight_rejects_before_mutation(w):
+    dyn = DynamicOracle(generate_grid(3, 3, max_weight=5, seed=1), r=16)
+    weights = list(dyn.arc_weight)
+    weight_sum = dyn.weight_sum
+    arcs = dyn.export_graph()[0].arcs
+    with pytest.raises(ValueError, match="not an integer"):
+        dyn.set_weight(0, w)
+    # a planar splice: only the weight is wrong
+    with pytest.raises(ValueError, match="not an integer"):
+        dyn.insert_edge(0, 4, w, 2, 0)
+    assert dyn.arc_weight == weights
+    assert dyn.weight_sum == weight_sum
+    assert dyn.export_graph()[0].arcs == arcs
+    dyn.insert_edge(0, 4, 2, 2, 0)
+    assert dyn.distance(0, 4) == 2
+
+
 def region_state(dyn):
     return [
         (reg.vertices, reg.boundary, reg.arcs, reg.ddg.nodes, reg.ddg.matrix.tobytes())

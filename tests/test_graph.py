@@ -49,6 +49,13 @@ def test_rejects_negative_weight():
         EmbeddedPlanarGraph(2, [(0, 1, -3)], [[0], [0]])
 
 
+@pytest.mark.parametrize("w", [2.7, 2.0, True, "3", None])
+def test_rejects_non_integer_weight(w):
+    # int() would truncate a float weight and give silently wrong distances
+    with pytest.raises(ValueError, match="not an integer"):
+        EmbeddedPlanarGraph(2, [(0, 1, 1), (1, 0, w)], [[0, 1], [0, 1]])
+
+
 def test_rejects_bad_rotation_multiplicity():
     # arc 0 must appear exactly once at each endpoint
     with pytest.raises(ValueError):
