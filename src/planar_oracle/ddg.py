@@ -26,11 +26,7 @@ from array import array
 from typing import Iterable, Sequence
 
 from .frdijkstra import SparseMember
-from .graph import (
-    MATRIX_SENTINEL,
-    UNREACHABLE,
-    EmbeddedPlanarGraph,
-)
+from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
 __all__ = [
     "DenseDistanceGraph",
@@ -53,7 +49,7 @@ class DenseDistanceGraph:
     nodes[j]; MATRIX_SENTINEL means unreachable under the variant's rules.
     """
 
-    __slots__ = ("variant", "nodes", "matrix", "source_pieces", "_index", "_min")
+    __slots__ = ("variant", "nodes", "matrix", "source_pieces", "_min")
 
     def __init__(
         self,
@@ -70,22 +66,10 @@ class DenseDistanceGraph:
         self.nodes = nodes
         self.matrix = matrix
         self.source_pieces = source_pieces
-        self._index = {v: i for i, v in enumerate(nodes)}
         self._min: int | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def index_of(self, v: int) -> int:
-        return self._index[v]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.matrix[i * len(self.nodes) + j]
-
-    def dist(self, s: int, t: int):
-        """Distance as a public value: int, or UNREACHABLE."""
-        d = self.matrix[self._index[s] * len(self.nodes) + self._index[t]]
-        return UNREACHABLE if d >= MATRIX_SENTINEL else d
 
     @property
     def min_entry(self) -> int:
@@ -114,15 +98,8 @@ class PieceDistanceTable:
         self._sidx = {v: i for i, v in enumerate(sources)}
         self._tidx = {v: i for i, v in enumerate(targets)}
 
-    def has_target(self, v: int) -> bool:
-        return v in self._tidx
-
     def raw(self, s: int, v: int) -> int:
         return self.matrix[self._sidx[s] * len(self.targets) + self._tidx[v]]
-
-    def dist(self, s: int, v: int):
-        d = self.raw(s, v)
-        return UNREACHABLE if d >= MATRIX_SENTINEL else d
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,10 @@ __all__ = ["ExternalDdgBuilder"]
 class ExternalDdgBuilder:
     """Memoizing builder for external DDGs over one decomposition tree."""
 
-    def __init__(self, g: EmbeddedPlanarGraph, tree, store: DdgStore | None = None):
+    def __init__(self, g: EmbeddedPlanarGraph, tree, store: DdgStore):
         self.graph = g
         self.tree = tree
-        self.store = store if store is not None else DdgStore(g, tree)
+        self.store = store
         self.levels: tuple[int, ...] = tree.r_sequence
         self._mark_sets = {r: frozenset(tree.r_division(r)) for r in self.levels}
         self._ext: dict[tuple[int, tuple[int, ...]], DenseDistanceGraph] = {}
@@ -41,25 +41,15 @@ class ExternalDdgBuilder:
 
     # -- public entry ------------------------------------------------------
 
-    def ext(self, piece_ids: Iterable[int], r: int | None = None) -> DenseDistanceGraph:
+    def ext(self, piece_ids: Iterable[int], r: int) -> DenseDistanceGraph:
         ids = tuple(sorted(set(piece_ids)))
         if not ids:
             raise ValueError("external DDG needs at least one piece")
-        if r is None:
-            r = self._infer_level(ids)
-        else:
-            if r not in self._mark_sets:
-                raise ValueError(f"r={r} is not in the marked sequence {self.levels}")
-            if not all(p in self._mark_sets[r] for p in ids):
-                raise ValueError("pieces are not all marked in the r-division for r")
+        if r not in self._mark_sets:
+            raise ValueError(f"r={r} is not in the marked sequence {self.levels}")
+        if not all(p in self._mark_sets[r] for p in ids):
+            raise ValueError("pieces are not all marked in the r-division for r")
         return self._ext_at(self.levels.index(r), ids)
-
-    def _infer_level(self, ids: tuple[int, ...]) -> int:
-        for r in self.levels:
-            marks = self._mark_sets[r]
-            if all(p in marks for p in ids):
-                return r
-        raise ValueError("pieces come from mixed r-divisions")
 
     # -- induction ---------------------------------------------------------
 

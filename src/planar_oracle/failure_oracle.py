@@ -156,8 +156,3 @@ class FailureOracle:
         if u == v:
             return 0
         return self.query_result(u, v, x, strategy, target=v).label(v)
-
-    # -- introspection -----------------------------------------------------
-
-    def stored_matrix_entries(self) -> int:
-        return self.store.stored_entry_count()

@@ -20,7 +20,6 @@ from typing import BinaryIO
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece
 from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
-from .external import ExternalDdgBuilder
 from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
 
@@ -30,6 +29,7 @@ _MAGIC = b"PODX"
 _VERSION = 2
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
+_VARIANTS = ("standard", "strict_internal", "strict_external")
 
 
 class OracleFileError(ValueError):
@@ -122,6 +122,14 @@ def _write_tree(fh: BinaryIO, tree: DecompositionTree) -> None:
     _w_ids(fh, tree.leaf_of)
 
 
+def _read_graph(rd: _Reader) -> EmbeddedPlanarGraph:
+    # a truncated blob, the decode and every graph error are ValueErrors
+    try:
+        return loads_graph(rd.blob().decode("ascii"))
+    except ValueError as exc:
+        raise OracleFileError(f"bad graph section: {exc}") from exc
+
+
 def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
     leaf_size = rd.u32()
     r_base = rd.u32()
@@ -161,15 +169,18 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
 
 
 def _write_ddg(fh: BinaryIO, ddg: DenseDistanceGraph) -> None:
-    variant = {"standard": 0, "strict_internal": 1, "strict_external": 2}[ddg.variant]
-    _w_u32(fh, variant)
+    _w_u32(fh, _VARIANTS.index(ddg.variant))
     _w_ids(fh, ddg.nodes)
     _w_ids(fh, ddg.source_pieces)
     _w_matrix(fh, ddg.matrix)
 
 
 def _read_ddg(rd: _Reader) -> DenseDistanceGraph:
-    variant = ("standard", "strict_internal", "strict_external")[rd.u32()]
+    code = rd.u32()
+    try:
+        variant = _VARIANTS[code]
+    except IndexError as exc:
+        raise OracleFileError(f"unknown DDG variant {code}") from exc
     nodes = rd.ids()
     source_pieces = rd.ids()
     matrix = rd.matrix()
@@ -247,7 +258,7 @@ def load_oracle(path: str):
             raise OracleFileError(f"unsupported oracle file version {version}")
         if kind not in (_KIND_FAILURE, _KIND_TRADEOFF):
             raise OracleFileError(f"unknown oracle kind {kind}")
-        g = loads_graph(rd.blob().decode("ascii"))
+        g = _read_graph(rd)
         strategy = "monge" if rd.u32() else "naive"
         tree = _read_tree(rd, g)
 
@@ -284,8 +295,8 @@ def load_oracle(path: str):
         return _restore_tradeoff(g, tree, strategy, r, k, strict, ext, vor, tables)
 
 
-def _restore_failure(g, tree, strategy, strict) -> FailureOracle:
-    oracle = object.__new__(FailureOracle)
+def _restore_failure(g, tree, strategy, strict, cls=FailureOracle):
+    oracle = object.__new__(cls)
     oracle.graph = g
     oracle.tree = tree
     oracle.store = DdgStore(g, tree)
@@ -295,15 +306,9 @@ def _restore_failure(g, tree, strategy, strict) -> FailureOracle:
 
 
 def _restore_tradeoff(g, tree, strategy, r, k, strict, ext, vor, tables) -> TradeoffOracle:
-    oracle = object.__new__(TradeoffOracle)
-    oracle.graph = g
-    oracle.tree = tree
+    oracle = _restore_failure(g, tree, strategy, strict, cls=TradeoffOracle)
     oracle.r = r
     oracle.k = k
-    oracle.strategy = strategy
-    oracle.store = DdgStore(g, tree)
-    oracle.store._strict.update(strict)
-    oracle.ext_builder = ExternalDdgBuilder(g, tree, oracle.store)
     oracle.rdiv = tree.r_division(r)
     oracle.ext = ext
     oracle.vor = vor

@@ -16,40 +16,41 @@ A query picks a tuple that covers u and the failed vertices (one piece
 each), reads the precomputed matrices, and runs one small union Dijkstra;
 the answer combines the label of v itself with label(y) + table hops
 through the boundary of the piece family around v.  Queries whose layout
-the main path cannot serve fall back to a direct assembly that is slower
-but still exact.
+the main path cannot serve run the failure oracle's query instead, over
+the same strict matrices; it is exact for any failed set.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph
+from .graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph, sorted_contains
 from .decomposition import (
     DecompositionTree,
     build_decomposition,
     highest_excluding_ancestor,
 )
 from .ddg import (
-    DdgStore,
     DenseDistanceGraph,
     PieceDistanceTable,
     compute_leaf_ddg,
     compute_piece_distance_table,
 )
 from .external import ExternalDdgBuilder
+from .failure_oracle import FailureOracle
 from .frdijkstra import multi_dijkstra
 
 __all__ = ["TradeoffOracle"]
 
 
-class TradeoffOracle:
+class TradeoffOracle(FailureOracle):
     """Exact failure oracle with per-tuple precomputation.
 
     ``r`` must be a value of the tree's marked sequence; ``k`` is the
-    largest failed-set size queries may use.
+    largest failed-set size queries may use.  Queries the tables cannot
+    serve fall back to the inherited ``FailureOracle`` query.
     """
 
     def __init__(
@@ -64,19 +65,12 @@ class TradeoffOracle:
     ):
         if k < 0:
             raise ValueError("k must be non-negative")
-        if strategy not in ("naive", "monge"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.graph = g
-        self.tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
-        if r not in self.tree.r_sequence:
-            raise ValueError(
-                f"r={r} is not in the marked sequence {self.tree.r_sequence}"
-            )
+        tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
+        if r not in tree.r_sequence:
+            raise ValueError(f"r={r} is not in the marked sequence {tree.r_sequence}")
+        super().__init__(g, strategy=strategy, tree=tree)
         self.r = r
         self.k = k
-        self.strategy = strategy
-        self.store = DdgStore(g, self.tree)
-        self.ext_builder = ExternalDdgBuilder(g, self.tree, self.store)
         self.rdiv: tuple[int, ...] = self.tree.r_division(r)
 
         self.ext: dict[tuple[int, ...], DenseDistanceGraph] = {}
@@ -86,8 +80,8 @@ class TradeoffOracle:
         self.exits: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.piece_tables: dict[int, PieceDistanceTable] = {}
         # Search result of the most recent query, kept for instrumentation.
-        # Its union_vertices is always valid; after a fallback query the
-        # scan stopped at v, so its labels are partial.
+        # Its union_vertices is always valid; after a fallback query it is
+        # the failure oracle's target-stopped scan, so its labels are partial.
         self.last_result = None
         self._build()
 
@@ -126,9 +120,10 @@ class TradeoffOracle:
 
     def _build(self) -> None:
         tree = self.tree
+        ext_builder = ExternalDdgBuilder(self.graph, tree, self.store)
         for combo in itertools.combinations(self.rdiv, self.k + 1):
             ids = tuple(sorted(combo))
-            self.ext[ids] = self.ext_builder.ext(ids, r=self.r)
+            self.ext[ids] = ext_builder.ext(ids, r=self.r)
             exits = self._exit_family(ids)
             self.exits[ids] = exits
             for q in exits:
@@ -174,16 +169,10 @@ class TradeoffOracle:
         return [pid for pid in self.rdiv if self.tree.pieces[pid].contains(w)]
 
     def _validate(self, u: int, v: int, failed: Iterable[int]) -> tuple[int, ...]:
-        self.graph.check_vertex(u)
-        self.graph.check_vertex(v)
-        x = tuple(sorted(set(failed)))
-        for f in x:
-            self.graph.check_vertex(f)
+        x = super()._validate(u, v, failed)
         if len(x) > self.k:
             raise ValueError(f"more than k={self.k} failed vertices")
-        if u in x or v in x:
-            raise ValueError("query endpoint is a failed vertex")
-        return x
+        return tuple(sorted(x))
 
     # -- query -----------------------------------------------------------------
 
@@ -238,7 +227,7 @@ class TradeoffOracle:
         node = s_node
         while node not in rmarks:
             for c in tree.pieces[node].children:
-                if _arc_in(tree.pieces[c], arc):
+                if sorted_contains(tree.pieces[c].arcs, arc):
                     node = c
                     break
             else:
@@ -270,30 +259,24 @@ class TradeoffOracle:
         ids = tuple(sorted(chosen + pads))
         return ids, q_node
 
-    def _assembly(self, ids, u, v, x, extras_for):
-        """Union members for a chosen tuple under failures: each resident's
+    def _assembly(self, ids, u, x):
+        """Union members for a stored tuple under failures: each resident's
         home leaf as its own arcs (failed vertices and their arcs removed,
         no per-query Dijkstra) and the unmarked siblings up to the piece top,
         strict matrices for pieces with no resident inside, plus ext of the
-        tuple.  ``extras_for`` names the query endpoints that count as
-        residents.
+        tuple.  The residents are u and the failed vertices.
 
         A resident whose home leaf lies outside the piece necessarily sits
         on the piece boundary, so the strict matrix already exposes it as a
         node and no finer cover is needed for it."""
         tree = self.tree
-        marked: set[int] = set()
-        for f in x:
-            for node in tree.root_path(tree.leaf_of[f]):
-                if not tree.pieces[node].on_boundary(f):
-                    marked.add(node)
-        stored = self.ext.get(ids)
-        members = [stored if stored is not None else self.ext_builder.ext(ids, r=self.r)]
+        marked = self._marked(x)
+        members = [self.ext[ids]]
         seen_leaf: set[int] = set()
         seen_sib: set[int] = set()
         for pid in ids:
             piece = tree.pieces[pid]
-            residents = [w for w in (*extras_for, *x) if piece.contains(w)]
+            residents = [w for w in (u, *x) if piece.contains(w)]
             inner = [w for w in residents if tree.is_ancestor(pid, tree.leaf_of[w])]
             if not inner:
                 members.append(self.store.strict(pid))
@@ -321,7 +304,7 @@ class TradeoffOracle:
 
     def _main(self, u, v, x, ids, q_node, strategy):
         tree = self.tree
-        members = self._assembly(ids, u, v, x, extras_for=(u,))
+        members = self._assembly(ids, u, x)
         res = multi_dijkstra(members, [(u, 0)], forbidden=x, strategy=strategy)
         self.last_result = res
         best = res.raw(v)
@@ -349,37 +332,11 @@ class TradeoffOracle:
         return UNREACHABLE if best >= MATRIX_SENTINEL else best
 
     def _fallback(self, u, v, x, strategy):
-        """Direct assembly when the precomputed layout cannot serve the
-        query: cover v, u and the failed set by division pieces (shared
-        pieces reused), pad to size k+1 when possible, and run one union
-        Dijkstra with v reachable directly."""
-        tree = self.tree
-        chosen: list[int] = []
-        for w in (v, u, *x):
-            if any(tree.pieces[pid].contains(w) for pid in chosen):
-                continue
-            chosen.append(self._canonical_rdiv(w))
-        for pid in self.rdiv:
-            if len(chosen) >= self.k + 1:
-                break
-            if pid not in chosen:
-                chosen.append(pid)
-        ids = tuple(sorted(set(chosen)))
-        members = self._assembly(ids, u, v, x, extras_for=(u, v))
-        res = multi_dijkstra(
-            members, [(u, 0)], forbidden=x, strategy=strategy, target=v
-        )
+        """The failure oracle's query, for layouts the stored tuples cannot
+        serve: one union Dijkstra over the leaves of u, v and the failed
+        set and the unmarked siblings up their root paths, stopped when v
+        settles."""
+        res = self.query_result(u, v, x, strategy, target=v)
         self.last_result = res
         return res.label(v)
 
-
-def _arc_in(piece, arc: int) -> bool:
-    arcs = piece.arcs
-    lo, hi = 0, len(arcs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arcs[mid] < arc:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo < len(arcs) and arcs[lo] == arc

@@ -130,6 +130,8 @@ def test_leaf_hook_reached(grid8, monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(mod, "compute_leaf_ddg", counting)
-    assert fo.distance(0, 63, {27}) == to.distance(0, 63, {27})
+    # a main-path query: fallback queries reach the failure oracle's name
+    assert to._plan(0, 63, (30,)) is not None
+    assert fo.distance(0, 63, {30}) == to.distance(0, 63, {30})
     assert calls.get(failure_oracle.__name__, 0) > 0
     assert calls.get(tradeoff_oracle.__name__, 0) > 0

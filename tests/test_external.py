@@ -85,19 +85,10 @@ def test_triple(tri200):
     check_tuple(tri200, tree, builder, ids, r)
 
 
-def test_r_is_inferred(world):
-    _, tree, builder = world
-    r = tree.r_sequence[0]
-    pid = tree.r_division(r)[0]
-    a = builder.ext((pid,), r=r)
-    b = builder.ext((pid,))
-    assert a.nodes == b.nodes and a.matrix == b.matrix
-
-
 def test_input_validation(world):
     g, tree, builder = world
     with pytest.raises(ValueError):
-        builder.ext(())
+        builder.ext((), r=tree.r_sequence[0])
     with pytest.raises(ValueError):
         builder.ext((0,), r=tree.r_sequence[0])  # root is not marked
     with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+from planar_oracle import oraclefile
 from planar_oracle.baseline import distance_avoiding
 from planar_oracle.failure_oracle import FailureOracle
+from planar_oracle.generate import generate_grid
+from planar_oracle.graph import GraphFormatError
 from planar_oracle.oraclefile import OracleFileError, load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
@@ -112,6 +115,41 @@ def test_truncation(tmp_path, fo8):
         p.write_bytes(raw[:cut])
         with pytest.raises(OracleFileError):
             load_oracle(p)
+
+
+def _bad_variant(fo, path, monkeypatch):
+    # every stored matrix gets a variant code past the known ones
+    with monkeypatch.context() as m:
+        m.setattr(oraclefile, "_VARIANTS", ("?",) * 8 + oraclefile._VARIANTS)
+        save_oracle(fo, path)
+
+
+def _graph_byte(value):
+    def write(fo, path, monkeypatch):
+        save_oracle(fo, path)
+        raw = bytearray(path.read_bytes())
+        raw[11] = value  # the graph text's first byte: after magic, version, kind, length
+        path.write_bytes(bytes(raw))
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "write, cause",
+    [
+        (_bad_variant, IndexError),
+        (_graph_byte(0xFF), UnicodeDecodeError),
+        (_graph_byte(ord("x")), GraphFormatError),
+    ],
+    ids=["ddg-variant", "non-ascii-graph", "bad-graph-text"],
+)
+def test_decode_faults_raise_file_error(tmp_path, monkeypatch, write, cause):
+    fo = FailureOracle(generate_grid(6, 6, max_weight=5, seed=3), leaf_size=8)
+    p = tmp_path / "f.bin"
+    write(fo, p, monkeypatch)
+    with pytest.raises(OracleFileError) as info:
+        load_oracle(p)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_unserializable_type(tmp_path):

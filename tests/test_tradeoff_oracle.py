@@ -6,7 +6,9 @@ import random
 import pytest
 
 from planar_oracle.baseline import distance_avoiding, sssp
+from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
+from planar_oracle.oraclefile import load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 
@@ -38,6 +40,30 @@ def test_exact_k1_both_paths(grid8, to8):
             main += 1
         assert to8.distance(u, v, x) == distance_avoiding(grid8, u, v, x)
     # the suite must exercise both the table path and the fallback
+    assert main > 10 and fallback > 10
+
+
+def test_loaded_oracle_builds_no_external_tables(tmp_path, grid8, to8, monkeypatch):
+    # every query, main or fallback, answers from stored tables and the
+    # failure oracle's strict matrices; no external matrix is built late
+    path = tmp_path / "to8.bin"
+    save_oracle(to8, path)
+    loaded = load_oracle(path)
+
+    def no_ext(*args, **kwargs):
+        raise AssertionError("external matrix built at query time")
+
+    monkeypatch.setattr(ExternalDdgBuilder, "ext", no_ext)
+    rng = random.Random("to-no-ext")
+    main = fallback = 0
+    for _ in range(200):
+        u, v, f = rng.sample(range(64), 3)
+        x = (f,) if rng.random() < 0.8 else ()
+        if loaded._plan(u, v, x) is None:
+            fallback += 1
+        else:
+            main += 1
+        assert loaded.distance(u, v, x) == distance_avoiding(grid8, u, v, x)
     assert main > 10 and fallback > 10
 
 
