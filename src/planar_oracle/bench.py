@@ -78,7 +78,6 @@ def bench_config(
     k: int = 1,
     leaf_size: int = 32,
     r_base: int = 4,
-    strategy: str = "monge",
     queries: int = 50,
     max_weight: int | None = 16,
 ) -> dict:
@@ -97,7 +96,6 @@ def bench_config(
         "k": k,
         "leaf_size": leaf_size,
         "r_base": r_base,
-        "strategy": strategy,
         "queries": queries,
         "max_weight": max_weight,
     }
@@ -135,12 +133,7 @@ def _run_one(cfg: dict) -> dict:
 
     t0 = time.perf_counter()
     if cfg["mode"] == "failure":
-        oracle = FailureOracle(
-            g,
-            leaf_size=cfg["leaf_size"],
-            r_base=cfg["r_base"],
-            strategy=cfg["strategy"],
-        )
+        oracle = FailureOracle(g, leaf_size=cfg["leaf_size"], r_base=cfg["r_base"])
     else:
         oracle = TradeoffOracle(
             g,
@@ -148,7 +141,6 @@ def _run_one(cfg: dict) -> dict:
             k=cfg["k"],
             leaf_size=cfg["leaf_size"],
             r_base=cfg["r_base"],
-            strategy=cfg["strategy"],
         )
     build_ms = (time.perf_counter() - t0) * 1e3
 

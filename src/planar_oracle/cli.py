@@ -99,9 +99,7 @@ def _cmd_gen(args) -> int:
 def _cmd_build(args) -> int:
     g = load_graph(args.graph)
     if args.mode == "failure":
-        oracle = FailureOracle(
-            g, leaf_size=args.leaf_size, r_base=args.r_base, strategy=args.strategy
-        )
+        oracle = FailureOracle(g, leaf_size=args.leaf_size, r_base=args.r_base)
     else:
         oracle = TradeoffOracle(
             g,
@@ -109,7 +107,6 @@ def _cmd_build(args) -> int:
             k=args.k,
             leaf_size=args.leaf_size,
             r_base=args.r_base,
-            strategy=args.strategy,
         )
     save_oracle(oracle, args.out)
     print(f"wrote {args.out}: mode={args.mode} n={g.n}")
@@ -183,7 +180,6 @@ def _cmd_bench(args) -> int:
                             r=r or 64,
                             k=k,
                             leaf_size=args.leaf_size,
-                            strategy=args.strategy,
                             queries=args.queries,
                             max_weight=args.max_weight,
                         )
@@ -255,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="failure budget (tradeoff)")
     p.add_argument("--leaf-size", type=int, default=32)
     p.add_argument("--r-base", type=int, default=4)
-    p.add_argument("--strategy", choices=("naive", "monge"), default="monge")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -278,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_int_list, default=[64], help="comma-separated r values")
     p.add_argument("--k", type=_int_list, default=[1], help="comma-separated budgets")
     p.add_argument("--mode", default="failure", help="comma-separated oracle modes")
-    p.add_argument("--strategy", choices=("naive", "monge"), default="monge")
     p.add_argument("--leaf-size", type=int, default=32)
     p.add_argument("--max-weight", type=int, default=16, help="random weights in 1..max")
     p.add_argument("--seed", type=int, default=0)

@@ -368,7 +368,7 @@ class DynamicOracle:
         ]
         return SparseMember(verts if verts else (v,), arcs, piece_id=homes[0])
 
-    def distance(self, u: int, v: int, strategy: str = "monge"):
+    def distance(self, u: int, v: int):
         """Current length of the shortest path from u to v."""
         self._check_alive_vertex(u)
         self._check_alive_vertex(v)
@@ -378,11 +378,5 @@ class DynamicOracle:
         for reg in self.regions:
             if reg.ddg is not None and len(reg.ddg.nodes):
                 members.append(reg.ddg)
-        res = multi_dijkstra(
-            members,
-            [(u, 0)],
-            forbidden=self.deleted_boundary,
-            strategy=strategy,
-            target=v,
-        )
+        res = multi_dijkstra(members, [(u, 0)], forbidden=self.deleted_boundary, target=v)
         return res.label(v)

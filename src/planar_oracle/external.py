@@ -140,9 +140,7 @@ class ExternalDdgBuilder:
                 matrix[row + i] = 0
                 if union is None or src not in union.slot_of:
                     continue
-                res = multi_dijkstra(
-                    union, [(src, 0)], forbidden=node_set - {src}, strategy="monge"
-                )
+                res = multi_dijkstra(union, [(src, 0)], forbidden=node_set - {src})
                 for j, tgt in enumerate(nodes):
                     if j != i:
                         matrix[row + j] = res.raw(tgt)

@@ -52,15 +52,11 @@ class FailureOracle:
         g: EmbeddedPlanarGraph,
         leaf_size: int = 32,
         r_base: int = 4,
-        strategy: str = "monge",
         tree: DecompositionTree | None = None,
     ):
-        if strategy not in ("naive", "monge"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.graph = g
         self.tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
         self.store = DdgStore(g, self.tree)
-        self.strategy = strategy
         self.store.prefetch_nonleaf()
 
     # -- assembly ----------------------------------------------------------
@@ -128,7 +124,6 @@ class FailureOracle:
         u: int,
         v: int,
         failed: Iterable[int] = (),
-        strategy: str | None = None,
         target: int | None = None,
     ) -> MultiDijkstraResult:
         """Union Dijkstra from u over the assembly for (u, v, failed).
@@ -140,19 +135,12 @@ class FailureOracle:
             asm.members,
             [(u, 0)],
             forbidden=frozenset(failed),
-            strategy=strategy or self.strategy,
             target=target,
         )
 
-    def distance(
-        self,
-        u: int,
-        v: int,
-        failed: Iterable[int] = (),
-        strategy: str | None = None,
-    ):
+    def distance(self, u: int, v: int, failed: Iterable[int] = ()):
         """Length of the shortest u-to-v path avoiding ``failed``."""
         x = self._validate(u, v, failed)
         if u == v:
             return 0
-        return self.query_result(u, v, x, strategy, target=v).label(v)
+        return self.query_result(u, v, x, target=v).label(v)

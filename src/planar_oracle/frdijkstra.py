@@ -5,10 +5,11 @@ own vertex list (or a raw arc set), overlays them on the shared vertex ids,
 and runs a single multi-source Dijkstra across the overlay.  Distances in
 the union equal distances in the graph the members jointly describe.
 
-Two relaxation strategies are provided.  ``naive`` relaxes a member's whole
-row whenever one of its vertices settles.  ``monge`` keeps a linked list of
-not-yet-settled columns per member and scans only those, skipping settled
-columns; it uses no further Monge structure.  Both return identical labels.
+When one of a member's vertices settles, the scan relaxes that vertex's
+row, but only over the columns not yet settled: each member keeps a linked
+list of its unsettled local indices, and a settled column is unlinked.  A
+settled column already has its final label, so skipping it changes no
+label.  The scan uses no further Monge structure.
 
 Given a ``target``, the scan stops as soon as the target settles, as point
 queries do.  The target's label is then exact, and so is every label at or
@@ -109,17 +110,15 @@ class MultiDijkstraResult:
         "vertices",
         "dist",
         "slot_of",
-        "strategy",
         "union_vertices",
         "settled",
         "relaxations",
     )
 
-    def __init__(self, vertices, dist, slot_of, strategy, union_vertices, settled, relaxations):
+    def __init__(self, vertices, dist, slot_of, union_vertices, settled, relaxations):
         self.vertices: tuple[int, ...] = vertices
         self.dist: list[int] = dist
         self.slot_of = slot_of
-        self.strategy = strategy
         self.union_vertices = union_vertices
         self.settled = settled
         self.relaxations = relaxations
@@ -142,7 +141,6 @@ def multi_dijkstra(
     members: Sequence,
     sources: Sequence[tuple[int, int]],
     forbidden: Iterable[int] = (),
-    strategy: str = "naive",
     target: int | None = None,
 ) -> MultiDijkstraResult:
     """Multi-source Dijkstra over a union of members.
@@ -157,8 +155,6 @@ def multi_dijkstra(
     settled are upper bounds only.  A target outside the union never
     settles, so the run goes on to the end and its label is unreachable.
     """
-    if strategy not in ("naive", "monge"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     union = members if isinstance(members, DdgUnion) else DdgUnion(members)
     n = len(union.vertices)
     slot_of = union.slot_of
@@ -191,16 +187,15 @@ def multi_dijkstra(
     settled = 0
     relaxations = 0
 
-    if strategy == "monge":
-        # per-member linked list of not-yet-settled local indices
-        nxt: list[list[int]] = []
-        prv: list[list[int]] = []
-        head: list[int] = []
-        for m in mems:
-            k = len(m.nodes)
-            nxt.append(list(range(1, k + 1)))
-            prv.append(list(range(-1, k - 1)))
-            head.append(0 if k else -1)
+    # per-member linked list of not-yet-settled local indices
+    nxt: list[list[int]] = []
+    prv: list[list[int]] = []
+    head: list[int] = []
+    for m in mems:
+        k = len(m.nodes)
+        nxt.append(list(range(1, k + 1)))
+        prv.append(list(range(-1, k - 1)))
+        head.append(0 if k else -1)
 
     while heap:
         d, u = heappop(heap)
@@ -210,17 +205,16 @@ def multi_dijkstra(
         settled += 1
         if u == stop:
             break
-        if strategy == "monge":
-            for mi, li in dense_in[u]:
-                mnxt = nxt[mi]
-                mprv = prv[mi]
-                nx, pv = mnxt[li], mprv[li]
-                if pv >= 0:
-                    mnxt[pv] = nx
-                else:
-                    head[mi] = nx
-                if nx < len(mnxt):
-                    mprv[nx] = pv
+        for mi, li in dense_in[u]:
+            mnxt = nxt[mi]
+            mprv = prv[mi]
+            nx, pv = mnxt[li], mprv[li]
+            if pv >= 0:
+                mnxt[pv] = nx
+            else:
+                head[mi] = nx
+            if nx < len(mnxt):
+                mprv[nx] = pv
         if blocked[u] and not is_source[u]:
             continue
         for vslot, w in sparse_adj[u]:
@@ -234,36 +228,23 @@ def multi_dijkstra(
             slots = member_slots[mi]
             k = len(slots)
             row = li * k
-            if strategy == "naive":
-                for lj in range(k):
-                    w = mat[row + lj]
-                    if w >= MATRIX_SENTINEL:
-                        continue
+            mnxt = nxt[mi]
+            lj = head[mi]
+            while lj < k:
+                w = mat[row + lj]
+                if w < MATRIX_SENTINEL:
                     relaxations += 1
                     nd = d + w
                     vslot = slots[lj]
                     if nd < dist[vslot]:
                         dist[vslot] = nd
                         heappush(heap, (nd, vslot))
-            else:
-                mnxt = nxt[mi]
-                lj = head[mi]
-                while lj < k:
-                    w = mat[row + lj]
-                    if w < MATRIX_SENTINEL:
-                        relaxations += 1
-                        nd = d + w
-                        vslot = slots[lj]
-                        if nd < dist[vslot]:
-                            dist[vslot] = nd
-                            heappush(heap, (nd, vslot))
-                    lj = mnxt[lj]
+                lj = mnxt[lj]
 
     return MultiDijkstraResult(
         union.vertices,
         dist,
         slot_of,
-        strategy,
         union.union_vertices,
         settled,
         relaxations,

@@ -1,7 +1,7 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 2; files of any other version are rejected), a kind byte, the
+(currently 3; files of any other version are rejected), a kind byte, the
 graph in its text form, the build parameters, the decomposition tree, and
 the stored matrices.  Trade-off files append the per-tuple external
 matrices, the directional tables and the piece tables.  Unreachable
@@ -12,6 +12,7 @@ key order, so building the same oracle twice produces identical bytes.
 from __future__ import annotations
 
 import io
+import os
 import struct
 import sys
 from array import array
@@ -26,7 +27,7 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 2
+_VERSION = 3
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
 _VARIANTS = ("standard", "strict_internal", "strict_external")
@@ -68,11 +69,17 @@ def _w_blob(fh: BinaryIO, data: bytes) -> None:
 class _Reader:
     def __init__(self, fh: BinaryIO):
         self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
 
     def take(self, size: int) -> bytes:
+        # every length field ends up here: check it before reading, so a
+        # crafted length never allocates more than the file holds
+        if size > self.left:
+            raise OracleFileError("truncated oracle file")
         data = self.fh.read(size)
         if len(data) != size:
             raise OracleFileError("truncated oracle file")
+        self.left -= size
         return data
 
     def u32(self) -> int:
@@ -138,6 +145,10 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
     pieces: list[Piece] = []
     for pid in range(count):
         parent = rd.i64()
+        # pieces are numbered top-down: piece 0 is the root (parent -1) and
+        # every other piece's parent precedes it, so the links form a tree
+        if not (-1 if pid == 0 else 0) <= parent < pid:
+            raise OracleFileError(f"piece {pid} has bad parent id {parent}")
         depth = rd.u32()
         vertices = rd.ids()
         boundary = rd.ids()
@@ -203,7 +214,6 @@ def save_oracle(oracle, path: str) -> None:
     buf.write(_MAGIC)
     buf.write(struct.pack("<HB", _VERSION, kind))
     _w_blob(buf, dumps_graph(oracle.graph).encode("ascii"))
-    _w_u32(buf, 1 if oracle.strategy == "monge" else 0)
     _write_tree(buf, oracle.tree)
 
     if kind == _KIND_FAILURE:
@@ -259,7 +269,6 @@ def load_oracle(path: str):
         if kind not in (_KIND_FAILURE, _KIND_TRADEOFF):
             raise OracleFileError(f"unknown oracle kind {kind}")
         g = _read_graph(rd)
-        strategy = "monge" if rd.u32() else "naive"
         tree = _read_tree(rd, g)
 
         if kind == _KIND_FAILURE:
@@ -267,7 +276,7 @@ def load_oracle(path: str):
             for _ in range(rd.u32()):
                 pid = rd.u32()
                 strict[pid] = _read_ddg(rd)
-            return _restore_failure(g, tree, strategy, strict)
+            return _restore_failure(g, tree, strict)
 
         r = rd.u32()
         k = rd.u32()
@@ -292,27 +301,25 @@ def load_oracle(path: str):
             targets = rd.ids()
             matrix = rd.matrix()
             tables[node] = PieceDistanceTable(node, sources, targets, matrix)
-        return _restore_tradeoff(g, tree, strategy, r, k, strict, ext, vor, tables)
+        return _restore_tradeoff(g, tree, r, k, strict, ext, vor, tables)
 
 
-def _restore_failure(g, tree, strategy, strict, cls=FailureOracle):
+def _restore_failure(g, tree, strict, cls=FailureOracle):
     oracle = object.__new__(cls)
     oracle.graph = g
     oracle.tree = tree
     oracle.store = DdgStore(g, tree)
     oracle.store._strict.update(strict)
-    oracle.strategy = strategy
     return oracle
 
 
-def _restore_tradeoff(g, tree, strategy, r, k, strict, ext, vor, tables) -> TradeoffOracle:
-    oracle = _restore_failure(g, tree, strategy, strict, cls=TradeoffOracle)
+def _restore_tradeoff(g, tree, r, k, strict, ext, vor, tables) -> TradeoffOracle:
+    oracle = _restore_failure(g, tree, strict, cls=TradeoffOracle)
     oracle.r = r
     oracle.k = k
     oracle.rdiv = tree.r_division(r)
     oracle.ext = ext
     oracle.vor = vor
-    oracle.exits = {ids: oracle._exit_family(ids) for ids in sorted(ext)}
     oracle.piece_tables = tables
     oracle.last_result = None
     return oracle

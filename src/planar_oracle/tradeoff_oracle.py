@@ -60,7 +60,6 @@ class TradeoffOracle(FailureOracle):
         k: int,
         leaf_size: int = 32,
         r_base: int = 4,
-        strategy: str = "monge",
         tree: DecompositionTree | None = None,
     ):
         if k < 0:
@@ -68,7 +67,7 @@ class TradeoffOracle(FailureOracle):
         tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
         if r not in tree.r_sequence:
             raise ValueError(f"r={r} is not in the marked sequence {tree.r_sequence}")
-        super().__init__(g, strategy=strategy, tree=tree)
+        super().__init__(g, tree=tree)
         self.r = r
         self.k = k
         self.rdiv: tuple[int, ...] = self.tree.r_division(r)
@@ -77,7 +76,6 @@ class TradeoffOracle(FailureOracle):
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
         # exit piece's boundary
         self.vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-        self.exits: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.piece_tables: dict[int, PieceDistanceTable] = {}
         # Search result of the most recent query, kept for instrumentation.
         # Its union_vertices is always valid; after a fallback query it is
@@ -125,7 +123,6 @@ class TradeoffOracle(FailureOracle):
             ids = tuple(sorted(combo))
             self.ext[ids] = ext_builder.ext(ids, r=self.r)
             exits = self._exit_family(ids)
-            self.exits[ids] = exits
             for q in exits:
                 if q not in self.piece_tables:
                     self.piece_tables[q] = compute_piece_distance_table(
@@ -147,10 +144,7 @@ class TradeoffOracle(FailureOracle):
                         )
                     continue
                 res = multi_dijkstra(
-                    members,
-                    [(y, 0)],
-                    forbidden=[w for w in bset if w != y],
-                    strategy="monge",
+                    members, [(y, 0)], forbidden=[w for w in bset if w != y]
                 )
                 for q in exits:
                     qb = tree.pieces[q].boundary
@@ -176,16 +170,15 @@ class TradeoffOracle(FailureOracle):
 
     # -- query -----------------------------------------------------------------
 
-    def distance(self, u: int, v: int, failed: Iterable[int] = (), strategy=None):
+    def distance(self, u: int, v: int, failed: Iterable[int] = ()):
         x = self._validate(u, v, failed)
         if u == v:
             return 0
-        strategy = strategy or self.strategy
         plan = self._plan(u, v, x)
         if plan is None:
-            return self._fallback(u, v, x, strategy)
+            return self._fallback(u, v, x)
         ids, q = plan
-        return self._main(u, v, x, ids, q, strategy)
+        return self._main(u, v, x, ids, q)
 
     def _plan(self, u: int, v: int, x: tuple[int, ...]):
         """Choose the tuple and exit piece, or None when only the fallback
@@ -302,10 +295,10 @@ class TradeoffOracle(FailureOracle):
                     node = tree.pieces[node].parent
         return members
 
-    def _main(self, u, v, x, ids, q_node, strategy):
+    def _main(self, u, v, x, ids, q_node):
         tree = self.tree
         members = self._assembly(ids, u, x)
-        res = multi_dijkstra(members, [(u, 0)], forbidden=x, strategy=strategy)
+        res = multi_dijkstra(members, [(u, 0)], forbidden=x)
         self.last_result = res
         best = res.raw(v)
         qb = tree.pieces[q_node].boundary
@@ -331,12 +324,12 @@ class TradeoffOracle(FailureOracle):
                     best = cand
         return UNREACHABLE if best >= MATRIX_SENTINEL else best
 
-    def _fallback(self, u, v, x, strategy):
+    def _fallback(self, u, v, x):
         """The failure oracle's query, for layouts the stored tuples cannot
         serve: one union Dijkstra over the leaves of u, v and the failed
         set and the unmarked siblings up their root paths, stopped when v
         settles."""
-        res = self.query_result(u, v, x, strategy, target=v)
+        res = self.query_result(u, v, x, target=v)
         self.last_result = res
         return res.label(v)
 

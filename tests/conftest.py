@@ -1,14 +1,18 @@
-"""Shared graph fixtures.
+"""Shared graph fixtures and reference computations.
 
 The zoo spans the shapes the library must handle: dense grids, random
 triangulations, a one-way path (asymmetric reachability), a disconnected
-graph with an isolated vertex, and a single-vertex graph.
+graph with an isolated vertex, and a single-vertex graph.  The references
+are plain Dijkstra runs that share no code with the structures under test.
 """
 
 import heapq
+from array import array
 
 import pytest
 
+from planar_oracle.ddg import DenseDistanceGraph
+from planar_oracle.frdijkstra import SparseMember
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 
@@ -60,6 +64,72 @@ def in_piece_distance(g, piece, src, dst, failed=frozenset()):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return dist.get(dst, MATRIX_SENTINEL)
+
+
+def dense(nodes, entries, piece=(-1,)):
+    """Member from a {(s, t): w} dict; missing pairs are unreachable."""
+    k = len(nodes)
+    mat = array("q", [MATRIX_SENTINEL]) * (k * k)
+    for i in range(k):
+        mat[i * k + i] = 0
+    for (s, t), w in entries.items():
+        mat[nodes.index(s) * k + nodes.index(t)] = w
+    return DenseDistanceGraph("standard", tuple(nodes), mat, piece)
+
+
+def explicit_dijkstra(members, sources, forbidden=()):
+    """Reference: expand every member into literal arcs and run Dijkstra."""
+    arcs = []
+    verts = set()
+    for m in members:
+        verts.update(m.nodes)
+        if isinstance(m, SparseMember):
+            arcs.extend(m.arcs)
+        else:
+            k = len(m.nodes)
+            for i in range(k):
+                for j in range(k):
+                    w = m.matrix[i * k + j]
+                    if w < MATRIX_SENTINEL and i != j:
+                        arcs.append((m.nodes[i], m.nodes[j], w))
+    blocked = set(forbidden)
+    dist = {v: MATRIX_SENTINEL for v in verts}
+    heap = []
+    srcs = set()
+    for v, d0 in sources:
+        srcs.add(v)
+        if d0 < dist[v]:
+            dist[v] = d0
+            heapq.heappush(heap, (d0, v))
+    adj = {}
+    for t, h, w in arcs:
+        adj.setdefault(t, []).append((h, w))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        if v in blocked and v not in srcs:
+            continue
+        for u, w in adj.get(v, ()):
+            nd = d + w
+            if nd < dist[u]:
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return dist
+
+
+def random_members(rng, n_ids=12, n_members=4):
+    ids = list(range(n_ids))
+    members = []
+    for _ in range(n_members):
+        nodes = sorted(rng.sample(ids, rng.randrange(3, 7)))
+        entries = {}
+        for s in nodes:
+            for t in nodes:
+                if s != t and rng.random() < 0.5:
+                    entries[(s, t)] = rng.randrange(0, 30)
+        members.append(dense(nodes, entries))
+    return members
 
 
 @pytest.fixture(scope="session")

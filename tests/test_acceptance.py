@@ -31,6 +31,8 @@ from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddingError
 from planar_oracle.oraclefile import save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
+from conftest import explicit_dijkstra
+
 
 def _report(capsys, num, ok, detail):
     with capsys.disabled():
@@ -449,15 +451,16 @@ def test_criterion_6_structural_scaling(tmp_path, capsys):
     )
 
 
-def test_criterion_7_monge_matches_naive(suite1, capsys):
+def test_criterion_7_union_scan_matches_explicit_arcs(suite1, capsys):
     t0 = time.monotonic()
     compared = bad = 0
     for name, g, fo, _leaf, _secs in suite1:
         for u, v, failed in _suite1_queries(name, g.n):
-            a = fo.query_result(u, v, failed, strategy="naive")
-            b = fo.query_result(u, v, failed, strategy="monge")
-            same = a.vertices == b.vertices and all(
-                a.raw(w) == b.raw(w) for w in a.vertices
+            res = fo.query_result(u, v, failed)
+            members = fo.assemble(u, v, failed).members
+            want = explicit_dijkstra(members, [(u, 0)], failed)
+            same = res.vertices == tuple(sorted(want)) and all(
+                res.raw(w) == want[w] for w in res.vertices
             )
             compared += 1
             bad += not same
@@ -466,7 +469,8 @@ def test_criterion_7_monge_matches_naive(suite1, capsys):
         capsys,
         7,
         bad == 0,
-        f"{compared} full label maps compared, {bad} diverging, {elapsed:.1f}s",
+        f"{compared} full label maps compared with an explicit-arc Dijkstra, "
+        f"{bad} diverging, {elapsed:.1f}s",
     )
 
 

@@ -8,6 +8,8 @@ from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.graph import UNREACHABLE
 
+from conftest import explicit_dijkstra
+
 
 @pytest.fixture(scope="module")
 def fo8(grid8):
@@ -73,12 +75,15 @@ def test_single_vertex(single):
 
 
 def test_strategies_agree(grid8, fo8):
+    # the union scan's full label map equals Dijkstra over the assembly's
+    # members expanded into literal arcs
     rng = random.Random("fo-strat")
     for u, v, x in random_queries(rng, grid8.n, 60):
-        a = fo8.query_result(u, v, x, strategy="naive")
-        b = fo8.query_result(u, v, x, strategy="monge")
-        for w in a.vertices:
-            assert a.label(w) == b.label(w)
+        res = fo8.query_result(u, v, x)
+        want = explicit_dijkstra(fo8.assemble(u, v, x).members, [(u, 0)], x)
+        assert res.vertices == tuple(sorted(want))
+        for w in res.vertices:
+            assert res.raw(w) == want[w], (u, v, x, w)
 
 
 def test_query_result_consistency(grid8, fo8):
@@ -127,10 +132,6 @@ def test_validation(grid8, fo8):
         fo8.distance(0, grid8.n)
     with pytest.raises(ValueError):
         fo8.distance(0, 5, {grid8.n + 3})
-    with pytest.raises(ValueError):
-        fo8.distance(0, 5, strategy="smawk")
-    with pytest.raises(ValueError):
-        FailureOracle(grid8, leaf_size=8, strategy="bogus")
 
 
 def test_self_distance_zero_even_near_failures(grid8, fo8):

@@ -1,83 +1,17 @@
-"""Union Dijkstra over dense and sparse members, both scan strategies."""
+"""Union Dijkstra over dense and sparse members, against an explicit-arc
+reference."""
 
-import heapq
 import random
-from array import array
 
 import pytest
 
 from planar_oracle.baseline import sssp
-from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 
-
-def dense(nodes, entries, piece=(-1,)):
-    """Member from a {(s, t): w} dict; missing pairs are unreachable."""
-    k = len(nodes)
-    mat = array("q", [MATRIX_SENTINEL]) * (k * k)
-    for i in range(k):
-        mat[i * k + i] = 0
-    for (s, t), w in entries.items():
-        mat[nodes.index(s) * k + nodes.index(t)] = w
-    return DenseDistanceGraph("standard", tuple(nodes), mat, piece)
-
-
-def explicit_dijkstra(members, sources, forbidden=()):
-    """Reference: expand every member into literal arcs and run Dijkstra."""
-    arcs = []
-    verts = set()
-    for m in members:
-        verts.update(m.nodes)
-        if isinstance(m, SparseMember):
-            arcs.extend(m.arcs)
-        else:
-            k = len(m.nodes)
-            for i in range(k):
-                for j in range(k):
-                    w = m.matrix[i * k + j]
-                    if w < MATRIX_SENTINEL and i != j:
-                        arcs.append((m.nodes[i], m.nodes[j], w))
-    blocked = set(forbidden)
-    dist = {v: MATRIX_SENTINEL for v in verts}
-    heap = []
-    srcs = set()
-    for v, d0 in sources:
-        srcs.add(v)
-        if d0 < dist[v]:
-            dist[v] = d0
-            heapq.heappush(heap, (d0, v))
-    adj = {}
-    for t, h, w in arcs:
-        adj.setdefault(t, []).append((h, w))
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        if v in blocked and v not in srcs:
-            continue
-        for u, w in adj.get(v, ()):
-            nd = d + w
-            if nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return dist
-
-
-def random_members(rng, n_ids=12, n_members=4):
-    ids = list(range(n_ids))
-    members = []
-    for _ in range(n_members):
-        nodes = sorted(rng.sample(ids, rng.randrange(3, 7)))
-        entries = {}
-        for s in nodes:
-            for t in nodes:
-                if s != t and rng.random() < 0.5:
-                    entries[(s, t)] = rng.randrange(0, 30)
-        members.append(dense(nodes, entries))
-    return members
+from conftest import dense, explicit_dijkstra, random_members
 
 
 def test_single_member_by_hand():
@@ -98,16 +32,21 @@ def test_two_members_chain():
 
 
 def test_strategies_agree_on_random_unions():
+    # the union scan agrees with Dijkstra over the members' literal arcs on
+    # random dense unions whose source starts at a nonzero offset
     rng = random.Random(17)
     for _ in range(25):
         members = random_members(rng)
         union_ids = sorted({v for m in members for v in m.nodes})
         src = [(rng.choice(union_ids), rng.randrange(0, 5))]
         forb = rng.sample(union_ids, rng.randrange(0, 3))
-        a = multi_dijkstra(members, src, forbidden=forb, strategy="naive")
-        b = multi_dijkstra(members, src, forbidden=forb, strategy="monge")
+        want = explicit_dijkstra(members, src, forb)
+        got = multi_dijkstra(members, src, forbidden=forb)
         for v in union_ids:
-            assert a.label(v) == b.label(v)
+            w = want[v]
+            assert got.raw(v) == w or (
+                w >= MATRIX_SENTINEL and got.raw(v) >= MATRIX_SENTINEL
+            ), v
 
 
 def test_matches_explicit_union_graph():
@@ -126,10 +65,12 @@ def test_matches_explicit_union_graph():
         src = [(rng.choice(union_ids), 0)]
         forb = rng.sample(union_ids, rng.randrange(0, 3))
         want = explicit_dijkstra(members, src, forb)
-        got = multi_dijkstra(members, src, forbidden=forb, strategy="monge")
+        got = multi_dijkstra(members, src, forbidden=forb)
         for v in union_ids:
             w = want[v]
-            assert got.raw(v) == w or (w >= MATRIX_SENTINEL and got.raw(v) >= MATRIX_SENTINEL)
+            assert got.raw(v) == w or (
+                w >= MATRIX_SENTINEL and got.raw(v) >= MATRIX_SENTINEL
+            ), v
 
 
 def test_target_stop_keeps_exact_label():
@@ -146,15 +87,12 @@ def test_target_stop_keeps_exact_label():
             members.append(SparseMember(tuple(ids), [a for a in extra if a[0] != a[1]]))
         src = [(v, rng.randrange(0, 5)) for v in rng.sample(ids, 2)]
         forb = rng.sample(ids, rng.randrange(0, 3))
-        for strategy in ("naive", "monge"):
-            full = multi_dijkstra(members, src, forbidden=forb, strategy=strategy)
-            for t in ids:
-                got = multi_dijkstra(
-                    members, src, forbidden=forb, strategy=strategy, target=t
-                )
-                assert got.raw(t) == full.raw(t), (i, strategy, t)
-                assert got.settled <= full.settled
-                stopped_early += got.settled < full.settled
+        full = multi_dijkstra(members, src, forbidden=forb)
+        for t in ids:
+            got = multi_dijkstra(members, src, forbidden=forb, target=t)
+            assert got.raw(t) == full.raw(t), (i, t)
+            assert got.settled <= full.settled
+            stopped_early += got.settled < full.settled
     assert stopped_early > 0
     m = dense([0, 1, 2], {(0, 1): 1, (1, 2): 1, (0, 2): 9})
     # a target outside the union is unreachable
@@ -194,8 +132,8 @@ def cone_members(g, u):
 
 def test_forbidden_monotone(grid8):
     members = cone_members(grid8, 0)
-    base = multi_dijkstra(members, [(0, 0)], strategy="monge")
-    walled = multi_dijkstra(members, [(0, 0)], forbidden=[9, 18], strategy="monge")
+    base = multi_dijkstra(members, [(0, 0)])
+    walled = multi_dijkstra(members, [(0, 0)], forbidden=[9, 18])
     for v in base.vertices:
         assert walled.label(v) >= base.label(v)
 
@@ -205,10 +143,9 @@ def test_cone_equals_global_sssp(grid8, tri60):
         for u in (0, g.n // 3, g.n - 1):
             ref = sssp(g, u)
             members = cone_members(g, u)
-            for strategy in ("naive", "monge"):
-                res = multi_dijkstra(members, [(u, 0)], strategy=strategy)
-                for v in res.vertices:
-                    assert res.label(v) == ref[v], (u, v, strategy)
+            res = multi_dijkstra(members, [(u, 0)])
+            for v in res.vertices:
+                assert res.label(v) == ref[v], (u, v)
 
 
 def test_cone_structure(grid8):
@@ -228,8 +165,6 @@ def test_error_cases():
         multi_dijkstra([m], [(7, 0)])
     with pytest.raises(ValueError):
         multi_dijkstra([m], [(0, -1)])
-    with pytest.raises(ValueError):
-        multi_dijkstra([m], [(0, 0)], strategy="smawk")
     bad = dense([0, 1], {(0, 1): -3})
     with pytest.raises(ValueError):
         multi_dijkstra([bad], [(0, 0)])
@@ -240,8 +175,7 @@ def test_error_cases():
 def test_counters_and_metadata():
     rng = random.Random(31)
     members = random_members(rng)
-    res = multi_dijkstra(members, [(members[0].nodes[0], 0)], strategy="monge")
-    assert res.strategy == "monge"
+    res = multi_dijkstra(members, [(members[0].nodes[0], 0)])
     assert 0 < res.settled <= len(res.vertices)
     assert res.relaxations >= 0
     assert res.union_vertices == sum(len(m.nodes) for m in members)
@@ -254,10 +188,21 @@ def test_counters_and_metadata():
 
 
 def test_monge_skips_settled_columns():
-    # the monge scan must touch settled columns strictly less often
+    # the scan must relax fewer entries than the finite entries in the full
+    # rows of the vertices it settled; no vertex is forbidden here, so every
+    # settled vertex is relaxed out of, and with no target the settled ones
+    # are exactly the reachable ones
     rng = random.Random(41)
     members = random_members(rng, n_ids=30, n_members=8)
-    src = [(members[0].nodes[0], 0)]
-    a = multi_dijkstra(members, src, strategy="naive")
-    b = multi_dijkstra(members, src, strategy="monge")
-    assert b.relaxations <= a.relaxations
+    res = multi_dijkstra(members, [(members[0].nodes[0], 0)])
+    settled = {v for v, _ in res.items()}
+    assert len(settled) == res.settled
+    full_rows = 0
+    for m in members:
+        k = len(m.nodes)
+        for i, v in enumerate(m.nodes):
+            if v in settled:
+                full_rows += sum(
+                    1 for w in m.matrix[i * k : (i + 1) * k] if w < MATRIX_SENTINEL
+                )
+    assert res.relaxations < full_rows

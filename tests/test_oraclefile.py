@@ -1,7 +1,10 @@
 """On-disk oracle format: round trips, byte stability, corruption handling."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -96,7 +99,7 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
@@ -150,6 +153,78 @@ def test_decode_faults_raise_file_error(tmp_path, monkeypatch, write, cause):
     with pytest.raises(OracleFileError) as info:
         load_oracle(p)
     assert isinstance(info.value.__cause__, cause)
+
+
+@pytest.fixture(scope="module")
+def fo6():
+    return FailureOracle(generate_grid(6, 6, max_weight=5, seed=3), leaf_size=8)
+
+
+def _crafted(fo, tmp_path, field, value):
+    """fo's file with the graph section's length, or a field of the tree's
+    first piece, overwritten."""
+    p = tmp_path / "f.bin"
+    save_oracle(fo, p)
+    raw = bytearray(p.read_bytes())
+    # magic, version and kind, then the graph length and text; then leaf
+    # size, r_base, the r sequence and the piece count before piece 0
+    graph_end = 11 + int.from_bytes(raw[7:11], "little")
+    parent_at = graph_end + 16 + 4 * len(fo.tree.r_sequence)
+    if field == "graph-length":
+        raw[7:11] = value.to_bytes(4, "little")
+    elif field == "parent":
+        raw[parent_at : parent_at + 8] = value.to_bytes(8, "little", signed=True)
+    else:  # piece 0's vertex-list length, after its parent and depth
+        raw[parent_at + 12 : parent_at + 16] = value.to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    return p
+
+
+def test_bad_parent_id(tmp_path, fo6):
+    count = len(fo6.tree.pieces)
+    # piece 0 is the root, whose parent is -1; past the piece list, below
+    # -1, or itself (a loop that made queries walk up the tree forever)
+    for parent in (count + 5, count, -2, 0):
+        p = _crafted(fo6, tmp_path, "parent", parent)
+        with pytest.raises(OracleFileError):
+            load_oracle(p)
+
+
+def _load_error_with_2gib_address_space(path):
+    """Name of the exception load_oracle raises in a child process whose
+    address space is capped at 2 GiB, where an allocation sized by an
+    unchecked length field fails with MemoryError."""
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+        "from planar_oracle.oraclefile import load_oracle\n"
+        "try:\n"
+        "    load_oracle(sys.argv[1])\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return out.stdout.strip() or out.stderr
+
+
+def test_huge_graph_length(tmp_path, fo6):
+    p = _crafted(fo6, tmp_path, "graph-length", 0xFFFFFFF0)
+    assert _load_error_with_2gib_address_space(p) == "OracleFileError"
+
+
+def test_huge_id_list_length(tmp_path, fo6):
+    p = _crafted(fo6, tmp_path, "vertex-list-length", 0xFFFFFFFF)
+    assert _load_error_with_2gib_address_space(p) == "OracleFileError"
 
 
 def test_unserializable_type(tmp_path):

@@ -125,23 +125,6 @@ def test_construction_validation(grid8):
         TradeoffOracle(grid8, r=33, k=1, leaf_size=8)
     with pytest.raises(ValueError):
         TradeoffOracle(grid8, r=32, k=-1, leaf_size=8)
-    with pytest.raises(ValueError):
-        TradeoffOracle(grid8, r=32, k=1, leaf_size=8, strategy="bogus")
-
-
-def test_strategies_agree(grid8, to8):
-    rng = random.Random("to-strat")
-    for _ in range(60):
-        u, v = rng.randrange(64), rng.randrange(64)
-        if u == v:
-            continue
-        x = set()
-        c = rng.randrange(64)
-        if c not in (u, v):
-            x.add(c)
-        assert to8.distance(u, v, x, strategy="naive") == to8.distance(
-            u, v, x, strategy="monge"
-        )
 
 
 def test_table_shapes(to8):
@@ -150,7 +133,7 @@ def test_table_shapes(to8):
         ids = tuple(sorted(ids))
         assert ids in to8.ext
         bset = sorted({v for pid in ids for v in tree.pieces[pid].boundary})
-        for q in to8.exits[ids]:
+        for q in to8._exit_family(ids):
             qb = tree.pieces[q].boundary
             for y in bset:
                 row = to8.vor[(ids, q, y)]
