@@ -17,7 +17,7 @@ import sys
 from math import isqrt
 
 from .baseline import distance_avoiding
-from .bench import BenchReport, bench_config, run_bench
+from .bench import bench_config, run_bench
 from .dynamic_oracle import DynamicOracle
 from .generate import generate_grid, generate_random_triangulation
 from .graph import UNREACHABLE, EmbeddingError, GraphFormatError, load_graph, save_graph

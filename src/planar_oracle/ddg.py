@@ -14,9 +14,8 @@ Three variants are computed here:
 All in-piece variants run through one blocked-relaxation kernel that fills
 a flat matrix row by row.
 
-Anchor leaves get no matrix at query time: each joins the union as its
-own arcs, with failed vertices and their arcs removed, so no per-query
-Dijkstra runs.
+Anchor leaves get no matrix: each joins the union as its own arcs, all of
+them, built once per leaf, so no per-query Dijkstra runs.
 """
 
 from __future__ import annotations
@@ -191,24 +190,16 @@ def compute_ddg_internal(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
     return DenseDistanceGraph("strict_internal", piece.boundary, matrix, (piece.id,))
 
 
-def compute_leaf_ddg(
-    g: EmbeddedPlanarGraph,
-    piece,
-    failed: frozenset[int] = frozenset(),
-) -> SparseMember:
+def compute_leaf_ddg(g: EmbeddedPlanarGraph, piece) -> SparseMember:
     """A leaf piece as a union member of its own arcs.
 
-    Every leaf vertex except the ``failed`` ones is a node, and every arc
-    of the leaf without a failed endpoint is kept; no Dijkstra runs here.
+    Every leaf vertex is a node and every leaf arc is kept; no Dijkstra
+    runs here.  Failed vertices stay in: the union scan never relaxes out
+    of them, so the oracles build each leaf's member once and reuse it for
+    every query.
     """
     arcs = g.arcs
-    nodes = tuple(v for v in piece.vertices if v not in failed)
-    kept = [
-        arcs[a]
-        for a in piece.arcs
-        if arcs[a][0] not in failed and arcs[a][1] not in failed
-    ]
-    return SparseMember(nodes, kept, piece_id=piece.id)
+    return SparseMember(piece.vertices, [arcs[a] for a in piece.arcs], piece_id=piece.id)
 
 
 def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistanceTable:
@@ -264,7 +255,7 @@ class DdgStore:
     Non-leaf matrices are what the failure oracle precomputes; leaf
     matrices are cheap and memoized on first use, for leaves that join a
     union as siblings.  Anchor leaves never come from here: they join as
-    their own arcs (see ``compute_leaf_ddg``).
+    their own arcs, which the oracle caches (see ``compute_leaf_ddg``).
     """
 
     def __init__(self, g: EmbeddedPlanarGraph, tree):

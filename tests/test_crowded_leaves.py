@@ -14,6 +14,7 @@ from planar_oracle.baseline import distance_avoiding
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid, generate_random_triangulation
+from planar_oracle.oraclefile import load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 from conftest import in_piece_distance
@@ -117,3 +118,50 @@ def test_path_leaves_the_leaf_and_returns(oracles):
                     oracles.check(u, v, x)
     # the shortcut through the rest of the graph must actually occur
     assert detours > 0
+
+
+def _snapshot(oracle):
+    return {
+        leaf: (m, m.nodes, m.arcs, {v: tuple(out) for v, out in m.out.items()})
+        for leaf, m in oracle._leaves.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["grid16", "tri200"])
+def test_queries_leave_cached_leaves_unchanged(name, zoo, tmp_path):
+    # every leaf member is built once and shared by all later queries, so
+    # no query may change one: failed vertices are blocked in the scan, not
+    # removed from the member
+    g = zoo[name]
+    fo = FailureOracle(g, leaf_size=16, r_base=4)
+    to = TradeoffOracle(g, r=fo.tree.r_sequence[0], k=2, tree=fo.tree)
+    oracles = [fo, to]
+    for i, built in enumerate((fo, to)):
+        path = tmp_path / f"{i}.bin"
+        save_oracle(built, path)
+        oracles.append(load_oracle(path))
+    leaves = fo.tree.leaves()
+    for oracle in oracles:
+        for leaf in leaves:
+            oracle._leaf(leaf)
+    before = [_snapshot(oracle) for oracle in oracles]
+
+    rng = random.Random(f"cached-leaves:{name}")
+    main = 0
+    for _ in range(300):
+        u, v = rng.sample(range(g.n), 2)
+        inside = [
+            w
+            for w in fo.tree.pieces[fo.tree.leaf_of[rng.choice((u, v))]].vertices
+            if w not in (u, v)
+        ]
+        x = frozenset(rng.sample(inside, min(len(inside), rng.randint(1, 2))))
+        want = distance_avoiding(g, u, v, x)
+        for oracle in oracles:
+            assert oracle.distance(u, v, x) == want, (u, v, sorted(x))
+        main += to._plan(u, v, tuple(sorted(x))) is not None
+    assert main > 0
+
+    # the same member objects, with the same nodes, arcs and out-lists
+    for oracle, snap in zip(oracles, before):
+        assert _snapshot(oracle) == snap

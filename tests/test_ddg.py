@@ -85,37 +85,36 @@ def test_strict_entries_dominate_full(setup8):
 
 
 def test_leaf_ddg_with_failures(setup8):
-    # the leaf member's own arcs give exact in-leaf distances avoiding the
-    # failed vertices, boundary and interior alike
+    # the leaf member's own arcs, with the failed vertices forbidden in the
+    # scan, give exact in-leaf distances avoiding them, boundary and
+    # interior alike
     g, tree = setup8
     rng = random.Random(3)
     for leaf in tree.leaves()[:6]:
         piece = tree.pieces[leaf]
         failed = frozenset(rng.sample(piece.vertices, min(2, len(piece.vertices) - 1)))
-        member = compute_leaf_ddg(g, piece, failed=failed)
+        member = compute_leaf_ddg(g, piece)
         assert member.piece_id == leaf
         alive = [v for v in piece.vertices if v not in failed]
         for s in alive:
-            res = multi_dijkstra([member], [(s, 0)])
+            res = multi_dijkstra([member], [(s, 0)], forbidden=failed)
             for t in alive:
                 assert res.raw(t) == in_piece_distance(g, piece, s, t, failed)
 
 
 def test_leaf_extras_become_nodes(setup8):
-    # every leaf vertex is a node, so query endpoints need no grafting;
-    # failed vertices and every arc touching one are gone
+    # every leaf vertex is a node, so query endpoints need no grafting, and
+    # every leaf arc is kept, each in its tail's out-list
     g, tree = setup8
-    rng = random.Random(5)
     for leaf in tree.leaves()[:6]:
         piece = tree.pieces[leaf]
-        assert compute_leaf_ddg(g, piece).nodes == piece.vertices
-        failed = frozenset(rng.sample(piece.vertices, min(3, len(piece.vertices) - 1)))
-        member = compute_leaf_ddg(g, piece, failed=failed)
-        assert set(member.nodes) == set(piece.vertices) - failed
-        for t, h, _ in member.arcs:
-            assert t not in failed and h not in failed
-        kept = {g.arcs[a] for a in piece.arcs} - set(member.arcs)
-        assert all(t in failed or h in failed for t, h, _ in kept)
+        member = compute_leaf_ddg(g, piece)
+        assert member.nodes == piece.vertices
+        assert member.arcs == tuple(g.arcs[a] for a in piece.arcs)
+        assert member.out.keys() == set(piece.vertices)
+        assert sorted((t, h, w) for t, out in member.out.items() for h, w in out) == sorted(
+            member.arcs
+        )
 
 
 def test_piece_distance_table(setup8):

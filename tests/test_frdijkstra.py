@@ -206,3 +206,45 @@ def test_monge_skips_settled_columns():
                     1 for w in m.matrix[i * k : (i + 1) * k] if w < MATRIX_SENTINEL
                 )
     assert res.relaxations < full_rows
+
+
+def test_labels_outside_the_union():
+    # labels are indexed by vertex id: ids 0..6, with 2 and 5 in no member
+    a = dense([0, 1, 3], {(0, 1): 2, (1, 3): 4})
+    b = SparseMember((3, 4, 6), [(3, 6, 1), (6, 4, 5)])
+    res = multi_dijkstra([a, b], [(0, 0)])
+    assert res.vertices == (0, 1, 3, 4, 6)
+    assert [res.raw(v) for v in res.vertices] == [0, 2, 6, 12, 7]
+    assert res.raw(6) == 7  # what a bare dist[-1] would read
+    for v in (-1, -7, 7, 10**9, 2, 5):
+        assert res.raw(v) == MATRIX_SENTINEL, v
+        assert res.label(v) == UNREACHABLE, v
+
+
+def test_forbidden_ids_outside_the_union_are_ignored():
+    a = dense([0, 1, 3], {(0, 1): 2, (1, 3): 4})
+    free = multi_dijkstra([a], [(0, 0)])
+    walled = multi_dijkstra([a], [(0, 0)], forbidden=[-1, 2, 4, 10**9])
+    assert [walled.raw(v) for v in range(-1, 5)] == [free.raw(v) for v in range(-1, 5)]
+    assert walled.settled == free.settled == 3
+
+
+def test_source_outside_the_union_raises():
+    a = dense([0, 1, 3], {(0, 1): 2})
+    for v in (-1, 2, 4, 10**9):
+        with pytest.raises(ValueError):
+            multi_dijkstra([a], [(v, 0)])
+
+
+def test_held_result_keeps_its_labels():
+    # each run owns its label list, so a later run on the same union leaves
+    # an earlier result untouched
+    rng = random.Random(43)
+    union = DdgUnion(random_members(rng, n_ids=20, n_members=5))
+    runs = []
+    for v in union.vertices:
+        res = multi_dijkstra(union, [(v, 0)], forbidden=union.vertices[:2])
+        runs.append((res, list(res.items())))
+    for res, items in runs:
+        assert list(res.items()) == items
+    assert len({tuple(items) for _, items in runs}) > 1

@@ -10,6 +10,7 @@ import pytest
 
 from planar_oracle import oraclefile
 from planar_oracle.baseline import distance_avoiding
+from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid
 from planar_oracle.graph import GraphFormatError
@@ -127,6 +128,14 @@ def _bad_variant(fo, path, monkeypatch):
         save_oracle(fo, path)
 
 
+def _short_matrices(fo, path, monkeypatch):
+    # every stored matrix loses its last entry, so no length fits its nodes
+    write = oraclefile._w_matrix
+    with monkeypatch.context() as m:
+        m.setattr(oraclefile, "_w_matrix", lambda fh, mat: write(fh, mat[:-1]))
+        save_oracle(fo, path)
+
+
 def _graph_byte(value):
     def write(fo, path, monkeypatch):
         save_oracle(fo, path)
@@ -141,10 +150,11 @@ def _graph_byte(value):
     "write, cause",
     [
         (_bad_variant, IndexError),
+        (_short_matrices, ValueError),
         (_graph_byte(0xFF), UnicodeDecodeError),
         (_graph_byte(ord("x")), GraphFormatError),
     ],
-    ids=["ddg-variant", "non-ascii-graph", "bad-graph-text"],
+    ids=["ddg-variant", "matrix-shape", "non-ascii-graph", "bad-graph-text"],
 )
 def test_decode_faults_raise_file_error(tmp_path, monkeypatch, write, cause):
     fo = FailureOracle(generate_grid(6, 6, max_weight=5, seed=3), leaf_size=8)
@@ -174,8 +184,10 @@ def _crafted(fo, tmp_path, field, value):
         raw[7:11] = value.to_bytes(4, "little")
     elif field == "parent":
         raw[parent_at : parent_at + 8] = value.to_bytes(8, "little", signed=True)
-    else:  # piece 0's vertex-list length, after its parent and depth
+    elif field == "vertex-list-length":  # piece 0's, after its parent and depth
         raw[parent_at + 12 : parent_at + 16] = value.to_bytes(4, "little")
+    else:  # piece 0's first vertex id, after its vertex-list length
+        raw[parent_at + 16 : parent_at + 20] = value.to_bytes(4, "little")
     p.write_bytes(bytes(raw))
     return p
 
@@ -188,6 +200,27 @@ def test_bad_parent_id(tmp_path, fo6):
         p = _crafted(fo6, tmp_path, "parent", parent)
         with pytest.raises(OracleFileError):
             load_oracle(p)
+
+
+def test_vertex_id_past_graph(tmp_path, monkeypatch, fo6):
+    # queries size their label lists by the largest vertex id they meet
+    for value in (fo6.graph.n, 10**6, 0xFFFFFFFF):
+        p = _crafted(fo6, tmp_path, "first-vertex", value)
+        with pytest.raises(OracleFileError):
+            load_oracle(p)
+    # the same for a stored matrix's node list
+    write = oraclefile._write_ddg
+
+    def shifted(fh, ddg):
+        nodes = tuple(v + fo6.graph.n for v in ddg.nodes)
+        write(fh, DenseDistanceGraph(ddg.variant, nodes, ddg.matrix, ddg.source_pieces))
+
+    p = tmp_path / "shifted.bin"
+    with monkeypatch.context() as m:
+        m.setattr(oraclefile, "_write_ddg", shifted)
+        save_oracle(fo6, p)
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
 
 
 def _load_error_with_2gib_address_space(path):
