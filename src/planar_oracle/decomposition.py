@@ -153,9 +153,6 @@ class DecompositionTree:
     def root(self) -> Piece:
         return self.pieces[0]
 
-    def parent_of(self, node: int) -> int | None:
-        return self.pieces[node].parent
-
     def sibling_of(self, node: int) -> int | None:
         par = self.pieces[node].parent
         if par is None:

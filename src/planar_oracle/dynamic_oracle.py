@@ -97,10 +97,6 @@ class DynamicOracle:
     # -- bookkeeping ---------------------------------------------------------
 
     @property
-    def n_alive(self) -> int:
-        return sum(self.v_alive)
-
-    @property
     def m_alive(self) -> int:
         return sum(self.arc_alive)
 

@@ -1,26 +1,25 @@
-"""Strict-external dense distance graphs.
+"""Strict-external dense distance graphs and directional rows.
 
 For a tuple T of pieces taken from one marked r-division, the external DDG
-ext(T) is the complete matrix on the union of the pieces' boundaries where
-entry (x, y) is the length of the shortest x-to-y path that uses no arc
-lying inside any piece of T and visits no other boundary vertex of T in
-between.
+ext(T) is the complete matrix on ∂T, the union of the pieces' boundaries,
+where entry (x, y) is the length of the shortest x-to-y path that uses no
+arc lying inside any piece of T and visits no other vertex of ∂T in
+between.  The directional (``vor``) row of a vertex y ∈ ∂T and an exit
+piece Q holds the distances, under the same rules, from y to the boundary
+of Q: paths through the graph outside the tuple pieces.
 
-The matrices are produced by induction over the marked r-division sequence,
-coarse to fine.  For a tuple T at one level, map every piece to its
-ancestor in the next coarser division to get T'; recursively build ext(T');
-for each ancestor A build the "inside A minus the contained pieces" matrix
-from the strict matrices of unmarked siblings hanging off the paths from
-the contained pieces up to A; then stitch ext(T') and those per-ancestor
-matrices together with one forbidden-transit Dijkstra per boundary vertex.
+Both tables come from one pass per tuple.  The strict matrices of the
+unmarked siblings along the tuple pieces' root paths (marked: containing a
+tuple piece) tile the graph minus the tuple pieces' interiors.  One
+forbidden-transit Dijkstra per vertex y of ∂T over the union of those
+matrices gives ext(T)'s row y and y's row for every exit piece.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Sequence
 
-from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
+from .graph import MATRIX_SENTINEL
 from .ddg import DdgStore, DenseDistanceGraph
 from .frdijkstra import DdgUnion, multi_dijkstra
 
@@ -28,129 +27,55 @@ __all__ = ["ExternalDdgBuilder"]
 
 
 class ExternalDdgBuilder:
-    """Memoizing builder for external DDGs over one decomposition tree."""
+    """Builds ext(T) and the directional rows of tuples of one tree."""
 
-    def __init__(self, g: EmbeddedPlanarGraph, tree, store: DdgStore):
-        self.graph = g
+    def __init__(self, tree, store: DdgStore):
         self.tree = tree
         self.store = store
-        self.levels: tuple[int, ...] = tree.r_sequence
-        self._mark_sets = {r: frozenset(tree.r_division(r)) for r in self.levels}
-        self._ext: dict[tuple[int, tuple[int, ...]], DenseDistanceGraph] = {}
-        self._inside: dict[tuple[int, tuple[int, ...]], DenseDistanceGraph] = {}
 
-    # -- public entry ------------------------------------------------------
-
-    def ext(self, piece_ids: Iterable[int], r: int) -> DenseDistanceGraph:
-        ids = tuple(sorted(set(piece_ids)))
-        if not ids:
-            raise ValueError("external DDG needs at least one piece")
-        if r not in self._mark_sets:
-            raise ValueError(f"r={r} is not in the marked sequence {self.levels}")
-        if not all(p in self._mark_sets[r] for p in ids):
-            raise ValueError("pieces are not all marked in the r-division for r")
-        return self._ext_at(self.levels.index(r), ids)
-
-    # -- induction ---------------------------------------------------------
-
-    def _ext_at(self, level: int, ids: tuple[int, ...]) -> DenseDistanceGraph:
-        key = (level, ids)
-        got = self._ext.get(key)
-        if got is not None:
-            return got
-
-        tree = self.tree
-        nodes = tuple(
-            sorted({v for pid in ids for v in tree.pieces[pid].boundary})
-        )
-
-        if level == len(self.levels) - 1:
-            # coarsest division is the root alone: nothing lies outside it
-            out = _all_unreachable(nodes, ids)
-            self._ext[key] = out
-            return out
-
-        next_marks = self._mark_sets[self.levels[level + 1]]
-        by_ancestor: dict[int, list[int]] = {}
-        for pid in ids:
-            anc = pid
-            while anc not in next_marks:
-                anc = tree.pieces[anc].parent
-            by_ancestor.setdefault(anc, []).append(pid)
-
-        parent_ext = self._ext_at(level + 1, tuple(sorted(by_ancestor)))
-        members = [parent_ext]
-        for anc in sorted(by_ancestor):
-            members.append(self._inside_minus(anc, tuple(sorted(by_ancestor[anc]))))
-
-        out = self._stitch(nodes, members, ids)
-        self._ext[key] = out
-        return out
-
-    def _inside_minus(self, anc: int, contained: tuple[int, ...]) -> DenseDistanceGraph:
-        """Distances inside piece ``anc`` with the contained pieces' arcs
-        removed, between the boundaries of ``anc`` and of the contained
-        pieces, no transit through those boundaries."""
-        key = (anc, contained)
-        got = self._inside.get(key)
-        if got is not None:
-            return got
-
+    def _tuple_members(self, ids: tuple[int, ...]) -> list:
+        """Members tiling the graph minus the tuple pieces' interiors.  The
+        tuple matrices themselves stay out; their interiors host the
+        failures at query time, so no stored path may run through them."""
         tree = self.tree
         marked: set[int] = set()
-        for pid in contained:
-            cur = pid
-            while True:
-                marked.add(cur)
-                if cur == anc:
-                    break
-                cur = tree.pieces[cur].parent
-        sibs: set[int] = set()
-        for node in marked:
-            if node == anc:
-                continue
-            sib = tree.sibling_of(node)
-            if sib is not None and sib not in marked:
-                sibs.add(sib)
-        members = [self.store.strict(s) for s in sorted(sibs)]
-
-        node_set = set(tree.pieces[anc].boundary)
-        for pid in contained:
-            node_set.update(tree.pieces[pid].boundary)
-        nodes = tuple(sorted(node_set))
-
-        out = self._stitch(nodes, members, (anc,) + contained)
-        self._inside[key] = out
-        return out
-
-    def _stitch(
-        self,
-        nodes: tuple[int, ...],
-        members: Sequence,
-        source_pieces: tuple[int, ...],
-    ) -> DenseDistanceGraph:
-        """One forbidden-transit Dijkstra per node over the member union."""
-        k = len(nodes)
-        matrix = array("q", [MATRIX_SENTINEL]) * (k * k)
-        if k:
-            union = DdgUnion(members) if members else None
-            node_set = set(nodes)
-            for i, src in enumerate(nodes):
-                row = i * k
-                matrix[row + i] = 0
-                if union is None or src not in union:
+        for pid in ids:
+            marked.update(tree.root_path(pid))
+        members = []
+        seen: set[int] = set()
+        for pid in ids:
+            for node in tree.root_path(pid):
+                sib = tree.sibling_of(node)
+                if sib is None or sib in seen or sib in marked:
                     continue
-                res = multi_dijkstra(union, [(src, 0)], forbidden=node_set - {src})
-                for j, tgt in enumerate(nodes):
-                    if j != i:
-                        matrix[row + j] = res.raw(tgt)
-        return DenseDistanceGraph("strict_external", nodes, matrix, source_pieces)
+                seen.add(sib)
+                members.append(self.store.strict(sib))
+        return members
+
+    def ext(self, ids: tuple[int, ...], exits: tuple[int, ...]):
+        """ext(T) for the sorted, distinct piece ids ``ids``, and the
+        directional rows keyed by (ids, exit piece, y) for every exit piece
+        in ``exits`` and every y ∈ ∂T, each row over the exit piece's
+        boundary."""
+        pieces = self.tree.pieces
+        nodes = tuple(sorted({v for pid in ids for v in pieces[pid].boundary}))
+        node_set = set(nodes)
+        union = DdgUnion(self._tuple_members(ids))
+        matrix = array("q")
+        vor: dict[tuple[tuple[int, ...], int, int], array] = {}
+        for y in nodes:
+            if y in union:
+                # the source overrides its own forbidden entry
+                raw = multi_dijkstra(union, [(y, 0)], forbidden=node_set).raw
+            else:
+                raw = _empty_path_only(y)
+            matrix.extend(raw(x) for x in nodes)
+            for q in exits:
+                vor[(ids, q, y)] = array("q", [raw(s) for s in pieces[q].boundary])
+        return DenseDistanceGraph("strict_external", nodes, matrix, ids), vor
 
 
-def _all_unreachable(nodes: tuple[int, ...], ids: tuple[int, ...]) -> DenseDistanceGraph:
-    k = len(nodes)
-    matrix = array("q", [MATRIX_SENTINEL]) * (k * k)
-    for i in range(k):
-        matrix[i * k + i] = 0
-    return DenseDistanceGraph("strict_external", nodes, matrix, ids)
-
+def _empty_path_only(y: int):
+    """Distances from a y whose every arc lies inside a tuple piece: the
+    only usable path from y is the empty one."""
+    return lambda s: 0 if s == y else MATRIX_SENTINEL

@@ -7,6 +7,8 @@ the stored matrices.  Trade-off files append the per-tuple external
 matrices, the directional tables and the piece tables.  Unreachable
 entries are written as -1.  All dictionary sections are emitted in sorted
 key order, so building the same oracle twice produces identical bytes.
+Vertex, arc and piece ids in the tree section, and the trade-off r, are
+range-checked at load, so a crafted file raises OracleFileError there.
 """
 
 from __future__ import annotations
@@ -159,6 +161,14 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         vertices = rd.vertex_ids(g.n)
         boundary = rd.vertex_ids(g.n)
         arcs = rd.ids()
+        if arcs and max(arcs) >= g.m:
+            raise OracleFileError(f"piece {pid} has arc id {max(arcs)} of {g.m}")
+        inside = set(vertices)
+        if not (
+            inside.issuperset(g.tails[a] for a in arcs)
+            and inside.issuperset(g.heads[a] for a in arcs)
+        ):
+            raise OracleFileError(f"piece {pid} has an arc with an end outside its vertices")
         separator = rd.vertex_ids(g.n)
         pieces.append(
             Piece(
@@ -181,7 +191,14 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
     for _ in range(rd.u32()):
         r = rd.u32()
         marks[r] = rd.ids()
+        if marks[r] and max(marks[r]) >= count:
+            raise OracleFileError(f"r={r} division names piece {max(marks[r])} of {count}")
     leaf_of = rd.ids()
+    if len(leaf_of) != g.n:
+        raise OracleFileError(f"{len(leaf_of)} home leaves for {g.n} vertices")
+    for v, leaf in enumerate(leaf_of):
+        if not (leaf < count and pieces[leaf].is_leaf and pieces[leaf].contains(v)):
+            raise OracleFileError(f"vertex {v} has bad home leaf {leaf}")
     return DecompositionTree(g, pieces, leaf_size, r_base, r_sequence, marks, leaf_of)
 
 
@@ -288,6 +305,8 @@ def load_oracle(path: str):
             return _restore_failure(g, tree, strict)
 
         r = rd.u32()
+        if r not in tree._marks:
+            raise OracleFileError(f"r={r} is not in the marked sequence {tree.r_sequence}")
         k = rd.u32()
         strict = {}
         for _ in range(rd.u32()):

@@ -3,14 +3,16 @@
 Build time fixes an r-division of the decomposition tree and a failure
 budget k, then precomputes, for every (k+1)-subset T of the division:
 
-* ext(T): the strict-external matrix over the union of the tuple's
+* ext(T): the strict-external matrix over ∂T, the union of the tuple's
   boundaries (paths outside the tuple pieces), and
-* directional tables: for every boundary vertex y of the tuple and every
-  piece Q that can play the exit role for this tuple (a sibling of an
-  ancestor of a tuple piece), the distances from y to the boundary of Q in
-  the whole graph, avoiding every other tuple-boundary vertex in between,
+* directional tables: for every vertex y of ∂T and every piece Q that can
+  play the exit role for this tuple (a sibling of an ancestor of a tuple
+  piece), the distances from y to the boundary of Q through the graph
+  outside the tuple pieces, avoiding every other vertex of ∂T in between,
 
-together with plain boundary-to-everything tables for each such Q.
+together with plain boundary-to-everything tables for each such Q.  Both
+per-tuple tables come from one Dijkstra per vertex of ∂T (see the external
+module).
 
 A query picks a tuple that covers u and the failed vertices (one piece
 each), reads the precomputed matrices, and runs one small union Dijkstra;
@@ -95,60 +97,17 @@ class TradeoffOracle(FailureOracle):
                     fam.add(sib)
         return tuple(sorted(fam))
 
-    def _tuple_members(self, ids: tuple[int, ...]) -> list:
-        """Members tiling the graph minus the tuple pieces' interiors: the
-        unmarked siblings along every tuple piece's root path, where marked
-        means containing a tuple piece.  The tuple matrices themselves stay
-        out; their interiors host the failures at query time, so no stored
-        path may run through them."""
-        tree = self.tree
-        marked: set[int] = set()
-        for pid in ids:
-            marked.update(tree.root_path(pid))
-        members = []
-        seen: set[int] = set()
-        for pid in ids:
-            for node in tree.root_path(pid):
-                sib = tree.sibling_of(node)
-                if sib is None or sib in seen or sib in marked:
-                    continue
-                seen.add(sib)
-                members.append(self.store.strict(sib))
-        return members
-
     def _build(self) -> None:
-        tree = self.tree
-        ext_builder = ExternalDdgBuilder(self.graph, tree, self.store)
-        for combo in itertools.combinations(self.rdiv, self.k + 1):
-            ids = tuple(sorted(combo))
-            self.ext[ids] = ext_builder.ext(ids, r=self.r)
+        builder = ExternalDdgBuilder(self.tree, self.store)
+        for ids in itertools.combinations(self.rdiv, self.k + 1):
             exits = self._exit_family(ids)
             for q in exits:
                 if q not in self.piece_tables:
                     self.piece_tables[q] = compute_piece_distance_table(
-                        self.graph, tree.pieces[q]
+                        self.graph, self.tree.pieces[q]
                     )
-            members = self._tuple_members(ids)
-            covered: set[int] = set()
-            for m in members:
-                covered.update(m.nodes)
-            bset = sorted({v for pid in ids for v in tree.pieces[pid].boundary})
-            for y in bset:
-                if y not in covered:
-                    # every arc at y lies inside a tuple piece, so the only
-                    # usable middle segment from y is the empty one
-                    for q in exits:
-                        qb = tree.pieces[q].boundary
-                        self.vor[(ids, q, y)] = array(
-                            "q", [0 if s == y else MATRIX_SENTINEL for s in qb]
-                        )
-                    continue
-                res = multi_dijkstra(
-                    members, [(y, 0)], forbidden=[w for w in bset if w != y]
-                )
-                for q in exits:
-                    qb = tree.pieces[q].boundary
-                    self.vor[(ids, q, y)] = array("q", [res.raw(s) for s in qb])
+            self.ext[ids], rows = builder.ext(ids, exits)
+            self.vor.update(rows)
 
     # -- query helpers ---------------------------------------------------------
 

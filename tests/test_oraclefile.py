@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -219,6 +220,116 @@ def test_vertex_id_past_graph(tmp_path, monkeypatch, fo6):
     with monkeypatch.context() as m:
         m.setattr(oraclefile, "_write_ddg", shifted)
         save_oracle(fo6, p)
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+
+
+def _save_with_tree(oracle, path, monkeypatch, edit):
+    """Save oracle with its tree section written from a copy that ``edit``
+    changed; the oracle's own tree stays as it is."""
+    write = oraclefile._write_tree
+
+    def edited(fh, tree):
+        copy = SimpleNamespace(
+            leaf_size=tree.leaf_size,
+            r_base=tree.r_base,
+            r_sequence=tree.r_sequence,
+            pieces=[
+                SimpleNamespace(
+                    parent=p.parent,
+                    depth=p.depth,
+                    vertices=p.vertices,
+                    boundary=p.boundary,
+                    arcs=p.arcs,
+                    separator=p.separator,
+                )
+                for p in tree.pieces
+            ],
+            _marks=dict(tree._marks),
+            leaf_of=tree.leaf_of,
+        )
+        edit(copy, tree)
+        write(fh, copy)
+
+    with monkeypatch.context() as m:
+        m.setattr(oraclefile, "_write_tree", edited)
+        save_oracle(oracle, path)
+
+
+def _first_leaf(tree):
+    return next(p for p in tree.pieces if p.is_leaf)
+
+
+def _arc_past_graph(copy, tree):
+    leaf = copy.pieces[_first_leaf(tree).id]
+    leaf.arcs = leaf.arcs + (tree.graph.m,)
+
+
+def _arc_outside_piece(copy, tree):
+    leaf = _first_leaf(tree)
+    inside = set(leaf.vertices)
+    g = tree.graph
+    stray = next(a for a in range(g.m) if g.tails[a] not in inside and g.heads[a] not in inside)
+    copy.pieces[leaf.id].arcs = tuple(sorted(leaf.arcs + (stray,)))
+
+
+def _short_leaf_of(copy, tree):
+    copy.leaf_of = tree.leaf_of[:-1]
+
+
+def _leaf_of_names_root(copy, tree):
+    copy.leaf_of = (0,) + tree.leaf_of[1:]
+
+
+def _leaf_of_names_other_leaf(copy, tree):
+    v = tree.leaf_of.index(_first_leaf(tree).id)
+    other = next(p.id for p in tree.pieces if p.is_leaf and not p.contains(v))
+    copy.leaf_of = tree.leaf_of[:v] + (other,) + tree.leaf_of[v + 1 :]
+
+
+def _leaf_of_past_pieces(copy, tree):
+    copy.leaf_of = (len(tree.pieces),) + tree.leaf_of[1:]
+
+
+def _mark_past_pieces(copy, tree):
+    r = tree.r_sequence[0]
+    copy._marks[r] = copy._marks[r] + (len(tree.pieces),)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _arc_past_graph,
+        _arc_outside_piece,
+        _short_leaf_of,
+        _leaf_of_names_root,
+        _leaf_of_names_other_leaf,
+        _leaf_of_past_pieces,
+        _mark_past_pieces,
+    ],
+    ids=[
+        "arc-past-graph",
+        "arc-outside-piece",
+        "short-leaf-of",
+        "leaf-of-not-a-leaf",
+        "leaf-of-misses-vertex",
+        "leaf-of-past-pieces",
+        "mark-past-pieces",
+    ],
+)
+def test_tree_ids_out_of_range(tmp_path, monkeypatch, fo6, edit):
+    # each of these loaded and then failed, or answered wrongly, at query time
+    p = tmp_path / "f.bin"
+    _save_with_tree(fo6, p, monkeypatch, edit)
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+
+
+def test_tradeoff_r_not_marked(tmp_path):
+    to = TradeoffOracle(generate_grid(6, 6, max_weight=5, seed=3), r=16, k=1, leaf_size=4)
+    to.r = 17  # not a marked r; the tree section is unchanged
+    p = tmp_path / "t.bin"
+    save_oracle(to, p)
     with pytest.raises(OracleFileError):
         load_oracle(p)
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from planar_oracle import external, tradeoff_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
@@ -197,3 +198,20 @@ def test_unreachable_target(path12):
     to = TradeoffOracle(path12, r=8, k=1, leaf_size=4, r_base=2)
     assert to.distance(11, 0) == UNREACHABLE
     assert to.distance(0, 11, {6}) == UNREACHABLE
+
+
+def test_one_dijkstra_per_tuple_boundary_vertex(grid16, monkeypatch):
+    """The build reads ext(T) and the directional rows from the same runs:
+    at most one union Dijkstra per vertex of each tuple's boundary."""
+    runs = 0
+    for mod in (external, tradeoff_oracle):
+
+        def counting(*args, _inner=mod.multi_dijkstra, **kwargs):
+            nonlocal runs
+            runs += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "multi_dijkstra", counting)
+    to = TradeoffOracle(grid16, r=64, k=1, leaf_size=16, r_base=2)
+    bound = sum(len(ext.nodes) for ext in to.ext.values())
+    assert 0 < runs <= bound
