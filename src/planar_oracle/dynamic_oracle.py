@@ -15,17 +15,24 @@ land in:
   recomputed,
 * edge deletions shrink one region, leaving its old boundary as a valid
   superset,
-* vertex deletions excise the incident arcs; a deleted boundary vertex is
-  remembered and barred from queries instead of rewriting every matrix
-  that mentions it, which is sound because strict entries never pass
-  through boundary vertices internally.
+* vertex deletions take the vertex and its arcs out of every region that
+  holds them and recompute those regions, so no region names a dead vertex.
 
-Every ceil(sqrt(r)) structural operations (arc or vertex insertions and
-deletions) the whole structure is rebuilt from the current graph.  Weight
-changes never trigger a rebuild: the decomposition reads only topology, so
-a rebuild after weight changes alone would reproduce the same regions and
-matrices.  Queries run one union Dijkstra over the endpoint regions' raw
-arcs plus all region matrices.
+Queries are exact whatever the regions are; the division only keeps region
+sizes and boundaries bounded.  So the whole structure is rebuilt from the
+current graph only when, after an arc insertion,
+
+* a region holds more than 2r vertices,
+* a region's boundary is more than twice its size at the last division,
+  or more than ceil(sqrt(r)) if that is larger, or
+* there are more than twice as many regions as the last division made
+  (an arc between two regionless vertices starts a new region).
+
+No other update can trip these budgets: deletions only shrink regions, a
+new vertex joins no region, and weight changes leave the topology, which is
+all the decomposition reads, as it was.  Queries run one union Dijkstra
+over the endpoint regions' raw arcs plus all region matrices; each region's
+raw-arc member is built on first use and kept until the region changes.
 """
 
 from __future__ import annotations
@@ -53,13 +60,20 @@ def _is_index(x) -> bool:
 
 
 class _Region:
-    __slots__ = ("vertices", "boundary", "arcs", "ddg")
+    """One region: its vertices, boundary and arc ids, the strict matrix
+    over its boundary, its raw arcs as a union member (built on first use),
+    and its boundary size when the last division made it (0 for a region
+    started since)."""
+
+    __slots__ = ("vertices", "boundary", "arcs", "ddg", "member", "divided_boundary")
 
     def __init__(self, vertices: set[int], boundary: set[int], arcs: set[int]):
         self.vertices = vertices
         self.boundary = boundary
         self.arcs = arcs
         self.ddg: DenseDistanceGraph | None = None
+        self.member: SparseMember | None = None
+        self.divided_boundary = 0
 
 
 class DynamicOracle:
@@ -74,7 +88,7 @@ class DynamicOracle:
             raise ValueError("r must be at least 3")
         self.r = r
         self.r_base = max(2, r_base)
-        self.rebuild_every = max(1, math.isqrt(r - 1) + 1)
+        self.boundary_floor = math.isqrt(r - 1) + 1  # ceil(sqrt(r))
 
         # mutable public-id state
         self.v_alive: list[bool] = [True] * g.n
@@ -89,8 +103,7 @@ class DynamicOracle:
 
         self.regions: list[_Region] = []
         self.region_of_arc: dict[int, int] = {}
-        self.deleted_boundary: set[int] = set()
-        self.ops_since_rebuild = 0
+        self.divided_regions = 0  # region count at the last division
         self.rebuild_count = 0
         self._rebuild()
 
@@ -117,10 +130,17 @@ class DynamicOracle:
                 f"sum of |weights| {weight_sum} would exceed the 63-bit budget"
             )
 
-    def _tick(self) -> None:
-        self.ops_since_rebuild += 1
-        if self.ops_since_rebuild >= self.rebuild_every:
-            self._rebuild()
+    def _outgrown(self, touched) -> bool:
+        """Whether the regions have outgrown the last division, given that
+        only the regions in ``touched`` grew since the last check."""
+        if len(self.regions) > 2 * self.divided_regions:
+            return True
+        for ri in touched:
+            reg = self.regions[ri]
+            budget = max(2 * reg.divided_boundary, self.boundary_floor)
+            if len(reg.vertices) > 2 * self.r or len(reg.boundary) > budget:
+                return True
+        return False
 
     # -- snapshot / rebuild ----------------------------------------------------
 
@@ -166,22 +186,24 @@ class DynamicOracle:
                 for ri in ris:
                     self.regions[ri].boundary.add(v)
         for reg in self.regions:
+            reg.divided_boundary = len(reg.boundary)
             self._recompute(reg)
-        self.deleted_boundary = set()
-        self.ops_since_rebuild = 0
+        self.divided_regions = len(self.regions)
         self.rebuild_count += 1
 
-    def _recompute(self, reg: _Region) -> None:
-        """Strict boundary-to-boundary matrix of one region, public ids."""
-        nodes = tuple(sorted(v for v in reg.boundary if self.v_alive[v]))
-        verts = tuple(sorted(v for v in reg.vertices if self.v_alive[v]))
-        arcs = (
-            (self.arc_tail[a], self.arc_head[a], self.arc_weight[a])
-            for a in sorted(reg.arcs)
-            if self.arc_alive[a]
+    def _arc_triples(self, reg: _Region):
+        return (
+            (self.arc_tail[a], self.arc_head[a], self.arc_weight[a]) for a in sorted(reg.arcs)
         )
-        matrix = strict_matrix(verts, nodes, arcs)
+
+    def _recompute(self, reg: _Region) -> None:
+        """Strict boundary-to-boundary matrix of one region, public ids; the
+        region's raw member is rebuilt on its next use."""
+        verts = tuple(sorted(reg.vertices))
+        nodes = tuple(sorted(reg.boundary))
+        matrix = strict_matrix(verts, nodes, self._arc_triples(reg))
         reg.ddg = DenseDistanceGraph("strict_internal", nodes, matrix, (-1,))
+        reg.member = None
 
     # -- operations -------------------------------------------------------------
 
@@ -197,7 +219,6 @@ class DynamicOracle:
     def insert_vertex(self) -> int:
         self.v_alive.append(True)
         self.rot.append([])
-        self._tick()
         return len(self.v_alive) - 1
 
     def insert_edge(
@@ -257,9 +278,11 @@ class DynamicOracle:
                     if z not in self.regions[rj].boundary:
                         self.regions[rj].boundary.add(z)
                         touched.add(rj)
-        for rj in sorted(touched):
-            self._recompute(self.regions[rj])
-        self._tick()
+        if self._outgrown(touched):
+            self._rebuild()
+        else:
+            for rj in sorted(touched):
+                self._recompute(self.regions[rj])
         return arc
 
     def delete_edge(self, arc: int) -> None:
@@ -272,7 +295,6 @@ class DynamicOracle:
         reg = self.regions[ri]
         reg.arcs.discard(arc)
         self._recompute(reg)
-        self._tick()
 
     def delete_vertex(self, v: int) -> None:
         """Remove a vertex and every arc touching it."""
@@ -284,20 +306,18 @@ class DynamicOracle:
             other = self.arc_head[a] if self.arc_tail[a] == v else self.arc_tail[a]
             self.rot[other].remove(a)
             self.weight_sum -= self.arc_weight[a]
-            touched.add(self.region_of_arc.pop(a))
+            ri = self.region_of_arc.pop(a)
+            self.regions[ri].arcs.discard(a)
+            touched.add(ri)
         self.rot[v] = []
         self.v_alive[v] = False
-        homes = self._regions_of_vertex(v)
-        for ri in homes:
+        for ri in self._regions_of_vertex(v):
             reg = self.regions[ri]
-            if v in reg.boundary:
-                self.deleted_boundary.add(v)
             reg.vertices.discard(v)
             reg.boundary.discard(v)
             touched.add(ri)
         for ri in sorted(touched):
             self._recompute(self.regions[ri])
-        self._tick()
 
     def _corner(self, v: int, pos: int) -> int:
         """The dart that a new arc spliced in at ``rot[v][pos]`` would follow.
@@ -352,17 +372,15 @@ class DynamicOracle:
     # -- queries ------------------------------------------------------------------
 
     def _raw_member(self, v: int) -> SparseMember:
-        homes = self._regions_of_vertex(v)
-        if not homes:
-            return SparseMember((v,), (), piece_id=-1)
-        reg = self.regions[homes[0]]
-        verts = tuple(sorted(z for z in reg.vertices if self.v_alive[z]))
-        arcs = [
-            (self.arc_tail[a], self.arc_head[a], self.arc_weight[a])
-            for a in sorted(reg.arcs)
-            if self.arc_alive[a]
-        ]
-        return SparseMember(verts if verts else (v,), arcs, piece_id=homes[0])
+        """The raw arcs of v's first home region, or v alone if it has none."""
+        for ri, reg in enumerate(self.regions):
+            if v in reg.vertices:
+                if reg.member is None:
+                    reg.member = SparseMember(
+                        tuple(sorted(reg.vertices)), tuple(self._arc_triples(reg)), piece_id=ri
+                    )
+                return reg.member
+        return SparseMember((v,), (), piece_id=-1)
 
     def distance(self, u: int, v: int):
         """Current length of the shortest path from u to v."""
@@ -370,9 +388,10 @@ class DynamicOracle:
         self._check_alive_vertex(v)
         if u == v:
             return 0
-        members = [self._raw_member(u), self._raw_member(v)]
+        mu, mv = self._raw_member(u), self._raw_member(v)
+        members = [mu] if mu is mv else [mu, mv]
         for reg in self.regions:
-            if reg.ddg is not None and len(reg.ddg.nodes):
+            if len(reg.ddg.nodes):
                 members.append(reg.ddg)
-        res = multi_dijkstra(members, [(u, 0)], forbidden=self.deleted_boundary, target=v)
+        res = multi_dijkstra(members, [(u, 0)], target=v)
         return res.label(v)

@@ -1,14 +1,20 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 3; files of any other version are rejected), a kind byte, the
+(currently 4; files of any other version are rejected), a kind byte, the
 graph in its text form, the build parameters, the decomposition tree, and
 the stored matrices.  Trade-off files append the per-tuple external
 matrices, the directional tables and the piece tables.  Unreachable
 entries are written as -1.  All dictionary sections are emitted in sorted
 key order, so building the same oracle twice produces identical bytes.
-Vertex, arc and piece ids in the tree section, and the trade-off r, are
-range-checked at load, so a crafted file raises OracleFileError there.
+
+The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
+byte before it.  ``load_oracle`` reads the magic and version, then checks
+the trailer before it parses anything else, so a corrupted file, such as
+one with a flipped matrix entry, raises OracleFileError instead of loading
+and answering wrongly.  Vertex, arc and piece ids in the tree section, and
+the trade-off r, are also range-checked at load, so a crafted file with a
+valid trailer raises OracleFileError there.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import io
 import os
 import struct
 import sys
+import zlib
 from array import array
 from typing import BinaryIO
 
@@ -29,7 +36,8 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 3
+_VERSION = 4
+_CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
 _VARIANTS = ("standard", "strict_internal", "strict_external")
@@ -83,6 +91,27 @@ class _Reader:
             raise OracleFileError("truncated oracle file")
         self.left -= size
         return data
+
+    def check_crc(self) -> None:
+        """Compare the trailer with the CRC32 of every byte before it, read
+        in fixed-size chunks, then go back to where parsing stands; the
+        trailer no longer counts as bytes left to parse."""
+        if self.left < 4:
+            raise OracleFileError("truncated oracle file")
+        self.left -= 4
+        here = self.fh.tell()
+        self.fh.seek(0)
+        crc = 0
+        body = here + self.left
+        while body:
+            chunk = self.fh.read(min(_CRC_CHUNK, body))
+            if not chunk:
+                raise OracleFileError("truncated oracle file")
+            crc = zlib.crc32(chunk, crc)
+            body -= len(chunk)
+        if self.fh.read(4) != struct.pack("<I", crc):
+            raise OracleFileError("checksum mismatch: the oracle file is corrupt")
+        self.fh.seek(here)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -279,6 +308,9 @@ def save_oracle(oracle, path: str) -> None:
             _w_ids(buf, table.targets)
             _w_matrix(buf, table.matrix)
 
+    with buf.getbuffer() as body:
+        crc = zlib.crc32(body)
+    _w_u32(buf, crc)
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -292,6 +324,7 @@ def load_oracle(path: str):
         version, kind = struct.unpack("<HB", rd.take(3))
         if version != _VERSION:
             raise OracleFileError(f"unsupported oracle file version {version}")
+        rd.check_crc()
         if kind not in (_KIND_FAILURE, _KIND_TRADEOFF):
             raise OracleFileError(f"unknown oracle kind {kind}")
         g = _read_graph(rd)

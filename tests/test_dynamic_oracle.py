@@ -1,5 +1,6 @@
 """Distances under live updates: weights, arcs, vertices, rollback."""
 
+import math
 import random
 
 import pytest
@@ -148,23 +149,164 @@ def region_state(dyn):
     ]
 
 
+def assert_structure(dyn):
+    """The region bookkeeping every update keeps, and the rebuild budgets."""
+    alive_arcs = {a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]}
+    holders = {}
+    homes = {}
+    for ri, reg in enumerate(dyn.regions):
+        for a in reg.arcs:
+            holders.setdefault(a, []).append(ri)
+        for v in reg.vertices:
+            homes.setdefault(v, []).append(ri)
+        # no region names a dead vertex
+        named = reg.vertices | reg.boundary | set(reg.ddg.nodes)
+        assert all(dyn.v_alive[v] for v in named), (ri, named)
+    # every alive arc is in exactly one region's arcs, the one region_of_arc
+    # names, with both ends among its vertices; every region's arcs are alive
+    assert holders.keys() == alive_arcs == dyn.region_of_arc.keys()
+    for a, ris in holders.items():
+        assert ris == [dyn.region_of_arc[a]], a
+        reg = dyn.regions[ris[0]]
+        assert {dyn.arc_tail[a], dyn.arc_head[a]} <= reg.vertices, a
+    # a vertex in two or more regions is boundary in each
+    for v, ris in homes.items():
+        if len(ris) > 1:
+            assert all(v in dyn.regions[ri].boundary for ri in ris), (v, ris)
+    # every region is within budget
+    floor = math.isqrt(dyn.r - 1) + 1
+    assert len(dyn.regions) <= 2 * dyn.divided_regions
+    for reg in dyn.regions:
+        assert len(reg.vertices) <= 2 * dyn.r
+        assert len(reg.boundary) <= max(2 * reg.divided_boundary, floor)
+
+
+def assert_answers(dyn, rng, queries):
+    snap, vmap, _ = dyn.export_graph()
+    idx = {p: i for i, p in enumerate(vmap)}
+    for _ in range(queries):
+        u, v = rng.choice(vmap), rng.choice(vmap)
+        assert dyn.distance(u, v) == distance_avoiding(snap, idx[u], idx[v]), (u, v)
+
+
+def homes_of(dyn, v):
+    return [ri for ri, reg in enumerate(dyn.regions) if v in reg.vertices]
+
+
+def insert_anywhere(dyn, tail, head, weight):
+    """Insert tail->head at the first rotation positions that keep the
+    embedding planar."""
+    for tp in range(len(dyn.rot[tail]) + 1):
+        for hp in range(len(dyn.rot[head]) + 1):
+            try:
+                return dyn.insert_edge(tail, head, weight, tp, hp)
+            except EmbeddingError:
+                pass
+    raise AssertionError(f"no planar splice for {tail}->{head}")
+
+
 def test_rebuild_cadence():
-    dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
+    rng = random.Random("cadence")
+    g = generate_grid(6, 6, max_weight=5, seed=2)
+
+    # one region pushed past 2r vertices: exactly one rebuild, on the
+    # insertion that crosses the budget
+    dyn = DynamicOracle(g, r=16)
     start = dyn.rebuild_count
-    alive = [a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]]
-    for i in range(dyn.rebuild_every):
-        dyn.delete_edge(alive[i])
-    assert dyn.rebuild_count > start
+    hub = next(v for v in range(g.n) if len(homes_of(dyn, v)) == 1)
+    reg = dyn.regions[homes_of(dyn, hub)[0]]
+    for i in range(2 * dyn.r + 1 - len(reg.vertices)):
+        assert dyn.rebuild_count == start
+        dyn.insert_edge(hub, dyn.insert_vertex(), 1 + i % 3)
+    assert len(reg.vertices) == 2 * dyn.r + 1
+    assert dyn.rebuild_count == start + 1
+    assert_structure(dyn)
+    assert_answers(dyn, rng, 60)
+
+    # arc delete/re-insert pairs leave the topology as it was: no rebuild
+    dyn = DynamicOracle(g, r=16)
+    start = dyn.rebuild_count
+    current = list(range(g.m))  # public id of each generated arc
+    for _ in range(120):
+        a = rng.randrange(g.m)
+        t, h = g.tails[a], g.heads[a]
+        dyn.delete_edge(current[a])
+        where = (g.rotation[t].index(a), g.rotation[h].index(a))
+        current[a] = dyn.insert_edge(t, h, rng.randint(1, 9), *where)
+        assert_answers(dyn, rng, 3)
+    assert dyn.rebuild_count == start
+    assert_structure(dyn)
+
+    # arcs from an old region into a new one put their heads on both
+    # boundaries: one rebuild once the new region's boundary passes
+    # ceil(sqrt(r)), well before the old region's passes twice its size
+    dyn = DynamicOracle(g, r=16)
+    start = dyn.rebuild_count
+    floor = math.isqrt(dyn.r - 1) + 1
+    old = max(dyn.regions, key=lambda reg: len(reg.boundary))
+    assert len(old.boundary) > floor
+    hub = next(v for v in old.vertices if len(homes_of(dyn, v)) == 1)
+    fresh = [dyn.insert_vertex() for _ in range(floor + 2)]
+    for x in fresh[1:]:
+        dyn.insert_edge(fresh[0], x, 1)
+    new = dyn.regions[-1]
+    assert new.vertices == set(fresh) and not new.boundary
+    for x in fresh[1:]:
+        assert dyn.rebuild_count == start
+        insert_anywhere(dyn, hub, x, 1)
+    assert len(new.boundary) == floor + 1
+    assert dyn.rebuild_count == start + 1
+    assert_structure(dyn)
+    assert_answers(dyn, rng, 60)
+
+    # arcs between fresh vertices start new regions: one rebuild once
+    # there are more than twice as many as the division made
+    dyn = DynamicOracle(g, r=16)
+    start = dyn.rebuild_count
+    for _ in range(dyn.divided_regions + 1):
+        assert dyn.rebuild_count == start
+        dyn.insert_edge(dyn.insert_vertex(), dyn.insert_vertex(), 2)
+    assert dyn.rebuild_count == start + 1
+    assert_structure(dyn)
+    assert_answers(dyn, rng, 60)
+
+
+@pytest.mark.parametrize("op", ["set_weight", "delete_edge", "insert_edge", "delete_vertex"])
+def test_cached_member_follows_its_region(op):
+    g = generate_grid(6, 6, max_weight=5, seed=2)
+    dyn = DynamicOracle(g, r=16)
+    # u lives in one region only, so its raw member is that region's
+    u = next(v for v in range(g.n) if len(homes_of(dyn, v)) == 1)
+    reg = dyn.regions[homes_of(dyn, u)[0]]
+    out = [a for a in dyn.rot[u] if dyn.arc_tail[a] == u]
+    dyn.distance(u, dyn.arc_head[out[0]])
+    cached = reg.member
+    assert cached is not None and dyn._raw_member(u) is cached
+    if op == "set_weight":
+        for a in out:
+            dyn.set_weight(a, 40)
+    elif op == "delete_edge":
+        dyn.delete_edge(out[0])
+    elif op == "insert_edge":
+        dyn.insert_edge(u, dyn.insert_vertex(), 1)
+    else:
+        dyn.delete_vertex(dyn.arc_head[out[0]])
+    assert dyn.rebuild_count == 1 and dyn.regions[homes_of(dyn, u)[0]] is reg
+    assert dyn._raw_member(u) is not cached
+    snap, vmap, _ = dyn.export_graph()
+    idx = {p: i for i, p in enumerate(vmap)}
+    for v in vmap:
+        assert dyn.distance(u, v) == distance_avoiding(snap, idx[u], idx[v]), v
+        assert dyn.distance(v, u) == distance_avoiding(snap, idx[v], idx[u]), v
 
 
 def test_weight_changes_never_rebuild():
     dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
     start = dyn.rebuild_count
     alive = [a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]]
-    for i in range(2 * dyn.rebuild_every):
+    for i in range(8):
         dyn.set_weight(alive[3 * i], 7 + i)
     assert dyn.rebuild_count == start
-    assert dyn.ops_since_rebuild == 0
     # a rebuild after weight changes alone reproduces every region exactly
     before = region_state(dyn)
     dyn._rebuild()
@@ -223,11 +365,9 @@ def test_far_update_leaves_other_regions_alone(dyn10):
     snapshots = {
         ri: reg.ddg for ri, reg in enumerate(dyn10.regions) if ri != owner
     }
-    # stay below the rebuild threshold so regions persist
-    if dyn10.rebuild_every > 1:
-        dyn10.set_weight(arc, dyn10.arc_weight[arc] + 1)
-        for ri, ddg in snapshots.items():
-            assert dyn10.regions[ri].ddg is ddg
+    dyn10.set_weight(arc, dyn10.arc_weight[arc] + 1)
+    for ri, ddg in snapshots.items():
+        assert dyn10.regions[ri].ddg is ddg
 
 
 def test_mixed_fuzz_against_fresh_rebuild():
@@ -430,8 +570,8 @@ class DynamicMachine(RuleBasedStateMachine):
         assert self.dyn.distance(u, v) == distance_avoiding(snap, idx[u], idx[v])
 
     @invariant()
-    def rebuild_schedule(self):
-        assert self.dyn.ops_since_rebuild < self.dyn.rebuild_every
+    def region_structure(self):
+        assert_structure(self.dyn)
 
 
 TestDynamicMachine = DynamicMachine.TestCase

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +22,13 @@ from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 def file_sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_resealed(path, raw):
+    """Write edited file bytes with a trailer that matches them again, so
+    the edit reaches the parser's own checks."""
+    raw[-4:] = zlib.crc32(raw[:-4]).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +150,7 @@ def _graph_byte(value):
         save_oracle(fo, path)
         raw = bytearray(path.read_bytes())
         raw[11] = value  # the graph text's first byte: after magic, version, kind, length
-        path.write_bytes(bytes(raw))
+        write_resealed(path, raw)
 
     return write
 
@@ -189,8 +197,35 @@ def _crafted(fo, tmp_path, field, value):
         raw[parent_at + 12 : parent_at + 16] = value.to_bytes(4, "little")
     else:  # piece 0's first vertex id, after its vertex-list length
         raw[parent_at + 16 : parent_at + 20] = value.to_bytes(4, "little")
-    p.write_bytes(bytes(raw))
+    write_resealed(p, raw)
     return p
+
+
+@pytest.mark.parametrize("kind", ["failure", "tradeoff"])
+def test_every_bit_flip_raises_file_error(tmp_path, fo8, kind):
+    # flips in matrix entries and weights used to load cleanly and answer
+    # wrongly; the trailer catches every single-bit error
+    oracle = fo8 if kind == "failure" else TradeoffOracle(
+        generate_grid(5, 5, max_weight=5, seed=3), r=16, k=1, leaf_size=4
+    )
+    p = tmp_path / "o.bin"
+    save_oracle(oracle, p)
+    raw = p.read_bytes()
+    rng = random.Random(f"flip-{kind}")
+    for _ in range(300):
+        bit = rng.randrange(8 * len(raw))
+        flipped = bytearray(raw)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        p.write_bytes(bytes(flipped))
+        with pytest.raises(OracleFileError):
+            load_oracle(p)
+
+
+def test_trailer_is_crc32_of_the_rest(tmp_path, fo8):
+    p = tmp_path / "o.bin"
+    save_oracle(fo8, p)
+    raw = p.read_bytes()
+    assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
 
 
 def test_bad_parent_id(tmp_path, fo6):
