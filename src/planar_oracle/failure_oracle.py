@@ -14,20 +14,76 @@ matrices that jointly cover every path from u that avoids X:
   stored matrix may hide a failed vertex on an internal path, and the walk
   from that failed vertex's own leaf re-covers its arcs with finer pieces.
 
-One multi-source Dijkstra over the union, never relaxing out of a failed
-vertex, then yields the exact label of v.
+One Dijkstra over the union from u, never relaxing out of a failed
+vertex, then yields the exact label of v.  The scan is A* toward v: failures
+only lengthen distances, and every union arc is the length of a real path
+in the graph, so lower bounds on failure-free distances are a consistent
+potential on every union.  The bounds come from 8 landmarks L, through the
+triangle inequality (Goldberg and Harrelson, SODA 2005):
+
+    π(y) = max over L of d(y, L) - d(v, L) and d(L, v) - d(L, y), and 0.
+
+The landmarks are picked farthest-first and their distance tables filled
+whenever an oracle is built or loaded; they are a pure function of the
+graph, so oracle files do not store them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import add, sub
+from typing import Callable, Iterable
 
-from .graph import EmbeddedPlanarGraph
+from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 from .decomposition import DecompositionTree, build_decomposition
-from .ddg import DdgStore, compute_leaf_ddg
+from .ddg import DdgStore, _dijkstra_rows, compute_leaf_ddg
 from .frdijkstra import MultiDijkstraResult, SparseMember, multi_dijkstra
 
 __all__ = ["FailureAssembly", "FailureOracle"]
+
+
+LANDMARKS = 8
+
+# Landmark tables hold an unreachable distance as _FAR = 2 * MATRIX_SENTINEL,
+# and the potential's terms are plain differences.  A term whose two
+# distances are both unreachable, or whose subtracted one alone is, is at
+# most 0 and drops out.  A term whose other distance alone is unreachable
+# exceeds MATRIX_SENTINEL, which reads "cannot reach v", and rightly: if y
+# cannot reach a landmark that v reaches, or a landmark reaches y but not v,
+# then y cannot reach v.  Either way the potential stays consistent, since
+# each term is a difference of one landmark's table entries.
+_FAR = 2 * MATRIX_SENTINEL
+
+
+def landmark_tables(g: EmbeddedPlanarGraph):
+    """``(landmarks, to, frm)`` for min(LANDMARKS, n) landmarks picked
+    farthest-first.  Each pick maximises, over vertices not yet picked, the
+    smallest round trip d(L, y) + d(y, L) to a landmark so far.  Each
+    unreachable direction counts as _FAR, farther than any path; ties go
+    to the smallest id, so vertex 0 is the first pick.
+    ``to[y][i]`` is d(y, L_i) and ``frm[y][i]`` is d(L_i, y), each _FAR
+    when unreachable: one reverse and one forward Dijkstra per landmark."""
+    n = g.n
+    # equal distances share one int object across the 2 * 8 * n entries
+    same = {}.setdefault
+
+    def far(adj, s: int) -> list[int]:
+        row = _dijkstra_rows(adj, [s], range(n))
+        return [same(d, d) if d < MATRIX_SENTINEL else _FAR for d in row]
+
+    landmarks: list[int] = []
+    to_cols: list[list[int]] = []
+    frm_cols: list[list[int]] = []
+    # with no landmark yet, every round trip is unreachable both ways
+    nearest = [2 * _FAR] * n
+    while len(landmarks) < min(LANDMARKS, n):
+        lm = max(range(n), key=nearest.__getitem__)
+        fwd, rev = far(g._out, lm), far(g._in, lm)
+        landmarks.append(lm)
+        frm_cols.append(fwd)
+        to_cols.append(rev)
+        nearest = list(map(min, nearest, map(add, fwd, rev)))
+        nearest[lm] = -1  # never picked twice; min() keeps it at -1
+    return tuple(landmarks), tuple(zip(*to_cols)), tuple(zip(*frm_cols))
 
 
 class FailureAssembly:
@@ -59,6 +115,7 @@ class FailureOracle:
         self.store = DdgStore(g, self.tree)
         self.store.prefetch_nonleaf()
         self._leaves: dict[int, SparseMember] = {}
+        self.landmarks, self._to, self._frm = landmark_tables(g)
 
     # -- assembly ----------------------------------------------------------
 
@@ -121,6 +178,17 @@ class FailureOracle:
 
     # -- queries -----------------------------------------------------------
 
+    def _potential(self, t: int) -> Callable[[int], int]:
+        """Landmark lower bound π(y) on d(y, t) in G minus any failed set;
+        at least MATRIX_SENTINEL when y cannot reach t even in G."""
+        to, frm = self._to, self._frm
+        to_t, frm_t = to[t], frm[t]
+
+        def pi(y: int) -> int:
+            return max(0, max(map(sub, to[y], to_t)), max(map(sub, frm_t, frm[y])))
+
+        return pi
+
     def query_result(
         self,
         u: int,
@@ -130,14 +198,17 @@ class FailureOracle:
     ) -> MultiDijkstraResult:
         """Union Dijkstra from u over the assembly for (u, v, failed).
 
-        Without a ``target`` every label is final; with one, the scan stops
-        when the target settles (see ``multi_dijkstra``)."""
+        Without a ``target`` every label is final; with one, the scan is A*
+        toward the target under the landmark potential and stops when the
+        target settles, so only settled labels are final (see
+        ``multi_dijkstra``)."""
         asm = self.assemble(u, v, failed)
         return multi_dijkstra(
             asm.members,
             [(u, 0)],
             forbidden=frozenset(failed),
             target=target,
+            potential=None if target is None else self._potential(target),
         )
 
     def distance(self, u: int, v: int, failed: Iterable[int] = ()):

@@ -18,14 +18,21 @@ settled column already has its final label, so skipping it changes no
 label.  The scan uses no further Monge structure.
 
 Given a ``target``, the scan stops as soon as the target settles, as point
-queries do.  The target's label is then exact, and so is every label at or
-below it; other labels are upper bounds only.
+queries do.  A target-stopped scan may also be goal-directed: a
+``potential`` π gives each vertex a lower bound on its distance to the
+target, and the heap is keyed by label + π, which is A* search.  π is
+evaluated once per vertex, when the vertex is first pushed; a vertex whose
+π says it cannot reach the target is never pushed.  With a consistent π
+(π(y) <= w + π(z) on every arc y -> z, and π(target) = 0) every settled
+label is exact, the target's included; labels of vertices not settled are
+upper bounds only, and with a potential some vertices closer to the source
+than the target may never settle.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import MATRIX_SENTINEL, UNREACHABLE
 
@@ -117,8 +124,8 @@ class MultiDijkstraResult:
 
     ``dist[v]`` is vertex v's raw label for every id below the union's
     ``size``; ids outside the union read MATRIX_SENTINEL.  After a run with
-    a ``target``, only the labels at or below the target's are final; the
-    others are upper bounds.
+    a ``target``, only the labels of settled vertices are final, the
+    target's among them; the others are upper bounds.
     """
 
     __slots__ = ("dist", "union", "union_vertices", "settled", "relaxations")
@@ -153,6 +160,7 @@ def multi_dijkstra(
     sources: Sequence[tuple[int, int]],
     forbidden: Iterable[int] = (),
     target: int | None = None,
+    potential: Callable[[int], int] | None = None,
 ) -> MultiDijkstraResult:
     """Multi-source Dijkstra over a union of members.
 
@@ -161,16 +169,26 @@ def multi_dijkstra(
     when reached but never relaxed out of (sources override this), so no
     path may pass through them; forbidden ids outside the union are ignored.
 
-    With a ``target``, the run stops when the target settles.  Its label is
-    exact, as is every label at or below it; labels of vertices not yet
-    settled are upper bounds only.  A target outside the union never
-    settles, so the run goes on to the end and its label is unreachable.
+    With a ``target``, the run stops when the target settles.  Labels of
+    settled vertices are exact, the target's included; the others are
+    upper bounds only.  A target outside the union never settles, so the
+    run goes on to the end and its label is unreachable.
+
+    ``potential`` (only with a ``target``) maps a vertex y to a lower bound
+    π(y) on its distance to the target, consistent on every union arc and
+    0 at the target; π(y) >= MATRIX_SENTINEL means y cannot reach the
+    target.  Heap keys become label + π(y).
     """
+    if potential is not None and target is None:
+        raise ValueError("a potential needs a target")
     union = members if isinstance(members, DdgUnion) else DdgUnion(members)
     size = union.size
     stop = -1 if target is None else target
 
     dist = [MATRIX_SENTINEL] * size
+    # π per vertex, evaluated on first push: -1 marks "not yet evaluated",
+    # and 0 (every entry when there is no potential) needs no check
+    pot = [0 if potential is None else -1] * size
     heap: list[tuple[int, int]] = []
     for v, d0 in sources:
         if d0 < 0:
@@ -178,8 +196,14 @@ def multi_dijkstra(
         if v not in union:
             raise ValueError(f"source vertex {v} is not in the union")
         if d0 < dist[v]:
+            h = pot[v]
+            if h:
+                if h < 0:
+                    h = pot[v] = potential(v)
+                if h >= MATRIX_SENTINEL:
+                    continue
             dist[v] = d0
-            heappush(heap, (d0, v))
+            heappush(heap, (d0 + h, v))
     blocked = bytearray(size)
     for v in forbidden:
         if 0 <= v < size:
@@ -205,9 +229,12 @@ def multi_dijkstra(
         head.append(0 if k else -1)
 
     while heap:
-        d, u = heappop(heap)
-        if done[u] or d > dist[u]:
+        # a vertex's keys only fall, and its smallest key settles it, so
+        # any later entry of it is stale
+        u = heappop(heap)[1]
+        if done[u]:
             continue
+        d = dist[u]
         done[u] = 1
         settled += 1
         if u == stop:
@@ -230,8 +257,14 @@ def multi_dijkstra(
         for v, w in out:
             nd = d + w
             if nd < dist[v]:
+                h = pot[v]
+                if h:
+                    if h < 0:
+                        h = pot[v] = potential(v)
+                    if h >= MATRIX_SENTINEL:
+                        continue
                 dist[v] = nd
-                heappush(heap, (nd, v))
+                heappush(heap, (nd + h, v))
         for mi, li in dense:
             m = mems[mi]
             mat = m.matrix
@@ -247,8 +280,15 @@ def multi_dijkstra(
                     nd = d + w
                     v = nodes[lj]
                     if nd < dist[v]:
+                        h = pot[v]
+                        if h:
+                            if h < 0:
+                                h = pot[v] = potential(v)
+                            if h >= MATRIX_SENTINEL:
+                                lj = mnxt[lj]
+                                continue
                         dist[v] = nd
-                        heappush(heap, (nd, v))
+                        heappush(heap, (nd + h, v))
                 lj = mnxt[lj]
 
     return MultiDijkstraResult(dist, union, settled, relaxations)

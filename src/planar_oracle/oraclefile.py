@@ -30,7 +30,7 @@ from typing import BinaryIO
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece
 from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
-from .failure_oracle import FailureOracle
+from .failure_oracle import FailureOracle, landmark_tables
 from .tradeoff_oracle import TradeoffOracle
 
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
@@ -372,6 +372,7 @@ def _restore_failure(g, tree, strict, cls=FailureOracle):
     oracle.store = DdgStore(g, tree)
     oracle.store._strict.update(strict)
     oracle._leaves = {}
+    oracle.landmarks, oracle._to, oracle._frm = landmark_tables(g)
     return oracle
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from operator import add
 from typing import Iterable
 
 from .graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph, sorted_contains
@@ -253,8 +254,9 @@ class TradeoffOracle(FailureOracle):
         res = multi_dijkstra(members, [(u, 0)], forbidden=x)
         self.last_result = res
         best = res.raw(v)
-        qb = tree.pieces[q_node].boundary
         ptable = self.piece_tables[q_node]
+        # hop[i]: in-piece distance from the i-th exit boundary vertex to v
+        hop = [ptable.raw(s, v) for s in tree.pieces[q_node].boundary]
         xset = set(x)
         bset = sorted({w for pid in ids for w in tree.pieces[pid].boundary})
         for y in bset:
@@ -263,24 +265,17 @@ class TradeoffOracle(FailureOracle):
             dy = res.raw(y)
             if dy >= MATRIX_SENTINEL:
                 continue
-            row = self.vor[(ids, q_node, y)]
-            for si, s in enumerate(qb):
-                omega = row[si]
-                if omega >= MATRIX_SENTINEL:
-                    continue
-                hop = ptable.raw(s, v)
-                if hop >= MATRIX_SENTINEL:
-                    continue
-                cand = dy + omega + hop
-                if cand < best:
-                    best = cand
+            # a sum with an unreachable part stays at or above MATRIX_SENTINEL
+            cand = dy + min(map(add, self.vor[(ids, q_node, y)], hop), default=MATRIX_SENTINEL)
+            if cand < best:
+                best = cand
         return UNREACHABLE if best >= MATRIX_SENTINEL else best
 
     def _fallback(self, u, v, x):
         """The failure oracle's query, for layouts the stored tuples cannot
-        serve: one union Dijkstra over the leaves of u, v and the failed
-        set and the unmarked siblings up their root paths, stopped when v
-        settles."""
+        serve: one union A* scan toward v over the leaves of u, v and the
+        failed set and the unmarked siblings up their root paths, stopped
+        when v settles."""
         res = self.query_result(u, v, x, target=v)
         self.last_result = res
         return res.label(v)

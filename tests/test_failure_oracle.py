@@ -1,14 +1,22 @@
 """The failed-vertex distance oracle against the brute baseline."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planar_oracle.baseline import distance_avoiding, sssp
-from planar_oracle.failure_oracle import FailureOracle
-from planar_oracle.graph import UNREACHABLE
+from planar_oracle.failure_oracle import LANDMARKS, FailureOracle, landmark_tables
+from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
+from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph
+from planar_oracle.oraclefile import load_oracle, save_oracle
 
 from conftest import explicit_dijkstra
+
+# shapes for the landmark potential: strongly connected ones, one-way arcs
+# with a zero-weight arc, several components, and a single vertex
+ALT_ZOO = ("grid8", "tri200", "path12", "disconnected", "single")
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +159,118 @@ def test_weighted_zoo_sweep(zoo):
                 v,
                 x,
             )
+
+
+@pytest.fixture(scope="module")
+def alt_oracles(zoo):
+    return {name: FailureOracle(zoo[name], leaf_size=6, r_base=4) for name in ALT_ZOO}
+
+
+def union_arcs(members):
+    """(tail, head, weight) of every raw arc and finite matrix entry."""
+    for m in members:
+        if isinstance(m, SparseMember):
+            yield from m.arcs
+            continue
+        k = len(m.nodes)
+        for i, y in enumerate(m.nodes):
+            for j, z in enumerate(m.nodes):
+                w = m.matrix[i * k + j]
+                if w < MATRIX_SENTINEL:
+                    yield y, z, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_potential_consistent_on_union_arcs(alt_oracles, data):
+    name = data.draw(st.sampled_from(ALT_ZOO))
+    fo = alt_oracles[name]
+    g = fo.graph
+    u = data.draw(st.integers(0, g.n - 1))
+    v = data.draw(st.integers(0, g.n - 1))
+    others = [w for w in range(g.n) if w not in (u, v)]
+    x = data.draw(st.sets(st.sampled_from(others), max_size=4)) if others else set()
+    pi = fo._potential(v)
+    assert pi(v) == 0
+    members = fo.assemble(u, v, x).members
+    for y, z, w in union_arcs(members):
+        assert pi(y) <= w + pi(z), (name, u, v, x, y, z, w)
+    for y in {y for m in members for y in m.nodes}:
+        if pi(y) >= MATRIX_SENTINEL:
+            # "cannot reach v" must hold even without failures
+            assert distance_avoiding(g, y, v) == UNREACHABLE, (name, y, v)
+
+
+def test_potential_scan_matches_explicit_dijkstra(alt_oracles):
+    rng = random.Random("fo-alt")
+    for name, fo in alt_oracles.items():
+        g = fo.graph
+        if g.n < 2:
+            continue
+        for u, v, x in random_queries(rng, g.n, 60):
+            members = fo.assemble(u, v, x).members
+            res = multi_dijkstra(
+                members, [(u, 0)], forbidden=x, target=v, potential=fo._potential(v)
+            )
+            want = explicit_dijkstra(members, [(u, 0)], x)
+            assert res.raw(v) == want[v], (name, u, v, x)
+
+
+def test_landmark_tables_hold_distances(zoo):
+    # to[y][i] = d(y, L_i) and frm[y][i] = d(L_i, y), unreachable as 2 *
+    # MATRIX_SENTINEL, for distinct landmarks
+    far = 2 * MATRIX_SENTINEL
+    for name, g in zoo.items():
+        landmarks, to, frm = landmark_tables(g)
+        assert len(set(landmarks)) == len(landmarks) == min(LANDMARKS, g.n), name
+        assert len(to) == len(frm) == g.n
+        for i, lm in enumerate(landmarks):
+            ref = sssp(g, lm)
+            assert [row[i] for row in frm] == [far if d == UNREACHABLE else d for d in ref]
+            for y in range(0, g.n, 7):
+                d = distance_avoiding(g, y, lm)
+                assert to[y][i] == (far if d == UNREACHABLE else d), (name, y, lm)
+
+
+def test_zero_weight_cycle_picks_each_vertex_once():
+    # both vertices are at round trip 0 from the first landmark
+    g = EmbeddedPlanarGraph(2, [(0, 1, 0), (1, 0, 0)], [[0, 1], [0, 1]])
+    assert landmark_tables(g)[0] == (0, 1)
+
+
+@pytest.mark.parametrize("name", ["path12", "disconnected"])
+def test_degenerate_graphs_every_pair(tmp_path, zoo, name):
+    # one-way arcs, a zero-weight arc, components and an isolated vertex
+    # leave landmark table entries unreachable; every ordered pair with up
+    # to two failures stays exact, on a built and on a loaded oracle
+    g = zoo[name]
+    built = FailureOracle(g, leaf_size=3, r_base=4)
+    assert FailureOracle(g, leaf_size=3, r_base=4).landmarks == built.landmarks
+    assert len(set(built.landmarks)) == len(built.landmarks)
+    path = tmp_path / "o.bin"
+    save_oracle(built, path)
+    loaded = load_oracle(path)
+    assert loaded.landmarks == built.landmarks
+    for u in range(g.n):
+        for v in range(g.n):
+            others = [w for w in range(g.n) if w not in (u, v)]
+            for k in range(3):
+                for x in itertools.combinations(others, k):
+                    want = distance_avoiding(g, u, v, x)
+                    assert built.distance(u, v, x) == want, (u, v, x)
+                    assert loaded.distance(u, v, x) == want, (u, v, x)
+
+
+def test_path12_landmarks_and_dead_ends(path12):
+    fo = FailureOracle(path12, leaf_size=3, r_base=4)
+    # vertex 0 first (every vertex ties as unreachable), then the far end
+    # of the one-way path
+    assert fo.landmarks[:2] == (0, 11)
+    # no vertex reaches one behind it; the potential says so whenever a
+    # landmark L lies in [v, y]: then y cannot reach L while v can (L < y),
+    # or L reaches y but not v (L > v)
+    for v in range(path12.n):
+        pi = fo._potential(v)
+        assert [pi(y) >= MATRIX_SENTINEL for y in range(path12.n)] == [
+            y > v and any(v <= lm <= y for lm in fo.landmarks) for y in range(path12.n)
+        ], v

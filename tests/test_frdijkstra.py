@@ -103,6 +103,40 @@ def test_target_stop_keeps_exact_label():
     assert walled.settled == 2
 
 
+def test_potential_needs_a_target():
+    m = dense([0, 1], {(0, 1): 1})
+    with pytest.raises(ValueError):
+        multi_dijkstra([m], [(0, 0)], potential=lambda y: 0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_potential_evaluated_once_and_dead_ends_never_pushed(kind):
+    # 2 cannot reach the target 3, and π says so; π is the exact distance
+    # to 3 elsewhere, so the scan settles only the shortest path 0-4-1-3,
+    # and 1 is pushed twice (from 0, then from 4) with π read once
+    arcs = {(0, 1): 5, (0, 4): 1, (4, 1): 1, (1, 3): 1, (0, 2): 1, (2, 1): 0}
+    if kind == "dense":
+        m = dense([0, 1, 2, 3, 4], arcs)
+    else:
+        m = SparseMember((0, 1, 2, 3, 4), [(t, h, w) for (t, h), w in arcs.items()])
+    pi = {0: 3, 1: 1, 2: MATRIX_SENTINEL, 3: 0, 4: 2}
+    calls = []
+
+    def potential(y):
+        calls.append(y)
+        return pi[y]
+
+    res = multi_dijkstra([m], [(0, 0)], target=3, potential=potential)
+    assert res.label(3) == 3
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+    assert res.raw(2) == MATRIX_SENTINEL
+    assert res.settled == 4
+    # from a source that cannot reach the target, nothing is scanned
+    stuck = multi_dijkstra([m], [(2, 0)], target=3, potential=pi.__getitem__)
+    assert stuck.label(3) == UNREACHABLE
+    assert stuck.settled == 0
+
+
 def test_multi_source():
     m = dense([0, 1, 2], {(0, 2): 10, (1, 2): 1})
     res = multi_dijkstra([m], [(0, 0), (1, 3)])
