@@ -20,62 +20,30 @@ from .graph import (
     load_graph,
     loads_graph,
     save_graph,
-    trace_faces,
 )
 from .generate import generate_grid, generate_random_triangulation
 from .baseline import distance_avoiding, sssp
 from .decomposition import DecompositionTree, Piece, build_decomposition
-from .ddg import (
-    DdgStore,
-    DenseDistanceGraph,
-    PieceDistanceTable,
-    compute_ddg,
-    compute_ddg_internal,
-    compute_leaf_ddg,
-    compute_piece_distance_table,
-    minplus_closure,
-)
-from .frdijkstra import (
-    DdgUnion,
-    MultiDijkstraResult,
-    SparseMember,
-    multi_dijkstra,
-)
-from .external import ExternalDdgBuilder
 from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
 from .dynamic_oracle import DynamicOracle
 from .oraclefile import OracleFileError, load_oracle, save_oracle
-from .bench import BenchReport, bench_config, run_bench
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
-    "DdgStore",
-    "DdgUnion",
     "DecompositionTree",
-    "DenseDistanceGraph",
     "DynamicOracle",
     "EmbeddedPlanarGraph",
     "EmbeddingError",
-    "ExternalDdgBuilder",
     "FailureOracle",
     "GraphFormatError",
     "MATRIX_SENTINEL",
-    "MultiDijkstraResult",
     "OracleFileError",
     "Piece",
-    "PieceDistanceTable",
-    "SparseMember",
     "TradeoffOracle",
     "UNREACHABLE",
-    "bench_config",
     "build_decomposition",
-    "compute_ddg",
-    "compute_ddg_internal",
-    "compute_leaf_ddg",
-    "compute_piece_distance_table",
     "distance_avoiding",
     "dumps_graph",
     "generate_grid",
@@ -83,12 +51,8 @@ __all__ = [
     "load_graph",
     "load_oracle",
     "loads_graph",
-    "minplus_closure",
-    "multi_dijkstra",
-    "run_bench",
     "save_graph",
     "save_oracle",
     "sssp",
-    "trace_faces",
     "__version__",
 ]

@@ -143,6 +143,8 @@ def _cmd_verify(args) -> int:
     if args.queries is not None:
         batch = _read_query_lines(args.queries)
     else:
+        if g.n < 2:
+            raise ValueError(f"verify --random needs at least 2 vertices, the graph has {g.n}")
         k_max = oracle.k if isinstance(oracle, TradeoffOracle) else 4
         batch = _random_queries(g.n, args.random, args.seed, k_max)
     checked = 0

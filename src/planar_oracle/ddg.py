@@ -1,18 +1,12 @@
 """Dense distance graphs over piece boundaries.
 
-Three variants are computed here:
-
-* standard: all-pairs distances between boundary vertices, paths free to
-  wander anywhere inside the piece.
-* strict internal: paths must stay internally disjoint from the boundary.
-  One Dijkstra per boundary vertex settles the other boundary vertices but
-  never relaxes out of them, so every entry is a path that touches the
-  boundary only at its two ends.
-* strict external (see the external module): distances outside a tuple of
-  pieces except at the endpoints.
-
-All in-piece variants run through one blocked-relaxation kernel that fills
-a flat matrix row by row.
+Every stored matrix is strict: an entry is a path that touches the matrix's
+nodes only at its two ends.  For a piece, one Dijkstra per boundary vertex
+settles the other boundary vertices but never relaxes out of them; the
+external module builds the strict matrices of the graph outside a tuple of
+pieces.  The piece distance tables of the trade-off oracle (boundary to
+every piece vertex, paths unrestricted inside the piece) run through the
+same kernel, which fills a flat matrix row by row.
 
 Anchor leaves get no matrix: each joins the union as its own arcs, all of
 them, built once per leaf, so no per-query Dijkstra runs.
@@ -30,11 +24,9 @@ from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 __all__ = [
     "DenseDistanceGraph",
     "PieceDistanceTable",
-    "compute_ddg",
     "compute_ddg_internal",
     "compute_leaf_ddg",
     "compute_piece_distance_table",
-    "minplus_closure",
     "DdgStore",
     "piece_adjacency",
     "strict_matrix",
@@ -45,30 +37,17 @@ class DenseDistanceGraph:
     """Complete digraph on an ordered vertex list, stored as a flat matrix.
 
     ``matrix[i * len(nodes) + j]`` is the distance from nodes[i] to
-    nodes[j]; MATRIX_SENTINEL means unreachable under the variant's rules.
+    nodes[j]; MATRIX_SENTINEL means unreachable.
     """
 
-    __slots__ = ("variant", "nodes", "matrix", "source_pieces", "_min")
+    __slots__ = ("nodes", "matrix", "_min")
 
-    def __init__(
-        self,
-        variant: str,
-        nodes: tuple[int, ...],
-        matrix: array,
-        source_pieces: tuple[int, ...],
-    ):
-        if variant not in ("standard", "strict_internal", "strict_external"):
-            raise ValueError(f"unknown DDG variant {variant!r}")
+    def __init__(self, nodes: tuple[int, ...], matrix: array):
         if len(matrix) != len(nodes) * len(nodes):
             raise ValueError("matrix shape does not match the node list")
-        self.variant = variant
         self.nodes = nodes
         self.matrix = matrix
-        self.source_pieces = source_pieces
         self._min: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     @property
     def min_entry(self) -> int:
@@ -78,19 +57,15 @@ class DenseDistanceGraph:
         return self._min
 
     def __repr__(self) -> str:
-        return (
-            f"DenseDistanceGraph({self.variant}, |nodes|={len(self.nodes)}, "
-            f"pieces={self.source_pieces})"
-        )
+        return f"DenseDistanceGraph(|nodes|={len(self.nodes)})"
 
 
 class PieceDistanceTable:
     """In-piece distances from every boundary vertex to every piece vertex."""
 
-    __slots__ = ("piece_id", "sources", "targets", "matrix", "_sidx", "_tidx")
+    __slots__ = ("sources", "targets", "matrix", "_sidx", "_tidx")
 
-    def __init__(self, piece_id, sources, targets, matrix):
-        self.piece_id: int = piece_id
+    def __init__(self, sources, targets, matrix):
         self.sources: tuple[int, ...] = sources
         self.targets: tuple[int, ...] = targets
         self.matrix: array = matrix
@@ -169,16 +144,8 @@ def strict_matrix(
 
 
 # ----------------------------------------------------------------------
-# DDG variants
+# piece matrices and tables
 # ----------------------------------------------------------------------
-
-
-def compute_ddg(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
-    """Standard DDG: within-piece distances between boundary vertices."""
-    loc, adj = piece_adjacency(piece.vertices, (g.arcs[a] for a in piece.arcs))
-    local = [loc[v] for v in piece.boundary]
-    matrix = _dijkstra_rows(adj, local, local)
-    return DenseDistanceGraph("standard", piece.boundary, matrix, (piece.id,))
 
 
 def compute_ddg_internal(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
@@ -187,7 +154,7 @@ def compute_ddg_internal(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
     matrix = strict_matrix(
         piece.vertices, piece.boundary, (g.arcs[a] for a in piece.arcs)
     )
-    return DenseDistanceGraph("strict_internal", piece.boundary, matrix, (piece.id,))
+    return DenseDistanceGraph(piece.boundary, matrix)
 
 
 def compute_leaf_ddg(g: EmbeddedPlanarGraph, piece) -> SparseMember:
@@ -208,40 +175,7 @@ def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistance
     sources = piece.boundary
     targets = piece.vertices
     matrix = _dijkstra_rows(adj, [loc[s] for s in sources], range(len(targets)))
-    return PieceDistanceTable(piece.id, sources, targets, matrix)
-
-
-def minplus_closure(ddg: DenseDistanceGraph) -> DenseDistanceGraph:
-    """All-pairs min-plus closure of a DDG, treating entries as arc weights.
-
-    Used to check that the strict-internal matrix composes back to the
-    standard one.  Runs one Dijkstra per node over the complete digraph the
-    matrix describes.
-    """
-    k = len(ddg.nodes)
-    out = array("q", [MATRIX_SENTINEL]) * (k * k)
-    mat = ddg.matrix
-    for i in range(k):
-        dist = [MATRIX_SENTINEL] * k
-        dist[i] = 0
-        heap = [(0, i)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            row = u * k
-            for v in range(k):
-                w = mat[row + v]
-                if w >= MATRIX_SENTINEL:
-                    continue
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        row = i * k
-        for j in range(k):
-            out[row + j] = dist[j]
-    return DenseDistanceGraph("standard", ddg.nodes, out, ddg.source_pieces)
+    return PieceDistanceTable(sources, targets, matrix)
 
 
 # ----------------------------------------------------------------------

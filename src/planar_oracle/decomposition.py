@@ -15,7 +15,6 @@ marked for a geometric sequence of r-divisions.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -26,37 +25,21 @@ __all__ = [
     "DecompositionTree",
     "build_decomposition",
     "highest_excluding_ancestor",
-    "TREE_DEBUG_SCHEMA",
 ]
 
 
 class Piece:
     """One node of the decomposition tree."""
 
-    __slots__ = (
-        "id",
-        "parent",
-        "children",
-        "depth",
-        "vertices",
-        "boundary",
-        "arcs",
-        "separator",
-        "_tree",
-        "_holes",
-    )
+    __slots__ = ("id", "parent", "children", "vertices", "boundary", "arcs")
 
-    def __init__(self, pid, parent, depth, vertices, boundary, arcs, separator):
+    def __init__(self, pid, parent, vertices, boundary, arcs):
         self.id: int = pid
         self.parent: int | None = parent
         self.children: tuple[int, ...] = ()
-        self.depth: int = depth
         self.vertices: tuple[int, ...] = vertices  # sorted
         self.boundary: tuple[int, ...] = boundary  # sorted
         self.arcs: tuple[int, ...] = arcs  # sorted
-        self.separator: tuple[int, ...] = separator  # cycle used to split this piece
-        self._tree: DecompositionTree | None = None
-        self._holes: tuple[tuple[int, ...], ...] | None = None
 
     def contains(self, v: int) -> bool:
         return sorted_contains(self.vertices, v)
@@ -67,42 +50,6 @@ class Piece:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    @property
-    def holes(self) -> tuple[tuple[int, ...], ...]:
-        """Boundary vertices grouped by the piece face they lie on.
-
-        A boundary vertex can sit on several faces; it is filed under the
-        first face (in trace order) that touches it, so the groups partition
-        the boundary.  Boundary vertices with no arc inside the piece form
-        their own group.
-        """
-        if self._holes is None:
-            self._holes = self._compute_holes()
-        return self._holes
-
-    def _compute_holes(self) -> tuple[tuple[int, ...], ...]:
-        g = self._tree.graph
-        if not self.boundary:
-            return ()
-        bset = set(self.boundary)
-        assigned: dict[int, int] = {}
-        if self.arcs:
-            arcset = set(self.arcs)
-            rot = {v: [a for a in g.rotation[v] if a in arcset] for v in self.vertices}
-            faces = trace_faces(self.arcs, g.tails, g.heads, rot)
-            for fi, face in enumerate(faces):
-                for d in face:
-                    a = d >> 1
-                    v = g.tails[a] if d & 1 == 0 else g.heads[a]
-                    if v in bset and v not in assigned:
-                        assigned[v] = fi
-        for v in self.boundary:
-            assigned.setdefault(v, -1)
-        groups: dict[int, list[int]] = {}
-        for v in self.boundary:
-            groups.setdefault(assigned[v], []).append(v)
-        return tuple(tuple(sorted(vs)) for _, vs in sorted(groups.items()))
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "internal"
@@ -129,8 +76,6 @@ class DecompositionTree:
         self.r_sequence = r_sequence
         self._marks = marks
         self.leaf_of = leaf_of
-        for p in pieces:
-            p._tree = self
         # Euler intervals for O(1) ancestor tests.
         self._tin = [0] * len(pieces)
         self._tout = [0] * len(pieces)
@@ -181,73 +126,6 @@ class DecompositionTree:
             raise ValueError(f"r={r} is not in the marked sequence {self.r_sequence}")
         return self._marks[r]
 
-    # -- debug ----------------------------------------------------------------
-
-    def debug_json(self) -> str:
-        nodes = []
-        for p in self.pieces:
-            nodes.append(
-                {
-                    "id": p.id,
-                    "parent": p.parent,
-                    "children": list(p.children),
-                    "depth": p.depth,
-                    "vertices": list(p.vertices),
-                    "boundary": list(p.boundary),
-                    "arcs": list(p.arcs),
-                    "separator": list(p.separator),
-                }
-            )
-        doc = {
-            "leaf_size": self.leaf_size,
-            "r_base": self.r_base,
-            "r_sequence": list(self.r_sequence),
-            "r_divisions": {str(r): list(v) for r, v in sorted(self._marks.items())},
-            "nodes": nodes,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-
-TREE_DEBUG_SCHEMA = {
-    "type": "object",
-    "required": ["leaf_size", "r_base", "r_sequence", "r_divisions", "nodes"],
-    "properties": {
-        "leaf_size": {"type": "integer", "minimum": 1},
-        "r_base": {"type": "integer", "minimum": 2},
-        "r_sequence": {"type": "array", "items": {"type": "integer"}},
-        "r_divisions": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": {"type": "integer"}},
-        },
-        "nodes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "id",
-                    "parent",
-                    "children",
-                    "depth",
-                    "vertices",
-                    "boundary",
-                    "arcs",
-                    "separator",
-                ],
-                "properties": {
-                    "id": {"type": "integer"},
-                    "parent": {"type": ["integer", "null"]},
-                    "children": {"type": "array", "items": {"type": "integer"}},
-                    "depth": {"type": "integer"},
-                    "vertices": {"type": "array", "items": {"type": "integer"}},
-                    "boundary": {"type": "array", "items": {"type": "integer"}},
-                    "arcs": {"type": "array", "items": {"type": "integer"}},
-                    "separator": {"type": "array", "items": {"type": "integer"}},
-                },
-            },
-        },
-    },
-}
-
 
 # ----------------------------------------------------------------------
 # construction
@@ -272,7 +150,7 @@ def build_decomposition(
         raise ValueError("r_base must be at least 2")
 
     pieces: list[Piece] = []
-    root = Piece(0, None, 0, tuple(range(g.n)), (), tuple(range(g.m)), ())
+    root = Piece(0, None, tuple(range(g.n)), (), tuple(range(g.m)))
     pieces.append(root)
 
     stack = [0]
@@ -281,8 +159,7 @@ def build_decomposition(
         piece = pieces[pid]
         if len(piece.vertices) <= leaf_size:
             continue
-        sep, sides = _split_piece(g, piece.vertices, piece.arcs)
-        piece.separator = sep
+        _, sides = _split_piece(g, piece.vertices, piece.arcs)
         child_ids = []
         for i, (verts, arcs) in enumerate(sides):
             sibling_arcs = sides[1 - i][1]
@@ -293,7 +170,7 @@ def build_decomposition(
             bd = tuple(
                 v for v in verts if v in touched or sorted_contains(piece.boundary, v)
             )
-            child = Piece(len(pieces), pid, piece.depth + 1, verts, bd, arcs, ())
+            child = Piece(len(pieces), pid, verts, bd, arcs)
             pieces.append(child)
             child_ids.append(child.id)
         piece.children = tuple(child_ids)

@@ -202,7 +202,7 @@ class DynamicOracle:
         verts = tuple(sorted(reg.vertices))
         nodes = tuple(sorted(reg.boundary))
         matrix = strict_matrix(verts, nodes, self._arc_triples(reg))
-        reg.ddg = DenseDistanceGraph("strict_internal", nodes, matrix, (-1,))
+        reg.ddg = DenseDistanceGraph(nodes, matrix)
         reg.member = None
 
     # -- operations -------------------------------------------------------------

@@ -23,7 +23,12 @@ from .graph import MATRIX_SENTINEL
 from .ddg import DdgStore, DenseDistanceGraph
 from .frdijkstra import DdgUnion, multi_dijkstra
 
-__all__ = ["ExternalDdgBuilder"]
+__all__ = ["ExternalDdgBuilder", "tuple_boundary"]
+
+
+def tuple_boundary(pieces, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """∂T: the sorted union of the boundaries of the pieces ``ids``."""
+    return tuple(sorted({v for pid in ids for v in pieces[pid].boundary}))
 
 
 class ExternalDdgBuilder:
@@ -58,7 +63,7 @@ class ExternalDdgBuilder:
         in ``exits`` and every y ∈ ∂T, each row over the exit piece's
         boundary."""
         pieces = self.tree.pieces
-        nodes = tuple(sorted({v for pid in ids for v in pieces[pid].boundary}))
+        nodes = tuple_boundary(pieces, ids)
         node_set = set(nodes)
         union = DdgUnion(self._tuple_members(ids))
         matrix = array("q")
@@ -72,7 +77,7 @@ class ExternalDdgBuilder:
             matrix.extend(raw(x) for x in nodes)
             for q in exits:
                 vor[(ids, q, y)] = array("q", [raw(s) for s in pieces[q].boundary])
-        return DenseDistanceGraph("strict_external", nodes, matrix, ids), vor
+        return DenseDistanceGraph(nodes, matrix), vor
 
 
 def _empty_path_only(y: int):

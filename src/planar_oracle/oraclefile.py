@@ -1,20 +1,22 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 4; files of any other version are rejected), a kind byte, the
+(currently 5; files of any other version are rejected), a kind byte, the
 graph in its text form, the build parameters, the decomposition tree, and
-the stored matrices.  Trade-off files append the per-tuple external
-matrices, the directional tables and the piece tables.  Unreachable
-entries are written as -1.  All dictionary sections are emitted in sorted
-key order, so building the same oracle twice produces identical bytes.
+the strict matrices, each as its node list and entries.  Trade-off files
+append the per-tuple external matrices, the directional tables and the
+piece tables.  Unreachable entries are written as -1.  All dictionary
+sections are emitted in sorted key order, so building the same oracle
+twice produces identical bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
 the trailer before it parses anything else, so a corrupted file, such as
 one with a flipped matrix entry, raises OracleFileError instead of loading
 and answering wrongly.  Vertex, arc and piece ids in the tree section, and
-the trade-off r, are also range-checked at load, so a crafted file with a
-valid trailer raises OracleFileError there.
+the trade-off r, are also range-checked at load, and every stored matrix,
+row and table is checked against the shape a build of the same tree makes,
+so a crafted file with a valid trailer raises OracleFileError there.
 """
 
 from __future__ import annotations
@@ -25,22 +27,29 @@ import struct
 import sys
 import zlib
 from array import array
+from math import comb
 from typing import BinaryIO
 
-from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
+from .graph import (
+    MATRIX_SENTINEL,
+    EmbeddedPlanarGraph,
+    dumps_graph,
+    loads_graph,
+    sorted_contains,
+)
 from .decomposition import DecompositionTree, Piece
 from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
+from .external import tuple_boundary
 from .failure_oracle import FailureOracle, landmark_tables
 from .tradeoff_oracle import TradeoffOracle
 
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 4
+_VERSION = 5
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
-_VARIANTS = ("standard", "strict_internal", "strict_external")
 
 
 class OracleFileError(ValueError):
@@ -154,11 +163,9 @@ def _write_tree(fh: BinaryIO, tree: DecompositionTree) -> None:
     _w_u32(fh, len(tree.pieces))
     for p in tree.pieces:
         _w_i64(fh, -1 if p.parent is None else p.parent)
-        _w_u32(fh, p.depth)
         _w_ids(fh, p.vertices)
         _w_ids(fh, p.boundary)
         _w_ids(fh, p.arcs)
-        _w_ids(fh, p.separator)
     _w_u32(fh, len(tree._marks))
     for r in sorted(tree._marks):
         _w_u32(fh, r)
@@ -186,7 +193,6 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         # every other piece's parent precedes it, so the links form a tree
         if not (-1 if pid == 0 else 0) <= parent < pid:
             raise OracleFileError(f"piece {pid} has bad parent id {parent}")
-        depth = rd.u32()
         vertices = rd.vertex_ids(g.n)
         boundary = rd.vertex_ids(g.n)
         arcs = rd.ids()
@@ -198,18 +204,7 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
             and inside.issuperset(g.heads[a] for a in arcs)
         ):
             raise OracleFileError(f"piece {pid} has an arc with an end outside its vertices")
-        separator = rd.vertex_ids(g.n)
-        pieces.append(
-            Piece(
-                pid,
-                None if parent < 0 else parent,
-                depth,
-                vertices,
-                boundary,
-                arcs,
-                separator,
-            )
-        )
+        pieces.append(Piece(pid, None if parent < 0 else parent, vertices, boundary, arcs))
     kids: dict[int, list[int]] = {}
     for p in pieces:
         if p.parent is not None:
@@ -232,25 +227,30 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
 
 
 def _write_ddg(fh: BinaryIO, ddg: DenseDistanceGraph) -> None:
-    _w_u32(fh, _VARIANTS.index(ddg.variant))
     _w_ids(fh, ddg.nodes)
-    _w_ids(fh, ddg.source_pieces)
     _w_matrix(fh, ddg.matrix)
 
 
 def _read_ddg(rd: _Reader, n: int) -> DenseDistanceGraph:
-    code = rd.u32()
-    try:
-        variant = _VARIANTS[code]
-    except IndexError as exc:
-        raise OracleFileError(f"unknown DDG variant {code}") from exc
     nodes = rd.vertex_ids(n)
-    source_pieces = rd.ids()
     matrix = rd.matrix()
     try:
-        return DenseDistanceGraph(variant, nodes, matrix, source_pieces)
+        return DenseDistanceGraph(nodes, matrix)
     except ValueError as exc:  # a matrix that does not fit its node list
         raise OracleFileError(f"bad DDG: {exc}") from exc
+
+
+def _read_strict(rd: _Reader, tree: DecompositionTree) -> dict[int, DenseDistanceGraph]:
+    """Strict matrices keyed by piece id, each over its piece's boundary."""
+    pieces = tree.pieces
+    strict = {}
+    for _ in range(rd.u32()):
+        pid = rd.u32()
+        ddg = _read_ddg(rd, tree.graph.n)
+        if pid >= len(pieces) or ddg.nodes != pieces[pid].boundary:
+            raise OracleFileError(f"strict matrix {pid} is not over a piece boundary")
+        strict[pid] = ddg
+    return strict
 
 
 # -- top level ----------------------------------------------------------------
@@ -331,38 +331,100 @@ def load_oracle(path: str):
         tree = _read_tree(rd, g)
 
         if kind == _KIND_FAILURE:
-            strict = {}
-            for _ in range(rd.u32()):
-                pid = rd.u32()
-                strict[pid] = _read_ddg(rd, g.n)
-            return _restore_failure(g, tree, strict)
+            return _restore_failure(g, tree, _read_strict(rd, tree))
 
         r = rd.u32()
         if r not in tree._marks:
             raise OracleFileError(f"r={r} is not in the marked sequence {tree.r_sequence}")
         k = rd.u32()
-        strict = {}
-        for _ in range(rd.u32()):
-            pid = rd.u32()
-            strict[pid] = _read_ddg(rd, g.n)
-        ext = {}
-        for _ in range(rd.u32()):
-            ids = rd.ids()
-            ext[ids] = _read_ddg(rd, g.n)
-        vor = {}
-        for _ in range(rd.u32()):
-            ids = rd.ids()
-            q = rd.u32()
-            y = rd.u32()
-            vor[(ids, q, y)] = rd.matrix()
-        tables = {}
-        for _ in range(rd.u32()):
-            node = rd.u32()
-            sources = rd.ids()
-            targets = rd.ids()
-            matrix = rd.matrix()
-            tables[node] = PieceDistanceTable(node, sources, targets, matrix)
-        return _restore_tradeoff(g, tree, r, k, strict, ext, vor, tables)
+        oracle = _restore_failure(g, tree, _read_strict(rd, tree), cls=TradeoffOracle)
+        oracle.r = r
+        oracle.k = k
+        oracle.rdiv = tree.r_division(r)
+        oracle.last_result = None
+        _read_tradeoff_tables(rd, oracle)
+        return oracle
+
+
+def _read_tradeoff_tables(rd: _Reader, oracle: TradeoffOracle) -> None:
+    """Read ext, the directional rows and the piece tables into ``oracle``.
+
+    Each key is checked as it is read, and each section's count against
+    what a build of the oracle's tree, r and k makes; distinct valid keys
+    in the right number are exactly the build's keys, so no second key set
+    is built.  Every row and table must fit its piece."""
+    pieces = oracle.tree.pieces
+    n = oracle.graph.n
+    size = oracle.k + 1
+    rdiv = set(oracle.rdiv)
+
+    count = rd.u32()
+    if count != comb(len(rdiv), size):
+        raise OracleFileError(f"{count} ext tables for {len(rdiv)} pieces and k={oracle.k}")
+    ext: dict[tuple[int, ...], DenseDistanceGraph] = {}
+    exits: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows = 0
+    for _ in range(count):
+        ids = rd.ids()
+        if (
+            len(ids) != size
+            or any(a >= b for a, b in zip(ids, ids[1:]))
+            or not rdiv.issuperset(ids)
+            or ids in ext
+        ):
+            raise OracleFileError(f"ext key {ids} is not a new {size}-subset of the r-division")
+        ddg = _read_ddg(rd, n)
+        if ddg.nodes != tuple_boundary(pieces, ids):
+            raise OracleFileError(f"ext{ids} is not over the tuple's boundary")
+        ext[ids] = ddg
+        exits[ids] = oracle._exit_family(ids)
+        rows += len(exits[ids]) * len(ddg.nodes)
+
+    count = rd.u32()
+    if count != rows:
+        raise OracleFileError(f"{count} directional rows where a build makes {rows}")
+    vor: dict[tuple[tuple[int, ...], int, int], array] = {}
+    for _ in range(count):
+        ids = rd.ids()
+        q = rd.u32()
+        y = rd.u32()
+        key = (ids, q, y)
+        if (
+            ids not in ext
+            or not sorted_contains(exits[ids], q)
+            or not sorted_contains(ext[ids].nodes, y)
+            or key in vor
+        ):
+            raise OracleFileError(f"directional row {key} is not one a build makes")
+        row = rd.matrix()
+        if len(row) != len(pieces[q].boundary):
+            raise OracleFileError(f"directional row {key} does not fit piece {q}'s boundary")
+        vor[key] = row
+
+    wanted = set().union(*exits.values())
+    count = rd.u32()
+    if count != len(wanted):
+        raise OracleFileError(f"{count} piece tables where a build makes {len(wanted)}")
+    tables: dict[int, PieceDistanceTable] = {}
+    for _ in range(count):
+        node = rd.u32()
+        sources = rd.ids()
+        targets = rd.ids()
+        matrix = rd.matrix()
+        if node not in wanted or node in tables:
+            raise OracleFileError(f"piece table {node} is not one a build makes")
+        piece = pieces[node]
+        if (
+            sources != piece.boundary
+            or targets != piece.vertices
+            or len(matrix) != len(sources) * len(targets)
+        ):
+            raise OracleFileError(f"piece table {node} does not fit its piece")
+        tables[node] = PieceDistanceTable(sources, targets, matrix)
+
+    oracle.ext = ext
+    oracle.vor = vor
+    oracle.piece_tables = tables
 
 
 def _restore_failure(g, tree, strict, cls=FailureOracle):
@@ -373,16 +435,4 @@ def _restore_failure(g, tree, strict, cls=FailureOracle):
     oracle.store._strict.update(strict)
     oracle._leaves = {}
     oracle.landmarks, oracle._to, oracle._frm = landmark_tables(g)
-    return oracle
-
-
-def _restore_tradeoff(g, tree, r, k, strict, ext, vor, tables) -> TradeoffOracle:
-    oracle = _restore_failure(g, tree, strict, cls=TradeoffOracle)
-    oracle.r = r
-    oracle.k = k
-    oracle.rdiv = tree.r_division(r)
-    oracle.ext = ext
-    oracle.vor = vor
-    oracle.piece_tables = tables
-    oracle.last_result = None
     return oracle

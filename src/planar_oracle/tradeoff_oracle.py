@@ -258,8 +258,7 @@ class TradeoffOracle(FailureOracle):
         # hop[i]: in-piece distance from the i-th exit boundary vertex to v
         hop = [ptable.raw(s, v) for s in tree.pieces[q_node].boundary]
         xset = set(x)
-        bset = sorted({w for pid in ids for w in tree.pieces[pid].boundary})
-        for y in bset:
+        for y in self.ext[ids].nodes:
             if y in xset:
                 continue
             dy = res.raw(y)

@@ -3,7 +3,10 @@
 The zoo spans the shapes the library must handle: dense grids, random
 triangulations, a one-way path (asymmetric reachability), a disconnected
 graph with an isolated vertex, and a single-vertex graph.  The references
-are plain Dijkstra runs that share no code with the structures under test.
+are plain Dijkstra runs that share no code with the structures under test:
+``compute_ddg`` (in-piece boundary-to-boundary distances, paths free to pass
+other boundary vertices) and ``minplus_closure`` are what the strict
+matrices must compose back to.
 """
 
 import heapq
@@ -45,8 +48,16 @@ def make_single() -> EmbeddedPlanarGraph:
 def in_piece_distance(g, piece, src, dst, failed=frozenset()):
     """Dijkstra restricted to the piece's own arcs, avoiding ``failed``;
     MATRIX_SENTINEL when ``dst`` is out of reach."""
-    if src in failed or dst in failed:
+    if dst in failed:
         return MATRIX_SENTINEL
+    return in_piece_distances(g, piece, src, failed).get(dst, MATRIX_SENTINEL)
+
+
+def in_piece_distances(g, piece, src, failed=frozenset()):
+    """{vertex: distance} from ``src`` over the piece's own arcs, avoiding
+    ``failed``; unreached vertices are missing."""
+    if src in failed:
+        return {}
     dist = {src: 0}
     heap = [(0, src)]
     adj = {}
@@ -63,10 +74,47 @@ def in_piece_distance(g, piece, src, dst, failed=frozenset()):
             if nd < dist.get(u, MATRIX_SENTINEL):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
-    return dist.get(dst, MATRIX_SENTINEL)
+    return dist
 
 
-def dense(nodes, entries, piece=(-1,)):
+def compute_ddg(g, piece):
+    """Reference closed DDG: in-piece distances between the piece's
+    boundary vertices, paths free to pass other boundary vertices."""
+    rows = [in_piece_distances(g, piece, s) for s in piece.boundary]
+    matrix = array("q", (row.get(t, MATRIX_SENTINEL) for row in rows for t in piece.boundary))
+    return DenseDistanceGraph(piece.boundary, matrix)
+
+
+def minplus_closure(ddg):
+    """All-pairs min-plus closure of a DDG, treating entries as arc weights:
+    one Dijkstra per node over the complete digraph the matrix describes."""
+    k = len(ddg.nodes)
+    out = array("q", [MATRIX_SENTINEL]) * (k * k)
+    mat = ddg.matrix
+    for i in range(k):
+        dist = [MATRIX_SENTINEL] * k
+        dist[i] = 0
+        heap = [(0, i)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            row = u * k
+            for v in range(k):
+                w = mat[row + v]
+                if w >= MATRIX_SENTINEL:
+                    continue
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        row = i * k
+        for j in range(k):
+            out[row + j] = dist[j]
+    return DenseDistanceGraph(ddg.nodes, out)
+
+
+def dense(nodes, entries):
     """Member from a {(s, t): w} dict; missing pairs are unreachable."""
     k = len(nodes)
     mat = array("q", [MATRIX_SENTINEL]) * (k * k)
@@ -74,7 +122,7 @@ def dense(nodes, entries, piece=(-1,)):
         mat[i * k + i] = 0
     for (s, t), w in entries.items():
         mat[nodes.index(s) * k + nodes.index(t)] = w
-    return DenseDistanceGraph("standard", tuple(nodes), mat, piece)
+    return DenseDistanceGraph(tuple(nodes), mat)
 
 
 def explicit_dijkstra(members, sources, forbidden=()):

@@ -16,12 +16,7 @@ import time
 import pytest
 
 from planar_oracle.baseline import distance_avoiding, sssp
-from planar_oracle.ddg import (
-    DdgStore,
-    compute_ddg,
-    minplus_closure,
-    strict_matrix,
-)
+from planar_oracle.ddg import DdgStore, strict_matrix
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.external import ExternalDdgBuilder
@@ -31,7 +26,7 @@ from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddingError
 from planar_oracle.oraclefile import save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
-from conftest import explicit_dijkstra
+from conftest import compute_ddg, explicit_dijkstra, minplus_closure
 
 
 def _report(capsys, num, ok, detail):

@@ -238,6 +238,18 @@ def test_corrupt_oracle_is_invalid(tmp_path):
     assert rc == cli.EXIT_INVALID
 
 
+def test_verify_random_on_one_vertex_is_invalid(tmp_path, capsys):
+    # drawing v != u from one vertex used to loop forever
+    gpath = tmp_path / "one.pgr"
+    gpath.write_text("1 0\n-\n")
+    opath = tmp_path / "one.bin"
+    assert cli.main(["build", str(gpath), "--out", str(opath)]) == cli.EXIT_OK
+    capsys.readouterr()
+    rc = cli.main(["verify", str(opath), "--random", "5"])
+    assert rc == cli.EXIT_INVALID
+    assert "the graph has 1" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

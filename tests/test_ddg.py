@@ -1,4 +1,5 @@
-"""Dense distance graphs: full, strict, leaf, tables, and the closure law."""
+"""Dense distance graphs: strict, leaf, tables, and the closure law against
+the reference closed DDG."""
 
 import random
 from array import array
@@ -10,17 +11,15 @@ from planar_oracle.baseline import sssp
 from planar_oracle.ddg import (
     DdgStore,
     DenseDistanceGraph,
-    compute_ddg,
     compute_ddg_internal,
     compute_leaf_ddg,
     compute_piece_distance_table,
-    minplus_closure,
 )
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.frdijkstra import multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
-from conftest import in_piece_distance
+from conftest import compute_ddg, in_piece_distance, minplus_closure
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +38,7 @@ def test_strict_matrix_zero_weights():
     S = MATRIX_SENTINEL
     assert list(strict.matrix) == [0, 0, S, S, 0, 0, S, S, 0]
     ddg = compute_ddg(g, piece)
-    assert ddg.matrix[ddg.nodes.index(0) * len(ddg) + ddg.nodes.index(2)] == 0
+    assert ddg.matrix[ddg.nodes.index(0) * len(ddg.nodes) + ddg.nodes.index(2)] == 0
 
 
 def test_full_ddg_matches_in_piece_brute(setup8):
@@ -50,7 +49,7 @@ def test_full_ddg_matches_in_piece_brute(setup8):
         for s in ddg.nodes:
             for t in ddg.nodes:
                 want = in_piece_distance(g, p, s, t)
-                raw = ddg.matrix[ddg.nodes.index(s) * len(ddg) + ddg.nodes.index(t)]
+                raw = ddg.matrix[ddg.nodes.index(s) * len(ddg.nodes) + ddg.nodes.index(t)]
                 if want >= MATRIX_SENTINEL:
                     assert raw >= MATRIX_SENTINEL
                 else:
@@ -144,7 +143,7 @@ def test_closure_matches_floyd_warshall():
                 mat[i * k + j] = 0
             elif rng.random() < 0.6:
                 mat[i * k + j] = rng.randrange(0, 50)
-    ddg = DenseDistanceGraph("standard", tuple(range(k)), mat, (-1,))
+    ddg = DenseDistanceGraph(tuple(range(k)), mat)
     closed = minplus_closure(ddg)
     fw = [[min(mat[i * k + j], MATRIX_SENTINEL) for j in range(k)] for i in range(k)]
     for m in range(k):
@@ -175,9 +174,7 @@ def test_store_memoizes(setup8):
 
 def test_ddg_validation():
     with pytest.raises(ValueError):
-        DenseDistanceGraph("bogus", (0,), array("q", [0]), (-1,))
-    with pytest.raises(ValueError):
-        DenseDistanceGraph("standard", (0, 1), array("q", [0]), (-1,))
+        DenseDistanceGraph((0, 1), array("q", [0]))
 
 
 def test_dist_accessor(setup8):
@@ -186,7 +183,7 @@ def test_dist_accessor(setup8):
     ddg = compute_ddg(g, p)
     s = ddg.nodes[0]
     i = ddg.nodes.index(s)
-    assert ddg.matrix[i * len(ddg) + i] == 0
+    assert ddg.matrix[i * len(ddg.nodes) + i] == 0
 
 
 def test_root_ddg_is_empty(setup8):
@@ -204,6 +201,6 @@ def test_sssp_consistency_of_full_ddg(setup8):
     for s in ddg.nodes[:3]:
         ref = sssp(g, s)
         for t in ddg.nodes:
-            d = ddg.matrix[ddg.nodes.index(s) * len(ddg) + ddg.nodes.index(t)]
+            d = ddg.matrix[ddg.nodes.index(s) * len(ddg.nodes) + ddg.nodes.index(t)]
             if d < MATRIX_SENTINEL:
                 assert d >= ref[t]

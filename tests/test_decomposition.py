@@ -1,13 +1,11 @@
-"""Recursive decomposition: partition, balance, marks, and diagnostics."""
+"""Recursive decomposition: partition, balance, marks, and ancestors."""
 
-import json
 import random
 
-import jsonschema
 import pytest
 
 from planar_oracle.decomposition import (
-    TREE_DEBUG_SCHEMA,
+    _split_piece,
     build_decomposition,
     highest_excluding_ancestor,
 )
@@ -81,10 +79,15 @@ def test_leaf_sizes(tree8, tree_tri):
 def test_balance_contract(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
     for p in tree.pieces:
-        if p.is_leaf or not p.separator:
+        if p.is_leaf:
             continue
-        sides = [len(tree.pieces[c].vertices) for c in p.children]
-        assert 3 * max(sides) <= 2 * len(p.vertices) + 3 * len(p.separator)
+        # the split the tree made, recomputed: same sides, and its separator
+        separator, sides = _split_piece(grid8, p.vertices, p.arcs)
+        assert [(tree.pieces[c].vertices, tree.pieces[c].arcs) for c in p.children] == sides
+        if not separator:
+            continue
+        sizes = [len(verts) for verts, _ in sides]
+        assert 3 * max(sizes) <= 2 * len(p.vertices) + 3 * len(separator)
 
 
 def test_marks_are_antichains(tree8):
@@ -163,18 +166,6 @@ def test_highest_excluding_rejects_inside(tree8):
     inside = tree8.pieces[leaf].vertices[0]
     with pytest.raises(ValueError):
         highest_excluding_ancestor(tree8, leaf, [inside])
-
-
-def test_holes_partition_boundary(tree8):
-    for p in tree8.pieces:
-        flat = [v for hole in p.holes for v in hole]
-        assert sorted(flat) == list(p.boundary)
-
-
-def test_debug_json_schema(tree8):
-    doc = json.loads(tree8.debug_json())
-    jsonschema.validate(doc, TREE_DEBUG_SCHEMA)
-    assert len(doc["nodes"]) == len(tree8.pieces)
 
 
 def test_degenerate_graphs(single, disconnected, path12):

@@ -1,18 +1,20 @@
 """On-disk oracle format: round trips, byte stability, corruption handling."""
 
+import copy
 import hashlib
 import os
 import random
 import subprocess
 import sys
 import zlib
+from array import array
 from types import SimpleNamespace
 
 import pytest
 
 from planar_oracle import oraclefile
 from planar_oracle.baseline import distance_avoiding
-from planar_oracle.ddg import DenseDistanceGraph
+from planar_oracle.ddg import DenseDistanceGraph, PieceDistanceTable
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid
 from planar_oracle.graph import GraphFormatError
@@ -109,7 +111,7 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
@@ -128,13 +130,6 @@ def test_truncation(tmp_path, fo8):
         p.write_bytes(raw[:cut])
         with pytest.raises(OracleFileError):
             load_oracle(p)
-
-
-def _bad_variant(fo, path, monkeypatch):
-    # every stored matrix gets a variant code past the known ones
-    with monkeypatch.context() as m:
-        m.setattr(oraclefile, "_VARIANTS", ("?",) * 8 + oraclefile._VARIANTS)
-        save_oracle(fo, path)
 
 
 def _short_matrices(fo, path, monkeypatch):
@@ -158,12 +153,11 @@ def _graph_byte(value):
 @pytest.mark.parametrize(
     "write, cause",
     [
-        (_bad_variant, IndexError),
         (_short_matrices, ValueError),
         (_graph_byte(0xFF), UnicodeDecodeError),
         (_graph_byte(ord("x")), GraphFormatError),
     ],
-    ids=["ddg-variant", "matrix-shape", "non-ascii-graph", "bad-graph-text"],
+    ids=["matrix-shape", "non-ascii-graph", "bad-graph-text"],
 )
 def test_decode_faults_raise_file_error(tmp_path, monkeypatch, write, cause):
     fo = FailureOracle(generate_grid(6, 6, max_weight=5, seed=3), leaf_size=8)
@@ -193,10 +187,10 @@ def _crafted(fo, tmp_path, field, value):
         raw[7:11] = value.to_bytes(4, "little")
     elif field == "parent":
         raw[parent_at : parent_at + 8] = value.to_bytes(8, "little", signed=True)
-    elif field == "vertex-list-length":  # piece 0's, after its parent and depth
-        raw[parent_at + 12 : parent_at + 16] = value.to_bytes(4, "little")
+    elif field == "vertex-list-length":  # piece 0's, after its parent
+        raw[parent_at + 8 : parent_at + 12] = value.to_bytes(4, "little")
     else:  # piece 0's first vertex id, after its vertex-list length
-        raw[parent_at + 16 : parent_at + 20] = value.to_bytes(4, "little")
+        raw[parent_at + 12 : parent_at + 16] = value.to_bytes(4, "little")
     write_resealed(p, raw)
     return p
 
@@ -249,7 +243,7 @@ def test_vertex_id_past_graph(tmp_path, monkeypatch, fo6):
 
     def shifted(fh, ddg):
         nodes = tuple(v + fo6.graph.n for v in ddg.nodes)
-        write(fh, DenseDistanceGraph(ddg.variant, nodes, ddg.matrix, ddg.source_pieces))
+        write(fh, DenseDistanceGraph(nodes, ddg.matrix))
 
     p = tmp_path / "shifted.bin"
     with monkeypatch.context() as m:
@@ -272,11 +266,9 @@ def _save_with_tree(oracle, path, monkeypatch, edit):
             pieces=[
                 SimpleNamespace(
                     parent=p.parent,
-                    depth=p.depth,
                     vertices=p.vertices,
                     boundary=p.boundary,
                     arcs=p.arcs,
-                    separator=p.separator,
                 )
                 for p in tree.pieces
             ],
@@ -365,6 +357,118 @@ def test_tradeoff_r_not_marked(tmp_path):
     to.r = 17  # not a marked r; the tree section is unchanged
     p = tmp_path / "t.bin"
     save_oracle(to, p)
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+
+
+def _resaved(oracle, path, edit):
+    """Save a copy of the trade-off oracle whose tables ``edit`` changed;
+    save_oracle seals the crafted file with a matching trailer, as
+    write_resealed does for byte edits.  The oracle itself is unchanged."""
+    crafted = copy.copy(oracle)
+    crafted.store = copy.copy(oracle.store)
+    crafted.store._strict = dict(oracle.store._strict)
+    crafted.ext = dict(oracle.ext)
+    crafted.vor = dict(oracle.vor)
+    crafted.piece_tables = dict(oracle.piece_tables)
+    edit(crafted)
+    save_oracle(crafted, path)
+
+
+def _rekey_ext(ids_of):
+    def edit(o):
+        ids = min(o.ext)
+        o.ext[ids_of(o, ids)] = o.ext.pop(ids)
+
+    return edit
+
+
+def _rekey_row(key_of):
+    def edit(o):
+        key = min(o.vor)
+        o.vor[key_of(o, key)] = o.vor.pop(key)
+
+    return edit
+
+
+def _ext_nodes(o):
+    ids = min(o.ext)
+    nodes = o.ext[ids].nodes[:-1]
+    o.ext[ids] = DenseDistanceGraph(nodes, array("q", [0]) * len(nodes) ** 2)
+
+
+def _strict_nodes(o):
+    pid = next(p.id for p in o.tree.pieces if len(p.boundary) > 1)
+    nodes = o.store.strict(pid).nodes[1:]
+    o.store._strict[pid] = DenseDistanceGraph(nodes, array("q", [0]) * len(nodes) ** 2)
+
+
+def _rows_cut_to_one(o):
+    for key, row in o.vor.items():
+        o.vor[key] = row[:1]
+
+
+def _table(change):
+    def edit(o):
+        q = min(o.piece_tables)
+        t = o.piece_tables[q]
+        sources, targets, matrix = change(t.sources, t.targets, t.matrix)
+        o.piece_tables[q] = PieceDistanceTable(sources, targets, matrix)
+
+    return edit
+
+
+def _outside_division(o, ids):
+    other = next(p.id for p in o.tree.pieces if p.id not in o.rdiv)
+    return tuple(sorted((ids[0], other)))
+
+
+def _y_outside_ext(o, key):
+    ids, q, _ = key
+    y = next(v for v in range(o.graph.n) if v not in o.ext[ids].nodes)
+    return ids, q, y
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda o: o.ext.pop(min(o.ext)),
+        _rekey_ext(_outside_division),
+        _rekey_ext(lambda o, ids: ids[:1]),
+        _ext_nodes,
+        _strict_nodes,
+        _rekey_row(lambda o, key: (key[0][:1],) + key[1:]),
+        _rekey_row(lambda o, key: (key[0], 0, key[2])),
+        _rekey_row(_y_outside_ext),
+        _rows_cut_to_one,
+        lambda o: o.vor.pop(min(o.vor)),
+        _table(lambda s, t, m: (s[1:], t, m[len(t) :])),
+        _table(lambda s, t, m: (s, t[1:], array("q", [0]) * (len(s) * (len(t) - 1)))),
+        _table(lambda s, t, m: (s, t, m[: len(m) // 2])),
+        lambda o: o.piece_tables.pop(min(o.piece_tables)),
+    ],
+    ids=[
+        "ext-tuple-missing",
+        "ext-key-outside-division",
+        "ext-key-wrong-size",
+        "ext-nodes-not-tuple-boundary",
+        "strict-nodes-not-piece-boundary",
+        "row-names-unknown-tuple",
+        "row-exit-outside-family",
+        "row-y-outside-ext",
+        "rows-cut-to-one-entry",
+        "row-missing",
+        "table-sources-not-boundary",
+        "table-targets-not-vertices",
+        "table-half-length",
+        "table-missing",
+    ],
+)
+def test_tradeoff_tables_checked_at_load(tmp_path, to8, edit):
+    # with a valid trailer these loaded, then answered wrongly or raised
+    # IndexError or KeyError at query time
+    p = tmp_path / "t.bin"
+    _resaved(to8, p, edit)
     with pytest.raises(OracleFileError):
         load_oracle(p)
 
