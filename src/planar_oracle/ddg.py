@@ -166,7 +166,7 @@ def compute_leaf_ddg(g: EmbeddedPlanarGraph, piece) -> SparseMember:
     every query.
     """
     arcs = g.arcs
-    return SparseMember(piece.vertices, [arcs[a] for a in piece.arcs], piece_id=piece.id)
+    return SparseMember(piece.vertices, [arcs[a] for a in piece.arcs])
 
 
 def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistanceTable:

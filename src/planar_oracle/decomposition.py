@@ -94,10 +94,6 @@ class DecompositionTree:
 
     # -- navigation -------------------------------------------------------
 
-    @property
-    def root(self) -> Piece:
-        return self.pieces[0]
-
     def sibling_of(self, node: int) -> int | None:
         par = self.pieces[node].parent
         if par is None:
@@ -115,9 +111,6 @@ class DecompositionTree:
     def is_ancestor(self, anc: int, node: int) -> bool:
         """True when ``anc`` equals ``node`` or properly contains it."""
         return self._tin[anc] <= self._tin[node] and self._tout[node] <= self._tout[anc]
-
-    def leaves(self) -> list[int]:
-        return [p.id for p in self.pieces if p.is_leaf]
 
     # -- r-divisions --------------------------------------------------------
 

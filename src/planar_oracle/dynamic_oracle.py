@@ -83,11 +83,10 @@ class DynamicOracle:
     rebuilding never renumbers the survivors.
     """
 
-    def __init__(self, g: EmbeddedPlanarGraph, r: int = 32, r_base: int = 4):
+    def __init__(self, g: EmbeddedPlanarGraph, r: int = 32):
         if r < 3:
             raise ValueError("r must be at least 3")
         self.r = r
-        self.r_base = max(2, r_base)
         self.boundary_floor = math.isqrt(r - 1) + 1  # ceil(sqrt(r))
 
         # mutable public-id state
@@ -108,10 +107,6 @@ class DynamicOracle:
         self._rebuild()
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def m_alive(self) -> int:
-        return sum(self.arc_alive)
 
     def _check_alive_vertex(self, v: int) -> None:
         if not (_is_index(v) and v < len(self.v_alive)) or not self.v_alive[v]:
@@ -162,7 +157,7 @@ class DynamicOracle:
     def _rebuild(self) -> None:
         g, pub_v, pub_a = self.export_graph()
         # only the r-division is read, so pieces need not split below r
-        tree = build_decomposition(g, leaf_size=max(3, self.r), r_base=self.r_base, extra_marks=(self.r,))
+        tree = build_decomposition(g, leaf_size=max(3, self.r), extra_marks=(self.r,))
         self.regions = []
         self.region_of_arc = {}
         for pid in tree.r_division(self.r):
@@ -172,22 +167,12 @@ class DynamicOracle:
                 {pub_v[v] for v in piece.boundary},
                 {pub_a[a] for a in piece.arcs},
             )
+            reg.divided_boundary = len(reg.boundary)
+            self._recompute(reg)
             ri = len(self.regions)
             self.regions.append(reg)
             for a in reg.arcs:
                 self.region_of_arc[a] = ri
-        # vertices shared by several regions are boundary in all of them
-        owner: dict[int, list[int]] = {}
-        for ri, reg in enumerate(self.regions):
-            for v in reg.vertices:
-                owner.setdefault(v, []).append(ri)
-        for v, ris in owner.items():
-            if len(ris) > 1:
-                for ri in ris:
-                    self.regions[ri].boundary.add(v)
-        for reg in self.regions:
-            reg.divided_boundary = len(reg.boundary)
-            self._recompute(reg)
         self.divided_regions = len(self.regions)
         self.rebuild_count += 1
 
@@ -373,14 +358,14 @@ class DynamicOracle:
 
     def _raw_member(self, v: int) -> SparseMember:
         """The raw arcs of v's first home region, or v alone if it has none."""
-        for ri, reg in enumerate(self.regions):
+        for reg in self.regions:
             if v in reg.vertices:
                 if reg.member is None:
                     reg.member = SparseMember(
-                        tuple(sorted(reg.vertices)), tuple(self._arc_triples(reg)), piece_id=ri
+                        tuple(sorted(reg.vertices)), tuple(self._arc_triples(reg))
                     )
                 return reg.member
-        return SparseMember((v,), (), piece_id=-1)
+        return SparseMember((v,), ())
 
     def distance(self, u: int, v: int):
         """Current length of the shortest path from u to v."""

@@ -51,17 +51,11 @@ class SparseMember:
     Both ends of every arc must be nodes, and no weight may be negative.
     """
 
-    __slots__ = ("nodes", "arcs", "out", "piece_id")
+    __slots__ = ("nodes", "arcs", "out")
 
-    def __init__(
-        self,
-        nodes: Sequence[int],
-        arcs: Sequence[tuple[int, int, int]],
-        piece_id: int = -1,
-    ):
+    def __init__(self, nodes: Sequence[int], arcs: Sequence[tuple[int, int, int]]):
         self.nodes = tuple(nodes)
         self.arcs = tuple(arcs)
-        self.piece_id = piece_id
         out: dict[int, list[tuple[int, int]]] = {v: [] for v in self.nodes}
         for t, h, w in self.arcs:
             if w < 0:

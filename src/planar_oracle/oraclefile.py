@@ -1,42 +1,36 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 5; files of any other version are rejected), a kind byte, the
+(currently 6; files of any other version are rejected), a kind byte, the
 graph in its text form, the build parameters, the decomposition tree, and
-the strict matrices, each as its node list and entries.  Trade-off files
-append the per-tuple external matrices, the directional tables and the
-piece tables.  Unreachable entries are written as -1.  All dictionary
-sections are emitted in sorted key order, so building the same oracle
-twice produces identical bytes.
+the tables in the order ``_layout`` walks them.  The tree, r and k fix
+every table's shape, so a table is its raw entries alone, unreachable ones
+written as -1: no key, node list or length.  Building the same oracle twice
+produces identical bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
 the trailer before it parses anything else, so a corrupted file, such as
 one with a flipped matrix entry, raises OracleFileError instead of loading
 and answering wrongly.  Vertex, arc and piece ids in the tree section, and
-the trade-off r, are also range-checked at load, and every stored matrix,
-row and table is checked against the shape a build of the same tree makes,
-so a crafted file with a valid trailer raises OracleFileError there.
+the trade-off r, are also range-checked at load.  Each tuple's stored ids
+must be the tuple the walk expects next, which also bounds the walk by the
+file's size, and the tables must fill the file exactly, so a crafted file
+with a valid trailer raises OracleFileError there.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import struct
 import sys
 import zlib
 from array import array
-from math import comb
 from typing import BinaryIO
 
-from .graph import (
-    MATRIX_SENTINEL,
-    EmbeddedPlanarGraph,
-    dumps_graph,
-    loads_graph,
-    sorted_contains,
-)
+from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece
 from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
 from .external import tuple_boundary
@@ -46,7 +40,7 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 5
+_VERSION = 6
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
@@ -67,13 +61,16 @@ def _w_i64(fh: BinaryIO, x: int) -> None:
     fh.write(struct.pack("<q", x))
 
 
+def _pack_ids(ids) -> bytes:
+    return struct.pack(f"<{len(ids)}I", *ids)
+
+
 def _w_ids(fh: BinaryIO, ids) -> None:
     _w_u32(fh, len(ids))
-    fh.write(struct.pack(f"<{len(ids)}I", *ids) if ids else b"")
+    fh.write(_pack_ids(ids))
 
 
 def _w_matrix(fh: BinaryIO, mat: array) -> None:
-    _w_u32(fh, len(mat))
     out = array("q", (x if x < MATRIX_SENTINEL else -1 for x in mat))
     if sys.byteorder == "big":
         out.byteswap()
@@ -138,10 +135,9 @@ class _Reader:
             raise OracleFileError(f"vertex id {max(ids)} past the graph's {n} vertices")
         return ids
 
-    def matrix(self) -> array:
-        k = self.u32()
+    def matrix(self, entries: int) -> array:
         mat = array("q")
-        mat.frombytes(self.take(8 * k))
+        mat.frombytes(self.take(8 * entries))
         if sys.byteorder == "big":
             mat.byteswap()
         for i, x in enumerate(mat):
@@ -226,31 +222,75 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
     return DecompositionTree(g, pieces, leaf_size, r_base, r_sequence, marks, leaf_of)
 
 
-def _write_ddg(fh: BinaryIO, ddg: DenseDistanceGraph) -> None:
-    _w_ids(fh, ddg.nodes)
-    _w_matrix(fh, ddg.matrix)
+# -- tables -------------------------------------------------------------------
 
 
-def _read_ddg(rd: _Reader, n: int) -> DenseDistanceGraph:
-    nodes = rd.vertex_ids(n)
-    matrix = rd.matrix()
-    try:
-        return DenseDistanceGraph(nodes, matrix)
-    except ValueError as exc:  # a matrix that does not fit its node list
-        raise OracleFileError(f"bad DDG: {exc}") from exc
+def _layout(oracle):
+    """(kind, key, entries) of every table the oracle's file stores, in
+    file order: the strict matrices by piece id; then for a trade-off
+    oracle, per (k+1)-tuple T of its r-division in build order, T's ids
+    (one u32 each), ext(T) and the row of each exit piece q and y ∈ ∂T;
+    then the exit pieces' tables.  Only the tree, r and k decide it, never
+    which strict matrices queries pulled in, so the bytes cannot drift."""
+    pieces = oracle.tree.pieces
+    stored = {p.id for p in pieces if not p.is_leaf}
+    tradeoff = isinstance(oracle, TradeoffOracle)
+    if tradeoff:
+        stored.update(oracle.rdiv)
+    for pid in sorted(stored):
+        yield "strict", pid, len(pieces[pid].boundary) ** 2
+    if not tradeoff:
+        return
+    exits: set[int] = set()
+    # combinations() allocates k + 1 indices even when it yields nothing
+    size = oracle.k + 1
+    tuples = itertools.combinations(oracle.rdiv, size) if size <= len(oracle.rdiv) else ()
+    for ids in tuples:
+        yield "tuple", ids, len(ids)
+        nodes = tuple_boundary(pieces, ids)
+        yield "ext", ids, len(nodes) ** 2
+        family = oracle._exit_family(ids)
+        exits.update(family)
+        for q in family:
+            for y in nodes:
+                yield "vor", (ids, q, y), len(pieces[q].boundary)
+    for q in sorted(exits):
+        yield "table", q, len(pieces[q].boundary) * len(pieces[q].vertices)
 
 
-def _read_strict(rd: _Reader, tree: DecompositionTree) -> dict[int, DenseDistanceGraph]:
-    """Strict matrices keyed by piece id, each over its piece's boundary."""
-    pieces = tree.pieces
-    strict = {}
-    for _ in range(rd.u32()):
-        pid = rd.u32()
-        ddg = _read_ddg(rd, tree.graph.n)
-        if pid >= len(pieces) or ddg.nodes != pieces[pid].boundary:
-            raise OracleFileError(f"strict matrix {pid} is not over a piece boundary")
-        strict[pid] = ddg
-    return strict
+def _write_tables(fh: BinaryIO, oracle) -> None:
+    for kind, key, _ in _layout(oracle):
+        if kind == "tuple":
+            fh.write(_pack_ids(key))
+        elif kind == "strict":
+            _w_matrix(fh, oracle.store.strict(key).matrix)
+        elif kind == "ext":
+            _w_matrix(fh, oracle.ext[key].matrix)
+        elif kind == "vor":
+            _w_matrix(fh, oracle.vor[key])
+        else:
+            _w_matrix(fh, oracle.piece_tables[key].matrix)
+
+
+def _read_tables(rd: _Reader, oracle) -> None:
+    pieces = oracle.tree.pieces
+    for kind, key, entries in _layout(oracle):
+        if kind == "tuple":
+            if rd.take(4 * entries) != _pack_ids(key):
+                raise OracleFileError(f"stored tuple ids are not the expected {key}")
+            continue
+        mat = rd.matrix(entries)
+        if kind == "strict":
+            oracle.store._strict[key] = DenseDistanceGraph(pieces[key].boundary, mat)
+        elif kind == "ext":
+            oracle.ext[key] = DenseDistanceGraph(tuple_boundary(pieces, key), mat)
+        elif kind == "vor":
+            oracle.vor[key] = mat
+        else:
+            piece = pieces[key]
+            oracle.piece_tables[key] = PieceDistanceTable(piece.boundary, piece.vertices, mat)
+    if rd.left:
+        raise OracleFileError(f"{rd.left} bytes after the last table")
 
 
 # -- top level ----------------------------------------------------------------
@@ -270,43 +310,10 @@ def save_oracle(oracle, path: str) -> None:
     buf.write(struct.pack("<HB", _VERSION, kind))
     _w_blob(buf, dumps_graph(oracle.graph).encode("ascii"))
     _write_tree(buf, oracle.tree)
-
-    if kind == _KIND_FAILURE:
-        stored = [p.id for p in oracle.tree.pieces if not p.is_leaf]
-        _w_u32(buf, len(stored))
-        for pid in stored:
-            _w_u32(buf, pid)
-            _write_ddg(buf, oracle.store.strict(pid))
-    else:
+    if kind == _KIND_TRADEOFF:
         _w_u32(buf, oracle.r)
         _w_u32(buf, oracle.k)
-        # The stored set must depend only on the tree, not on which strict
-        # matrices queries happened to pull in, or the bytes would drift.
-        stored = sorted(
-            {p.id for p in oracle.tree.pieces if not p.is_leaf} | set(oracle.rdiv)
-        )
-        _w_u32(buf, len(stored))
-        for pid in stored:
-            _w_u32(buf, pid)
-            _write_ddg(buf, oracle.store.strict(pid))
-        _w_u32(buf, len(oracle.ext))
-        for ids in sorted(oracle.ext):
-            _w_ids(buf, ids)
-            _write_ddg(buf, oracle.ext[ids])
-        _w_u32(buf, len(oracle.vor))
-        for key in sorted(oracle.vor):
-            ids, q, y = key
-            _w_ids(buf, ids)
-            _w_u32(buf, q)
-            _w_u32(buf, y)
-            _w_matrix(buf, oracle.vor[key])
-        _w_u32(buf, len(oracle.piece_tables))
-        for node in sorted(oracle.piece_tables):
-            table = oracle.piece_tables[node]
-            _w_u32(buf, node)
-            _w_ids(buf, table.sources)
-            _w_ids(buf, table.targets)
-            _w_matrix(buf, table.matrix)
+    _write_tables(buf, oracle)
 
     with buf.getbuffer() as body:
         crc = zlib.crc32(body)
@@ -330,109 +337,21 @@ def load_oracle(path: str):
         g = _read_graph(rd)
         tree = _read_tree(rd, g)
 
-        if kind == _KIND_FAILURE:
-            return _restore_failure(g, tree, _read_strict(rd, tree))
-
-        r = rd.u32()
-        if r not in tree._marks:
-            raise OracleFileError(f"r={r} is not in the marked sequence {tree.r_sequence}")
-        k = rd.u32()
-        oracle = _restore_failure(g, tree, _read_strict(rd, tree), cls=TradeoffOracle)
-        oracle.r = r
-        oracle.k = k
-        oracle.rdiv = tree.r_division(r)
-        oracle.last_result = None
-        _read_tradeoff_tables(rd, oracle)
+        oracle = object.__new__(TradeoffOracle if kind == _KIND_TRADEOFF else FailureOracle)
+        oracle.graph = g
+        oracle.tree = tree
+        oracle.store = DdgStore(g, tree)
+        oracle._leaves = {}
+        oracle.landmarks, oracle._to, oracle._frm = landmark_tables(g)
+        if kind == _KIND_TRADEOFF:
+            r = rd.u32()
+            if r not in tree._marks:
+                raise OracleFileError(f"r={r} is not in the marked sequence {tree.r_sequence}")
+            oracle.r = r
+            oracle.k = rd.u32()
+            oracle.rdiv = tree.r_division(r)
+            oracle.ext, oracle.vor, oracle.piece_tables = {}, {}, {}
+            oracle.last_result = None
+        _read_tables(rd, oracle)
         return oracle
 
-
-def _read_tradeoff_tables(rd: _Reader, oracle: TradeoffOracle) -> None:
-    """Read ext, the directional rows and the piece tables into ``oracle``.
-
-    Each key is checked as it is read, and each section's count against
-    what a build of the oracle's tree, r and k makes; distinct valid keys
-    in the right number are exactly the build's keys, so no second key set
-    is built.  Every row and table must fit its piece."""
-    pieces = oracle.tree.pieces
-    n = oracle.graph.n
-    size = oracle.k + 1
-    rdiv = set(oracle.rdiv)
-
-    count = rd.u32()
-    if count != comb(len(rdiv), size):
-        raise OracleFileError(f"{count} ext tables for {len(rdiv)} pieces and k={oracle.k}")
-    ext: dict[tuple[int, ...], DenseDistanceGraph] = {}
-    exits: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rows = 0
-    for _ in range(count):
-        ids = rd.ids()
-        if (
-            len(ids) != size
-            or any(a >= b for a, b in zip(ids, ids[1:]))
-            or not rdiv.issuperset(ids)
-            or ids in ext
-        ):
-            raise OracleFileError(f"ext key {ids} is not a new {size}-subset of the r-division")
-        ddg = _read_ddg(rd, n)
-        if ddg.nodes != tuple_boundary(pieces, ids):
-            raise OracleFileError(f"ext{ids} is not over the tuple's boundary")
-        ext[ids] = ddg
-        exits[ids] = oracle._exit_family(ids)
-        rows += len(exits[ids]) * len(ddg.nodes)
-
-    count = rd.u32()
-    if count != rows:
-        raise OracleFileError(f"{count} directional rows where a build makes {rows}")
-    vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-    for _ in range(count):
-        ids = rd.ids()
-        q = rd.u32()
-        y = rd.u32()
-        key = (ids, q, y)
-        if (
-            ids not in ext
-            or not sorted_contains(exits[ids], q)
-            or not sorted_contains(ext[ids].nodes, y)
-            or key in vor
-        ):
-            raise OracleFileError(f"directional row {key} is not one a build makes")
-        row = rd.matrix()
-        if len(row) != len(pieces[q].boundary):
-            raise OracleFileError(f"directional row {key} does not fit piece {q}'s boundary")
-        vor[key] = row
-
-    wanted = set().union(*exits.values())
-    count = rd.u32()
-    if count != len(wanted):
-        raise OracleFileError(f"{count} piece tables where a build makes {len(wanted)}")
-    tables: dict[int, PieceDistanceTable] = {}
-    for _ in range(count):
-        node = rd.u32()
-        sources = rd.ids()
-        targets = rd.ids()
-        matrix = rd.matrix()
-        if node not in wanted or node in tables:
-            raise OracleFileError(f"piece table {node} is not one a build makes")
-        piece = pieces[node]
-        if (
-            sources != piece.boundary
-            or targets != piece.vertices
-            or len(matrix) != len(sources) * len(targets)
-        ):
-            raise OracleFileError(f"piece table {node} does not fit its piece")
-        tables[node] = PieceDistanceTable(sources, targets, matrix)
-
-    oracle.ext = ext
-    oracle.vor = vor
-    oracle.piece_tables = tables
-
-
-def _restore_failure(g, tree, strict, cls=FailureOracle):
-    oracle = object.__new__(cls)
-    oracle.graph = g
-    oracle.tree = tree
-    oracle.store = DdgStore(g, tree)
-    oracle.store._strict.update(strict)
-    oracle._leaves = {}
-    oracle.landmarks, oracle._to, oracle._frm = landmark_tables(g)
-    return oracle

@@ -45,6 +45,11 @@ def make_single() -> EmbeddedPlanarGraph:
     return EmbeddedPlanarGraph(1, [], [[]])
 
 
+def leaves(tree):
+    """Ids of the tree's leaf pieces, in id order."""
+    return [p.id for p in tree.pieces if p.is_leaf]
+
+
 def in_piece_distance(g, piece, src, dst, failed=frozenset()):
     """Dijkstra restricted to the piece's own arcs, avoiding ``failed``;
     MATRIX_SENTINEL when ``dst`` is out of reach."""

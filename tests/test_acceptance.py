@@ -324,7 +324,7 @@ def test_criterion_5_dynamic_matches_fresh_rebuild(capsys):
     kinds_missing = []
     for seed in range(5):
         g = generate_grid(12, 12, max_weight=9, seed=seed)
-        dyn = DynamicOracle(g, r=16, r_base=4)
+        dyn = DynamicOracle(g, r=16)
         rng = random.Random(f"accept5:{seed}")
         seen = set()
         fresh = pend = None

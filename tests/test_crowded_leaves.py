@@ -17,7 +17,7 @@ from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.oraclefile import load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
-from conftest import in_piece_distance
+from conftest import in_piece_distance, leaves
 
 SEEDS = (1, 2, 3)
 
@@ -59,7 +59,7 @@ def oracles(request):
 
 
 def _leaves(tree):
-    return [tree.pieces[leaf] for leaf in tree.leaves()]
+    return [tree.pieces[leaf] for leaf in leaves(tree)]
 
 
 def test_endpoints_and_failure_share_a_leaf(oracles):
@@ -140,9 +140,8 @@ def test_queries_leave_cached_leaves_unchanged(name, zoo, tmp_path):
         path = tmp_path / f"{i}.bin"
         save_oracle(built, path)
         oracles.append(load_oracle(path))
-    leaves = fo.tree.leaves()
     for oracle in oracles:
-        for leaf in leaves:
+        for leaf in leaves(fo.tree):
             oracle._leaf(leaf)
     before = [_snapshot(oracle) for oracle in oracles]
 

@@ -10,6 +10,8 @@ from planar_oracle.decomposition import (
     highest_excluding_ancestor,
 )
 
+from conftest import leaves
+
 
 @pytest.fixture(scope="module")
 def tree8(grid8):
@@ -22,7 +24,7 @@ def tree_tri(tri200):
 
 
 def test_root_covers_everything(grid8, tree8):
-    root = tree8.root
+    root = tree8.pieces[0]
     assert root.vertices == tuple(range(grid8.n))
     assert root.arcs == tuple(range(grid8.m))
     assert root.boundary == ()
@@ -72,7 +74,7 @@ def test_split_makes_progress(tree8, tree_tri):
 
 def test_leaf_sizes(tree8, tree_tri):
     for tree, cap in ((tree8, 8), (tree_tri, 16)):
-        for leaf in tree.leaves():
+        for leaf in leaves(tree):
             assert len(tree.pieces[leaf].vertices) <= cap
 
 
@@ -102,7 +104,7 @@ def test_marks_are_antichains(tree8):
 def test_one_mark_per_root_path(tree8):
     for r in tree8.r_sequence:
         marks = set(tree8.r_division(r))
-        for leaf in tree8.leaves():
+        for leaf in leaves(tree8):
             hits = [node for node in tree8.root_path(leaf) if node in marks]
             assert len(hits) == 1
 
@@ -147,10 +149,10 @@ def test_sibling_of(tree8):
 def test_highest_excluding_ancestor(tree8):
     rng = random.Random(1)
     for _ in range(60):
-        leaf = rng.choice(tree8.leaves())
+        leaf = rng.choice(leaves(tree8))
         piece = tree8.pieces[leaf]
         outside = [
-            v for v in tree8.root.vertices if not piece.contains(v)
+            v for v in tree8.pieces[0].vertices if not piece.contains(v)
         ]
         forb = rng.sample(outside, min(3, len(outside)))
         top = highest_excluding_ancestor(tree8, leaf, forb)
@@ -162,7 +164,7 @@ def test_highest_excluding_ancestor(tree8):
 
 
 def test_highest_excluding_rejects_inside(tree8):
-    leaf = tree8.leaves()[0]
+    leaf = leaves(tree8)[0]
     inside = tree8.pieces[leaf].vertices[0]
     with pytest.raises(ValueError):
         highest_excluding_ancestor(tree8, leaf, [inside])
@@ -170,11 +172,11 @@ def test_highest_excluding_rejects_inside(tree8):
 
 def test_degenerate_graphs(single, disconnected, path12):
     t1 = build_decomposition(single, leaf_size=3)
-    assert t1.root.is_leaf
+    assert t1.pieces[0].is_leaf
     t2 = build_decomposition(disconnected, leaf_size=3)
-    assert set(t2.root.vertices) == set(range(disconnected.n))
+    assert set(t2.pieces[0].vertices) == set(range(disconnected.n))
     t3 = build_decomposition(path12, leaf_size=4)
-    for leaf in t3.leaves():
+    for leaf in leaves(t3):
         assert len(t3.pieces[leaf].vertices) <= 4
 
 

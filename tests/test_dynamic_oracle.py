@@ -28,7 +28,7 @@ def fresh_distance(dyn, u, v):
 
 @pytest.fixture
 def dyn10():
-    return DynamicOracle(generate_grid(10, 10, max_weight=7, seed=4), r=16, r_base=4)
+    return DynamicOracle(generate_grid(10, 10, max_weight=7, seed=4), r=16)
 
 
 def test_initial_distances(dyn10):
@@ -53,7 +53,7 @@ def test_delete_edge(dyn10):
     alive = [a for a in range(len(dyn10.arc_alive)) if dyn10.arc_alive[a]]
     dyn10.delete_edge(alive[3])
     assert not dyn10.arc_alive[alive[3]]
-    assert dyn10.m_alive == len(alive) - 1
+    assert sum(dyn10.arc_alive) == len(alive) - 1
     assert dyn10.distance(0, 55) == fresh_distance(dyn10, 0, 55)
     with pytest.raises(ValueError):
         dyn10.delete_edge(alive[3])
@@ -74,10 +74,10 @@ def test_insert_vertex_and_edges(dyn10):
 
 
 def test_delete_vertex(dyn10):
-    incident_before = dyn10.m_alive
+    incident_before = sum(dyn10.arc_alive)
     dyn10.delete_vertex(55)
     assert not dyn10.v_alive[55]
-    assert dyn10.m_alive < incident_before
+    assert sum(dyn10.arc_alive) < incident_before
     with pytest.raises(ValueError):
         dyn10.distance(0, 55)
     assert dyn10.distance(0, 99) == fresh_distance(dyn10, 0, 99)
@@ -372,7 +372,7 @@ def test_far_update_leaves_other_regions_alone(dyn10):
 
 def test_mixed_fuzz_against_fresh_rebuild():
     g = generate_grid(8, 8, max_weight=9, seed=11)
-    dyn = DynamicOracle(g, r=16, r_base=4)
+    dyn = DynamicOracle(g, r=16)
     rng = random.Random("dyn-mixed")
     for step in range(60):
         kind = rng.choice(["w", "w", "de", "iv", "dv", "ie"])
@@ -448,7 +448,7 @@ def component_of(dyn, v):
     ids=["grid", "tri"],
 )
 def test_local_planarity_matches_full_check(g):
-    dyn = DynamicOracle(g, r=9, r_base=2)
+    dyn = DynamicOracle(g, r=9)
     rng = random.Random("local-planarity")
     seen = dict.fromkeys(
         ["accepted", "rejected", "isolated", "other_component", "pos_0", "pos_end"], 0
@@ -503,7 +503,7 @@ class DynamicMachine(RuleBasedStateMachine):
     )
     def build(self, rows, cols, seed):
         self.dyn = DynamicOracle(
-            generate_grid(rows, cols, max_weight=9, seed=seed), r=4, r_base=2
+            generate_grid(rows, cols, max_weight=9, seed=seed), r=4
         )
 
     def alive_vertices(self):

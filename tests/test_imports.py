@@ -1,5 +1,7 @@
-"""Every name a package module imports is used by that module, and every
-module-level definition is used outside its own body."""
+"""Every name a package module imports is used by that module, every
+module-level definition is used outside its own body, and every method,
+property and instance attribute of a package class is read somewhere in
+the package or perfbench."""
 
 import ast
 import pathlib
@@ -17,11 +19,23 @@ ALLOWED_IMPORTS = {
     ("tradeoff_oracle", "compute_leaf_ddg"),
 }
 
-# (module, name) definitions no package module or perfbench uses, with
-# the reason each stays
+# (module, name) definitions and (module, "Class.member") members no
+# package module or perfbench uses, with the reason each stays
 ALLOWED = {
     # the public single-source reference that tests check the oracles with
     ("baseline", "sssp"),
+    # public detail of the graph type and its parse error, for callers
+    ("graph", "EmbeddedPlanarGraph.in_arcs"),
+    ("graph", "GraphFormatError.line_no"),
+    # read only by tests, each a candidate for deletion: the graph's
+    # component count, the row labels of a piece table, the landmark ids
+    # behind the ALT tables, and the provenance of an assembled union
+    ("graph", "EmbeddedPlanarGraph.component_count"),
+    ("ddg", "PieceDistanceTable.sources"),
+    ("failure_oracle", "FailureOracle.landmarks"),
+    ("failure_oracle", "FailureAssembly.parts"),
+    ("failure_oracle", "FailureAssembly.marked"),
+    ("failure_oracle", "FailureAssembly.anchor_leaves"),
 }
 
 
@@ -39,18 +53,30 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
-def _mentions(node: ast.AST) -> Counter:
-    """Identifiers ``node`` uses: names, attributes, imported names and
-    identifier strings (perfbench names rebinding targets as strings).
-    ``__all__`` lists are not uses."""
+def _identifier_strings(node: ast.AST, lists: tuple[str, ...]) -> list[str]:
+    """Identifier strings in ``node`` outside assignments to ``lists``."""
     skip = {
         id(const)
         for sub in ast.walk(node)
         if isinstance(sub, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets)
+        and any(isinstance(t, ast.Name) and t.id in lists for t in sub.targets)
         for const in ast.walk(sub.value)
     }
-    out: Counter = Counter()
+    return [
+        sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant)
+        and isinstance(sub.value, str)
+        and sub.value.isidentifier()
+        and id(sub) not in skip
+    ]
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """Identifiers ``node`` uses: names, attributes, imported names and
+    identifier strings (perfbench names rebinding targets as strings).
+    ``__all__`` lists are not uses."""
+    out: Counter = Counter(_identifier_strings(node, ("__all__",)))
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out[sub.id] += 1
@@ -58,30 +84,61 @@ def _mentions(node: ast.AST) -> Counter:
             out[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
-        elif (
-            isinstance(sub, ast.Constant)
-            and isinstance(sub.value, str)
-            and sub.value.isidentifier()
-            and id(sub) not in skip
-        ):
-            out[sub.value] += 1
     return out
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Member names ``node`` reads: attribute loads and identifier strings
+    outside ``__all__`` and ``__slots__`` (a getattr or a rebinding hook
+    names its member as a string)."""
+    out: Counter = Counter(_identifier_strings(node, ("__all__", "__slots__")))
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+    return out
+
+
+def _members(cls: ast.ClassDef):
+    """(name, definition) of each method and property of ``cls`` other than
+    dunders, and (name, None) of each attribute its methods set on self."""
+    for node in cls.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                yield sub.attr, None
 
 
 def dead_definitions(modules: dict[str, str], users: dict[str, str]) -> list[tuple[str, str]]:
     """(module, name) of each module-level function or class in ``modules``
-    that no code names outside the definition itself.  Both arguments map
-    a module name to its source; ``users`` are read but not checked."""
+    that no code names outside the definition itself, and (module,
+    "Class.member") of each class member that no code reads outside the
+    member's own body.  Both arguments map a module name to its source;
+    ``users`` are read but not checked."""
     trees = {name: ast.parse(src) for name, src in {**modules, **users}.items()}
     total: Counter = Counter()
+    reads: Counter = Counter()
     for tree in trees.values():
         total.update(_mentions(tree))
-    dead = []
+        reads.update(_reads(tree))
+    dead = set()
     for mod in modules:
         for node in trees[mod].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if total[node.name] - _mentions(node)[node.name] <= 0:
-                    dead.append((mod, node.name))
+                    dead.add((mod, node.name))
+            if isinstance(node, ast.ClassDef):
+                for name, member in _members(node):
+                    own = _reads(member)[name] if member else 0
+                    if reads[name] - own <= 0:
+                        dead.add((mod, f"{node.name}.{name}"))
     return sorted(dead)
 
 
@@ -108,14 +165,22 @@ def test_dead_definition_checker():
             '__all__ = ["only_exported", "Used"]\n'
             "def only_exported(): pass\n"
             "def recursive(n): return recursive(n - 1)\n"
-            "class Used: pass\n"
+            "class Used:\n"
+            '    __slots__ = ("kept", "written", "hooked")\n'
+            "    def __init__(self):\n"
+            "        self.kept = self.written = self.hooked = 0\n"
+            "    def loop(self): return self.loop()\n"
+            "    @property\n"
+            "    def size(self): return self.kept\n"
             "def _helper(): pass\n"
             "def caller(): return _helper()\n"
         ),
-        "b": "from .a import Used\nx = Used()\n",
+        "b": "from .a import Used\nx = Used()\nprint(x.size)\n",
     }
-    users = {"bench": 'import a\nHOOKS = [(a, "caller")]\n'}
+    users = {"bench": 'import a\nHOOKS = [(a, "caller"), (a.Used, "hooked")]\n'}
     assert dead_definitions(modules, users) == [
+        ("a", "Used.loop"),
+        ("a", "Used.written"),
         ("a", "only_exported"),
         ("a", "recursive"),
     ]

@@ -4,10 +4,13 @@ import copy
 import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
+import time
 import zlib
 from array import array
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -111,7 +114,7 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
 def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
@@ -132,14 +135,6 @@ def test_truncation(tmp_path, fo8):
             load_oracle(p)
 
 
-def _short_matrices(fo, path, monkeypatch):
-    # every stored matrix loses its last entry, so no length fits its nodes
-    write = oraclefile._w_matrix
-    with monkeypatch.context() as m:
-        m.setattr(oraclefile, "_w_matrix", lambda fh, mat: write(fh, mat[:-1]))
-        save_oracle(fo, path)
-
-
 def _graph_byte(value):
     def write(fo, path, monkeypatch):
         save_oracle(fo, path)
@@ -153,11 +148,10 @@ def _graph_byte(value):
 @pytest.mark.parametrize(
     "write, cause",
     [
-        (_short_matrices, ValueError),
         (_graph_byte(0xFF), UnicodeDecodeError),
         (_graph_byte(ord("x")), GraphFormatError),
     ],
-    ids=["matrix-shape", "non-ascii-graph", "bad-graph-text"],
+    ids=["non-ascii-graph", "bad-graph-text"],
 )
 def test_decode_faults_raise_file_error(tmp_path, monkeypatch, write, cause):
     fo = FailureOracle(generate_grid(6, 6, max_weight=5, seed=3), leaf_size=8)
@@ -232,25 +226,12 @@ def test_bad_parent_id(tmp_path, fo6):
             load_oracle(p)
 
 
-def test_vertex_id_past_graph(tmp_path, monkeypatch, fo6):
+def test_vertex_id_past_graph(tmp_path, fo6):
     # queries size their label lists by the largest vertex id they meet
     for value in (fo6.graph.n, 10**6, 0xFFFFFFFF):
         p = _crafted(fo6, tmp_path, "first-vertex", value)
         with pytest.raises(OracleFileError):
             load_oracle(p)
-    # the same for a stored matrix's node list
-    write = oraclefile._write_ddg
-
-    def shifted(fh, ddg):
-        nodes = tuple(v + fo6.graph.n for v in ddg.nodes)
-        write(fh, DenseDistanceGraph(nodes, ddg.matrix))
-
-    p = tmp_path / "shifted.bin"
-    with monkeypatch.context() as m:
-        m.setattr(oraclefile, "_write_ddg", shifted)
-        save_oracle(fo6, p)
-    with pytest.raises(OracleFileError):
-        load_oracle(p)
 
 
 def _save_with_tree(oracle, path, monkeypatch, edit):
@@ -361,34 +342,73 @@ def test_tradeoff_r_not_marked(tmp_path):
         load_oracle(p)
 
 
-def _resaved(oracle, path, edit):
+def _resaved(edit):
     """Save a copy of the trade-off oracle whose tables ``edit`` changed;
-    save_oracle seals the crafted file with a matching trailer, as
-    write_resealed does for byte edits.  The oracle itself is unchanged."""
-    crafted = copy.copy(oracle)
-    crafted.store = copy.copy(oracle.store)
-    crafted.store._strict = dict(oracle.store._strict)
-    crafted.ext = dict(oracle.ext)
-    crafted.vor = dict(oracle.vor)
-    crafted.piece_tables = dict(oracle.piece_tables)
-    edit(crafted)
-    save_oracle(crafted, path)
+    save_oracle writes the changed tables as they are and seals the file
+    with a matching trailer.  The oracle itself is unchanged."""
+
+    def craft(oracle, path):
+        crafted = copy.copy(oracle)
+        crafted.store = copy.copy(oracle.store)
+        crafted.store._strict = dict(oracle.store._strict)
+        crafted.ext = dict(oracle.ext)
+        crafted.vor = dict(oracle.vor)
+        crafted.piece_tables = dict(oracle.piece_tables)
+        edit(crafted)
+        save_oracle(crafted, path)
+
+    return craft
 
 
-def _rekey_ext(ids_of):
-    def edit(o):
-        ids = min(o.ext)
-        o.ext[ids_of(o, ids)] = o.ext.pop(ids)
+def _spans(oracle, raw):
+    """(kind, key, start, end) of every table in ``raw``, the oracle's file,
+    in file order; the tables end where the trailer starts."""
+    layout = [
+        (kind, key, (4 if kind == "tuple" else 8) * entries)
+        for kind, key, entries in oraclefile._layout(oracle)
+    ]
+    start = len(raw) - 4 - sum(size for *_, size in layout)
+    spans = []
+    for kind, key, size in layout:
+        spans.append((kind, key, start, start + size))
+        start += size
+    return spans
 
-    return edit
+
+def _rewritten(edit):
+    """Save the oracle, then rewrite the file's bytes with ``edit(o, raw,
+    spans)`` and reseal them."""
+
+    def craft(oracle, path):
+        save_oracle(oracle, path)
+        raw = bytearray(path.read_bytes())
+        edit(oracle, raw, _spans(oracle, raw))
+        write_resealed(path, raw)
+
+    return craft
 
 
-def _rekey_row(key_of):
-    def edit(o):
-        key = min(o.vor)
-        o.vor[key_of(o, key)] = o.vor.pop(key)
+def _nth(spans, kind, n=0):
+    return [span for span in spans if span[0] == kind][n]
 
-    return edit
+
+def _drop_first(kind):
+    def edit(o, raw, spans):
+        _, _, start, end = _nth(spans, kind)
+        del raw[start:end]
+
+    return _rewritten(edit)
+
+
+def _tuple_ids(n, ids_of):
+    """The n-th tuple's stored ids replaced with ``ids_of(o, ids, spans)``."""
+
+    def edit(o, raw, spans):
+        _, ids, start, end = _nth(spans, "tuple", n)
+        new = ids_of(o, ids, spans)
+        raw[start:end] = struct.pack(f"<{len(new)}I", *new)
+
+    return _rewritten(edit)
 
 
 def _ext_nodes(o):
@@ -418,44 +438,38 @@ def _table(change):
     return edit
 
 
-def _outside_division(o, ids):
+def _outside_division(o, ids, spans):
     other = next(p.id for p in o.tree.pieces if p.id not in o.rdiv)
     return tuple(sorted((ids[0], other)))
 
 
-def _y_outside_ext(o, key):
-    ids, q, _ = key
-    y = next(v for v in range(o.graph.n) if v not in o.ext[ids].nodes)
-    return ids, q, y
+def _trailing_entry(o, raw, spans):
+    raw[-4:-4] = bytes(8)
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "craft",
     [
-        lambda o: o.ext.pop(min(o.ext)),
-        _rekey_ext(_outside_division),
-        _rekey_ext(lambda o, ids: ids[:1]),
-        _ext_nodes,
-        _strict_nodes,
-        _rekey_row(lambda o, key: (key[0][:1],) + key[1:]),
-        _rekey_row(lambda o, key: (key[0], 0, key[2])),
-        _rekey_row(_y_outside_ext),
-        _rows_cut_to_one,
-        lambda o: o.vor.pop(min(o.vor)),
-        _table(lambda s, t, m: (s[1:], t, m[len(t) :])),
-        _table(lambda s, t, m: (s, t[1:], array("q", [0]) * (len(s) * (len(t) - 1)))),
-        _table(lambda s, t, m: (s, t, m[: len(m) // 2])),
-        lambda o: o.piece_tables.pop(min(o.piece_tables)),
+        _drop_first("ext"),
+        _tuple_ids(0, _outside_division),
+        _tuple_ids(0, lambda o, ids, spans: ids[:1]),
+        _tuple_ids(1, lambda o, ids, spans: _nth(spans, "tuple", 0)[1]),
+        _resaved(_ext_nodes),
+        _resaved(_strict_nodes),
+        _resaved(_rows_cut_to_one),
+        _drop_first("vor"),
+        _resaved(_table(lambda s, t, m: (s[1:], t, m[len(t) :]))),
+        _resaved(_table(lambda s, t, m: (s, t[1:], array("q", [0]) * (len(s) * (len(t) - 1))))),
+        _resaved(_table(lambda s, t, m: (s, t, m[: len(m) // 2]))),
+        _drop_first("table"),
     ],
     ids=[
         "ext-tuple-missing",
         "ext-key-outside-division",
         "ext-key-wrong-size",
+        "tuple-ids-repeated",
         "ext-nodes-not-tuple-boundary",
         "strict-nodes-not-piece-boundary",
-        "row-names-unknown-tuple",
-        "row-exit-outside-family",
-        "row-y-outside-ext",
         "rows-cut-to-one-entry",
         "row-missing",
         "table-sources-not-boundary",
@@ -464,13 +478,81 @@ def _y_outside_ext(o, key):
         "table-missing",
     ],
 )
-def test_tradeoff_tables_checked_at_load(tmp_path, to8, edit):
+def test_tradeoff_tables_checked_at_load(tmp_path, to8, craft):
     # with a valid trailer these loaded, then answered wrongly or raised
-    # IndexError or KeyError at query time
+    # IndexError or KeyError at query time.  Files hold no keys or node
+    # lists: a table built over the wrong nodes is a table of the wrong
+    # length, and the ext key is the tuple's stored ids
     p = tmp_path / "t.bin"
-    _resaved(to8, p, edit)
+    craft(to8, p)
     with pytest.raises(OracleFileError):
         load_oracle(p)
+
+
+def _last_entry_cut(o, raw, spans):
+    del raw[-12:-4]
+
+
+def _every_matrix_short(oracle, path):
+    write = oraclefile._w_matrix
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oraclefile, "_w_matrix", lambda fh, mat: write(fh, mat[:-1]))
+        save_oracle(oracle, path)
+
+
+@pytest.mark.parametrize("kind", ["failure", "tradeoff"])
+@pytest.mark.parametrize(
+    "craft",
+    [_rewritten(_last_entry_cut), _rewritten(_trailing_entry), _every_matrix_short],
+    ids=["one-entry-short", "one-entry-extra", "every-matrix-short"],
+)
+def test_tables_fill_the_file_exactly(tmp_path, fo8, to8, kind, craft):
+    # no table stores its length, so a file one entry short or long reads
+    # the same up to its last table; the byte count alone tells it apart
+    p = tmp_path / "o.bin"
+    craft(fo8 if kind == "failure" else to8, p)
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+
+
+def _no_boundaries(copy, tree):
+    for piece in copy.pieces:
+        piece.boundary = ()
+
+
+def test_tuple_walk_bounded_by_file_size(tmp_path, monkeypatch):
+    # a file with no tables, a tree of empty boundaries and k + 1 = 36 of a
+    # 70-piece division: about 10**20 tuples, none of which takes a table
+    # byte, so only the tuple ids each must store stop the walk
+    g = generate_grid(12, 12, max_weight=5, seed=3)
+    to = TradeoffOracle(g, r=g.n, k=0, leaf_size=3, r_base=2)
+    crafted = copy.copy(to)
+    crafted.r = to.tree.r_sequence[0]
+    rdiv = to.tree.r_division(crafted.r)
+    crafted.k = len(rdiv) // 2
+    assert comb(len(rdiv), crafted.k + 1) > 10**19
+    p = tmp_path / "t.bin"
+    monkeypatch.setattr(oraclefile, "_write_tables", lambda fh, oracle: None)
+    _save_with_tree(crafted, p, monkeypatch, _no_boundaries)
+    start = time.perf_counter()
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_k(tmp_path, to8):
+    # no tuple has 2**32 pieces, so the tables end early and bytes remain
+    p = tmp_path / "t.bin"
+    save_oracle(to8, p)
+    raw = bytearray(p.read_bytes())
+    at = _spans(to8, raw)[0][2] - 4  # k sits just before the first table
+    assert int.from_bytes(raw[at : at + 4], "little") == to8.k
+    raw[at : at + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+    write_resealed(p, raw)
+    start = time.perf_counter()
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+    assert time.perf_counter() - start < 1.0
 
 
 def _load_error_with_2gib_address_space(path):
