@@ -41,25 +41,53 @@ def test_strict_matrix_zero_weights():
     assert ddg.matrix[ddg.nodes.index(0) * len(ddg.nodes) + ddg.nodes.index(2)] == 0
 
 
-def test_reference_ddg_sanity(setup8):
+def test_full_ddg_matches_in_piece_brute(setup8):
     # the reference compute_ddg in conftest, which criterion 3 and
-    # test_closure_identity check the strict matrices against: one row per
-    # boundary vertex, a zero diagonal, an empty matrix at the root (no
-    # boundary), and no entry shorter than the distance in the whole graph
+    # test_closure_identity check the strict matrices against, agrees with
+    # pairwise in-piece Dijkstra
     g, tree = setup8
-    root = compute_ddg(g, tree.pieces[0])
-    assert root.nodes == () and len(root.matrix) == 0
     for p in tree.pieces[:12]:
         ddg = compute_ddg(g, p)
         k = len(ddg.nodes)
         assert ddg.nodes == p.boundary
-        for i, s in enumerate(ddg.nodes):
-            assert ddg.matrix[i * k + i] == 0
-            ref = sssp(g, s)
-            for j, t in enumerate(ddg.nodes):
-                d = ddg.matrix[i * k + j]
-                if d < MATRIX_SENTINEL:
-                    assert d >= ref[t]
+        for s in ddg.nodes:
+            for t in ddg.nodes:
+                want = in_piece_distance(g, p, s, t)
+                raw = ddg.matrix[ddg.nodes.index(s) * k + ddg.nodes.index(t)]
+                if want >= MATRIX_SENTINEL:
+                    assert raw >= MATRIX_SENTINEL
+                else:
+                    assert raw == want
+
+
+def test_dist_accessor(setup8):
+    g, tree = setup8
+    p = next(p for p in tree.pieces if not p.is_leaf and p.boundary)
+    ddg = compute_ddg(g, p)
+    s = ddg.nodes[0]
+    i = ddg.nodes.index(s)
+    assert ddg.matrix[i * len(ddg.nodes) + i] == 0
+
+
+def test_root_ddg_is_empty(setup8):
+    g, tree = setup8
+    ddg = compute_ddg(g, tree.pieces[0])
+    assert ddg.nodes == ()
+    assert len(ddg.matrix) == 0
+
+
+def test_sssp_consistency_of_full_ddg(setup8):
+    # full DDG entries never beat the unrestricted graph distance
+    g, tree = setup8
+    p = next(p for p in tree.pieces if not p.is_leaf and p.boundary)
+    ddg = compute_ddg(g, p)
+    k = len(ddg.nodes)
+    for s in ddg.nodes[:3]:
+        ref = sssp(g, s)
+        for t in ddg.nodes:
+            d = ddg.matrix[ddg.nodes.index(s) * k + ddg.nodes.index(t)]
+            if d < MATRIX_SENTINEL:
+                assert d >= ref[t]
 
 
 def test_closure_identity(setup8, tri60, path12, disconnected):
