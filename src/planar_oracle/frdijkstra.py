@@ -27,6 +27,15 @@ evaluated once per vertex, when the vertex is first pushed; a vertex whose
 label is exact, the target's included; labels of vertices not settled are
 upper bounds only, and with a potential some vertices closer to the source
 than the target may never settle.
+
+A target-stopped scan may also give vertices exit arcs to the target that
+no member holds: ``exit_cost(y)`` is the length of an arc y -> target,
+read once, when y settles and only if y is not blocked, and relaxed into
+the target's label like any other arc.  A vertex that never settles never
+pays for its exit.  With exits, the label lists cover the target even
+when it lies outside the union, so it may be reached through exits
+alone.  A potential stays consistent on the exit arcs when
+π(y) <= exit_cost(y).
 """
 
 from __future__ import annotations
@@ -155,6 +164,7 @@ def multi_dijkstra(
     forbidden: Iterable[int] = (),
     target: int | None = None,
     potential: Callable[[int], int] | None = None,
+    exit_cost: Callable[[int], int] | None = None,
 ) -> MultiDijkstraResult:
     """Multi-source Dijkstra over a union of members.
 
@@ -165,19 +175,30 @@ def multi_dijkstra(
 
     With a ``target``, the run stops when the target settles.  Labels of
     settled vertices are exact, the target's included; the others are
-    upper bounds only.  A target outside the union never settles, so the
-    run goes on to the end and its label is unreachable.
+    upper bounds only.  A target outside the union and without exits
+    never settles, so the run goes on to the end and its label is
+    unreachable.
 
     ``potential`` (only with a ``target``) maps a vertex y to a lower bound
     π(y) on its distance to the target, consistent on every union arc and
-    0 at the target; π(y) >= MATRIX_SENTINEL means y cannot reach the
-    target.  Heap keys become label + π(y).
+    every exit arc, and 0 at the target; π(y) >= MATRIX_SENTINEL means y
+    cannot reach the target.  Heap keys become label + π(y).
+
+    ``exit_cost`` (only with a ``target``) maps a settled, unblocked vertex
+    y to the length of an extra arc y -> target, or to MATRIX_SENTINEL or
+    more when y has none.  It is called at most once per settled vertex,
+    never for the target.
     """
-    if potential is not None and target is None:
-        raise ValueError("a potential needs a target")
+    if target is None and (potential is not None or exit_cost is not None):
+        raise ValueError("a potential or an exit cost needs a target")
     union = members if isinstance(members, DdgUnion) else DdgUnion(members)
     size = union.size
     stop = -1 if target is None else target
+    if exit_cost is not None:
+        if stop < 0:
+            raise ValueError("an exit target must be a vertex id")
+        # exits may label a target outside the union
+        size = max(size, stop + 1)
 
     dist = [MATRIX_SENTINEL] * size
     # π per vertex, evaluated on first push: -1 marks "not yet evaluated",
@@ -246,6 +267,17 @@ def multi_dijkstra(
                 mprv[nx] = pv
         if blocked[u]:
             continue
+        if exit_cost is not None:
+            w = exit_cost(u)
+            if w < MATRIX_SENTINEL:
+                relaxations += 1
+                nd = d + w
+                if nd < dist[stop]:
+                    h = pot[stop]
+                    if h < 0:
+                        h = pot[stop] = potential(stop)
+                    dist[stop] = nd
+                    heappush(heap, (nd + h, stop))
         out = sparse_out.get(u, ())
         relaxations += len(out)
         for v, w in out:

@@ -206,6 +206,9 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         if p.parent is not None:
             kids.setdefault(p.parent, []).append(p.id)
     for pid, ch in kids.items():
+        # queries pair each piece with its one sibling
+        if len(ch) != 2:
+            raise OracleFileError(f"piece {pid} has {len(ch)} children, not 2")
         pieces[pid].children = tuple(sorted(ch))
     marks: dict[int, tuple[int, ...]] = {}
     for _ in range(rd.u32()):

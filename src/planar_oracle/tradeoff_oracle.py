@@ -15,11 +15,13 @@ per-tuple tables come from one Dijkstra per vertex of ∂T (see the external
 module).
 
 A query picks a tuple that covers u and the failed vertices (one piece
-each), reads the precomputed matrices, and runs one small union Dijkstra;
-the answer combines the label of v itself with label(y) + table hops
-through the boundary of the piece family around v.  Queries whose layout
-the main path cannot serve run the failure oracle's query instead, over
-the same strict matrices; it is exact for any failed set.
+each), reads the precomputed matrices, and runs one small union A* scan
+toward v that stops when v settles.  Each y of ∂T has an exit arc y -> v
+whose length is the best directional row entry plus the table hop from
+the exit piece's boundary to v; it is read only if y settles.  Queries
+whose layout the main path cannot serve run the failure oracle's query
+instead, over the same strict matrices; it is the same kind of
+target-stopped scan and is exact for any failed set.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from array import array
 from operator import add
 from typing import Iterable
 
-from .graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph, sorted_contains
+from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, sorted_contains
 from .decomposition import (
     DecompositionTree,
     build_decomposition,
@@ -81,8 +83,8 @@ class TradeoffOracle(FailureOracle):
         self.vor: dict[tuple[tuple[int, ...], int, int], array] = {}
         self.piece_tables: dict[int, PieceDistanceTable] = {}
         # Search result of the most recent query, kept for instrumentation.
-        # Its union_vertices is always valid; after a fallback query it is
-        # the failure oracle's target-stopped scan, so its labels are partial.
+        # Its union_vertices is always valid; both paths stop the scan when
+        # v settles, so only the settled labels are final.
         self.last_result = None
         self._build()
 
@@ -100,7 +102,9 @@ class TradeoffOracle(FailureOracle):
 
     def _build(self) -> None:
         builder = ExternalDdgBuilder(self.tree, self.store)
-        for ids in itertools.combinations(self.rdiv, self.k + 1):
+        # combinations allocates k + 1 indices even when it yields nothing
+        tuples = itertools.combinations(self.rdiv, self.k + 1) if self.k < len(self.rdiv) else ()
+        for ids in tuples:
             exits = self._exit_family(ids)
             for q in exits:
                 if q not in self.piece_tables:
@@ -168,11 +172,7 @@ class TradeoffOracle(FailureOracle):
             i = u
         else:
             i = min(inside_s)
-        arc = None
-        for a in spiece.arcs:
-            if self.graph.tails[a] == i or self.graph.heads[a] == i:
-                arc = a
-                break
+        arc = self._first_arc_at(spiece, i)
         if arc is None:
             return None
         # descend to the division piece owning that arc
@@ -212,6 +212,11 @@ class TradeoffOracle(FailureOracle):
         ids = tuple(sorted(chosen + pads))
         return ids, q_node
 
+    def _first_arc_at(self, piece, i: int) -> int | None:
+        """The smallest arc of ``piece`` with i as an end, or None."""
+        arcs = piece.arcs
+        return min((a for a in self.graph.rotation[i] if sorted_contains(arcs, a)), default=None)
+
     def _assembly(self, ids, u, x):
         """Union members for a stored tuple under failures: each resident's
         home leaf as its own arcs (the cached member) and the unmarked
@@ -249,26 +254,35 @@ class TradeoffOracle(FailureOracle):
         return members
 
     def _main(self, u, v, x, ids, q_node):
-        tree = self.tree
+        """One union A* scan from u toward v over the tuple's assembly,
+        stopped when v settles.  Each unfailed y of ∂T has an exit arc
+        y -> v of length c(y) = min over s in ∂Q of vor(T, Q, y)[s] + hop[s],
+        computed only if y settles.  c(y) is the length of a path in the
+        graph, so it bounds the landmark potential π(y) from above and π
+        stays consistent; v's label is min(d(v), min over y of d(y) + c(y))."""
         members = self._assembly(ids, u, x)
-        res = multi_dijkstra(members, [(u, 0)], forbidden=x)
-        self.last_result = res
-        best = res.raw(v)
         ptable = self.piece_tables[q_node]
         # hop[i]: in-piece distance from the i-th exit boundary vertex to v
-        hop = [ptable.raw(s, v) for s in tree.pieces[q_node].boundary]
-        xset = set(x)
-        for y in self.ext[ids].nodes:
-            if y in xset:
-                continue
-            dy = res.raw(y)
-            if dy >= MATRIX_SENTINEL:
-                continue
+        hop = [ptable.raw(s, v) for s in self.tree.pieces[q_node].boundary]
+        vor = self.vor
+
+        def exit_cost(y: int) -> int:
+            row = vor.get((ids, q_node, y))
+            if row is None:  # y is not on ∂T
+                return MATRIX_SENTINEL
             # a sum with an unreachable part stays at or above MATRIX_SENTINEL
-            cand = dy + min(map(add, self.vor[(ids, q_node, y)], hop), default=MATRIX_SENTINEL)
-            if cand < best:
-                best = cand
-        return UNREACHABLE if best >= MATRIX_SENTINEL else best
+            return min(map(add, row, hop), default=MATRIX_SENTINEL)
+
+        res = multi_dijkstra(
+            members,
+            [(u, 0)],
+            forbidden=x,
+            target=v,
+            potential=self._potential(v),
+            exit_cost=exit_cost,
+        )
+        self.last_result = res
+        return res.label(v)
 
     def _fallback(self, u, v, x):
         """The failure oracle's query, for layouts the stored tuples cannot

@@ -10,6 +10,9 @@ matrices must compose back to.
 """
 
 import heapq
+import os
+import subprocess
+import sys
 from array import array
 
 import pytest
@@ -169,6 +172,26 @@ def explicit_dijkstra(members, sources, forbidden=()):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return dist
+
+
+def run_with_2gib_address_space(code, *argv):
+    """Standard output (or, when empty, standard error) of ``code`` run in
+    a child interpreter whose address space is capped at 2 GiB, where an
+    allocation sized by an unchecked length fails with MemoryError.
+    ``code`` may use ``sys``; ``argv`` becomes ``sys.argv[1:]``."""
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    prelude = f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", prelude + code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return out.stdout.strip() or out.stderr
 
 
 def random_members(rng, n_ids=12, n_members=4):

@@ -137,6 +137,115 @@ def test_potential_evaluated_once_and_dead_ends_never_pushed(kind):
     assert stuck.settled == 0
 
 
+def _arcs(members):
+    """(tail, head, weight) of every finite off-diagonal member entry."""
+    arcs = []
+    for m in members:
+        if isinstance(m, SparseMember):
+            arcs.extend(m.arcs)
+            continue
+        k = len(m.nodes)
+        for i in range(k):
+            for j in range(k):
+                w = m.matrix[i * k + j]
+                if i != j and w < MATRIX_SENTINEL:
+                    arcs.append((m.nodes[i], m.nodes[j], w))
+    return arcs
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_exit_cost_matches_explicit_exit_arcs(with_potential):
+    # exits act as arcs y -> t: the target's label equals an explicit
+    # Dijkstra over the members plus those arcs, for targets inside and
+    # outside the union and with failed vertices
+    rng = random.Random(61)
+    via_exit = 0
+    for i in range(60):
+        members = random_members(rng)
+        ids = sorted({v for m in members for v in m.nodes})
+        t = rng.choice(ids) if i % 3 else 12 + rng.randrange(3)
+        cost = {y: rng.randrange(0, 40) for y in rng.sample(ids, rng.randrange(0, 6)) if y != t}
+        src = [(rng.choice(ids), rng.randrange(0, 5))]
+        forb = rng.sample(ids, rng.randrange(0, 3))
+        exits = SparseMember(tuple(sorted(set(ids) | {t})), [(y, t, c) for y, c in cost.items()])
+        want = explicit_dijkstra(members + [exits], src, forb)[t]
+        potential = None
+        if with_potential:
+            # exact failure-free distances to t: consistent on every arc
+            back = SparseMember(exits.nodes, [(h, y, w) for y, h, w in _arcs(members + [exits])])
+            to_t = explicit_dijkstra([back], [(t, 0)])
+            potential = to_t.__getitem__
+        got = multi_dijkstra(
+            members,
+            src,
+            forbidden=forb,
+            target=t,
+            potential=potential,
+            exit_cost=lambda y: cost.get(y, MATRIX_SENTINEL),
+        ).raw(t)
+        assert got == want or (got >= MATRIX_SENTINEL and want >= MATRIX_SENTINEL), i
+        no_exit = multi_dijkstra(members, src, forbidden=forb, target=t).raw(t)
+        via_exit += got < no_exit
+    assert via_exit > 5
+
+
+def test_exit_cost_needs_a_target():
+    m = dense([0, 1], {(0, 1): 1})
+    with pytest.raises(ValueError):
+        multi_dijkstra([m], [(0, 0)], exit_cost=lambda y: 0)
+    with pytest.raises(ValueError):
+        multi_dijkstra([m], [(0, 0)], target=-1, exit_cost=lambda y: 0)
+
+
+def test_blocked_vertex_exit_never_used():
+    # 1 is failed: it settles but neither its arc to 2 nor its exit is used
+    m = dense([0, 1, 2], {(0, 1): 1, (1, 2): 1, (0, 2): 9})
+    calls = []
+
+    def exit_cost(y):
+        calls.append(y)
+        return 0 if y == 1 else MATRIX_SENTINEL
+
+    res = multi_dijkstra([m], [(0, 0)], forbidden=[1], target=2, exit_cost=exit_cost)
+    assert res.label(2) == 9
+    assert calls == [0]
+    free = multi_dijkstra([m], [(0, 0)], target=2, exit_cost=exit_cost)
+    assert free.label(2) == 1
+
+
+def test_target_outside_union_labelled_through_exit():
+    m = dense([0, 1], {(0, 1): 2})
+    exits = {1: 3}
+    res = multi_dijkstra(
+        [m], [(0, 0)], target=5, exit_cost=lambda y: exits.get(y, MATRIX_SENTINEL)
+    )
+    assert res.label(5) == 5
+    assert res.settled == 3
+    # without an exit it stays unreachable
+    none = multi_dijkstra([m], [(0, 0)], target=5, exit_cost=lambda y: MATRIX_SENTINEL)
+    assert none.label(5) == UNREACHABLE
+
+
+def test_exit_cost_called_once_per_settled_vertex():
+    rng = random.Random(67)
+    for _ in range(30):
+        members = random_members(rng, n_ids=20, n_members=6)
+        ids = sorted({v for m in members for v in m.nodes})
+        t = rng.choice(ids)
+        forb = set(rng.sample(ids, 2))
+        calls = []
+
+        def exit_cost(y):
+            calls.append(y)
+            return rng.randrange(0, 60) if rng.random() < 0.3 else MATRIX_SENTINEL
+
+        src = rng.choice(ids)
+        res = multi_dijkstra(members, [(src, 0)], forbidden=forb, target=t, exit_cost=exit_cost)
+        assert len(calls) == len(set(calls)) <= res.settled
+        assert t not in calls
+        assert not (set(calls) & (forb - {src}))
+
+
 def test_multi_source():
     m = dense([0, 1, 2], {(0, 2): 10, (1, 2): 1})
     res = multi_dijkstra([m], [(0, 0), (1, 3)])

@@ -2,11 +2,8 @@
 
 import copy
 import hashlib
-import os
 import random
 import struct
-import subprocess
-import sys
 import time
 import zlib
 from array import array
@@ -23,6 +20,8 @@ from planar_oracle.generate import generate_grid
 from planar_oracle.graph import GraphFormatError
 from planar_oracle.oraclefile import OracleFileError, load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
+
+from conftest import run_with_2gib_address_space
 
 
 def file_sha(path):
@@ -333,6 +332,27 @@ def test_tree_ids_out_of_range(tmp_path, monkeypatch, fo6, edit):
         load_oracle(p)
 
 
+def _leaf_to_grandparent(copy, tree):
+    # the old parent keeps one child and the grandparent gains a third
+    leaf = next(
+        p
+        for p in reversed(tree.pieces)
+        if p.is_leaf and p.parent is not None and tree.pieces[p.parent].parent is not None
+    )
+    copy.pieces[leaf.id].parent = tree.pieces[leaf.parent].parent
+
+
+@pytest.mark.parametrize("oracle", ["fo6", "to8"])
+def test_piece_without_two_children(tmp_path, monkeypatch, request, oracle):
+    # queries pair each piece with its one sibling: such a failure file
+    # loaded and its queries raised ValueError, and such a trade-off file
+    # raised ValueError inside load_oracle
+    p = tmp_path / "f.bin"
+    _save_with_tree(request.getfixturevalue(oracle), p, monkeypatch, _leaf_to_grandparent)
+    with pytest.raises(OracleFileError, match="children"):
+        load_oracle(p)
+
+
 def test_tradeoff_r_not_marked(tmp_path):
     to = TradeoffOracle(generate_grid(6, 6, max_weight=5, seed=3), r=16, k=1, leaf_size=4)
     to.r = 17  # not a marked r; the tree section is unchanged
@@ -559,27 +579,14 @@ def _load_error_with_2gib_address_space(path):
     """Name of the exception load_oracle raises in a child process whose
     address space is capped at 2 GiB, where an allocation sized by an
     unchecked length field fails with MemoryError."""
-    resource = pytest.importorskip("resource")
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
     code = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
         "from planar_oracle.oraclefile import load_oracle\n"
         "try:\n"
         "    load_oracle(sys.argv[1])\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    return out.stdout.strip() or out.stderr
+    return run_with_2gib_address_space(code, str(path))
 
 
 def test_huge_graph_length(tmp_path, fo6):

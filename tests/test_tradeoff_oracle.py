@@ -4,13 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planar_oracle import external, tradeoff_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
+from planar_oracle.decomposition import build_decomposition
 from planar_oracle.external import ExternalDdgBuilder
+from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 from planar_oracle.oraclefile import load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
+
+from conftest import run_with_2gib_address_space
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +220,108 @@ def test_one_dijkstra_per_tuple_boundary_vertex(grid16, monkeypatch):
     to = TradeoffOracle(grid16, r=64, k=1, leaf_size=16, r_base=2)
     bound = sum(len(ext.nodes) for ext in to.ext.values())
     assert 0 < runs <= bound
+
+
+def _queries(rng, n, k, count):
+    for qi in range(count):
+        u, v = rng.sample(range(n), 2)
+        x = set()
+        while len(x) < min(qi % (k + 1), n - 2):
+            c = rng.randrange(n)
+            if c not in (u, v):
+                x.add(c)
+        yield u, v, tuple(sorted(x))
+
+
+@pytest.mark.parametrize(
+    "graph, r, k, leaf_size, r_base",
+    [
+        ("grid8", 32, 0, 8, 4),
+        ("grid8", 32, 1, 8, 4),
+        ("grid8", 16, 2, 4, 2),
+        ("tri60", 32, 0, 8, 4),
+        ("tri60", 32, 1, 8, 4),
+        ("tri60", 16, 2, 4, 2),
+    ],
+)
+def test_main_path_exact(request, graph, r, k, leaf_size, r_base):
+    # every query the tables serve, answered by the main path alone
+    g = request.getfixturevalue(graph)
+    to = TradeoffOracle(g, r=r, k=k, leaf_size=leaf_size, r_base=r_base)
+    rng = random.Random(f"main-{graph}-{k}")
+    main = 0
+    for u, v, x in _queries(rng, g.n, k, 300):
+        plan = to._plan(u, v, x)
+        if plan is None:
+            continue
+        main += 1
+        assert to._main(u, v, x, *plan) == distance_avoiding(g, u, v, x), (u, v, x)
+    assert main > 20
+
+
+def _linear_first_arc(self, piece, i):
+    # the plan's arc search before it read i's rotation: the first arc of
+    # the piece, in id order, with i as an end
+    for a in piece.arcs:
+        if self.graph.tails[a] == i or self.graph.heads[a] == i:
+            return a
+    return None
+
+
+def test_plan_arc_search_matches_linear_scan(grid8, to8, to16, tri60, monkeypatch):
+    tri = TradeoffOracle(tri60, r=32, k=1, leaf_size=8, r_base=4)
+    plans = []
+    for to in (to8, to16, tri):
+        rng = random.Random("plan-arc")
+        for u, v, x in _queries(rng, to.graph.n, to.k, 600):
+            plans.append((to, u, v, x, to._plan(u, v, x)))
+    assert sum(1 for *_, plan in plans if plan is not None) >= 500
+    monkeypatch.setattr(TradeoffOracle, "_first_arc_at", _linear_first_arc)
+    for to, u, v, x, plan in plans:
+        assert to._plan(u, v, x) == plan, (u, v, x)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "tri"]),
+    size=st.integers(4, 7),
+    seed=st.integers(0, 10**6),
+    k=st.integers(0, 1),
+    pick=st.integers(0, 10),
+)
+def test_exit_cost_bounds_potential(kind, size, seed, k, pick):
+    # the main path's exit arcs y -> v keep the landmark potential
+    # consistent: π(y) <= c(y) for every tuple T, exit piece q, y in ∂T
+    # and v in q
+    if kind == "grid":
+        g = generate_grid(size, size, max_weight=9, seed=seed)
+    else:
+        g = generate_random_triangulation(size * size, max_weight=9, seed=seed)
+    tree = build_decomposition(g, leaf_size=4, r_base=2)
+    r = tree.r_sequence[pick % len(tree.r_sequence)]
+    to = TradeoffOracle(g, r=r, k=k, tree=tree)
+    checked = 0
+    for (ids, q, y), row in to.vor.items():
+        ptable = to.piece_tables[q]
+        for v in to.tree.pieces[q].vertices:
+            hop = [ptable.raw(s, v) for s in to.tree.pieces[q].boundary]
+            c = min(map(sum, zip(row, hop)), default=MATRIX_SENTINEL)
+            if c < MATRIX_SENTINEL:
+                assert to._potential(v)(y) <= c, (ids, q, y, v)
+                checked += 1
+    assert checked > 0 or not to.vor
+
+
+def test_huge_k_builds_no_tuples():
+    # no tuple has 2**32 pieces; unguarded, the build asks for 2**32
+    # combination indices, more than a 2 GiB address space holds
+    code = (
+        "from planar_oracle.generate import generate_grid\n"
+        "from planar_oracle.tradeoff_oracle import TradeoffOracle\n"
+        "g = generate_grid(6, 6, max_weight=5, seed=3)\n"
+        "to = TradeoffOracle(g, r=16, k=2**32 - 1, leaf_size=4)\n"
+        "print(len(to.ext), len(to.vor), to._plan(0, 35, (7,)), to.distance(0, 35, {7}))\n"
+    )
+    got = run_with_2gib_address_space(code)
+    g = generate_grid(6, 6, max_weight=5, seed=3)
+    assert got == f"0 0 None {distance_avoiding(g, 0, 35, {7})}"
