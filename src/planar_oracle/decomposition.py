@@ -108,6 +108,33 @@ class DecompositionTree:
             yield cur
             cur = self.pieces[cur].parent
 
+    def cover(
+        self, starts: Iterable[int], skip: Iterable[int] = (), top: int | None = None
+    ) -> list[int]:
+        """Siblings of the nodes on each start's path up to ``top`` (the
+        root by default; never ``top`` itself), each once, in the order first
+        found, leaving out the ids in ``skip``.
+
+        For an antichain of starts under ``top`` and ``skip`` holding their
+        paths, the starts and these siblings partition ``top``'s arcs: the
+        one walk behind failure queries, ext(T), ``vor`` rows and exit
+        pieces."""
+        pieces = self.pieces
+        seen = set(skip)
+        out: list[int] = []
+        for node in starts:
+            while node != top:
+                par = pieces[node].parent
+                if par is None:
+                    break
+                a, b = pieces[par].children
+                sib = b if node == a else a
+                if sib not in seen:
+                    seen.add(sib)
+                    out.append(sib)
+                node = par
+        return out
+
     def is_ancestor(self, anc: int, node: int) -> bool:
         """True when ``anc`` equals ``node`` or properly contains it."""
         return self._tin[anc] <= self._tin[node] and self._tout[node] <= self._tout[anc]

@@ -9,10 +9,11 @@ piece Q holds the distances, under the same rules, from y to the boundary
 of Q: paths through the graph outside the tuple pieces.
 
 Both tables come from one pass per tuple.  The strict matrices of the
-unmarked siblings along the tuple pieces' root paths (marked: containing a
-tuple piece) tile the graph minus the tuple pieces' interiors.  One
-forbidden-transit Dijkstra per vertex y of ∂T over the union of those
-matrices gives ext(T)'s row y and y's row for every exit piece.
+siblings hanging off the tuple pieces' root paths, less those on the paths
+(``DecompositionTree.cover``), tile the graph minus the tuple pieces'
+interiors.  One forbidden-transit Dijkstra per vertex y of ∂T over the
+union of those matrices gives ext(T)'s row y and y's row for every exit
+piece.
 """
 
 from __future__ import annotations
@@ -38,34 +39,20 @@ class ExternalDdgBuilder:
         self.tree = tree
         self.store = store
 
-    def _tuple_members(self, ids: tuple[int, ...]) -> list:
-        """Members tiling the graph minus the tuple pieces' interiors.  The
-        tuple matrices themselves stay out; their interiors host the
-        failures at query time, so no stored path may run through them."""
-        tree = self.tree
-        marked: set[int] = set()
-        for pid in ids:
-            marked.update(tree.root_path(pid))
-        members = []
-        seen: set[int] = set()
-        for pid in ids:
-            for node in tree.root_path(pid):
-                sib = tree.sibling_of(node)
-                if sib is None or sib in seen or sib in marked:
-                    continue
-                seen.add(sib)
-                members.append(self.store.strict(sib))
-        return members
-
     def ext(self, ids: tuple[int, ...], exits: tuple[int, ...]):
         """ext(T) for the sorted, distinct piece ids ``ids``, and the
         directional rows keyed by (ids, exit piece, y) for every exit piece
         in ``exits`` and every y ∈ ∂T, each row over the exit piece's
         boundary."""
-        pieces = self.tree.pieces
+        tree = self.tree
+        pieces = tree.pieces
         nodes = tuple_boundary(pieces, ids)
         node_set = set(nodes)
-        union = DdgUnion(self._tuple_members(ids))
+        # the tuple pieces and their ancestors stay out: the tuple interiors
+        # host the failures at query time, so no stored path may run
+        # through them
+        paths = {node for pid in ids for node in tree.root_path(pid)}
+        union = DdgUnion([self.store.strict(sib) for sib in tree.cover(ids, paths)])
         matrix = array("q")
         vor: dict[tuple[tuple[int, ...], int, int], array] = {}
         for y in nodes:

@@ -8,11 +8,12 @@ matrices that jointly cover every path from u that avoids X:
   as its own arcs, failed vertices included (every leaf vertex is a node,
   so u and v need no grafting); each leaf's member is built once, on first
   use, and reused by every later query, and
-* walking from each anchor leaf to the root, the stored strict matrix of
-  every sibling hanging off the path joins in, except siblings whose piece
-  has a failed vertex strictly inside it; such a piece is exactly one whose
-  stored matrix may hide a failed vertex on an internal path, and the walk
-  from that failed vertex's own leaf re-covers its arcs with finer pieces.
+* the stored strict matrix of every sibling hanging off the anchor
+  leaves' root paths joins in (``DecompositionTree.cover``), except
+  siblings whose piece has a failed vertex strictly inside it; such a piece
+  is exactly one whose stored matrix may hide a failed vertex on an
+  internal path, and the walk from that failed vertex's own leaf re-covers
+  its arcs with finer pieces.
 
 One Dijkstra over the union from u, never relaxing out of a failed
 vertex, then yields the exact label of v.  The scan is A* toward v: failures
@@ -38,7 +39,7 @@ from .decomposition import DecompositionTree, build_decomposition
 from .ddg import DdgStore, _dijkstra_rows, compute_leaf_ddg
 from .frdijkstra import MultiDijkstraResult, SparseMember, multi_dijkstra
 
-__all__ = ["FailureAssembly", "FailureOracle"]
+__all__ = ["FailureOracle"]
 
 
 LANDMARKS = 8
@@ -84,20 +85,6 @@ def landmark_tables(g: EmbeddedPlanarGraph):
         nearest = list(map(min, nearest, map(add, fwd, rev)))
         nearest[lm] = -1  # never picked twice; min() keeps it at -1
     return tuple(landmarks), tuple(zip(*to_cols)), tuple(zip(*frm_cols))
-
-
-class FailureAssembly:
-    """The member family one query runs Dijkstra over, with provenance."""
-
-    __slots__ = ("members", "parts", "marked", "anchor_leaves")
-
-    def __init__(self, members, parts, marked, anchor_leaves):
-        self.members: tuple = members
-        # parts[i] describes members[i]: ("leaf", piece id) for an anchor
-        # leaf's own arcs, or ("sibling", piece id) for a stored matrix
-        self.parts: tuple[tuple[str, int], ...] = parts
-        self.marked: frozenset[int] = marked
-        self.anchor_leaves: tuple[int, ...] = anchor_leaves
 
 
 class FailureOracle:
@@ -148,33 +135,17 @@ class FailureOracle:
             got = self._leaves[leaf] = compute_leaf_ddg(self.graph, self.tree.pieces[leaf])
         return got
 
-    def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> FailureAssembly:
+    def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> list:
+        """Union members for (u, v, failed): the home leaves of u, v and the
+        sorted failed vertices, each once, then the strict matrices of the
+        unmarked siblings up their root paths."""
         x = self._validate(u, v, failed)
         tree = self.tree
-        marked = self._marked(x)
-
-        anchor_leaves: list[int] = []
-        seen_leaves: set[int] = set()
-        for w in (u, v, *sorted(x)):
-            leaf = tree.leaf_of[w]
-            if leaf not in seen_leaves:
-                seen_leaves.add(leaf)
-                anchor_leaves.append(leaf)
-
-        members = []
-        parts = []
-        seen_sibs: set[int] = set()
-        for leaf in anchor_leaves:
-            members.append(self._leaf(leaf))
-            parts.append(("leaf", leaf))
-            for node in tree.root_path(leaf):
-                sib = tree.sibling_of(node)
-                if sib is None or sib in seen_sibs or sib in marked:
-                    continue
-                seen_sibs.add(sib)
-                members.append(self.store.strict(sib))
-                parts.append(("sibling", sib))
-        return FailureAssembly(tuple(members), tuple(parts), marked, tuple(anchor_leaves))
+        leaves = list(dict.fromkeys(tree.leaf_of[w] for w in (u, v, *sorted(x))))
+        strict = self.store.strict
+        return [self._leaf(leaf) for leaf in leaves] + [
+            strict(sib) for sib in tree.cover(leaves, self._marked(x))
+        ]
 
     # -- queries -----------------------------------------------------------
 
@@ -202,9 +173,8 @@ class FailureOracle:
         toward the target under the landmark potential and stops when the
         target settles, so only settled labels are final (see
         ``multi_dijkstra``)."""
-        asm = self.assemble(u, v, failed)
         return multi_dijkstra(
-            asm.members,
+            self.assemble(u, v, failed),
             [(u, 0)],
             forbidden=frozenset(failed),
             target=target,

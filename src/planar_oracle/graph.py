@@ -178,7 +178,6 @@ class EmbeddedPlanarGraph:
         "heads",
         "weights",
         "face_count",
-        "component_count",
         "total_weight",
         "_out",
         "_in",
@@ -197,7 +196,6 @@ class EmbeddedPlanarGraph:
         self.heads = tuple(a[1] for a in self.arcs)
         self.weights = tuple(a[2] for a in self.arcs)
         self._validate_shape()
-        self.component_count = self._count_components()
         self.face_count = self._check_euler()
         self.total_weight = sum(abs(w) for w in self.weights)
         if self.total_weight > _MAX_WEIGHT_SUM:
@@ -254,24 +252,6 @@ class EmbeddedPlanarGraph:
                 raise EmbeddingError(
                     f"arc {a} appears {c} times across rotations, expected 2"
                 )
-
-    def _count_components(self) -> int:
-        n = self.n
-        if n == 0:
-            return 0
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, h, _ in self.arcs:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-        return len({find(v) for v in range(n)})
 
     def _check_euler(self) -> int:
         """Trace all faces and check V - E + F = 2 on each arc component."""

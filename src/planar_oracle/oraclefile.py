@@ -22,7 +22,6 @@ with a valid trailer raises OracleFileError there.
 from __future__ import annotations
 
 import io
-import itertools
 import os
 import struct
 import sys
@@ -245,14 +244,10 @@ def _layout(oracle):
     if not tradeoff:
         return
     exits: set[int] = set()
-    # combinations() allocates k + 1 indices even when it yields nothing
-    size = oracle.k + 1
-    tuples = itertools.combinations(oracle.rdiv, size) if size <= len(oracle.rdiv) else ()
-    for ids in tuples:
+    for ids, family in oracle._tuples():
         yield "tuple", ids, len(ids)
         nodes = tuple_boundary(pieces, ids)
         yield "ext", ids, len(nodes) ** 2
-        family = oracle._exit_family(ids)
         exits.update(family)
         for q in family:
             for y in nodes:

@@ -6,13 +6,14 @@ budget k, then precomputes, for every (k+1)-subset T of the division:
 * ext(T): the strict-external matrix over ∂T, the union of the tuple's
   boundaries (paths outside the tuple pieces), and
 * directional tables: for every vertex y of ∂T and every piece Q that can
-  play the exit role for this tuple (a sibling of an ancestor of a tuple
-  piece), the distances from y to the boundary of Q through the graph
+  play the exit role for this tuple (a sibling hanging off a tuple piece's
+  root path), the distances from y to the boundary of Q through the graph
   outside the tuple pieces, avoiding every other vertex of ∂T in between,
 
 together with plain boundary-to-everything tables for each such Q.  Both
 per-tuple tables come from one Dijkstra per vertex of ∂T (see the external
-module).
+module).  The exit pieces, the members behind those runs and the members
+of a query's union are all one walk, ``DecompositionTree.cover``.
 
 A query picks a tuple that covers u and the failed vertices (one piece
 each), reads the precomputed matrices, and runs one small union A* scan
@@ -90,22 +91,19 @@ class TradeoffOracle(FailureOracle):
 
     # -- build ---------------------------------------------------------------
 
-    def _exit_family(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        tree = self.tree
-        fam: set[int] = set()
-        for pid in ids:
-            for node in tree.root_path(pid):
-                sib = tree.sibling_of(node)
-                if sib is not None:
-                    fam.add(sib)
-        return tuple(sorted(fam))
+    def _tuples(self):
+        """(ids, exit pieces) of every (k+1)-tuple T of the r-division, in
+        build and file order; the exit pieces are the sorted siblings
+        hanging off the root paths of T's pieces."""
+        # combinations allocates k + 1 indices even when it yields nothing
+        if self.k >= len(self.rdiv):
+            return
+        for ids in itertools.combinations(self.rdiv, self.k + 1):
+            yield ids, tuple(sorted(self.tree.cover(ids)))
 
     def _build(self) -> None:
         builder = ExternalDdgBuilder(self.tree, self.store)
-        # combinations allocates k + 1 indices even when it yields nothing
-        tuples = itertools.combinations(self.rdiv, self.k + 1) if self.k < len(self.rdiv) else ()
-        for ids in tuples:
-            exits = self._exit_family(ids)
+        for ids, exits in self._tuples():
             for q in exits:
                 if q not in self.piece_tables:
                     self.piece_tables[q] = compute_piece_distance_table(
@@ -117,11 +115,13 @@ class TradeoffOracle(FailureOracle):
     # -- query helpers ---------------------------------------------------------
 
     def _canonical_rdiv(self, w: int) -> int:
-        rmarks = set(self.rdiv)
-        for node in self.tree.root_path(self.tree.leaf_of[w]):
-            if node in rmarks:
-                return node
-        raise AssertionError("root path misses the r-division")
+        """The division piece above w's home leaf."""
+        tree = self.tree
+        leaf = tree.leaf_of[w]
+        for pid in self.rdiv:
+            if tree.is_ancestor(pid, leaf):
+                return pid
+        raise AssertionError("no division piece holds the home leaf")
 
     def _pieces_containing(self, w: int) -> list[int]:
         return [pid for pid in self.rdiv if self.tree.pieces[pid].contains(w)]
@@ -175,17 +175,12 @@ class TradeoffOracle(FailureOracle):
         arc = self._first_arc_at(spiece, i)
         if arc is None:
             return None
-        # descend to the division piece owning that arc
-        rmarks = set(self.rdiv)
-        node = s_node
-        while node not in rmarks:
-            for c in tree.pieces[node].children:
-                if sorted_contains(tree.pieces[c].arcs, arc):
-                    node = c
-                    break
-            else:
-                return None
-        r_i = node
+        # the division piece under s_node owning that arc
+        for r_i in self.rdiv:
+            if tree.is_ancestor(s_node, r_i) and sorted_contains(tree.pieces[r_i].arcs, arc):
+                break
+        else:
+            return None
         anchors = {i: r_i}
         for w in anchors_needed:
             if w != i:
@@ -218,39 +213,29 @@ class TradeoffOracle(FailureOracle):
         return min((a for a in self.graph.rotation[i] if sorted_contains(arcs, a)), default=None)
 
     def _assembly(self, ids, u, x):
-        """Union members for a stored tuple under failures: each resident's
-        home leaf as its own arcs (the cached member) and the unmarked
-        siblings up to the piece top, strict matrices for pieces with no
-        resident inside, plus ext of the tuple.  The residents are u and the
-        failed vertices.
+        """Union members for a stored tuple under failures: ext of the
+        tuple, then per tuple piece its strict matrix when no resident's
+        home leaf lies under it, and otherwise those home leaves as their
+        own arcs (the cached members) and the strict matrices of the
+        unmarked siblings hanging off their paths up to the piece.  The
+        residents are u and the failed vertices.
 
         A resident whose home leaf lies outside the piece necessarily sits
         on the piece boundary, so the strict matrix already exposes it as a
-        node and no finer cover is needed for it."""
+        node and no finer cover is needed for it.  Tuple pieces are disjoint
+        nodes of one division, so no leaf or sibling comes up twice."""
         tree = self.tree
         marked = self._marked(x)
+        strict = self.store.strict
+        homes = dict.fromkeys(tree.leaf_of[w] for w in (u, *x))
         members = [self.ext[ids]]
-        seen_leaf: set[int] = set()
-        seen_sib: set[int] = set()
         for pid in ids:
-            piece = tree.pieces[pid]
-            residents = [w for w in (u, *x) if piece.contains(w)]
-            inner = [w for w in residents if tree.is_ancestor(pid, tree.leaf_of[w])]
-            if not inner:
-                members.append(self.store.strict(pid))
+            leaves = [leaf for leaf in homes if tree.is_ancestor(pid, leaf)]
+            if not leaves:
+                members.append(strict(pid))
                 continue
-            for w in inner:
-                leaf = tree.leaf_of[w]
-                if leaf not in seen_leaf:
-                    seen_leaf.add(leaf)
-                    members.append(self._leaf(leaf))
-                node = leaf
-                while node != pid:
-                    sib = tree.sibling_of(node)
-                    if sib is not None and sib not in seen_sib and sib not in marked:
-                        seen_sib.add(sib)
-                        members.append(self.store.strict(sib))
-                    node = tree.pieces[node].parent
+            members.extend(self._leaf(leaf) for leaf in leaves)
+            members.extend(strict(sib) for sib in tree.cover(leaves, marked, pid))
         return members
 
     def _main(self, u, v, x, ids, q_node):

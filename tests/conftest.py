@@ -48,6 +48,22 @@ def make_single() -> EmbeddedPlanarGraph:
     return EmbeddedPlanarGraph(1, [], [[]])
 
 
+def component_count(g):
+    """Connected components of ``g`` with arc directions ignored; isolated
+    vertices count one each."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for t, h in zip(g.tails, g.heads):
+        parent[find(t)] = find(h)
+    return len({find(v) for v in range(g.n)})
+
+
 def leaves(tree):
     """Ids of the tree's leaf pieces, in id order."""
     return [p.id for p in tree.pieces if p.is_leaf]

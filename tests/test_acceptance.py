@@ -480,7 +480,7 @@ def test_criterion_7_union_scan_matches_explicit_arcs(suite1, capsys):
     for name, g, fo, _leaf, _secs in suite1:
         for u, v, failed in _suite1_queries(name, g.n):
             res = fo.query_result(u, v, failed)
-            members = fo.assemble(u, v, failed).members
+            members = fo.assemble(u, v, failed)
             want = explicit_dijkstra(members, [(u, 0)], failed)
             same = res.vertices == tuple(sorted(want)) and all(
                 res.raw(w) == want[w] for w in res.vertices

@@ -1,5 +1,6 @@
 """Recursive decomposition: partition, balance, marks, and ancestors."""
 
+import itertools
 import random
 
 import pytest
@@ -144,6 +145,58 @@ def test_sibling_of(tree8):
         sib = tree8.sibling_of(p.id)
         assert sib is not None and sib != p.id
         assert tree8.pieces[sib].parent == p.parent
+
+
+def _random_antichain(rng, tree, top):
+    """Nodes strictly under ``top``, none an ancestor of another: each node
+    met is dropped with its subtree, taken, or split into its children."""
+    out = []
+    stack = list(tree.pieces[top].children)
+    while stack:
+        node = stack.pop()
+        roll = rng.random()
+        if roll < 0.2:
+            continue
+        if roll < 0.55 or tree.pieces[node].is_leaf:
+            out.append(node)
+        else:
+            stack.extend(tree.pieces[node].children)
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("name", ["tree8", "tree_tri"])
+def test_cover_tiles_top(name, request):
+    tree = request.getfixturevalue(name)
+    rng = random.Random(f"cover-{name}")
+    internal = [p.id for p in tree.pieces if not p.is_leaf]
+    checked = 0
+    for _ in range(400):
+        top = rng.choice(internal)
+        starts = _random_antichain(rng, tree, top)
+        if not starts:
+            continue
+        sibs = tree.cover(starts, top=top)
+        if top == 0:
+            assert tree.cover(starts) == sibs
+        paths = set()
+        for s in starts:
+            paths.update(itertools.takewhile(lambda n: n != top, tree.root_path(s)))
+        # each sibling of a path node once, strictly under top
+        assert len(set(sibs)) == len(sibs)
+        assert set(sibs) == {tree.sibling_of(n) for n in paths}
+        assert all(s != top and tree.is_ancestor(top, s) for s in sibs)
+        # the starts and the siblings off their paths tile top's arcs once
+        tiles = starts + tree.cover(starts, paths, top)
+        if len(starts) == 1:
+            assert tiles == starts + sibs
+        arcs = sorted(a for t in tiles for a in tree.pieces[t].arcs)
+        assert arcs == list(tree.pieces[top].arcs), (top, starts)
+        # skipped ids never come back, and the rest keep their order
+        skip = set(rng.sample(sibs, rng.randint(0, len(sibs))))
+        assert tree.cover(starts, skip, top) == [s for s in sibs if s not in skip]
+        checked += 1
+    assert checked >= 300
 
 
 def test_highest_excluding_ancestor(tree8):

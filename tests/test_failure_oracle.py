@@ -88,7 +88,7 @@ def test_strategies_agree(grid8, fo8):
     rng = random.Random("fo-strat")
     for u, v, x in random_queries(rng, grid8.n, 60):
         res = fo8.query_result(u, v, x)
-        want = explicit_dijkstra(fo8.assemble(u, v, x).members, [(u, 0)], x)
+        want = explicit_dijkstra(fo8.assemble(u, v, x), [(u, 0)], x)
         assert res.vertices == tuple(sorted(want))
         for w in res.vertices:
             assert res.raw(w) == want[w], (u, v, x, w)
@@ -102,31 +102,29 @@ def test_query_result_consistency(grid8, fo8):
 
 
 def test_assembly_structure(grid8, fo8):
-    asm = fo8.assemble(5, 40, {20})
-    kinds = {kind for kind, _ in asm.parts}
-    assert kinds == {"leaf", "sibling"}
+    members = fo8.assemble(5, 40, {20, 3})
     tree = fo8.tree
-    # anchor leaves are the home leaves of endpoints and failures, deduped
-    homes = []
-    for w in (5, 40, 20):
-        leaf = tree.leaf_of[w]
-        if leaf not in homes:
-            homes.append(leaf)
-    assert list(asm.anchor_leaves) == homes
-    # no member is a marked piece (those contain failures)
-    for kind, pid in asm.parts:
-        if kind == "sibling":
-            assert pid not in asm.marked
-    # endpoints are grafted into their home leaf members
-    first = asm.members[0]
-    assert 5 in first.nodes
+    # anchor leaves come first: the home leaves of u, v and the sorted
+    # failures, deduped, each as its cached own-arcs member
+    homes = list(dict.fromkeys(tree.leaf_of[w] for w in (5, 40, 3, 20)))
+    assert members[: len(homes)] == [fo8._leaf(leaf) for leaf in homes]
+    rest = members[len(homes) :]
+    assert rest and not any(isinstance(m, SparseMember) for m in rest)
+    # no member is a marked piece's matrix (those contain failures)
+    marked = fo8._marked(frozenset({20, 3}))
+    assert marked
+    assert not any(m is fo8.store.strict(p) for p in marked for m in rest)
+    # endpoints are nodes of their home leaf members
+    assert 5 in members[0].nodes
 
 
 def test_marked_pieces_contain_failures(grid8, fo8):
-    asm = fo8.assemble(0, 63, {27, 36})
+    members = fo8.assemble(0, 63, {27, 36})
     tree = fo8.tree
-    for pid in asm.marked:
+    marked = fo8._marked(frozenset({27, 36}))
+    for pid in marked:
         assert tree.pieces[pid].contains(27) or tree.pieces[pid].contains(36)
+        assert not any(m is fo8.store.strict(pid) for m in members)
 
 
 def test_validation(grid8, fo8):
@@ -192,7 +190,7 @@ def test_potential_consistent_on_union_arcs(alt_oracles, data):
     x = data.draw(st.sets(st.sampled_from(others), max_size=4)) if others else set()
     pi = fo._potential(v)
     assert pi(v) == 0
-    members = fo.assemble(u, v, x).members
+    members = fo.assemble(u, v, x)
     for y, z, w in union_arcs(members):
         assert pi(y) <= w + pi(z), (name, u, v, x, y, z, w)
     for y in {y for m in members for y in m.nodes}:
@@ -208,7 +206,7 @@ def test_potential_scan_matches_explicit_dijkstra(alt_oracles):
         if g.n < 2:
             continue
         for u, v, x in random_queries(rng, g.n, 60):
-            members = fo.assemble(u, v, x).members
+            members = fo.assemble(u, v, x)
             res = multi_dijkstra(
                 members, [(u, 0)], forbidden=x, target=v, potential=fo._potential(v)
             )

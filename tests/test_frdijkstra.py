@@ -270,7 +270,7 @@ def test_source_overrides_forbidden():
 
 def cone_members(g, u):
     """Home leaf of u (with u as a node) plus every root-path sibling."""
-    return FailureOracle(g, leaf_size=8, r_base=4).assemble(u, u).members
+    return FailureOracle(g, leaf_size=8, r_base=4).assemble(u, u)
 
 
 def test_forbidden_monotone(grid8):

@@ -4,12 +4,14 @@ import pytest
 
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 
+from conftest import component_count
+
 
 def test_grid_shape():
     g = generate_grid(3, 5, seed=0)
     assert g.n == 15
     assert g.m == 2 * (3 * 4 + 2 * 5)  # bidirectional horizontal + vertical
-    assert g.component_count == 1
+    assert component_count(g) == 1
 
 
 def test_grid_default_weights_are_unit():
@@ -38,7 +40,7 @@ def test_grid_weight_range():
 def test_triangulation_shape():
     g = generate_random_triangulation(40, seed=3)
     assert g.n == 40
-    assert g.component_count == 1
+    assert component_count(g) == 1
     # triangulations are dense: every undirected edge is an arc pair
     assert g.m % 2 == 0
     assert g.m >= 2 * (2 * g.n - 4)

@@ -13,14 +13,14 @@ from planar_oracle.graph import (
 )
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 
-from conftest import make_disconnected, make_path12
+from conftest import component_count, make_disconnected, make_path12
 
 
 def test_grid_counts(grid8):
     assert grid8.n == 64
     # interior bidirectional grid: 2 * (2 * 8 * 7) arcs
     assert grid8.m == 224
-    assert grid8.component_count == 1
+    assert component_count(grid8) == 1
     # V - E + F = 2 with E counted as undirected embedding edges = arcs here
     assert grid8.n - grid8.m + grid8.face_count == 2
 
@@ -73,7 +73,7 @@ def test_rejects_nonplanar_rotation():
 
 def test_disconnected_accepted():
     g = make_disconnected()
-    assert g.component_count == 3
+    assert component_count(g) == 3
     assert g.rotation[7] == ()
 
 

@@ -12,7 +12,8 @@ import planar_oracle
 PACKAGE = pathlib.Path(planar_oracle.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-# (module, name) imports kept on purpose, with the reason
+# (module, name) imports kept on purpose, with the reason; an entry for an
+# import that is gone or now used fails the check as stale
 ALLOWED_IMPORTS = {
     # perfbench/tracing.py rebinds tradeoff_oracle.compute_leaf_ddg by name
     # to time leaf builds, so the attribute must exist on the module
@@ -20,22 +21,18 @@ ALLOWED_IMPORTS = {
 }
 
 # (module, name) definitions and (module, "Class.member") members no
-# package module or perfbench uses, with the reason each stays
+# package module or perfbench uses, with the reason each stays; an entry
+# naming no definition, or one that is no longer dead, fails as stale
 ALLOWED = {
     # the public single-source reference that tests check the oracles with
     ("baseline", "sssp"),
     # public detail of the graph type and its parse error, for callers
     ("graph", "EmbeddedPlanarGraph.in_arcs"),
     ("graph", "GraphFormatError.line_no"),
-    # read only by tests, each a candidate for deletion: the graph's
-    # component count, the row labels of a piece table, the landmark ids
-    # behind the ALT tables, and the provenance of an assembled union
-    ("graph", "EmbeddedPlanarGraph.component_count"),
+    # read only by tests, each a candidate for deletion: the row labels of
+    # a piece table and the landmark ids behind the ALT tables
     ("ddg", "PieceDistanceTable.sources"),
     ("failure_oracle", "FailureOracle.landmarks"),
-    ("failure_oracle", "FailureAssembly.parts"),
-    ("failure_oracle", "FailureAssembly.marked"),
-    ("failure_oracle", "FailureAssembly.anchor_leaves"),
 }
 
 
@@ -150,13 +147,13 @@ def test_checker_sees_unused_and_used_names():
 def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
-    hits = [
+    hits = {
         (path.stem, name)
         for path in modules
         for name in unused_imports(path.read_text(encoding="utf-8"))
-        if (path.stem, name) not in ALLOWED_IMPORTS
-    ]
-    assert hits == []
+    }
+    assert sorted(hits - ALLOWED_IMPORTS) == []
+    assert sorted(ALLOWED_IMPORTS - hits) == [], "stale ALLOWED_IMPORTS entries"
 
 
 def test_dead_definition_checker():
@@ -197,4 +194,6 @@ def test_no_dead_definitions():
         for p in sorted(PERFBENCH.glob("*.py"))
     }
     assert modules and users
-    assert [d for d in dead_definitions(modules, users) if d not in ALLOWED] == []
+    dead = set(dead_definitions(modules, users))
+    assert sorted(dead - ALLOWED) == []
+    assert sorted(ALLOWED - dead) == [], "stale ALLOWED entries"

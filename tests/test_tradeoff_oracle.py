@@ -135,11 +135,12 @@ def test_construction_validation(grid8):
 
 def test_table_shapes(to8):
     tree = to8.tree
-    for ids in itertools.combinations(to8.rdiv, to8.k + 1):
-        ids = tuple(sorted(ids))
+    tuples = dict(to8._tuples())
+    assert list(tuples) == list(itertools.combinations(to8.rdiv, to8.k + 1))
+    for ids, exits in tuples.items():
         assert ids in to8.ext
         bset = sorted({v for pid in ids for v in tree.pieces[pid].boundary})
-        for q in to8._exit_family(ids):
+        for q in exits:
             qb = tree.pieces[q].boundary
             for y in bset:
                 row = to8.vor[(ids, q, y)]
