@@ -24,6 +24,7 @@ __all__ = [
     "Piece",
     "DecompositionTree",
     "build_decomposition",
+    "child_boundary",
     "highest_excluding_ancestor",
 ]
 
@@ -152,6 +153,21 @@ class DecompositionTree:
 # ----------------------------------------------------------------------
 
 
+def child_boundary(
+    g: EmbeddedPlanarGraph,
+    parent_boundary: Sequence[int],
+    vertices: Iterable[int],
+    sibling_arcs: Sequence[int],
+) -> tuple[int, ...]:
+    """Boundary of a child piece: those of its ``vertices`` that an arc of
+    its sibling touches or that lie on its parent's boundary."""
+    tails, heads = g.tails, g.heads
+    edge = {tails[a] for a in sibling_arcs}
+    edge.update([heads[a] for a in sibling_arcs])
+    edge.update(parent_boundary)
+    return tuple(filter(edge.__contains__, vertices))
+
+
 def build_decomposition(
     g: EmbeddedPlanarGraph,
     leaf_size: int = 32,
@@ -182,14 +198,7 @@ def build_decomposition(
         _, sides = _split_piece(g, piece.vertices, piece.arcs)
         child_ids = []
         for i, (verts, arcs) in enumerate(sides):
-            sibling_arcs = sides[1 - i][1]
-            touched = set()
-            for a in sibling_arcs:
-                touched.add(g.tails[a])
-                touched.add(g.heads[a])
-            bd = tuple(
-                v for v in verts if v in touched or sorted_contains(piece.boundary, v)
-            )
+            bd = child_boundary(g, piece.boundary, verts, sides[1 - i][1])
             child = Piece(len(pieces), pid, verts, bd, arcs)
             pieces.append(child)
             child_ids.append(child.id)

@@ -11,11 +11,13 @@ lists indexed by vertex id, filled afresh per run (one C-level fill of
 max-id + 1 entries, about 14 µs at n = 4096 in CPython 3.11), so a held
 result keeps its labels whatever runs later.
 
-When one of a member's vertices settles, the scan relaxes that vertex's
-row, but only over the columns not yet settled: each member keeps a linked
-list of its unsettled local indices, and a settled column is unlinked.  A
-settled column already has its final label, so skipping it changes no
-label.  The scan uses no further Monge structure.
+When a vertex settles, the scan relaxes all of its out-pairs in one loop:
+its sparse arcs and its whole row in every matrix member it belongs to.
+The row's columns that have settled already are not skipped: a settled
+label is final, so relaxing into it changes nothing, and under a potential
+few vertices settle, so keeping lists of unsettled columns would cost more
+than it saves.  An unreachable entry gives a length of MATRIX_SENTINEL or
+more, which beats no label.  The scan uses no Monge structure.
 
 Given a ``target``, the scan stops as soon as the target settles, as point
 queries do.  A target-stopped scan may also be goal-directed: a
@@ -129,6 +131,12 @@ class MultiDijkstraResult:
     ``size``; ids outside the union read MATRIX_SENTINEL.  After a run with
     a ``target``, only the labels of settled vertices are final, the
     target's among them; the others are upper bounds.
+
+    ``settled`` counts the vertices settled, forbidden ones and the target
+    included.  ``relaxations`` counts every pair examined out of the settled
+    vertices that are not blocked and not the target: each one's full row
+    in every matrix member it belongs to, unreachable and settled columns
+    included, each of its sparse arcs, and each exit read.
     """
 
     __slots__ = ("dist", "union", "union_vertices", "settled", "relaxations")
@@ -233,16 +241,6 @@ def multi_dijkstra(
     settled = 0
     relaxations = 0
 
-    # per-member linked list of not-yet-settled local indices
-    nxt: list[list[int]] = []
-    prv: list[list[int]] = []
-    head: list[int] = []
-    for m in mems:
-        k = len(m.nodes)
-        nxt.append(list(range(1, k + 1)))
-        prv.append(list(range(-1, k - 1)))
-        head.append(0 if k else -1)
-
     while heap:
         # a vertex's keys only fall, and its smallest key settles it, so
         # any later entry of it is stale
@@ -254,67 +252,34 @@ def multi_dijkstra(
         settled += 1
         if u == stop:
             break
-        dense = dense_in.get(u, ())
-        for mi, li in dense:
-            mnxt = nxt[mi]
-            mprv = prv[mi]
-            nx, pv = mnxt[li], mprv[li]
-            if pv >= 0:
-                mnxt[pv] = nx
-            else:
-                head[mi] = nx
-            if nx < len(mnxt):
-                mprv[nx] = pv
         if blocked[u]:
             continue
-        if exit_cost is not None:
-            w = exit_cost(u)
-            if w < MATRIX_SENTINEL:
-                relaxations += 1
-                nd = d + w
-                if nd < dist[stop]:
-                    h = pot[stop]
-                    if h < 0:
-                        h = pot[stop] = potential(stop)
-                    dist[stop] = nd
-                    heappush(heap, (nd + h, stop))
+        # u's out-pairs: its sparse arcs, its exit, and its row in each
+        # matrix member; an unreachable weight gives d + w >= MATRIX_SENTINEL,
+        # which beats no label
         out = sparse_out.get(u, ())
         relaxations += len(out)
-        for v, w in out:
-            nd = d + w
-            if nd < dist[v]:
-                h = pot[v]
-                if h:
-                    if h < 0:
-                        h = pot[v] = potential(v)
-                    if h >= MATRIX_SENTINEL:
-                        continue
-                dist[v] = nd
-                heappush(heap, (nd + h, v))
-        for mi, li in dense:
+        rows = [out]
+        if exit_cost is not None:
+            rows.append(((stop, exit_cost(u)),))
+            relaxations += 1
+        for mi, li in dense_in.get(u, ()):
             m = mems[mi]
-            mat = m.matrix
             nodes = m.nodes
             k = len(nodes)
-            row = li * k
-            mnxt = nxt[mi]
-            lj = head[mi]
-            while lj < k:
-                w = mat[row + lj]
-                if w < MATRIX_SENTINEL:
-                    relaxations += 1
-                    nd = d + w
-                    v = nodes[lj]
-                    if nd < dist[v]:
-                        h = pot[v]
-                        if h:
-                            if h < 0:
-                                h = pot[v] = potential(v)
-                            if h >= MATRIX_SENTINEL:
-                                lj = mnxt[lj]
-                                continue
-                        dist[v] = nd
-                        heappush(heap, (nd + h, v))
-                lj = mnxt[lj]
+            rows.append(zip(nodes, m.matrix[li * k : li * k + k]))
+            relaxations += k
+        for row in rows:
+            for v, w in row:
+                nd = d + w
+                if nd < dist[v]:
+                    h = pot[v]
+                    if h:
+                        if h < 0:
+                            h = pot[v] = potential(v)
+                        if h >= MATRIX_SENTINEL:
+                            continue
+                    dist[v] = nd
+                    heappush(heap, (nd + h, v))
 
     return MultiDijkstraResult(dist, union, settled, relaxations)

@@ -13,7 +13,10 @@ byte before it.  ``load_oracle`` reads the magic and version, then checks
 the trailer before it parses anything else, so a corrupted file, such as
 one with a flipped matrix entry, raises OracleFileError instead of loading
 and answering wrongly.  Vertex, arc and piece ids in the tree section, and
-the trade-off r, are also range-checked at load.  Each tuple's stored ids
+the trade-off r, are also range-checked at load, and the tree must be one
+the build could make: strictly increasing id lists, a root that is the
+whole graph, children that partition their parent's arcs, and each child's
+boundary as ``child_boundary`` gives it.  Each tuple's stored ids
 must be the tuple the walk expects next, which also bounds the walk by the
 file's size, and the tables must fill the file exactly, so a crafted file
 with a valid trailer raises OracleFileError there.
@@ -30,7 +33,7 @@ from array import array
 from typing import BinaryIO
 
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
-from .decomposition import DecompositionTree, Piece
+from .decomposition import DecompositionTree, Piece, child_boundary
 from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
 from .external import tuple_boundary
 from .failure_oracle import FailureOracle, landmark_tables
@@ -176,6 +179,10 @@ def _read_graph(rd: _Reader) -> EmbeddedPlanarGraph:
         raise OracleFileError(f"bad graph section: {exc}") from exc
 
 
+def _increasing(ids: tuple[int, ...]) -> bool:
+    return all(map(int.__lt__, ids, ids[1:]))
+
+
 def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
     leaf_size = rd.u32()
     r_base = rd.u32()
@@ -191,6 +198,8 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         vertices = rd.vertex_ids(g.n)
         boundary = rd.vertex_ids(g.n)
         arcs = rd.ids()
+        if not (_increasing(vertices) and _increasing(boundary) and _increasing(arcs)):
+            raise OracleFileError(f"piece {pid} has an id list that is not strictly increasing")
         if arcs and max(arcs) >= g.m:
             raise OracleFileError(f"piece {pid} has arc id {max(arcs)} of {g.m}")
         inside = set(vertices)
@@ -200,6 +209,16 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         ):
             raise OracleFileError(f"piece {pid} has an arc with an end outside its vertices")
         pieces.append(Piece(pid, None if parent < 0 else parent, vertices, boundary, arcs))
+    # every piece must be the one the build would make from its parent: the
+    # root is the whole graph, two children split their parent's arcs, and
+    # a child's boundary follows from its vertices, its sibling's arcs and
+    # its parent's boundary
+    if not pieces or (pieces[0].vertices, pieces[0].boundary, pieces[0].arcs) != (
+        tuple(range(g.n)),
+        (),
+        tuple(range(g.m)),
+    ):
+        raise OracleFileError("the root piece is not the whole graph")
     kids: dict[int, list[int]] = {}
     for p in pieces:
         if p.parent is not None:
@@ -208,7 +227,14 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
         # queries pair each piece with its one sibling
         if len(ch) != 2:
             raise OracleFileError(f"piece {pid} has {len(ch)} children, not 2")
-        pieces[pid].children = tuple(sorted(ch))
+        piece = pieces[pid]
+        piece.children = tuple(ch)
+        a, b = pieces[ch[0]], pieces[ch[1]]
+        if tuple(sorted(a.arcs + b.arcs)) != piece.arcs:
+            raise OracleFileError(f"the children of piece {pid} do not partition its arcs")
+        for child, sibling in ((a, b), (b, a)):
+            if child.boundary != child_boundary(g, piece.boundary, child.vertices, sibling.arcs):
+                raise OracleFileError(f"piece {child.id} has a boundary its build would not give")
     marks: dict[int, tuple[int, ...]] = {}
     for _ in range(rd.u32()):
         r = rd.u32()

@@ -330,25 +330,42 @@ def test_counters_and_metadata():
     assert res.label(999) == UNREACHABLE
 
 
-def test_monge_skips_settled_columns():
-    # the scan must relax fewer entries than the finite entries in the full
-    # rows of the vertices it settled; no vertex is forbidden here, so every
-    # settled vertex is relaxed out of, and with no target the settled ones
-    # are exactly the reachable ones
+def test_relaxations_count_every_pair_examined():
+    # each settled vertex that is relaxed out of examines its whole row in
+    # every matrix member, every one of its sparse arcs and its exit, and
+    # counts each of them, finite or not
     rng = random.Random(41)
-    members = random_members(rng, n_ids=30, n_members=8)
-    res = multi_dijkstra(members, [(members[0].nodes[0], 0)])
-    settled = {v for v, _ in res.items()}
-    assert len(settled) == res.settled
-    full_rows = 0
-    for m in members:
-        k = len(m.nodes)
-        for i, v in enumerate(m.nodes):
-            if v in settled:
-                full_rows += sum(
-                    1 for w in m.matrix[i * k : (i + 1) * k] if w < MATRIX_SENTINEL
-                )
-    assert res.relaxations < full_rows
+    for trial in range(30):
+        matrices = random_members(rng, n_ids=30, n_members=8)
+        ids = sorted({v for m in matrices for v in m.nodes})
+        arcs = [(rng.choice(ids), rng.choice(ids), rng.randrange(0, 30)) for _ in range(20)]
+        union = DdgUnion(matrices + [SparseMember(ids, arcs)])
+
+        def pairs(y):
+            row_lengths = sum(len(m.nodes) for m in matrices if y in m.nodes)
+            return row_lengths + sum(1 for t, _, _ in arcs if t == y)
+
+        src = rng.choice(ids)
+        forb = rng.sample(ids, 3)
+        if trial % 2:
+            res = multi_dijkstra(union, [(src, 0)], forbidden=forb)
+            relaxed = [y for y, _ in res.items() if y == src or y not in forb]
+            assert res.relaxations == sum(pairs(y) for y in relaxed)
+        else:
+            # exit_cost is read once for each settled, unblocked vertex
+            # other than the target, which is exactly the set relaxed out of
+            read = []
+
+            def exit_cost(y):
+                read.append(y)
+                return rng.choice((rng.randrange(0, 60), MATRIX_SENTINEL))
+
+            target = rng.choice([v for v in ids if v != src])
+            res = multi_dijkstra(
+                union, [(src, 0)], forbidden=forb, target=target, exit_cost=exit_cost
+            )
+            assert len(set(read)) == len(read) and target not in read
+            assert res.relaxations == sum(pairs(y) + 1 for y in read)
 
 
 def test_labels_outside_the_union():

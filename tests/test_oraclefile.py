@@ -303,6 +303,28 @@ def _mark_past_pieces(copy, tree):
     copy._marks[r] = copy._marks[r] + (len(tree.pieces),)
 
 
+def _boundaries_reversed(copy, tree):
+    for p in copy.pieces:
+        p.boundary = p.boundary[::-1]
+
+
+def _leaf_boundaries_emptied(copy, tree):
+    for p in tree.pieces:
+        if p.is_leaf:
+            copy.pieces[p.id].boundary = ()
+
+
+def _leaf_arc_dropped(copy, tree):
+    leaf = copy.pieces[_first_leaf(tree).id]
+    leaf.arcs = leaf.arcs[1:]
+
+
+def _leaf_boundary_gains_outsider(copy, tree):
+    leaf = _first_leaf(tree)
+    outsider = next(v for v in range(tree.graph.n) if not leaf.contains(v))
+    copy.pieces[leaf.id].boundary = tuple(sorted(leaf.boundary + (outsider,)))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -313,6 +335,10 @@ def _mark_past_pieces(copy, tree):
         _leaf_of_names_other_leaf,
         _leaf_of_past_pieces,
         _mark_past_pieces,
+        _boundaries_reversed,
+        _leaf_boundaries_emptied,
+        _leaf_arc_dropped,
+        _leaf_boundary_gains_outsider,
     ],
     ids=[
         "arc-past-graph",
@@ -322,6 +348,10 @@ def _mark_past_pieces(copy, tree):
         "leaf-of-misses-vertex",
         "leaf-of-past-pieces",
         "mark-past-pieces",
+        "boundaries-reversed",
+        "leaf-boundaries-emptied",
+        "leaf-arc-dropped",
+        "leaf-boundary-gains-outsider",
     ],
 )
 def test_tree_ids_out_of_range(tmp_path, monkeypatch, fo6, edit):
