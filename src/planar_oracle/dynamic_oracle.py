@@ -30,14 +30,36 @@ current graph only when, after an arc insertion,
 
 No other update can trip these budgets: deletions only shrink regions, a
 new vertex joins no region, and weight changes leave the topology, which is
-all the decomposition reads, as it was.  Queries run one union Dijkstra
-over the endpoint regions' raw arcs plus all region matrices; each region's
-raw-arc member is built on first use and kept until the region changes.
+all the decomposition reads, as it was.
+
+A query is one A* scan from u toward v over a union of every region matrix
+plus the raw arcs of u's and v's regions.  The matrix part is one
+``DdgUnion``, built on first use and kept across queries: a recomputed
+region whose boundary is unchanged (a weight change, a deletion that keeps
+the boundary, an arc re-inserted between its old ends) swaps its new matrix
+into its slot, and any other change drops the union for the next query to
+rebuild.  Each query overlays only the one or two raw members, each built
+on first use and kept until its region changes.
+
+The potential is the landmark bound of ``failure_oracle`` (Goldberg and
+Harrelson, SODA 2005), over tables filled at every division and repaired
+under updates.  π stays consistent while every table row is feasible on
+every live arc y -> z of length w: to[y] <= w + to[z] and frm[z] <= w +
+frm[y].  A weight increase or a deletion keeps that (Delling and Wagner,
+WEA 2007), and so leaves the tables alone.  A weight decrease or an
+insertion can break it at its one arc; a label-lowering Dijkstra from that
+arc, backward over in-arcs for ``to`` and forward over out-arcs for ``frm``,
+settling only the labels that fall, restores it (Ramalingam and Reps,
+J. Algorithms 1996).  A new vertex starts at _FAR, "unreachable", in every
+table.  Region matrix entries are lengths of live paths, so π is consistent
+on them too, and every scanned label stays exact.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
+from operator import sub
 
 from .graph import (
     _MAX_WEIGHT_SUM,
@@ -49,7 +71,8 @@ from .graph import (
 )
 from .decomposition import build_decomposition
 from .ddg import DenseDistanceGraph, strict_matrix
-from .frdijkstra import SparseMember, multi_dijkstra
+from .failure_oracle import _FAR, landmark_potential, landmark_tables
+from .frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 
 __all__ = ["DynamicOracle"]
 
@@ -104,7 +127,9 @@ class DynamicOracle:
         self.region_of_arc: dict[int, int] = {}
         self.divided_regions = 0  # region count at the last division
         self.rebuild_count = 0
-        self._rebuild()
+        # the input graph was validated on construction, so the first
+        # division reads it directly, with public ids equal to its own
+        self._divide(g, range(g.n), range(g.m))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -155,11 +180,19 @@ class DynamicOracle:
         return EmbeddedPlanarGraph(len(pub_v), arcs, rotation), pub_v, pub_a
 
     def _rebuild(self) -> None:
-        g, pub_v, pub_a = self.export_graph()
+        """A new division of the current graph.  ``export_graph`` checks the
+        whole rotation system again, a backstop for the local planarity
+        check of ``insert_edge``."""
+        self._divide(*self.export_graph())
+
+    def _divide(self, g: EmbeddedPlanarGraph, pub_v, pub_a) -> None:
+        """Regions, matrices and landmark tables from the r-division of g,
+        whose vertex i and arc j have public ids pub_v[i] and pub_a[j]."""
         # only the r-division is read, so pieces need not split below r
         tree = build_decomposition(g, leaf_size=max(3, self.r), extra_marks=(self.r,))
         self.regions = []
         self.region_of_arc = {}
+        self._union = None
         for pid in tree.r_division(self.r):
             piece = tree.pieces[pid]
             reg = _Region(
@@ -168,12 +201,21 @@ class DynamicOracle:
                 {pub_a[a] for a in piece.arcs},
             )
             reg.divided_boundary = len(reg.boundary)
-            self._recompute(reg)
             ri = len(self.regions)
             self.regions.append(reg)
+            self._recompute(ri)
             for a in reg.arcs:
                 self.region_of_arc[a] = ri
         self.divided_regions = len(self.regions)
+        _, to, frm = landmark_tables(g)
+        # rows of public ids; a dead id's row is never read
+        self._to: list = [None] * len(self.v_alive)
+        self._frm: list = [None] * len(self.v_alive)
+        for p, to_row, frm_row in zip(pub_v, to, frm):
+            self._to[p] = list(to_row)
+            self._frm[p] = list(frm_row)
+        # a new vertex's row; empty when the division had no vertices
+        self._far_row = [_FAR] * (len(to[0]) if to else 0)
         self.rebuild_count += 1
 
     def _arc_triples(self, reg: _Region):
@@ -181,14 +223,57 @@ class DynamicOracle:
             (self.arc_tail[a], self.arc_head[a], self.arc_weight[a]) for a in sorted(reg.arcs)
         )
 
-    def _recompute(self, reg: _Region) -> None:
-        """Strict boundary-to-boundary matrix of one region, public ids; the
-        region's raw member is rebuilt on its next use."""
+    def _recompute(self, ri: int) -> None:
+        """Strict boundary-to-boundary matrix of region ri, public ids.  The
+        region's raw member is rebuilt on its next use; the kept union takes
+        the new matrix into the region's slot if the boundary is unchanged,
+        and is dropped otherwise."""
+        reg = self.regions[ri]
+        old = reg.ddg
         verts = tuple(sorted(reg.vertices))
         nodes = tuple(sorted(reg.boundary))
         matrix = strict_matrix(verts, nodes, self._arc_triples(reg))
         reg.ddg = DenseDistanceGraph(nodes, matrix)
         reg.member = None
+        if self._union is not None:
+            if old is not None and old.nodes == nodes:
+                self._union.replace(ri, reg.ddg)
+            else:
+                self._union = None
+
+    def _lower(self, tail: int, head: int, w: int) -> None:
+        """Restore table feasibility on the arc tail -> head of length w, the
+        one arc where it may fail, by label-lowering Dijkstra per landmark:
+        ``to`` labels fall backward from tail over in-arcs, ``frm`` labels
+        forward from head over out-arcs, and only labels that fall are
+        settled."""
+        rot, tails, heads, weights = self.rot, self.arc_tail, self.arc_head, self.arc_weight
+        for table, start, via, ends, nexts in (
+            (self._to, tail, head, heads, tails),
+            (self._frm, head, tail, tails, heads),
+        ):
+            row, via_row = table[start], table[via]
+            if max(map(sub, row, via_row), default=0) <= w:
+                continue  # feasible for every landmark, the common case
+            for i in range(len(row)):
+                d = w + via_row[i]
+                if d >= row[i]:
+                    continue
+                row[i] = d
+                heap = [(d, start)]
+                while heap:
+                    d, y = heappop(heap)
+                    if d > table[y][i]:
+                        continue
+                    # arcs x -> y for to (ends = heads), y -> x for frm
+                    for a in rot[y]:
+                        if ends[a] == y:
+                            x = nexts[a]
+                            nd = d + weights[a]
+                            x_row = table[x]
+                            if nd < x_row[i]:
+                                x_row[i] = nd
+                                heappush(heap, (nd, x))
 
     # -- operations -------------------------------------------------------------
 
@@ -197,13 +282,18 @@ class DynamicOracle:
         _check_weight(weight)
         weight_sum = self.weight_sum + weight - self.arc_weight[arc]
         self._check_budget(weight_sum)
+        lower = weight < self.arc_weight[arc]
         self.arc_weight[arc] = weight
         self.weight_sum = weight_sum
-        self._recompute(self.regions[self.region_of_arc[arc]])
+        self._recompute(self.region_of_arc[arc])
+        if lower:
+            self._lower(self.arc_tail[arc], self.arc_head[arc], weight)
 
     def insert_vertex(self) -> int:
         self.v_alive.append(True)
         self.rot.append([])
+        self._to.append(list(self._far_row))
+        self._frm.append(list(self._far_row))
         return len(self.v_alive) - 1
 
     def insert_edge(
@@ -267,7 +357,8 @@ class DynamicOracle:
             self._rebuild()
         else:
             for rj in sorted(touched):
-                self._recompute(self.regions[rj])
+                self._recompute(rj)
+            self._lower(tail, head, weight)
         return arc
 
     def delete_edge(self, arc: int) -> None:
@@ -277,9 +368,8 @@ class DynamicOracle:
         self.rot[self.arc_head[arc]].remove(arc)
         self.weight_sum -= self.arc_weight[arc]
         ri = self.region_of_arc.pop(arc)
-        reg = self.regions[ri]
-        reg.arcs.discard(arc)
-        self._recompute(reg)
+        self.regions[ri].arcs.discard(arc)
+        self._recompute(ri)
 
     def delete_vertex(self, v: int) -> None:
         """Remove a vertex and every arc touching it."""
@@ -302,7 +392,7 @@ class DynamicOracle:
             reg.boundary.discard(v)
             touched.add(ri)
         for ri in sorted(touched):
-            self._recompute(self.regions[ri])
+            self._recompute(ri)
 
     def _corner(self, v: int, pos: int) -> int:
         """The dart that a new arc spliced in at ``rot[v][pos]`` would follow.
@@ -373,10 +463,12 @@ class DynamicOracle:
         self._check_alive_vertex(v)
         if u == v:
             return 0
+        if self._union is None:
+            # slot ri holds region ri's matrix, so _recompute can swap it
+            self._union = DdgUnion([reg.ddg for reg in self.regions])
         mu, mv = self._raw_member(u), self._raw_member(v)
-        members = [mu] if mu is mv else [mu, mv]
-        for reg in self.regions:
-            if len(reg.ddg.nodes):
-                members.append(reg.ddg)
-        res = multi_dijkstra(members, [(u, 0)], target=v)
+        union = self._union.overlay([mu] if mu is mv else [mu, mv])
+        # with no landmarks (a division of no vertices) the scan is Dijkstra
+        pi = landmark_potential(self._to, self._frm, v) if self._far_row else None
+        res = multi_dijkstra(union, [(u, 0)], target=v, potential=pi)
         return res.label(v)

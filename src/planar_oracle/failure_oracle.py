@@ -87,6 +87,20 @@ def landmark_tables(g: EmbeddedPlanarGraph):
     return tuple(landmarks), tuple(zip(*to_cols)), tuple(zip(*frm_cols))
 
 
+def landmark_potential(to, frm, t: int) -> Callable[[int], int]:
+    """The landmark lower bound π(y) on d(y, t), from per-vertex rows
+    ``to[y]`` (bounds on d(y, L) for each landmark L) and ``frm[y]`` (on
+    d(L, y)).  π is consistent on every arc y -> z of length w along which
+    the rows are feasible: to[y] <= w + to[z] and frm[z] <= w + frm[y],
+    entry by entry.  It is at least MATRIX_SENTINEL when y cannot reach t."""
+    to_t, frm_t = to[t], frm[t]
+
+    def pi(y: int) -> int:
+        return max(0, max(map(sub, to[y], to_t)), max(map(sub, frm_t, frm[y])))
+
+    return pi
+
+
 class FailureOracle:
     """Exact shortest-path lengths avoiding a set of failed vertices."""
 
@@ -152,13 +166,7 @@ class FailureOracle:
     def _potential(self, t: int) -> Callable[[int], int]:
         """Landmark lower bound π(y) on d(y, t) in G minus any failed set;
         at least MATRIX_SENTINEL when y cannot reach t even in G."""
-        to, frm = self._to, self._frm
-        to_t, frm_t = to[t], frm[t]
-
-        def pi(y: int) -> int:
-            return max(0, max(map(sub, to[y], to_t)), max(map(sub, frm_t, frm[y])))
-
-        return pi
+        return landmark_potential(self._to, self._frm, t)
 
     def query_result(
         self,

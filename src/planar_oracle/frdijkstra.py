@@ -80,6 +80,16 @@ class SparseMember:
         return f"SparseMember(|nodes|={len(self.nodes)}, |arcs|={len(self.arcs)})"
 
 
+def _merge_sparse(sparse_out: dict, m: SparseMember) -> None:
+    """Add sparse member m's out-lists to ``sparse_out`` in place.  A vertex
+    already there gets a new tuple; the member's own out-lists are never
+    modified."""
+    out = m.out
+    shared = {v: sparse_out[v] + out[v] for v in sparse_out.keys() & out.keys()}
+    sparse_out.update(out)
+    sparse_out.update(shared)
+
+
 class DdgUnion:
     """Overlay of members on shared vertex ids, ready to run Dijkstra on.
 
@@ -98,12 +108,7 @@ class DdgUnion:
         for mi, m in enumerate(self.members):
             total += len(m.nodes)
             if isinstance(m, SparseMember):
-                out = m.out
-                # a vertex shared with an earlier member gets a new tuple;
-                # the members' own out-lists are never modified
-                shared = {v: sparse_out[v] + out[v] for v in sparse_out.keys() & out.keys()}
-                sparse_out.update(out)
-                sparse_out.update(shared)
+                _merge_sparse(sparse_out, m)
             else:
                 if m.min_entry < 0:
                     raise ValueError(f"negative member weight in member {mi}")
@@ -114,6 +119,33 @@ class DdgUnion:
         # label lists hold one entry per id below this
         self.size = max(max(dense_in, default=-1), max(sparse_out, default=-1)) + 1
         self.union_vertices = total
+
+    def overlay(self, sparse: Sequence[SparseMember]) -> DdgUnion:
+        """A new union of this one's members followed by the sparse members
+        ``sparse``.  It shares this union's ``dense_in`` and builds only its
+        own ``sparse_out``, so its cost grows with ``sparse`` alone; neither
+        union modifies the other."""
+        new = DdgUnion.__new__(DdgUnion)
+        new.members = self.members + tuple(sparse)
+        new.dense_in = self.dense_in
+        new.sparse_out = sparse_out = dict(self.sparse_out)
+        total = self.union_vertices
+        for m in sparse:
+            total += len(m.nodes)
+            _merge_sparse(sparse_out, m)
+        new.size = max(self.size, max(sparse_out, default=-1) + 1)
+        new.union_vertices = total
+        return new
+
+    def replace(self, mi: int, m) -> None:
+        """Put matrix member ``m`` in slot ``mi``, in place, instead of a
+        matrix member on the same node list; ``dense_in`` stays valid.
+        Unlike the constructor, this does not scan m's entries for a
+        negative one, which would cost a pass over the whole matrix on
+        every swap: m must be a strict matrix of nonnegative arcs."""
+        if m.nodes != self.members[mi].nodes:
+            raise ValueError("a replacement member must keep the node list")
+        self.members = self.members[:mi] + (m,) + self.members[mi + 1 :]
 
     def __contains__(self, v) -> bool:
         return v in self.dense_in or v in self.sparse_out

@@ -190,6 +190,20 @@ def explicit_dijkstra(members, sources, forbidden=()):
     return dist
 
 
+def union_arcs(members):
+    """(tail, head, weight) of every raw arc and finite matrix entry."""
+    for m in members:
+        if isinstance(m, SparseMember):
+            yield from m.arcs
+            continue
+        k = len(m.nodes)
+        for i, y in enumerate(m.nodes):
+            for j, z in enumerate(m.nodes):
+                w = m.matrix[i * k + j]
+                if w < MATRIX_SENTINEL:
+                    yield y, z, w
+
+
 def run_with_2gib_address_space(code, *argv):
     """Standard output (or, when empty, standard error) of ``code`` run in
     a child interpreter whose address space is capped at 2 GiB, where an

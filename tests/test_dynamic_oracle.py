@@ -4,19 +4,24 @@ import math
 import random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from planar_oracle import dynamic_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.dynamic_oracle import DynamicOracle
+from planar_oracle.failure_oracle import _FAR
+from planar_oracle.frdijkstra import DdgUnion
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import (
+    MATRIX_SENTINEL,
     UNREACHABLE,
     EmbeddingError,
     WeightOverflowError,
     check_planar,
 )
+
+from conftest import union_arcs
 
 
 def fresh_distance(dyn, u, v):
@@ -578,3 +583,247 @@ TestDynamicMachine = DynamicMachine.TestCase
 TestDynamicMachine.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None
 )
+
+
+# -- the first division, landmark tables and the kept union ------------------
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_grid(16, 16, max_weight=9, seed=3),
+        generate_random_triangulation(300, max_weight=9, seed=3),
+    ],
+    ids=["grid16", "tri300"],
+)
+def test_first_division_matches_forced_rebuild(g):
+    # the constructor divides the input graph itself, not export_graph()
+    dyn = DynamicOracle(g, r=32)
+    before = region_state(dyn)
+    tables = (dyn._to, dyn._frm)
+    dyn._rebuild()
+    assert region_state(dyn) == before
+    assert (dyn._to, dyn._frm) == tables
+
+
+def alive_arcs_of(dyn):
+    return [a for a in range(len(dyn.arc_alive)) if dyn.arc_alive[a]]
+
+
+def alive_vertices_of(dyn):
+    return [v for v in range(len(dyn.v_alive)) if dyn.v_alive[v]]
+
+
+def table_violations(dyn):
+    """(arc, landmark, table) wherever a table row is not feasible on a
+    live arc y -> z of length w: to[y] <= w + to[z], frm[z] <= w + frm[y]."""
+    bad = []
+    for a in alive_arcs_of(dyn):
+        y, z, w = dyn.arc_tail[a], dyn.arc_head[a], dyn.arc_weight[a]
+        for i in range(len(dyn._far_row)):
+            if dyn._to[y][i] > w + dyn._to[z][i]:
+                bad.append((a, i, "to"))
+            if dyn._frm[z][i] > w + dyn._frm[y][i]:
+                bad.append((a, i, "frm"))
+    return bad
+
+
+def reinsert(dyn, a, weight):
+    """Delete arc a and insert it again, between the same ends at the same
+    rotation positions, with a new weight; returns the new arc id."""
+    t, h = dyn.arc_tail[a], dyn.arc_head[a]
+    where = (dyn.rot[t].index(a), dyn.rot[h].index(a))
+    dyn.delete_edge(a)
+    return dyn.insert_edge(t, h, weight, *where)
+
+
+def interior_vertex(dyn):
+    """A vertex with arcs that lies in one region only."""
+    return next(v for v in alive_vertices_of(dyn) if dyn.rot[v] and len(homes_of(dyn, v)) == 1)
+
+
+UPDATES = st.lists(
+    st.tuples(
+        st.sampled_from(["raise", "cut", "reinsert", "vertex", "drop_vertex", "fresh_pair"]),
+        st.integers(0, 999),
+        st.integers(0, 20),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 99), updates=UPDATES)
+def test_tables_stay_feasible(seed, updates):
+    dyn = DynamicOracle(generate_grid(5, 5, max_weight=9, seed=seed), r=9)
+    assert not table_violations(dyn)
+    for kind, pick, w in updates:
+        arcs = alive_arcs_of(dyn)
+        if kind in ("raise", "cut", "reinsert") and arcs:
+            a = arcs[pick % len(arcs)]
+            old = dyn.arc_weight[a]
+            if kind == "raise":
+                dyn.set_weight(a, old + w)
+            elif kind == "cut":
+                dyn.set_weight(a, w % (old + 1))
+            else:
+                reinsert(dyn, a, w)
+        elif kind == "vertex":
+            # a new vertex, joined by one arc each way
+            x = dyn.insert_vertex()
+            hub = interior_vertex(dyn)
+            insert_anywhere(dyn, hub, x, w)
+            insert_anywhere(dyn, x, hub, pick % 9)
+        elif kind == "drop_vertex":
+            alive = alive_vertices_of(dyn)
+            if len(alive) > 3:
+                dyn.delete_vertex(alive[pick % len(alive)])
+        elif kind == "fresh_pair":
+            # an arc between two fresh vertices, then an arc into the pair
+            x, y = dyn.insert_vertex(), dyn.insert_vertex()
+            dyn.insert_edge(x, y, w)
+            if pick % 2:
+                insert_anywhere(dyn, interior_vertex(dyn), x, pick % 9)
+        assert not table_violations(dyn), (kind, pick, w)
+    assert_answers(dyn, random.Random(seed), 10)
+
+
+def assert_union_current(dyn):
+    """The kept union holds region ri's matrix in slot ri, and its index
+    equals that of a freshly built matrix union."""
+    union = dyn._union
+    assert list(union.members) == [reg.ddg for reg in dyn.regions]
+    assert union.dense_in == DdgUnion([reg.ddg for reg in dyn.regions]).dense_in
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "raise", "cut", "delete_edge", "reinsert", "insert_vertex",
+        "delete_interior_vertex", "delete_boundary_vertex", "grow_boundary", "rebuild",
+    ],
+)
+def test_kept_union_matches_fresh(op):
+    g = generate_grid(6, 6, max_weight=5, seed=2)
+    dyn = DynamicOracle(g, r=16)
+    hub = interior_vertex(dyn)
+    if op == "grow_boundary":
+        # a new two-vertex region first, so an arc into it grows boundaries
+        x, y = dyn.insert_vertex(), dyn.insert_vertex()
+        dyn.insert_edge(x, y, 1)
+    assert dyn._union is None
+    dyn.distance(0, 35)
+    kept = dyn._union
+    assert_union_current(dyn)
+    out = [a for a in dyn.rot[hub] if dyn.arc_tail[a] == hub]
+    boundary = next(v for v in alive_vertices_of(dyn) if len(homes_of(dyn, v)) > 1)
+    start = dyn.rebuild_count
+    if op == "raise":
+        dyn.set_weight(out[0], dyn.arc_weight[out[0]] + 9)
+    elif op == "cut":
+        dyn.set_weight(out[0], 0)
+    elif op == "delete_edge":
+        dyn.delete_edge(out[0])
+    elif op == "reinsert":
+        reinsert(dyn, out[0], 1)
+    elif op == "insert_vertex":
+        dyn.insert_vertex()
+    elif op == "delete_interior_vertex":
+        dyn.delete_vertex(hub)
+    elif op == "delete_boundary_vertex":
+        dyn.delete_vertex(boundary)
+    elif op == "grow_boundary":
+        before = {ri: set(reg.boundary) for ri, reg in enumerate(dyn.regions)}
+        insert_anywhere(dyn, hub, x, 1)
+        assert any(reg.boundary != before[ri] for ri, reg in enumerate(dyn.regions))
+    else:
+        dyn._rebuild()
+    if op in ("delete_boundary_vertex", "grow_boundary", "rebuild"):
+        assert dyn._union is None
+    else:
+        assert dyn._union is kept
+        assert_union_current(dyn)
+    assert dyn.rebuild_count == start + (op == "rebuild")
+    assert_answers(dyn, random.Random(op), 40)
+    assert_union_current(dyn)
+
+
+def reaches(dyn, t):
+    """Alive vertices with a live path to t."""
+    seen, stack = {t}, [t]
+    while stack:
+        z = stack.pop()
+        for a in dyn.rot[z]:
+            if dyn.arc_head[a] == z and dyn.arc_tail[a] not in seen:
+                seen.add(dyn.arc_tail[a])
+                stack.append(dyn.arc_tail[a])
+    return seen
+
+
+def test_query_potential_consistent_on_scanned_union(monkeypatch):
+    scans = []
+    real = dynamic_oracle.multi_dijkstra
+
+    def spy(union, sources, **kw):
+        scans.append((union, kw["target"], kw["potential"]))
+        return real(union, sources, **kw)
+
+    monkeypatch.setattr(dynamic_oracle, "multi_dijkstra", spy)
+    dyn = DynamicOracle(generate_grid(8, 8, max_weight=9, seed=5), r=16)
+    rng = random.Random("dyn-potential")
+    for step in range(60):
+        arcs = alive_arcs_of(dyn)
+        a = rng.choice(arcs)
+        roll = rng.random()
+        if roll < 0.3:
+            dyn.set_weight(a, rng.randrange(0, 20))
+        elif roll < 0.6:
+            reinsert(dyn, a, rng.randrange(0, 20))
+        elif roll < 0.7:
+            x = dyn.insert_vertex()
+            insert_anywhere(dyn, interior_vertex(dyn), x, rng.randrange(9))
+        alive = alive_vertices_of(dyn)
+        u, v = rng.sample(alive, 2)
+        snap, vmap, _ = dyn.export_graph()
+        idx = {p: i for i, p in enumerate(vmap)}
+        assert dyn.distance(u, v) == distance_avoiding(snap, idx[u], idx[v]), (step, u, v)
+        union, t, pi = scans[-1]
+        assert t == v and pi(v) == 0
+        for y, z, w in union_arcs(union.members):
+            assert pi(y) <= w + pi(z), (step, y, z, w)
+        can = reaches(dyn, v)
+        for y in union.vertices:
+            if pi(y) >= MATRIX_SENTINEL:
+                assert y not in can, (step, y, v)
+
+
+def assert_all_pairs(dyn, among):
+    snap, vmap, _ = dyn.export_graph()
+    idx = {p: i for i, p in enumerate(vmap)}
+    for u in among:
+        for v in vmap:
+            assert dyn.distance(u, v) == distance_avoiding(snap, idx[u], idx[v]), (u, v)
+            assert dyn.distance(v, u) == distance_avoiding(snap, idx[v], idx[u]), (v, u)
+
+
+def test_new_vertex_starts_without_labels():
+    dyn = DynamicOracle(generate_grid(6, 6, max_weight=7, seed=8), r=16)
+    dyn.distance(0, 35)
+    w = dyn.insert_vertex()
+    assert dyn._to[w] == dyn._frm[w] == [_FAR] * len(dyn._far_row)
+    hub = interior_vertex(dyn)
+    insert_anywhere(dyn, hub, w, 3)
+    insert_anywhere(dyn, w, hub, 2)
+    assert dyn.distance(hub, w) == 3 and dyn.distance(w, hub) == 2
+    assert_all_pairs(dyn, [w])
+
+
+def test_new_two_vertex_component():
+    dyn = DynamicOracle(generate_grid(6, 6, max_weight=7, seed=8), r=16)
+    dyn.distance(0, 35)
+    x, y = dyn.insert_vertex(), dyn.insert_vertex()
+    dyn.insert_edge(x, y, 4)
+    assert dyn.distance(x, y) == 4
+    assert dyn.distance(y, x) == UNREACHABLE
+    assert dyn.distance(0, x) == dyn.distance(x, 0) == UNREACHABLE
+    assert_all_pairs(dyn, [x, y])

@@ -12,7 +12,7 @@ from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph
 from planar_oracle.oraclefile import load_oracle, save_oracle
 
-from conftest import explicit_dijkstra
+from conftest import explicit_dijkstra, union_arcs
 
 # shapes for the landmark potential: strongly connected ones, one-way arcs
 # with a zero-weight arc, several components, and a single vertex
@@ -162,20 +162,6 @@ def test_weighted_zoo_sweep(zoo):
 @pytest.fixture(scope="module")
 def alt_oracles(zoo):
     return {name: FailureOracle(zoo[name], leaf_size=6, r_base=4) for name in ALT_ZOO}
-
-
-def union_arcs(members):
-    """(tail, head, weight) of every raw arc and finite matrix entry."""
-    for m in members:
-        if isinstance(m, SparseMember):
-            yield from m.arcs
-            continue
-        k = len(m.nodes)
-        for i, y in enumerate(m.nodes):
-            for j, z in enumerate(m.nodes):
-                w = m.matrix[i * k + j]
-                if w < MATRIX_SENTINEL:
-                    yield y, z, w
 
 
 @settings(max_examples=80, deadline=None)
