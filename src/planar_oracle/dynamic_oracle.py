@@ -42,11 +42,12 @@ rebuild.  Each query overlays only the one or two raw members, each built
 on first use and kept until its region changes.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
-Harrelson, SODA 2005), over tables filled at every division and repaired
-under updates.  π stays consistent while every table row is feasible on
-every live arc y -> z of length w: to[y] <= w + to[z] and frm[z] <= w +
-frm[y].  A weight increase or a deletion keeps that (Delling and Wagner,
-WEA 2007), and so leaves the tables alone.  A weight decrease or an
+Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
+filled at every division and repaired under updates; a division with fewer
+landmarks reads its best one more than once.  π stays consistent while
+every table row is feasible on every live arc y -> z of length w: to[y] <=
+w + to[z] and frm[z] <= w + frm[y].  A weight increase or a deletion keeps
+that (Delling and Wagner, WEA 2007), and so leaves the tables alone.  A weight decrease or an
 insertion can break it at its one arc; a label-lowering Dijkstra from that
 arc, backward over in-arcs for ``to`` and forward over out-arcs for ``frm``,
 settling only the labels that fall, restores it (Ramalingam and Reps,
@@ -469,6 +470,6 @@ class DynamicOracle:
         mu, mv = self._raw_member(u), self._raw_member(v)
         union = self._union.overlay([mu] if mu is mv else [mu, mv])
         # with no landmarks (a division of no vertices) the scan is Dijkstra
-        pi = landmark_potential(self._to, self._frm, v) if self._far_row else None
+        pi = landmark_potential(self._to, self._frm, u, v) if self._far_row else None
         res = multi_dijkstra(union, [(u, 0)], target=v, potential=pi)
         return res.label(v)

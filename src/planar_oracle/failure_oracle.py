@@ -19,10 +19,15 @@ One Dijkstra over the union from u, never relaxing out of a failed
 vertex, then yields the exact label of v.  The scan is A* toward v: failures
 only lengthen distances, and every union arc is the length of a real path
 in the graph, so lower bounds on failure-free distances are a consistent
-potential on every union.  The bounds come from 8 landmarks L, through the
+potential on every union.  The bounds come from landmarks L, through the
 triangle inequality (Goldberg and Harrelson, SODA 2005):
 
-    π(y) = max over L of d(y, L) - d(v, L) and d(L, v) - d(L, y), and 0.
+    π(y) = max over A of d(y, L) - d(v, L) and d(L, v) - d(L, y), and 0,
+
+where A holds the 3 of the 8 landmarks whose bound is largest at the
+query's source u (Goldberg and Werneck, ALENEX 2005).  A max over any
+subset of consistent terms is consistent, so the choice keeps every label
+exact; it only decides how tight π is away from u.
 
 The landmarks are picked farthest-first and their distance tables filled
 whenever an oracle is built or loaded; they are a pure function of the
@@ -31,7 +36,7 @@ graph, so oracle files do not store them.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterable
 
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
@@ -43,6 +48,8 @@ __all__ = ["FailureOracle"]
 
 
 LANDMARKS = 8
+# landmarks a query's potential reads, the ones best at its source
+ACTIVE_LANDMARKS = 3
 
 # Landmark tables hold an unreachable distance as _FAR = 2 * MATRIX_SENTINEL,
 # and the potential's terms are plain differences.  A term whose two
@@ -87,16 +94,37 @@ def landmark_tables(g: EmbeddedPlanarGraph):
     return tuple(landmarks), tuple(zip(*to_cols)), tuple(zip(*frm_cols))
 
 
-def landmark_potential(to, frm, t: int) -> Callable[[int], int]:
-    """The landmark lower bound π(y) on d(y, t), from per-vertex rows
-    ``to[y]`` (bounds on d(y, L) for each landmark L) and ``frm[y]`` (on
-    d(L, y)).  π is consistent on every arc y -> z of length w along which
-    the rows are feasible: to[y] <= w + to[z] and frm[z] <= w + frm[y],
-    entry by entry.  It is at least MATRIX_SENTINEL when y cannot reach t."""
+def active_landmarks(to, frm, s: int, t: int) -> tuple[int, ...]:
+    """Indices of the ACTIVE_LANDMARKS landmarks whose bound on d(s, t) is
+    largest, best first, ties to the smaller index; the best one repeats
+    when there are fewer landmarks than that."""
     to_t, frm_t = to[t], frm[t]
+    bound = [
+        max(ts - tt, ft - fs) for ts, tt, ft, fs in zip(to[s], to_t, frm_t, frm[s])
+    ]
+    # sorted() stays stable under reverse=True, so ties keep index order
+    ranked = sorted(range(len(bound)), key=bound.__getitem__, reverse=True)
+    ranked += ranked[:1] * ACTIVE_LANDMARKS
+    return tuple(ranked[:ACTIVE_LANDMARKS])
+
+
+def landmark_potential(to, frm, s: int, t: int) -> Callable[[int], int]:
+    """The landmark lower bound π(y) on d(y, t) for a scan from s, from
+    per-vertex rows ``to[y]`` (bounds on d(y, L) for each landmark L) and
+    ``frm[y]`` (on d(L, y)), read only at the ``active_landmarks`` of
+    (s, t).  π is consistent on every arc y -> z of length w along which
+    the rows are feasible: to[y] <= w + to[z] and frm[z] <= w + frm[y],
+    entry by entry.  π(s) is the bound over every landmark, and π(y) is at
+    least MATRIX_SENTINEL when y cannot reach t."""
+    i, j, l = active_landmarks(to, frm, s, t)
+    to_t, frm_t = to[t], frm[t]
+    ai, aj, al = to_t[i], to_t[j], to_t[l]
+    bi, bj, bl = frm_t[i], frm_t[j], frm_t[l]
 
     def pi(y: int) -> int:
-        return max(0, max(map(sub, to[y], to_t)), max(map(sub, frm_t, frm[y])))
+        ty = to[y]
+        fy = frm[y]
+        return max(0, ty[i] - ai, ty[j] - aj, ty[l] - al, bi - fy[i], bj - fy[j], bl - fy[l])
 
     return pi
 
@@ -163,10 +191,11 @@ class FailureOracle:
 
     # -- queries -----------------------------------------------------------
 
-    def _potential(self, t: int) -> Callable[[int], int]:
-        """Landmark lower bound π(y) on d(y, t) in G minus any failed set;
-        at least MATRIX_SENTINEL when y cannot reach t even in G."""
-        return landmark_potential(self._to, self._frm, t)
+    def _potential(self, s: int, t: int) -> Callable[[int], int]:
+        """Landmark lower bound π(y) on d(y, t) in G minus any failed set,
+        for a scan from s; at least MATRIX_SENTINEL when y cannot reach t
+        even in G."""
+        return landmark_potential(self._to, self._frm, s, t)
 
     def query_result(
         self,
@@ -186,7 +215,7 @@ class FailureOracle:
             [(u, 0)],
             forbidden=frozenset(failed),
             target=target,
-            potential=None if target is None else self._potential(target),
+            potential=None if target is None else self._potential(u, target),
         )
 
     def distance(self, u: int, v: int, failed: Iterable[int] = ()):

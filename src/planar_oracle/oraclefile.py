@@ -371,9 +371,8 @@ def load_oracle(path: str):
             r = rd.u32()
             if r not in tree._marks:
                 raise OracleFileError(f"r={r} is not in the marked sequence {tree.r_sequence}")
-            oracle.r = r
             oracle.k = rd.u32()
-            oracle.rdiv = tree.r_division(r)
+            oracle._set_division(r)
             oracle.ext, oracle.vor, oracle.piece_tables = {}, {}, {}
             oracle.last_result = None
         _read_tables(rd, oracle)

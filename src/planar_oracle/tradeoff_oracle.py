@@ -74,9 +74,8 @@ class TradeoffOracle(FailureOracle):
         if r not in tree.r_sequence:
             raise ValueError(f"r={r} is not in the marked sequence {tree.r_sequence}")
         super().__init__(g, tree=tree)
-        self.r = r
         self.k = k
-        self.rdiv: tuple[int, ...] = self.tree.r_division(r)
+        self._set_division(r)
 
         self.ext: dict[tuple[int, ...], DenseDistanceGraph] = {}
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
@@ -88,6 +87,17 @@ class TradeoffOracle(FailureOracle):
         # v settles, so only the settled labels are final.
         self.last_result = None
         self._build()
+
+    def _set_division(self, r: int) -> None:
+        """Fix the r-division, and index for each vertex the division
+        pieces that hold it, in division order."""
+        self.r = r
+        self.rdiv: tuple[int, ...] = self.tree.r_division(r)
+        held: list[list[int]] = [[] for _ in range(self.graph.n)]
+        for pid in self.rdiv:
+            for w in self.tree.pieces[pid].vertices:
+                held[w].append(pid)
+        self._rdiv_of: list[tuple[int, ...]] = [tuple(pids) for pids in held]
 
     # -- build ---------------------------------------------------------------
 
@@ -118,13 +128,10 @@ class TradeoffOracle(FailureOracle):
         """The division piece above w's home leaf."""
         tree = self.tree
         leaf = tree.leaf_of[w]
-        for pid in self.rdiv:
+        for pid in self._rdiv_of[w]:
             if tree.is_ancestor(pid, leaf):
                 return pid
         raise AssertionError("no division piece holds the home leaf")
-
-    def _pieces_containing(self, w: int) -> list[int]:
-        return [pid for pid in self.rdiv if self.tree.pieces[pid].contains(w)]
 
     def _validate(self, u: int, v: int, failed: Iterable[int]) -> tuple[int, ...]:
         x = super()._validate(u, v, failed)
@@ -148,17 +155,15 @@ class TradeoffOracle(FailureOracle):
         """Choose the tuple and exit piece, or None when only the fallback
         layout works."""
         tree = self.tree
+        rdiv_of = self._rdiv_of
         anchors_needed = (u,) + x
-        # trigger: two covered vertices inside one division piece
-        for pid in self.rdiv:
-            piece = tree.pieces[pid]
-            if sum(1 for w in anchors_needed if piece.contains(w)) >= 2:
-                return None
-        free_v = [
-            pid
-            for pid in self._pieces_containing(v)
-            if not any(tree.pieces[pid].contains(w) for w in anchors_needed)
-        ]
+        # trigger: two covered vertices inside one division piece; the
+        # anchors are distinct, so that is a piece listed twice
+        held = [pid for w in anchors_needed for pid in rdiv_of[w]]
+        anchored = set(held)
+        if len(anchored) < len(held):
+            return None
+        free_v = [pid for pid in rdiv_of[v] if pid not in anchored]
         if not free_v:
             return None
         r_v = free_v[0]
@@ -199,7 +204,7 @@ class TradeoffOracle(FailureOracle):
                     continue
                 if self.tree.is_ancestor(q_node, pid):
                     continue
-                if tree.pieces[pid].contains(v):
+                if pid in rdiv_of[v]:
                     continue
                 pads.append(pid)
             if len(pads) < need:
@@ -263,7 +268,7 @@ class TradeoffOracle(FailureOracle):
             [(u, 0)],
             forbidden=x,
             target=v,
-            potential=self._potential(v),
+            potential=self._potential(u, v),
             exit_cost=exit_cost,
         )
         self.last_result = res

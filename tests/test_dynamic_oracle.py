@@ -10,12 +10,13 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from planar_oracle import dynamic_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.dynamic_oracle import DynamicOracle
-from planar_oracle.failure_oracle import _FAR
+from planar_oracle.failure_oracle import ACTIVE_LANDMARKS, _FAR
 from planar_oracle.frdijkstra import DdgUnion
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import (
     MATRIX_SENTINEL,
     UNREACHABLE,
+    EmbeddedPlanarGraph,
     EmbeddingError,
     WeightOverflowError,
     check_planar,
@@ -827,3 +828,15 @@ def test_new_two_vertex_component():
     assert dyn.distance(y, x) == UNREACHABLE
     assert dyn.distance(0, x) == dyn.distance(x, 0) == UNREACHABLE
     assert_all_pairs(dyn, [x, y])
+
+
+def test_one_vertex_division_reads_its_one_landmark():
+    # fewer landmarks than the potential reads: the best one repeats
+    dyn = DynamicOracle(EmbeddedPlanarGraph(1, [], [[]]), r=3)
+    assert len(dyn._far_row) == 1 < ACTIVE_LANDMARKS
+    x = dyn.insert_vertex()
+    dyn.insert_edge(0, x, 5)
+    assert dyn.distance(0, x) == 5 and dyn.distance(x, 0) == UNREACHABLE
+    dyn.insert_edge(x, 0, 2)
+    assert dyn.distance(0, x) == 5 and dyn.distance(x, 0) == 2
+    assert len(dyn._far_row) == 1

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planar_oracle.baseline import distance_avoiding, sssp
-from planar_oracle.failure_oracle import LANDMARKS, FailureOracle, landmark_tables
+from planar_oracle.failure_oracle import (
+    ACTIVE_LANDMARKS,
+    LANDMARKS,
+    FailureOracle,
+    active_landmarks,
+    landmark_potential,
+    landmark_tables,
+)
 from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph
 from planar_oracle.oraclefile import load_oracle, save_oracle
@@ -174,7 +181,7 @@ def test_potential_consistent_on_union_arcs(alt_oracles, data):
     v = data.draw(st.integers(0, g.n - 1))
     others = [w for w in range(g.n) if w not in (u, v)]
     x = data.draw(st.sets(st.sampled_from(others), max_size=4)) if others else set()
-    pi = fo._potential(v)
+    pi = fo._potential(u, v)
     assert pi(v) == 0
     members = fo.assemble(u, v, x)
     for y, z, w in union_arcs(members):
@@ -194,10 +201,61 @@ def test_potential_scan_matches_explicit_dijkstra(alt_oracles):
         for u, v, x in random_queries(rng, g.n, 60):
             members = fo.assemble(u, v, x)
             res = multi_dijkstra(
-                members, [(u, 0)], forbidden=x, target=v, potential=fo._potential(v)
+                members, [(u, 0)], forbidden=x, target=v, potential=fo._potential(u, v)
             )
             want = explicit_dijkstra(members, [(u, 0)], x)
             assert res.raw(v) == want[v], (name, u, v, x)
+
+
+def full_bound(to, frm, y, t):
+    """The landmark bound on d(y, t) over every landmark."""
+    terms = [a - b for a, b in zip(to[y], to[t])] + [a - b for a, b in zip(frm[t], frm[y])]
+    return max(0, *terms)
+
+
+def test_active_landmarks_carry_the_full_bound_at_the_source(zoo):
+    # every subset of landmarks is exact, so only this catches a bad pick:
+    # π(s) is the bound over all landmarks, and no π(y) exceeds it
+    rng = random.Random("active-landmarks")
+    for name, g in zoo.items():
+        _, to, frm = landmark_tables(g)
+        for _ in range(40):
+            s, t = rng.randrange(g.n), rng.randrange(g.n)
+            active = active_landmarks(to, frm, s, t)
+            assert len(active) == ACTIVE_LANDMARKS, (name, s, t)
+            pi = landmark_potential(to, frm, s, t)
+            assert pi(s) == full_bound(to, frm, s, t), (name, s, t)
+            for y in range(g.n):
+                assert pi(y) <= full_bound(to, frm, y, t), (name, s, t, y)
+
+
+def test_unreachable_source_settles_nothing(zoo):
+    # a source the full bound marks as unable to reach t is marked by the
+    # active landmarks too, so the scan never queues it
+    checked = 0
+    for name in ("path12", "disconnected"):
+        fo = FailureOracle(zoo[name], leaf_size=3, r_base=4)
+        n = fo.graph.n
+        for s, t in itertools.permutations(range(n), 2):
+            if full_bound(fo._to, fo._frm, s, t) < MATRIX_SENTINEL:
+                continue
+            assert fo._potential(s, t)(s) >= MATRIX_SENTINEL, (name, s, t)
+            res = fo.query_result(s, t, target=t)
+            assert res.settled == 0 and res.label(t) == UNREACHABLE, (name, s, t)
+            checked += 1
+    assert checked > 20
+
+
+def test_fewer_landmarks_than_active():
+    # two vertices, two landmarks: the best one fills the third slot
+    g = EmbeddedPlanarGraph(2, [(0, 1, 4)], [[0], [0]])
+    fo = FailureOracle(g, leaf_size=3, r_base=4)
+    assert len(fo.landmarks) == 2
+    for s, t in ((0, 1), (1, 0)):
+        active = active_landmarks(fo._to, fo._frm, s, t)
+        assert len(active) == ACTIVE_LANDMARKS and active[-1] == active[0]
+    assert fo.distance(0, 1) == 4
+    assert fo.distance(1, 0) == UNREACHABLE
 
 
 def test_landmark_tables_hold_distances(zoo):
@@ -250,11 +308,13 @@ def test_path12_landmarks_and_dead_ends(path12):
     # vertex 0 first (every vertex ties as unreachable), then the far end
     # of the one-way path
     assert fo.landmarks[:2] == (0, 11)
-    # no vertex reaches one behind it; the potential says so whenever a
-    # landmark L lies in [v, y]: then y cannot reach L while v can (L < y),
-    # or L reaches y but not v (L > v)
-    for v in range(path12.n):
-        pi = fo._potential(v)
-        assert [pi(y) >= MATRIX_SENTINEL for y in range(path12.n)] == [
-            y > v and any(v <= lm <= y for lm in fo.landmarks) for y in range(path12.n)
-        ], v
+    # no vertex reaches one behind it; a scan from s says so whenever one
+    # of its active landmarks L lies in [v, y]: then y cannot reach L while
+    # v can (L < y), or L reaches y but not v (L > v)
+    for s in range(path12.n):
+        for v in range(path12.n):
+            pi = fo._potential(s, v)
+            active = [fo.landmarks[i] for i in active_landmarks(fo._to, fo._frm, s, v)]
+            assert [pi(y) >= MATRIX_SENTINEL for y in range(path12.n)] == [
+                y > v and any(v <= lm <= y for lm in active) for y in range(path12.n)
+            ], (s, v)

@@ -293,7 +293,8 @@ def test_plan_arc_search_matches_linear_scan(grid8, to8, to16, tri60, monkeypatc
 def test_exit_cost_bounds_potential(kind, size, seed, k, pick):
     # the main path's exit arcs y -> v keep the landmark potential
     # consistent: π(y) <= c(y) for every tuple T, exit piece q, y in ∂T
-    # and v in q
+    # and v in q, whichever vertex s of ∂T the scan starts from picks
+    # the potential's landmarks
     if kind == "grid":
         g = generate_grid(size, size, max_weight=9, seed=seed)
     else:
@@ -301,16 +302,34 @@ def test_exit_cost_bounds_potential(kind, size, seed, k, pick):
     tree = build_decomposition(g, leaf_size=4, r_base=2)
     r = tree.r_sequence[pick % len(tree.r_sequence)]
     to = TradeoffOracle(g, r=r, k=k, tree=tree)
+    pis = {}
     checked = 0
     for (ids, q, y), row in to.vor.items():
         ptable = to.piece_tables[q]
         for v in to.tree.pieces[q].vertices:
-            hop = [ptable.raw(s, v) for s in to.tree.pieces[q].boundary]
+            hop = [ptable.raw(b, v) for b in to.tree.pieces[q].boundary]
             c = min(map(sum, zip(row, hop)), default=MATRIX_SENTINEL)
             if c < MATRIX_SENTINEL:
-                assert to._potential(v)(y) <= c, (ids, q, y, v)
+                for s in to.ext[ids].nodes:
+                    if (s, v) not in pis:
+                        pis[s, v] = to._potential(s, v)
+                    assert pis[s, v](y) <= c, (ids, q, y, v, s)
                 checked += 1
     assert checked > 0 or not to.vor
+
+
+def test_division_index_matches_piece_search(tmp_path, to8, to16, tri60):
+    # the per-vertex division pieces _plan reads, on built and loaded oracles
+    tri = TradeoffOracle(tri60, r=32, k=1, leaf_size=8, r_base=4)
+    for to in (to8, to16, tri):
+        path = tmp_path / "o.bin"
+        save_oracle(to, path)
+        for oracle in (to, load_oracle(path)):
+            pieces = oracle.tree.pieces
+            assert len(oracle._rdiv_of) == oracle.graph.n
+            for w in range(oracle.graph.n):
+                want = [pid for pid in oracle.rdiv if pieces[pid].contains(w)]
+                assert list(oracle._rdiv_of[w]) == want, w
 
 
 def test_huge_k_builds_no_tuples():
