@@ -171,7 +171,8 @@ def _cmd_bench(args) -> int:
         if mode not in ("failure", "tradeoff"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         for n in args.n:
-            for r in args.r if mode == "tradeoff" else [0]:
+            # failure mode reads no r; 64 only fills in the report's column
+            for r in args.r if mode == "tradeoff" else [64]:
                 for k in args.k if mode == "tradeoff" else [4]:
                     configs.append(
                         bench_config(
@@ -179,7 +180,7 @@ def _cmd_bench(args) -> int:
                             n,
                             mode,
                             seed=args.seed,
-                            r=r or 64,
+                            r=r,
                             k=k,
                             leaf_size=args.leaf_size,
                             queries=args.queries,

@@ -63,10 +63,9 @@ class DenseDistanceGraph:
 class PieceDistanceTable:
     """In-piece distances from every boundary vertex to every piece vertex."""
 
-    __slots__ = ("sources", "targets", "matrix", "_sidx", "_tidx")
+    __slots__ = ("targets", "matrix", "_sidx", "_tidx")
 
     def __init__(self, sources, targets, matrix):
-        self.sources: tuple[int, ...] = sources
         self.targets: tuple[int, ...] = targets
         self.matrix: array = matrix
         self._sidx = {v: i for i, v in enumerate(sources)}

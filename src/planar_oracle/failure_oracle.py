@@ -139,12 +139,17 @@ class FailureOracle:
         r_base: int = 4,
         tree: DecompositionTree | None = None,
     ):
-        self.graph = g
-        self.tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
-        self.store = DdgStore(g, self.tree)
+        self._setup(g, tree if tree is not None else build_decomposition(g, leaf_size, r_base))
         self.store.prefetch_nonleaf()
+
+    def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree) -> None:
+        """The state built and loaded oracles share; a build then computes
+        the strict matrices, a load reads them from its file."""
+        self.graph = g
+        self.tree = tree
+        self.store = DdgStore(g, tree)
         self._leaves: dict[int, SparseMember] = {}
-        self.landmarks, self._to, self._frm = landmark_tables(g)
+        _, self._to, self._frm = landmark_tables(g)
 
     # -- assembly ----------------------------------------------------------
 

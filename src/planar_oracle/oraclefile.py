@@ -1,25 +1,28 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 6; files of any other version are rejected), a kind byte, the
-graph in its text form, the build parameters, the decomposition tree, and
-the tables in the order ``_layout`` walks them.  The tree, r and k fix
-every table's shape, so a table is its raw entries alone, unreachable ones
-written as -1: no key, node list or length.  Building the same oracle twice
-produces identical bytes.
+(currently 7; files of any other version are rejected), a kind byte, the
+graph in its text form, the decomposition tree, the trade-off r and k, and
+the tables in the order ``_layout`` walks them.  The tree section holds
+the marked r sequence, the piece count, one parent id per piece (-1 for
+the root) and, in piece order, each leaf's vertex and arc ids; a load
+derives every other part of the tree by the build's rules.  The tree, r
+and k fix every table's shape, so a table is its raw entries alone,
+unreachable ones written as -1: no key, node list or length.  Building the
+same oracle twice produces identical bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
 the trailer before it parses anything else, so a corrupted file, such as
 one with a flipped matrix entry, raises OracleFileError instead of loading
-and answering wrongly.  Vertex, arc and piece ids in the tree section, and
-the trade-off r, are also range-checked at load, and the tree must be one
-the build could make: strictly increasing id lists, a root that is the
-whole graph, children that partition their parent's arcs, and each child's
-boundary as ``child_boundary`` gives it.  Each tuple's stored ids
-must be the tuple the walk expects next, which also bounds the walk by the
-file's size, and the tables must fill the file exactly, so a crafted file
-with a valid trailer raises OracleFileError there.
+and answering wrongly.  A crafted file with a valid trailer raises
+OracleFileError too unless its tree is one the build could make: parents
+precede their pieces, every internal piece has two children, leaf id
+lists are in range and strictly increasing, leaf arcs end inside their
+leaf, sibling arcs are disjoint, and the root is the whole graph.  The
+trade-off r must be marked and at least every leaf's size.  Each tuple's
+stored ids must be the tuple the walk expects next, which also bounds the
+walk by the file's size, and the tables must fill the file exactly.
 """
 
 from __future__ import annotations
@@ -34,15 +37,15 @@ from typing import BinaryIO
 
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece, child_boundary
-from .ddg import DdgStore, DenseDistanceGraph, PieceDistanceTable
+from .ddg import DenseDistanceGraph, PieceDistanceTable
 from .external import tuple_boundary
-from .failure_oracle import FailureOracle, landmark_tables
+from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
 
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 6
+_VERSION = 7
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
@@ -57,10 +60,6 @@ class OracleFileError(ValueError):
 
 def _w_u32(fh: BinaryIO, x: int) -> None:
     fh.write(struct.pack("<I", x))
-
-
-def _w_i64(fh: BinaryIO, x: int) -> None:
-    fh.write(struct.pack("<q", x))
 
 
 def _pack_ids(ids) -> bytes:
@@ -124,9 +123,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
-
     def ids(self) -> tuple[int, ...]:
         k = self.u32()
         return struct.unpack(f"<{k}I", self.take(4 * k)) if k else ()
@@ -155,20 +151,15 @@ class _Reader:
 
 
 def _write_tree(fh: BinaryIO, tree: DecompositionTree) -> None:
-    _w_u32(fh, tree.leaf_size)
-    _w_u32(fh, tree.r_base)
+    pieces = tree.pieces
     _w_ids(fh, tree.r_sequence)
-    _w_u32(fh, len(tree.pieces))
-    for p in tree.pieces:
-        _w_i64(fh, -1 if p.parent is None else p.parent)
-        _w_ids(fh, p.vertices)
-        _w_ids(fh, p.boundary)
-        _w_ids(fh, p.arcs)
-    _w_u32(fh, len(tree._marks))
-    for r in sorted(tree._marks):
-        _w_u32(fh, r)
-        _w_ids(fh, tree._marks[r])
-    _w_ids(fh, tree.leaf_of)
+    _w_u32(fh, len(pieces))
+    parents = [-1 if p.parent is None else p.parent for p in pieces]
+    fh.write(struct.pack(f"<{len(parents)}i", *parents))
+    for p in pieces:
+        if p.is_leaf:
+            _w_ids(fh, p.vertices)
+            _w_ids(fh, p.arcs)
 
 
 def _read_graph(rd: _Reader) -> EmbeddedPlanarGraph:
@@ -184,70 +175,60 @@ def _increasing(ids: tuple[int, ...]) -> bool:
 
 
 def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
-    leaf_size = rd.u32()
-    r_base = rd.u32()
+    """The stored shape and leaves, with every internal piece rebuilt as the
+    build makes it: its arcs are its two children's, disjoint, its vertices
+    theirs, and each child's boundary is what ``child_boundary`` gives."""
     r_sequence = rd.ids()
     count = rd.u32()
-    pieces: list[Piece] = []
-    for pid in range(count):
-        parent = rd.i64()
+    parents = struct.unpack(f"<{count}i", rd.take(4 * count))
+    pieces = [Piece(pid, None, (), (), ()) for pid in range(count)]
+    kids: list[list[int]] = [[] for _ in pieces]
+    for pid, parent in enumerate(parents):
         # pieces are numbered top-down: piece 0 is the root (parent -1) and
         # every other piece's parent precedes it, so the links form a tree
         if not (-1 if pid == 0 else 0) <= parent < pid:
             raise OracleFileError(f"piece {pid} has bad parent id {parent}")
+        if parent >= 0:
+            pieces[pid].parent = parent
+            kids[parent].append(pid)
+    for piece, ch in zip(pieces, kids):
+        if ch:
+            # queries pair each piece with its one sibling
+            if len(ch) != 2:
+                raise OracleFileError(f"piece {piece.id} has {len(ch)} children, not 2")
+            piece.children = tuple(ch)
+            continue
         vertices = rd.vertex_ids(g.n)
-        boundary = rd.vertex_ids(g.n)
         arcs = rd.ids()
-        if not (_increasing(vertices) and _increasing(boundary) and _increasing(arcs)):
-            raise OracleFileError(f"piece {pid} has an id list that is not strictly increasing")
-        if arcs and max(arcs) >= g.m:
-            raise OracleFileError(f"piece {pid} has arc id {max(arcs)} of {g.m}")
+        if not (_increasing(vertices) and _increasing(arcs)):
+            raise OracleFileError(f"leaf {piece.id} has an id list not strictly increasing")
+        if arcs and arcs[-1] >= g.m:
+            raise OracleFileError(f"leaf {piece.id} has arc id {arcs[-1]} of {g.m}")
         inside = set(vertices)
         if not (
-            inside.issuperset(g.tails[a] for a in arcs)
-            and inside.issuperset(g.heads[a] for a in arcs)
+            inside.issuperset(map(g.tails.__getitem__, arcs))
+            and inside.issuperset(map(g.heads.__getitem__, arcs))
         ):
-            raise OracleFileError(f"piece {pid} has an arc with an end outside its vertices")
-        pieces.append(Piece(pid, None if parent < 0 else parent, vertices, boundary, arcs))
-    # every piece must be the one the build would make from its parent: the
-    # root is the whole graph, two children split their parent's arcs, and
-    # a child's boundary follows from its vertices, its sibling's arcs and
-    # its parent's boundary
-    if not pieces or (pieces[0].vertices, pieces[0].boundary, pieces[0].arcs) != (
-        tuple(range(g.n)),
-        (),
-        tuple(range(g.m)),
-    ):
+            raise OracleFileError(f"leaf {piece.id} has an arc with an end outside its vertices")
+        piece.vertices, piece.arcs = vertices, arcs
+    # children have larger ids than their parent, so bottom-up is by id, down
+    for piece in reversed(pieces):
+        if piece.children:
+            a, b = (pieces[c] for c in piece.children)
+            arcs = tuple(sorted(a.arcs + b.arcs))
+            if not _increasing(arcs):
+                raise OracleFileError(f"the children of piece {piece.id} share an arc")
+            piece.vertices = tuple(sorted({*a.vertices, *b.vertices}))
+            piece.arcs = arcs
+    whole = (tuple(range(g.n)), tuple(range(g.m)))
+    if not pieces or (pieces[0].vertices, pieces[0].arcs) != whole:
         raise OracleFileError("the root piece is not the whole graph")
-    kids: dict[int, list[int]] = {}
-    for p in pieces:
-        if p.parent is not None:
-            kids.setdefault(p.parent, []).append(p.id)
-    for pid, ch in kids.items():
-        # queries pair each piece with its one sibling
-        if len(ch) != 2:
-            raise OracleFileError(f"piece {pid} has {len(ch)} children, not 2")
-        piece = pieces[pid]
-        piece.children = tuple(ch)
-        a, b = pieces[ch[0]], pieces[ch[1]]
-        if tuple(sorted(a.arcs + b.arcs)) != piece.arcs:
-            raise OracleFileError(f"the children of piece {pid} do not partition its arcs")
-        for child, sibling in ((a, b), (b, a)):
-            if child.boundary != child_boundary(g, piece.boundary, child.vertices, sibling.arcs):
-                raise OracleFileError(f"piece {child.id} has a boundary its build would not give")
-    marks: dict[int, tuple[int, ...]] = {}
-    for _ in range(rd.u32()):
-        r = rd.u32()
-        marks[r] = rd.ids()
-        if marks[r] and max(marks[r]) >= count:
-            raise OracleFileError(f"r={r} division names piece {max(marks[r])} of {count}")
-    leaf_of = rd.ids()
-    if len(leaf_of) != g.n:
-        raise OracleFileError(f"{len(leaf_of)} home leaves for {g.n} vertices")
-    for v, leaf in enumerate(leaf_of):
-        if not (leaf < count and pieces[leaf].is_leaf and pieces[leaf].contains(v)):
-            raise OracleFileError(f"vertex {v} has bad home leaf {leaf}")
-    return DecompositionTree(g, pieces, leaf_size, r_base, r_sequence, marks, leaf_of)
+    for piece in pieces:
+        if piece.children:
+            a, b = (pieces[c] for c in piece.children)
+            a.boundary = child_boundary(g, piece.boundary, a.vertices, b.arcs)
+            b.boundary = child_boundary(g, piece.boundary, b.vertices, a.arcs)
+    return DecompositionTree(g, pieces, r_sequence)
 
 
 # -- tables -------------------------------------------------------------------
@@ -360,21 +341,15 @@ def load_oracle(path: str):
             raise OracleFileError(f"unknown oracle kind {kind}")
         g = _read_graph(rd)
         tree = _read_tree(rd, g)
-
-        oracle = object.__new__(TradeoffOracle if kind == _KIND_TRADEOFF else FailureOracle)
-        oracle.graph = g
-        oracle.tree = tree
-        oracle.store = DdgStore(g, tree)
-        oracle._leaves = {}
-        oracle.landmarks, oracle._to, oracle._frm = landmark_tables(g)
-        if kind == _KIND_TRADEOFF:
-            r = rd.u32()
-            if r not in tree._marks:
-                raise OracleFileError(f"r={r} is not in the marked sequence {tree.r_sequence}")
-            oracle.k = rd.u32()
-            oracle._set_division(r)
-            oracle.ext, oracle.vor, oracle.piece_tables = {}, {}, {}
-            oracle.last_result = None
+        if kind == _KIND_FAILURE:
+            oracle = FailureOracle.__new__(FailureOracle)
+            oracle._setup(g, tree)
+        else:
+            oracle = TradeoffOracle.__new__(TradeoffOracle)
+            r, k = rd.u32(), rd.u32()
+            try:
+                oracle._setup(g, tree, r, k)
+            except ValueError as exc:
+                raise OracleFileError(str(exc)) from exc
         _read_tables(rd, oracle)
         return oracle
-

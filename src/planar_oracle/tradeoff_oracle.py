@@ -54,9 +54,10 @@ __all__ = ["TradeoffOracle"]
 class TradeoffOracle(FailureOracle):
     """Exact failure oracle with per-tuple precomputation.
 
-    ``r`` must be a value of the tree's marked sequence; ``k`` is the
-    largest failed-set size queries may use.  Queries the tables cannot
-    serve fall back to the inherited ``FailureOracle`` query.
+    ``r`` must be a value of the tree's marked sequence, with no leaf
+    larger; ``k`` is the largest failed-set size queries may use.  Queries
+    the tables cannot serve fall back to the inherited ``FailureOracle``
+    query.
     """
 
     def __init__(
@@ -71,11 +72,27 @@ class TradeoffOracle(FailureOracle):
         if k < 0:
             raise ValueError("k must be non-negative")
         tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
-        if r not in tree.r_sequence:
-            raise ValueError(f"r={r} is not in the marked sequence {tree.r_sequence}")
-        super().__init__(g, tree=tree)
+        self._setup(g, tree, r, k)
+        self.store.prefetch_nonleaf()
+        self._build()
+
+    def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
+        """Fix the r-division, index for each vertex the division pieces
+        that hold it, in division order, and set up the shared state with
+        empty tables.  r must be marked and no leaf may have more than r
+        vertices, or that leaf lies under no division piece."""
+        rdiv = tree.r_division(r)
+        if any(p.is_leaf and len(p.vertices) > r for p in tree.pieces):
+            raise ValueError(f"r={r} is smaller than a leaf of the tree")
+        super()._setup(g, tree)
+        self.r = r
         self.k = k
-        self._set_division(r)
+        self.rdiv: tuple[int, ...] = rdiv
+        held: list[list[int]] = [[] for _ in range(g.n)]
+        for pid in rdiv:
+            for w in tree.pieces[pid].vertices:
+                held[w].append(pid)
+        self._rdiv_of: list[tuple[int, ...]] = [tuple(pids) for pids in held]
 
         self.ext: dict[tuple[int, ...], DenseDistanceGraph] = {}
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
@@ -86,18 +103,6 @@ class TradeoffOracle(FailureOracle):
         # Its union_vertices is always valid; both paths stop the scan when
         # v settles, so only the settled labels are final.
         self.last_result = None
-        self._build()
-
-    def _set_division(self, r: int) -> None:
-        """Fix the r-division, and index for each vertex the division
-        pieces that hold it, in division order."""
-        self.r = r
-        self.rdiv: tuple[int, ...] = self.tree.r_division(r)
-        held: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for pid in self.rdiv:
-            for w in self.tree.pieces[pid].vertices:
-                held[w].append(pid)
-        self._rdiv_of: list[tuple[int, ...]] = [tuple(pids) for pids in held]
 
     # -- build ---------------------------------------------------------------
 

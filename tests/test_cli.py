@@ -170,6 +170,19 @@ def test_bench_csv(tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("r", ["0", "5"])
+def test_bench_tradeoff_r_not_marked_is_invalid(r):
+    # the marked sequence is (64, 256); r = 0 used to run as r = 64, the
+    # failure mode's placeholder, and exit 0
+    rc = cli.main(
+        [
+            "bench", "--kind", "grid", "--n", "256", "--mode", "tradeoff",
+            "--r", r, "--leaf-size", "16", "--queries", "2", "--threads", "1",
+        ]
+    )
+    assert rc == cli.EXIT_INVALID
+
+
 def test_bench_json_to_file(tmp_path):
     out = tmp_path / "report.json"
     rc = cli.main(

@@ -250,7 +250,7 @@ def test_fewer_landmarks_than_active():
     # two vertices, two landmarks: the best one fills the third slot
     g = EmbeddedPlanarGraph(2, [(0, 1, 4)], [[0], [0]])
     fo = FailureOracle(g, leaf_size=3, r_base=4)
-    assert len(fo.landmarks) == 2
+    assert len(fo._to[0]) == len(fo._frm[0]) == 2
     for s, t in ((0, 1), (1, 0)):
         active = active_landmarks(fo._to, fo._frm, s, t)
         assert len(active) == ACTIVE_LANDMARKS and active[-1] == active[0]
@@ -287,12 +287,13 @@ def test_degenerate_graphs_every_pair(tmp_path, zoo, name):
     # to two failures stays exact, on a built and on a loaded oracle
     g = zoo[name]
     built = FailureOracle(g, leaf_size=3, r_base=4)
-    assert FailureOracle(g, leaf_size=3, r_base=4).landmarks == built.landmarks
-    assert len(set(built.landmarks)) == len(built.landmarks)
+    landmarks = landmark_tables(g)[0]
+    assert landmark_tables(g)[0] == landmarks
+    assert len(set(landmarks)) == len(landmarks)
     path = tmp_path / "o.bin"
     save_oracle(built, path)
     loaded = load_oracle(path)
-    assert loaded.landmarks == built.landmarks
+    assert (loaded._to, loaded._frm) == (built._to, built._frm)
     for u in range(g.n):
         for v in range(g.n):
             others = [w for w in range(g.n) if w not in (u, v)]
@@ -305,16 +306,17 @@ def test_degenerate_graphs_every_pair(tmp_path, zoo, name):
 
 def test_path12_landmarks_and_dead_ends(path12):
     fo = FailureOracle(path12, leaf_size=3, r_base=4)
+    landmarks = landmark_tables(path12)[0]
     # vertex 0 first (every vertex ties as unreachable), then the far end
     # of the one-way path
-    assert fo.landmarks[:2] == (0, 11)
+    assert landmarks[:2] == (0, 11)
     # no vertex reaches one behind it; a scan from s says so whenever one
     # of its active landmarks L lies in [v, y]: then y cannot reach L while
     # v can (L < y), or L reaches y but not v (L > v)
     for s in range(path12.n):
         for v in range(path12.n):
             pi = fo._potential(s, v)
-            active = [fo.landmarks[i] for i in active_landmarks(fo._to, fo._frm, s, v)]
+            active = [landmarks[i] for i in active_landmarks(fo._to, fo._frm, s, v)]
             assert [pi(y) >= MATRIX_SENTINEL for y in range(path12.n)] == [
                 y > v and any(v <= lm <= y for lm in active) for y in range(path12.n)
             ], (s, v)

@@ -29,10 +29,6 @@ ALLOWED = {
     # public detail of the graph type and its parse error, for callers
     ("graph", "EmbeddedPlanarGraph.in_arcs"),
     ("graph", "GraphFormatError.line_no"),
-    # read only by tests, each a candidate for deletion: the row labels of
-    # a piece table and the landmark ids behind the ALT tables
-    ("ddg", "PieceDistanceTable.sources"),
-    ("failure_oracle", "FailureOracle.landmarks"),
 }
 
 

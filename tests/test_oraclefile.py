@@ -15,9 +15,10 @@ import pytest
 from planar_oracle import oraclefile
 from planar_oracle.baseline import distance_avoiding
 from planar_oracle.ddg import DenseDistanceGraph, PieceDistanceTable
+from planar_oracle.decomposition import build_decomposition
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid
-from planar_oracle.graph import GraphFormatError
+from planar_oracle.graph import EmbeddedPlanarGraph, GraphFormatError
 from planar_oracle.oraclefile import OracleFileError, load_oracle, save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
@@ -113,7 +114,7 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
 def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
@@ -167,23 +168,27 @@ def fo6():
 
 
 def _crafted(fo, tmp_path, field, value):
-    """fo's file with the graph section's length, or a field of the tree's
-    first piece, overwritten."""
+    """fo's file with the graph section's length, the piece count, piece
+    0's parent, or a field of the first leaf overwritten."""
     p = tmp_path / "f.bin"
     save_oracle(fo, p)
     raw = bytearray(p.read_bytes())
-    # magic, version and kind, then the graph length and text; then leaf
-    # size, r_base, the r sequence and the piece count before piece 0
+    # magic, version and kind, then the graph length and text; then the r
+    # sequence, the piece count and one parent id per piece; then each
+    # leaf's vertex and arc lists
     graph_end = 11 + int.from_bytes(raw[7:11], "little")
-    parent_at = graph_end + 16 + 4 * len(fo.tree.r_sequence)
+    count_at = graph_end + 4 + 4 * len(fo.tree.r_sequence)
+    leaf_at = count_at + 4 + 4 * len(fo.tree.pieces)
     if field == "graph-length":
         raw[7:11] = value.to_bytes(4, "little")
+    elif field == "piece-count":
+        raw[count_at : count_at + 4] = value.to_bytes(4, "little")
     elif field == "parent":
-        raw[parent_at : parent_at + 8] = value.to_bytes(8, "little", signed=True)
-    elif field == "vertex-list-length":  # piece 0's, after its parent
-        raw[parent_at + 8 : parent_at + 12] = value.to_bytes(4, "little")
-    else:  # piece 0's first vertex id, after its vertex-list length
-        raw[parent_at + 12 : parent_at + 16] = value.to_bytes(4, "little")
+        raw[count_at + 4 : count_at + 8] = value.to_bytes(4, "little", signed=True)
+    elif field == "vertex-list-length":  # the first leaf's
+        raw[leaf_at : leaf_at + 4] = value.to_bytes(4, "little")
+    else:  # the first leaf's first vertex id, after its vertex-list length
+        raw[leaf_at + 4 : leaf_at + 8] = value.to_bytes(4, "little")
     write_resealed(p, raw)
     return p
 
@@ -240,20 +245,13 @@ def _save_with_tree(oracle, path, monkeypatch, edit):
 
     def edited(fh, tree):
         copy = SimpleNamespace(
-            leaf_size=tree.leaf_size,
-            r_base=tree.r_base,
             r_sequence=tree.r_sequence,
             pieces=[
                 SimpleNamespace(
-                    parent=p.parent,
-                    vertices=p.vertices,
-                    boundary=p.boundary,
-                    arcs=p.arcs,
+                    parent=p.parent, is_leaf=p.is_leaf, vertices=p.vertices, arcs=p.arcs
                 )
                 for p in tree.pieces
             ],
-            _marks=dict(tree._marks),
-            leaf_of=tree.leaf_of,
         )
         edit(copy, tree)
         write(fh, copy)
@@ -263,102 +261,66 @@ def _save_with_tree(oracle, path, monkeypatch, edit):
         save_oracle(oracle, path)
 
 
-def _first_leaf(tree):
-    return next(p for p in tree.pieces if p.is_leaf)
+def _leaves(tree):
+    return [p for p in tree.pieces if p.is_leaf]
 
 
 def _arc_past_graph(copy, tree):
-    leaf = copy.pieces[_first_leaf(tree).id]
+    leaf = copy.pieces[_leaves(tree)[0].id]
     leaf.arcs = leaf.arcs + (tree.graph.m,)
 
 
 def _arc_outside_piece(copy, tree):
-    leaf = _first_leaf(tree)
+    leaf = _leaves(tree)[0]
     inside = set(leaf.vertices)
     g = tree.graph
     stray = next(a for a in range(g.m) if g.tails[a] not in inside and g.heads[a] not in inside)
     copy.pieces[leaf.id].arcs = tuple(sorted(leaf.arcs + (stray,)))
 
 
-def _short_leaf_of(copy, tree):
-    copy.leaf_of = tree.leaf_of[:-1]
-
-
-def _leaf_of_names_root(copy, tree):
-    copy.leaf_of = (0,) + tree.leaf_of[1:]
-
-
-def _leaf_of_names_other_leaf(copy, tree):
-    v = tree.leaf_of.index(_first_leaf(tree).id)
-    other = next(p.id for p in tree.pieces if p.is_leaf and not p.contains(v))
-    copy.leaf_of = tree.leaf_of[:v] + (other,) + tree.leaf_of[v + 1 :]
-
-
-def _leaf_of_past_pieces(copy, tree):
-    copy.leaf_of = (len(tree.pieces),) + tree.leaf_of[1:]
-
-
-def _mark_past_pieces(copy, tree):
-    r = tree.r_sequence[0]
-    copy._marks[r] = copy._marks[r] + (len(tree.pieces),)
-
-
-def _boundaries_reversed(copy, tree):
-    for p in copy.pieces:
-        p.boundary = p.boundary[::-1]
-
-
-def _leaf_boundaries_emptied(copy, tree):
-    for p in tree.pieces:
-        if p.is_leaf:
-            copy.pieces[p.id].boundary = ()
-
-
 def _leaf_arc_dropped(copy, tree):
-    leaf = copy.pieces[_first_leaf(tree).id]
+    leaf = copy.pieces[_leaves(tree)[0].id]
     leaf.arcs = leaf.arcs[1:]
 
 
-def _leaf_boundary_gains_outsider(copy, tree):
-    leaf = _first_leaf(tree)
-    outsider = next(v for v in range(tree.graph.n) if not leaf.contains(v))
-    copy.pieces[leaf.id].boundary = tuple(sorted(leaf.boundary + (outsider,)))
+def _arc_in_two_leaves(copy, tree):
+    # the second leaf also gains the arc's ends, so only the sharing is wrong
+    first, second = _leaves(tree)[:2]
+    g = tree.graph
+    arc = next(a for a in first.arcs if a not in second.arcs)
+    other = copy.pieces[second.id]
+    other.arcs = tuple(sorted(second.arcs + (arc,)))
+    other.vertices = tuple(sorted({*second.vertices, g.tails[arc], g.heads[arc]}))
+
+
+def _leaf_ids_reversed(copy, tree):
+    leaf = copy.pieces[_leaves(tree)[0].id]
+    leaf.arcs = leaf.arcs[::-1]
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, match",
     [
-        _arc_past_graph,
-        _arc_outside_piece,
-        _short_leaf_of,
-        _leaf_of_names_root,
-        _leaf_of_names_other_leaf,
-        _leaf_of_past_pieces,
-        _mark_past_pieces,
-        _boundaries_reversed,
-        _leaf_boundaries_emptied,
-        _leaf_arc_dropped,
-        _leaf_boundary_gains_outsider,
+        (_arc_past_graph, "arc id"),
+        (_arc_outside_piece, "end outside"),
+        (_leaf_arc_dropped, "root piece"),
+        (_arc_in_two_leaves, "share an arc"),
+        (_leaf_ids_reversed, "strictly increasing"),
     ],
     ids=[
         "arc-past-graph",
         "arc-outside-piece",
-        "short-leaf-of",
-        "leaf-of-not-a-leaf",
-        "leaf-of-misses-vertex",
-        "leaf-of-past-pieces",
-        "mark-past-pieces",
-        "boundaries-reversed",
-        "leaf-boundaries-emptied",
         "leaf-arc-dropped",
-        "leaf-boundary-gains-outsider",
+        "arc-in-two-leaves",
+        "leaf-ids-reversed",
     ],
 )
-def test_tree_ids_out_of_range(tmp_path, monkeypatch, fo6, edit):
-    # each of these loaded and then failed, or answered wrongly, at query time
+def test_tree_ids_out_of_range(tmp_path, monkeypatch, fo6, edit, match):
+    # a file stores only the tree's shape and its leaves: a leaf list the
+    # build could not make raises at load, before any query reads it
     p = tmp_path / "f.bin"
     _save_with_tree(fo6, p, monkeypatch, edit)
-    with pytest.raises(OracleFileError):
+    with pytest.raises(OracleFileError, match=match):
         load_oracle(p)
 
 
@@ -380,6 +342,66 @@ def test_piece_without_two_children(tmp_path, monkeypatch, request, oracle):
     p = tmp_path / "f.bin"
     _save_with_tree(request.getfixturevalue(oracle), p, monkeypatch, _leaf_to_grandparent)
     with pytest.raises(OracleFileError, match="children"):
+        load_oracle(p)
+
+
+def _tree_facts(tree):
+    """Everything a loaded tree holds: per piece its parent, children,
+    vertices, boundary and arcs, then every r-division and home leaf."""
+    pieces = [(p.parent, p.children, p.vertices, p.boundary, p.arcs) for p in tree.pieces]
+    divisions = {r: tree.r_division(r) for r in tree.r_sequence}
+    return pieces, divisions, tree.leaf_of
+
+
+@pytest.mark.parametrize(
+    "name", ["grid4", "grid8", "grid16", "tri60", "tri200", "path12", "disconnected", "single"]
+)
+def test_load_rebuilds_the_built_tree(tmp_path, zoo, name):
+    fo = FailureOracle(zoo[name], leaf_size=3, r_base=4)
+    p = tmp_path / "f.bin"
+    save_oracle(fo, p)
+    assert _tree_facts(load_oracle(p).tree) == _tree_facts(fo.tree)
+
+
+def test_load_rebuilds_an_extra_mark(tmp_path, grid8):
+    # r = 12 is no power-of-4 multiple of the leaf size; only extra_marks
+    # puts it in the sequence
+    tree = build_decomposition(grid8, leaf_size=4, r_base=4, extra_marks=(12,))
+    to = TradeoffOracle(grid8, r=12, k=1, tree=tree)
+    p = tmp_path / "t.bin"
+    save_oracle(to, p)
+    loaded = load_oracle(p)
+    assert loaded.r == 12 and loaded.rdiv == to.rdiv
+    assert _tree_facts(loaded.tree) == _tree_facts(to.tree)
+
+
+def test_crafted_division_raises_at_load(tmp_path, monkeypatch):
+    # a trade-off file whose r-division lacks a piece, with tables that
+    # match it: when files stored their divisions it loaded and then raised
+    # AssertionError on queries; the division now follows from the tree
+    g = generate_grid(8, 8, max_weight=9, seed=3)
+    tree = build_decomposition(g, leaf_size=8, r_base=4)
+    division = tree.r_division(32)
+    monkeypatch.setattr(tree, "r_division", lambda r: division[1:])
+    crafted = TradeoffOracle(g, r=32, k=1, tree=tree)
+    p = tmp_path / "t.bin"
+    save_oracle(crafted, p)
+    with pytest.raises(OracleFileError):
+        load_oracle(p)
+
+
+def test_tradeoff_r_below_a_leaf(tmp_path):
+    # the division of an r below some leaf's size leaves that leaf under no
+    # division piece, and queries whose anchors sit there had no tuple
+    g = generate_grid(6, 6, max_weight=5, seed=3)
+    tree = build_decomposition(g, leaf_size=8, r_base=4, extra_marks=(4,))
+    with pytest.raises(ValueError, match="leaf"):
+        TradeoffOracle(g, r=4, k=1, tree=tree)
+    to = TradeoffOracle(g, r=32, k=1, tree=tree)
+    to.r = 4  # marked, but below the leaves; the tree section is unchanged
+    p = tmp_path / "t.bin"
+    save_oracle(to, p)
+    with pytest.raises(OracleFileError, match="leaf"):
         load_oracle(p)
 
 
@@ -482,7 +504,7 @@ def _table(change):
     def edit(o):
         q = min(o.piece_tables)
         t = o.piece_tables[q]
-        sources, targets, matrix = change(t.sources, t.targets, t.matrix)
+        sources, targets, matrix = change(o.tree.pieces[q].boundary, t.targets, t.matrix)
         o.piece_tables[q] = PieceDistanceTable(sources, targets, matrix)
 
     return edit
@@ -565,16 +587,12 @@ def test_tables_fill_the_file_exactly(tmp_path, fo8, to8, kind, craft):
         load_oracle(p)
 
 
-def _no_boundaries(copy, tree):
-    for piece in copy.pieces:
-        piece.boundary = ()
-
-
 def test_tuple_walk_bounded_by_file_size(tmp_path, monkeypatch):
-    # a file with no tables, a tree of empty boundaries and k + 1 = 36 of a
-    # 70-piece division: about 10**20 tuples, none of which takes a table
-    # byte, so only the tuple ids each must store stop the walk
-    g = generate_grid(12, 12, max_weight=5, seed=3)
+    # a file with no tables, a graph without arcs, so no piece has a
+    # boundary, and k + 1 = 41 of an 80-piece division: about 10**23
+    # tuples, none of which takes a table byte, so only the tuple ids each
+    # must store stop the walk
+    g = EmbeddedPlanarGraph(400, [], [[] for _ in range(400)])
     to = TradeoffOracle(g, r=g.n, k=0, leaf_size=3, r_base=2)
     crafted = copy.copy(to)
     crafted.r = to.tree.r_sequence[0]
@@ -583,7 +601,7 @@ def test_tuple_walk_bounded_by_file_size(tmp_path, monkeypatch):
     assert comb(len(rdiv), crafted.k + 1) > 10**19
     p = tmp_path / "t.bin"
     monkeypatch.setattr(oraclefile, "_write_tables", lambda fh, oracle: None)
-    _save_with_tree(crafted, p, monkeypatch, _no_boundaries)
+    save_oracle(crafted, p)
     start = time.perf_counter()
     with pytest.raises(OracleFileError):
         load_oracle(p)
@@ -626,6 +644,11 @@ def test_huge_graph_length(tmp_path, fo6):
 
 def test_huge_id_list_length(tmp_path, fo6):
     p = _crafted(fo6, tmp_path, "vertex-list-length", 0xFFFFFFFF)
+    assert _load_error_with_2gib_address_space(p) == "OracleFileError"
+
+
+def test_huge_piece_count(tmp_path, fo6):
+    p = _crafted(fo6, tmp_path, "piece-count", 0xFFFFFFFF)
     assert _load_error_with_2gib_address_space(p) == "OracleFileError"
 
 

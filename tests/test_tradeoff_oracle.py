@@ -147,8 +147,8 @@ def test_table_shapes(to8):
                 assert len(row) == len(qb)
     for q, table in to8.piece_tables.items():
         piece = tree.pieces[q]
-        assert table.sources == piece.boundary
         assert table.targets == piece.vertices
+        assert len(table.matrix) == len(piece.boundary) * len(piece.vertices)
 
 
 def test_vor_rows_avoid_tuple_interiors(grid8, to8):
