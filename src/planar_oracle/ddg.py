@@ -8,8 +8,10 @@ pieces.  The piece distance tables of the trade-off oracle (boundary to
 every piece vertex, paths unrestricted inside the piece) run through the
 same kernel, which fills a flat matrix row by row.
 
-Anchor leaves get no matrix: each joins the union as its own arcs, all of
-them, built once per leaf, so no per-query Dijkstra runs.
+Every leaf's matrix is built when a store is made, and internal pieces'
+matrices by the build's ``build_internal`` or read from an oracle file;
+queries only look them up.  An anchor leaf joins a union as its own arcs
+instead (``compute_leaf_ddg``), so no per-query Dijkstra runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
 __all__ = [
     "DenseDistanceGraph",
-    "PieceDistanceTable",
     "compute_ddg_internal",
     "compute_leaf_ddg",
     "compute_piece_distance_table",
@@ -58,21 +59,6 @@ class DenseDistanceGraph:
 
     def __repr__(self) -> str:
         return f"DenseDistanceGraph(|nodes|={len(self.nodes)})"
-
-
-class PieceDistanceTable:
-    """In-piece distances from every boundary vertex to every piece vertex."""
-
-    __slots__ = ("targets", "matrix", "_sidx", "_tidx")
-
-    def __init__(self, sources, targets, matrix):
-        self.targets: tuple[int, ...] = targets
-        self.matrix: array = matrix
-        self._sidx = {v: i for i, v in enumerate(sources)}
-        self._tidx = {v: i for i, v in enumerate(targets)}
-
-    def raw(self, s: int, v: int) -> int:
-        return self.matrix[self._sidx[s] * len(self.targets) + self._tidx[v]]
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +154,12 @@ def compute_leaf_ddg(g: EmbeddedPlanarGraph, piece) -> SparseMember:
     return SparseMember(piece.vertices, [arcs[a] for a in piece.arcs])
 
 
-def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistanceTable:
-    """Plain distances from each boundary vertex to every piece vertex."""
+def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> array:
+    """Plain in-piece distances from each boundary vertex to every piece
+    vertex: a flat matrix with one row per ``piece.boundary`` vertex and one
+    column per ``piece.vertices`` vertex."""
     loc, adj = piece_adjacency(piece.vertices, (g.arcs[a] for a in piece.arcs))
-    sources = piece.boundary
-    targets = piece.vertices
-    matrix = _dijkstra_rows(adj, [loc[s] for s in sources], range(len(targets)))
-    return PieceDistanceTable(sources, targets, matrix)
+    return _dijkstra_rows(adj, [loc[s] for s in piece.boundary], range(len(piece.vertices)))
 
 
 # ----------------------------------------------------------------------
@@ -183,31 +168,32 @@ def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> PieceDistance
 
 
 class DdgStore:
-    """Lazy cache of strict-internal DDGs, one per decomposition node.
+    """Strict-internal DDGs, one per decomposition node.
 
-    Non-leaf matrices are what the failure oracle precomputes; leaf
-    matrices are cheap and memoized on first use, for leaves that join a
-    union as siblings.  Anchor leaves never come from here: they join as
-    their own arcs, which the oracle caches (see ``compute_leaf_ddg``).
+    A new store holds every leaf's matrix.  A build then computes the
+    internal pieces' matrices with ``build_internal``, and a load reads
+    them from its file; after that ``strict`` is a plain lookup.  Anchor
+    leaves never come from here: they join as their own arcs (see
+    ``compute_leaf_ddg``).
     """
 
     def __init__(self, g: EmbeddedPlanarGraph, tree):
         self.graph = g
         self.tree = tree
-        self._strict: dict[int, DenseDistanceGraph] = {}
+        self._strict: dict[int, DenseDistanceGraph] = {
+            p.id: compute_ddg_internal(g, p) for p in tree.pieces if p.is_leaf
+        }
 
     def strict(self, node_id: int) -> DenseDistanceGraph:
-        got = self._strict.get(node_id)
-        if got is None:
-            piece = self.tree.pieces[node_id]
-            got = compute_ddg_internal(self.graph, piece)
-            self._strict[node_id] = got
-        return got
+        return self._strict[node_id]
 
-    def prefetch_nonleaf(self) -> None:
+    def build_internal(self) -> None:
+        """Compute the matrix of every internal piece."""
         for p in self.tree.pieces:
             if not p.is_leaf:
-                self.strict(p.id)
+                self._strict[p.id] = compute_ddg_internal(self.graph, p)
 
     def stored_entry_count(self) -> int:
-        return sum(len(d.matrix) for d in self._strict.values())
+        """Entries of the internal pieces' matrices, the ones a file stores."""
+        pieces = self.tree.pieces
+        return sum(len(d.matrix) for pid, d in self._strict.items() if not pieces[pid].is_leaf)

@@ -1,13 +1,14 @@
 """Exact distance oracle under vertex failures.
 
 Build time precomputes the decomposition tree and the strict matrix of
-every internal node.  A query with failed set X assembles a small union of
+every node, and each leaf as a union member of its own arcs; a load reads
+the internal matrices from its file and rebuilds the leaves.  Queries
+only read this state.  A query with failed set X assembles a small union of
 matrices that jointly cover every path from u that avoids X:
 
 * for each anchor vertex w in {u, v} plus X, w's home leaf joins the union
   as its own arcs, failed vertices included (every leaf vertex is a node,
-  so u and v need no grafting); each leaf's member is built once, on first
-  use, and reused by every later query, and
+  so u and v need no grafting), and
 * the stored strict matrix of every sibling hanging off the anchor
   leaves' root paths joins in (``DecompositionTree.cover``), except
   siblings whose piece has a failed vertex strictly inside it; such a piece
@@ -16,7 +17,8 @@ matrices that jointly cover every path from u that avoids X:
   its arcs with finer pieces.
 
 One Dijkstra over the union from u, never relaxing out of a failed
-vertex, then yields the exact label of v.  The scan is A* toward v: failures
+vertex, then yields the exact label of v.  The scan is A* toward v and
+stops when v settles, so only settled labels are final.  Failures
 only lengthen distances, and every union arc is the length of a real path
 in the graph, so lower bounds on failure-free distances are a consistent
 potential on every union.  The bounds come from landmarks L, through the
@@ -140,15 +142,24 @@ class FailureOracle:
         tree: DecompositionTree | None = None,
     ):
         self._setup(g, tree if tree is not None else build_decomposition(g, leaf_size, r_base))
-        self.store.prefetch_nonleaf()
+        self.store.build_internal()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree) -> None:
-        """The state built and loaded oracles share; a build then computes
-        the strict matrices, a load reads them from its file."""
+        """The state built and loaded oracles share: every leaf's strict
+        matrix and member, and the landmark tables.  A build then computes
+        the internal matrices, a load reads them from its file.  ``tree``
+        must be one of g's topology; its weights may differ."""
+        t = tree.graph
+        if (t.n, t.tails, t.heads, t.rotation) != (g.n, g.tails, g.heads, g.rotation):
+            raise ValueError("the decomposition tree was built for another graph")
         self.graph = g
         self.tree = tree
         self.store = DdgStore(g, tree)
-        self._leaves: dict[int, SparseMember] = {}
+        # each leaf as its own arcs, the member of a union it anchors;
+        # queries only read it: failed vertices stay in, blocked by the scan
+        self._leaves: dict[int, SparseMember] = {
+            p.id: compute_leaf_ddg(g, p) for p in tree.pieces if p.is_leaf
+        }
         _, self._to, self._frm = landmark_tables(g)
 
     # -- assembly ----------------------------------------------------------
@@ -174,14 +185,6 @@ class FailureOracle:
                     marked.add(node)
         return frozenset(marked)
 
-    def _leaf(self, leaf: int) -> SparseMember:
-        """Leaf ``leaf`` as its own arcs, built on first use.  Queries only
-        read it: failed vertices stay in and are blocked by the scan."""
-        got = self._leaves.get(leaf)
-        if got is None:
-            got = self._leaves[leaf] = compute_leaf_ddg(self.graph, self.tree.pieces[leaf])
-        return got
-
     def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> list:
         """Union members for (u, v, failed): the home leaves of u, v and the
         sorted failed vertices, each once, then the strict matrices of the
@@ -190,7 +193,7 @@ class FailureOracle:
         tree = self.tree
         leaves = list(dict.fromkeys(tree.leaf_of[w] for w in (u, v, *sorted(x))))
         strict = self.store.strict
-        return [self._leaf(leaf) for leaf in leaves] + [
+        return [self._leaves[leaf] for leaf in leaves] + [
             strict(sib) for sib in tree.cover(leaves, self._marked(x))
         ]
 
@@ -202,30 +205,19 @@ class FailureOracle:
         even in G."""
         return landmark_potential(self._to, self._frm, s, t)
 
-    def query_result(
-        self,
-        u: int,
-        v: int,
-        failed: Iterable[int] = (),
-        target: int | None = None,
-    ) -> MultiDijkstraResult:
-        """Union Dijkstra from u over the assembly for (u, v, failed).
-
-        Without a ``target`` every label is final; with one, the scan is A*
-        toward the target under the landmark potential and stops when the
-        target settles, so only settled labels are final (see
-        ``multi_dijkstra``)."""
+    def query_result(self, u: int, v: int, failed: Iterable[int] = ()) -> MultiDijkstraResult:
+        """The query's scan: one union A* scan from u toward v over the
+        assembly for (u, v, failed), stopped when v settles, so only settled
+        labels are final (see ``multi_dijkstra``)."""
+        x = self._validate(u, v, failed)
         return multi_dijkstra(
-            self.assemble(u, v, failed),
+            self.assemble(u, v, x),
             [(u, 0)],
-            forbidden=frozenset(failed),
-            target=target,
-            potential=None if target is None else self._potential(u, target),
+            forbidden=x,
+            target=v,
+            potential=self._potential(u, v),
         )
 
     def distance(self, u: int, v: int, failed: Iterable[int] = ()):
         """Length of the shortest u-to-v path avoiding ``failed``."""
-        x = self._validate(u, v, failed)
-        if u == v:
-            return 0
-        return self.query_result(u, v, x, target=v).label(v)
+        return self.query_result(u, v, failed).label(v)

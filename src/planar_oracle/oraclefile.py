@@ -1,15 +1,18 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 7; files of any other version are rejected), a kind byte, the
+(currently 8; files of any other version are rejected), a kind byte, the
 graph in its text form, the decomposition tree, the trade-off r and k, and
 the tables in the order ``_layout`` walks them.  The tree section holds
 the marked r sequence, the piece count, one parent id per piece (-1 for
 the root) and, in piece order, each leaf's vertex and arc ids; a load
-derives every other part of the tree by the build's rules.  The tree, r
-and k fix every table's shape, so a table is its raw entries alone,
-unreachable ones written as -1: no key, node list or length.  Building the
-same oracle twice produces identical bytes.
+derives every other part of the tree by the build's rules.  The tables
+are the strict matrices of the internal pieces (a load builds the
+leaves' from the graph, as a build does) and a trade-off oracle's
+per-tuple tables and exit-piece tables.  The tree, r and k fix every
+table's shape, so a table is its raw entries alone, unreachable ones
+written as -1: no key, node list or length.  Building the same oracle
+twice produces identical bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
@@ -37,7 +40,7 @@ from typing import BinaryIO
 
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece, child_boundary
-from .ddg import DenseDistanceGraph, PieceDistanceTable
+from .ddg import DenseDistanceGraph
 from .external import tuple_boundary
 from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
@@ -45,7 +48,7 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 7
+_VERSION = 8
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
@@ -236,19 +239,16 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
 
 def _layout(oracle):
     """(kind, key, entries) of every table the oracle's file stores, in
-    file order: the strict matrices by piece id; then for a trade-off
-    oracle, per (k+1)-tuple T of its r-division in build order, T's ids
-    (one u32 each), ext(T) and the row of each exit piece q and y ∈ ∂T;
-    then the exit pieces' tables.  Only the tree, r and k decide it, never
-    which strict matrices queries pulled in, so the bytes cannot drift."""
+    file order: the internal pieces' strict matrices by piece id; then for
+    a trade-off oracle, per (k+1)-tuple T of its r-division in build order,
+    T's ids (one u32 each), ext(T) and the row of each exit piece q and
+    y ∈ ∂T; then the exit pieces' tables.  Only the tree, r and k decide
+    it, so the bytes cannot drift."""
     pieces = oracle.tree.pieces
-    stored = {p.id for p in pieces if not p.is_leaf}
-    tradeoff = isinstance(oracle, TradeoffOracle)
-    if tradeoff:
-        stored.update(oracle.rdiv)
-    for pid in sorted(stored):
-        yield "strict", pid, len(pieces[pid].boundary) ** 2
-    if not tradeoff:
+    for p in pieces:
+        if not p.is_leaf:
+            yield "strict", p.id, len(p.boundary) ** 2
+    if not isinstance(oracle, TradeoffOracle):
         return
     exits: set[int] = set()
     for ids, family in oracle._tuples():
@@ -274,7 +274,7 @@ def _write_tables(fh: BinaryIO, oracle) -> None:
         elif kind == "vor":
             _w_matrix(fh, oracle.vor[key])
         else:
-            _w_matrix(fh, oracle.piece_tables[key].matrix)
+            _w_matrix(fh, oracle.piece_tables[key])
 
 
 def _read_tables(rd: _Reader, oracle) -> None:
@@ -292,8 +292,7 @@ def _read_tables(rd: _Reader, oracle) -> None:
         elif kind == "vor":
             oracle.vor[key] = mat
         else:
-            piece = pieces[key]
-            oracle.piece_tables[key] = PieceDistanceTable(piece.boundary, piece.vertices, mat)
+            oracle.piece_tables[key] = mat
     if rd.left:
         raise OracleFileError(f"{rd.left} bytes after the last table")
 

@@ -22,13 +22,15 @@ whose length is the best directional row entry plus the table hop from
 the exit piece's boundary to v; it is read only if y settles.  Queries
 whose layout the main path cannot serve run the failure oracle's query
 instead, over the same strict matrices; it is the same kind of
-target-stopped scan and is exact for any failed set.
+target-stopped scan and is exact for any failed set.  Either way the
+query returns its scan, and the oracle is not changed by it.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from operator import add
 from typing import Iterable
 
@@ -40,13 +42,12 @@ from .decomposition import (
 )
 from .ddg import (
     DenseDistanceGraph,
-    PieceDistanceTable,
     compute_leaf_ddg,  # unused here: perfbench/tracing.py wraps this name
     compute_piece_distance_table,
 )
 from .external import ExternalDdgBuilder
 from .failure_oracle import FailureOracle
-from .frdijkstra import multi_dijkstra
+from .frdijkstra import MultiDijkstraResult, multi_dijkstra
 
 __all__ = ["TradeoffOracle"]
 
@@ -73,7 +74,7 @@ class TradeoffOracle(FailureOracle):
             raise ValueError("k must be non-negative")
         tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
         self._setup(g, tree, r, k)
-        self.store.prefetch_nonleaf()
+        self.store.build_internal()
         self._build()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
@@ -98,11 +99,9 @@ class TradeoffOracle(FailureOracle):
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
         # exit piece's boundary
         self.vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-        self.piece_tables: dict[int, PieceDistanceTable] = {}
-        # Search result of the most recent query, kept for instrumentation.
-        # Its union_vertices is always valid; both paths stop the scan when
-        # v settles, so only the settled labels are final.
-        self.last_result = None
+        # exit piece -> its boundary-to-vertices table
+        # (``compute_piece_distance_table``)
+        self.piece_tables: dict[int, array] = {}
 
     # -- build ---------------------------------------------------------------
 
@@ -146,10 +145,10 @@ class TradeoffOracle(FailureOracle):
 
     # -- query -----------------------------------------------------------------
 
-    def distance(self, u: int, v: int, failed: Iterable[int] = ()):
+    def query_result(self, u: int, v: int, failed: Iterable[int] = ()) -> MultiDijkstraResult:
+        """The scan of the main path when ``_plan`` finds a tuple for the
+        query, else the fallback's; both stop when v settles."""
         x = self._validate(u, v, failed)
-        if u == v:
-            return 0
         plan = self._plan(u, v, x)
         if plan is None:
             return self._fallback(u, v, x)
@@ -226,9 +225,9 @@ class TradeoffOracle(FailureOracle):
         """Union members for a stored tuple under failures: ext of the
         tuple, then per tuple piece its strict matrix when no resident's
         home leaf lies under it, and otherwise those home leaves as their
-        own arcs (the cached members) and the strict matrices of the
-        unmarked siblings hanging off their paths up to the piece.  The
-        residents are u and the failed vertices.
+        own arcs and the strict matrices of the unmarked siblings hanging
+        off their paths up to the piece.  The residents are u and the failed
+        vertices.
 
         A resident whose home leaf lies outside the piece necessarily sits
         on the piece boundary, so the strict matrix already exposes it as a
@@ -244,7 +243,7 @@ class TradeoffOracle(FailureOracle):
             if not leaves:
                 members.append(strict(pid))
                 continue
-            members.extend(self._leaf(leaf) for leaf in leaves)
+            members.extend(self._leaves[leaf] for leaf in leaves)
             members.extend(strict(sib) for sib in tree.cover(leaves, marked, pid))
         return members
 
@@ -256,9 +255,10 @@ class TradeoffOracle(FailureOracle):
         graph, so it bounds the landmark potential π(y) from above and π
         stays consistent; v's label is min(d(v), min over y of d(y) + c(y))."""
         members = self._assembly(ids, u, x)
-        ptable = self.piece_tables[q_node]
-        # hop[i]: in-piece distance from the i-th exit boundary vertex to v
-        hop = [ptable.raw(s, v) for s in self.tree.pieces[q_node].boundary]
+        vertices = self.tree.pieces[q_node].vertices
+        # hop[i]: in-piece distance from the i-th exit boundary vertex to v,
+        # the table's column of v
+        hop = self.piece_tables[q_node][bisect_left(vertices, v) :: len(vertices)]
         vor = self.vor
 
         def exit_cost(y: int) -> int:
@@ -268,7 +268,7 @@ class TradeoffOracle(FailureOracle):
             # a sum with an unreachable part stays at or above MATRIX_SENTINEL
             return min(map(add, row, hop), default=MATRIX_SENTINEL)
 
-        res = multi_dijkstra(
+        return multi_dijkstra(
             members,
             [(u, 0)],
             forbidden=x,
@@ -276,15 +276,11 @@ class TradeoffOracle(FailureOracle):
             potential=self._potential(u, v),
             exit_cost=exit_cost,
         )
-        self.last_result = res
-        return res.label(v)
 
     def _fallback(self, u, v, x):
         """The failure oracle's query, for layouts the stored tuples cannot
         serve: one union A* scan toward v over the leaves of u, v and the
         failed set and the unmarked siblings up their root paths, stopped
         when v settles."""
-        res = self.query_result(u, v, x, target=v)
-        self.last_result = res
-        return res.label(v)
+        return super().query_result(u, v, x)
 

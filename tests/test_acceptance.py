@@ -16,17 +16,18 @@ import time
 import pytest
 
 from planar_oracle.baseline import distance_avoiding, sssp
-from planar_oracle.ddg import DdgStore, strict_matrix
+from planar_oracle.ddg import strict_matrix
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.failure_oracle import FailureOracle
+from planar_oracle.frdijkstra import multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddingError
 from planar_oracle.oraclefile import save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
-from conftest import compute_ddg, explicit_dijkstra, minplus_closure
+from conftest import built_store, compute_ddg, explicit_dijkstra, minplus_closure
 
 
 def _report(capsys, num, ok, detail):
@@ -197,7 +198,7 @@ def test_criterion_3_closure_identity_per_piece(zoo, capsys):
     for _name, g in sorted(zoo.items()):
         leaf = 8 if g.n > 100 else 6
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
-        store = DdgStore(g, tree)
+        store = built_store(g, tree)
         for p in tree.pieces:
             base = store.strict(p.id)
             if p.is_leaf:
@@ -269,7 +270,7 @@ def test_criterion_4_external_tables_match_direct_computation(zoo, capsys):
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
         if not tree.r_sequence:
             continue
-        builder = ExternalDdgBuilder(tree, DdgStore(g, tree))
+        builder = ExternalDdgBuilder(tree, built_store(g, tree))
         r = tree.r_sequence[0]
         rdiv = tree.r_division(r)
         for size in (1, 2, 3):
@@ -479,8 +480,8 @@ def test_criterion_7_union_scan_matches_explicit_arcs(suite1, capsys):
     compared = bad = 0
     for name, g, fo, _leaf, _secs in suite1:
         for u, v, failed in _suite1_queries(name, g.n):
-            res = fo.query_result(u, v, failed)
             members = fo.assemble(u, v, failed)
+            res = multi_dijkstra(members, [(u, 0)], forbidden=failed)
             want = explicit_dijkstra(members, [(u, 0)], failed)
             same = res.vertices == tuple(sorted(want)) and all(
                 res.raw(w) == want[w] for w in res.vertices

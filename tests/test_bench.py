@@ -10,7 +10,6 @@ import pytest
 from planar_oracle import ddg, failure_oracle, tradeoff_oracle
 from planar_oracle.bench import BenchReport, bench_config, run_bench, thread_cap
 from planar_oracle.failure_oracle import FailureOracle
-from planar_oracle.frdijkstra import SparseMember
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -120,33 +119,36 @@ def test_tracer_targets_exist(monkeypatch):
 
 
 def test_leaf_hook_reached(grid8, monkeypatch):
-    # the tracer's ddg.leaf_rebuild span wraps failure_oracle.compute_leaf_ddg;
-    # each oracle builds a leaf's member there once, on the first query
-    # anchored in that leaf, and later queries reuse it
-    fo = FailureOracle(grid8, leaf_size=8, r_base=4)
-    to = TradeoffOracle(grid8, r=32, k=1, leaf_size=8, r_base=4)
+    # the tracer's ddg.leaf_rebuild span wraps failure_oracle.compute_leaf_ddg
+    # and its ddg.strict_build span ddg.compute_ddg_internal; set-up builds
+    # each leaf's member once and each piece's matrix once, for the failure
+    # oracle and the trade-off oracle alike, and queries call neither
     calls = []
-    for mod in (failure_oracle, tradeoff_oracle):
-        def counting(g, piece, _orig=mod.compute_leaf_ddg, _mod=mod.__name__):
-            calls.append((_mod, piece.id))
+    for mod, name in (
+        (failure_oracle, "compute_leaf_ddg"),
+        (tradeoff_oracle, "compute_leaf_ddg"),
+        (ddg, "compute_ddg_internal"),
+    ):
+        def counting(g, piece, _orig=getattr(mod, name), _at=f"{mod.__name__}.{name}"):
+            calls.append((_at, piece.id))
             return _orig(g, piece)
 
-        monkeypatch.setattr(mod, "compute_leaf_ddg", counting)
-    u, v, x = 0, 63, (30,)
-    anchors = {fo.tree.leaf_of[w] for w in (u, v, *x)}
-    assert fo.distance(u, v, x) == to.distance(u, v, x)
-    built = [leaf for mod, leaf in calls if mod == failure_oracle.__name__]
-    # the failure oracle's leaves, then the trade-off main path's
-    assert sorted(built[: len(anchors)]) == sorted(anchors)
-    assert sorted(built[len(anchors) :]) == sorted(to._leaves)
-    assert len(built) == len(calls)
+        monkeypatch.setattr(mod, name, counting)
+    fo = FailureOracle(grid8, leaf_size=8, r_base=4)
+    to = TradeoffOracle(grid8, r=32, k=1, tree=fo.tree)
+    pieces = fo.tree.pieces
+    leaf_ids = [p.id for p in pieces if p.is_leaf]
+    leaf_hook = f"{failure_oracle.__name__}.compute_leaf_ddg"
+    assert [c for c in calls if c[0] == leaf_hook] == [(leaf_hook, i) for i in leaf_ids * 2]
+    strict_hook = f"{ddg.__name__}.compute_ddg_internal"
+    assert sorted(c for c in calls if c[0] == strict_hook) == sorted(
+        (strict_hook, p.id) for p in pieces * 2
+    )
+    assert len(calls) == 2 * (len(leaf_ids) + len(pieces))
     calls.clear()
-    fo.distance(u, v, x)
-    to.distance(u, v, x)
-    assert calls == []
-    # a main-path query: its assembly takes every leaf from the cache
-    plan = to._plan(u, v, x)
-    assert plan is not None
-    leaves = [m for m in to._assembly(plan[0], u, x) if isinstance(m, SparseMember)]
-    assert leaves and all(any(m is c for c in to._leaves.values()) for m in leaves)
+    u, v, x = 0, 63, (30,)
+    assert fo.distance(u, v, x) == to.distance(u, v, x)
+    assert to._plan(u, v, x) is not None  # so that query took the main path
+    fo.distance(u, v, (2, 9))
+    to.distance(u, v, (2,))
     assert calls == []

@@ -121,17 +121,25 @@ def test_path_leaves_the_leaf_and_returns(oracles):
 
 
 def _snapshot(oracle):
-    return {
-        leaf: (m, m.nodes, m.arcs, {v: tuple(out) for v, out in m.out.items()})
-        for leaf, m in oracle._leaves.items()
-    }
+    """What a query could change: the oracle's and its store's attribute
+    names, the strict matrices and the leaf members, each member with its
+    nodes, arcs and out-lists."""
+    return (
+        sorted(vars(oracle)),
+        sorted(vars(oracle.store)),
+        dict(oracle.store._strict),
+        {
+            leaf: (m, m.nodes, m.arcs, {v: tuple(out) for v, out in m.out.items()})
+            for leaf, m in oracle._leaves.items()
+        },
+    )
 
 
 @pytest.mark.parametrize("name", ["grid16", "tri200"])
 def test_queries_leave_cached_leaves_unchanged(name, zoo, tmp_path):
-    # every leaf member is built once and shared by all later queries, so
-    # no query may change one: failed vertices are blocked in the scan, not
-    # removed from the member
+    # a built or loaded oracle holds every strict matrix and leaf member,
+    # and queries only read them: failed vertices are blocked in the scan,
+    # not removed from a member, and nothing is added or replaced
     g = zoo[name]
     fo = FailureOracle(g, leaf_size=16, r_base=4)
     to = TradeoffOracle(g, r=fo.tree.r_sequence[0], k=2, tree=fo.tree)
@@ -141,8 +149,8 @@ def test_queries_leave_cached_leaves_unchanged(name, zoo, tmp_path):
         save_oracle(built, path)
         oracles.append(load_oracle(path))
     for oracle in oracles:
-        for leaf in leaves(fo.tree):
-            oracle._leaf(leaf)
+        assert sorted(oracle.store._strict) == [p.id for p in fo.tree.pieces]
+        assert sorted(oracle._leaves) == leaves(fo.tree)
     before = [_snapshot(oracle) for oracle in oracles]
 
     rng = random.Random(f"cached-leaves:{name}")
@@ -161,6 +169,11 @@ def test_queries_leave_cached_leaves_unchanged(name, zoo, tmp_path):
         main += to._plan(u, v, tuple(sorted(x))) is not None
     assert main > 0
 
-    # the same member objects, with the same nodes, arcs and out-lists
+    # the same attributes, the same matrix and member objects, and the
+    # same nodes, arcs and out-lists
     for oracle, snap in zip(oracles, before):
-        assert _snapshot(oracle) == snap
+        attrs, store_attrs, strict, members = _snapshot(oracle)
+        assert (attrs, store_attrs) == snap[:2]
+        assert strict.keys() == snap[2].keys()
+        assert all(strict[pid] is m for pid, m in snap[2].items())
+        assert members == snap[3]

@@ -19,7 +19,7 @@ from planar_oracle.decomposition import build_decomposition
 from planar_oracle.frdijkstra import multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
-from conftest import compute_ddg, in_piece_distance, leaves, minplus_closure
+from conftest import built_store, compute_ddg, in_piece_distance, leaves, minplus_closure
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_closure_identity(setup8, tri60, path12, disconnected):
     for g in (tri60, path12, disconnected):
         cases.append((g, build_decomposition(g, leaf_size=6, r_base=4)))
     for g, tree in cases:
-        store = DdgStore(g, tree)
+        store = built_store(g, tree)
         for p in tree.pieces:
             if p.is_leaf:
                 continue
@@ -106,7 +106,7 @@ def test_closure_identity(setup8, tri60, path12, disconnected):
 def test_strict_entries_dominate_full(setup8):
     # strict paths are a subset of all paths, so entries only grow
     g, tree = setup8
-    store = DdgStore(g, tree)
+    store = built_store(g, tree)
     for p in tree.pieces:
         if p.is_leaf:
             continue
@@ -154,12 +154,12 @@ def test_piece_distance_table(setup8):
     for leaf in leaves(tree)[:4]:
         piece = tree.pieces[leaf]
         table = compute_piece_distance_table(g, piece)
-        assert table.targets == piece.vertices
-        assert len(table.matrix) == len(piece.boundary) * len(piece.vertices)
-        for s in piece.boundary:
-            for t in table.targets:
+        width = len(piece.vertices)
+        assert len(table) == len(piece.boundary) * width
+        for i, s in enumerate(piece.boundary):
+            for j, t in enumerate(piece.vertices):
                 want = in_piece_distance(g, piece, s, t)
-                raw = table.raw(s, t)
+                raw = table[i * width + j]
                 if want >= MATRIX_SENTINEL:
                     assert raw >= MATRIX_SENTINEL
                 else:
@@ -194,15 +194,20 @@ def test_closure_matches_floyd_warshall():
 
 
 def test_store_memoizes(setup8):
+    # a new store holds every leaf's matrix, and the build step every
+    # internal piece's; only the internal ones count as stored entries
     g, tree = setup8
     store = DdgStore(g, tree)
+    assert sorted(store._strict) == leaves(tree)
     assert store.stored_entry_count() == 0
-    a = store.strict(0)
-    assert store.strict(0) is a
-    assert store.stored_entry_count() == len(a.matrix)
-    store.prefetch_nonleaf()
-    nonleaf = [p.id for p in tree.pieces if not p.is_leaf]
-    assert all(pid in store._strict for pid in nonleaf)
+    leaf = leaves(tree)[0]
+    assert store.strict(leaf) is store.strict(leaf)
+    assert store.strict(leaf).matrix == compute_ddg_internal(g, tree.pieces[leaf]).matrix
+    store.build_internal()
+    assert sorted(store._strict) == [p.id for p in tree.pieces]
+    assert store.stored_entry_count() == sum(
+        len(p.boundary) ** 2 for p in tree.pieces if not p.is_leaf
+    )
 
 
 def test_ddg_validation():

@@ -5,12 +5,11 @@ import itertools
 
 import pytest
 
-from planar_oracle.ddg import DdgStore
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.graph import MATRIX_SENTINEL
 
-from conftest import minplus_closure
+from conftest import built_store, minplus_closure
 
 
 def masked_sssp(g, banned_arcs, src):
@@ -59,8 +58,7 @@ def check_tuple(g, tree, builder, ids):
 @pytest.fixture(scope="module")
 def world(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    store = DdgStore(grid8, tree)
-    return grid8, tree, ExternalDdgBuilder(tree, store)
+    return grid8, tree, ExternalDdgBuilder(tree, built_store(grid8, tree))
 
 
 def test_single_pieces(world):
@@ -80,7 +78,7 @@ def test_pairs(world):
 
 def test_triple(tri200):
     tree = build_decomposition(tri200, leaf_size=8, r_base=4)
-    builder = ExternalDdgBuilder(tree, DdgStore(tri200, tree))
+    builder = ExternalDdgBuilder(tree, built_store(tri200, tree))
     r = tree.r_sequence[0]
     rdiv = tree.r_division(r)
     ids = tuple(sorted(rdiv[:3]))

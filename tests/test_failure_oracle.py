@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planar_oracle.baseline import distance_avoiding, sssp
+from planar_oracle.decomposition import build_decomposition
 from planar_oracle.failure_oracle import (
     ACTIVE_LANDMARKS,
     LANDMARKS,
@@ -16,8 +17,10 @@ from planar_oracle.failure_oracle import (
     landmark_tables,
 )
 from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
+from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddedPlanarGraph
 from planar_oracle.oraclefile import load_oracle, save_oracle
+from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 from conftest import explicit_dijkstra, union_arcs
 
@@ -90,12 +93,13 @@ def test_single_vertex(single):
 
 
 def test_strategies_agree(grid8, fo8):
-    # the union scan's full label map equals Dijkstra over the assembly's
-    # members expanded into literal arcs
+    # the union scan's full label map, run to the end, equals Dijkstra over
+    # the assembly's members expanded into literal arcs
     rng = random.Random("fo-strat")
     for u, v, x in random_queries(rng, grid8.n, 60):
-        res = fo8.query_result(u, v, x)
-        want = explicit_dijkstra(fo8.assemble(u, v, x), [(u, 0)], x)
+        members = fo8.assemble(u, v, x)
+        res = multi_dijkstra(members, [(u, 0)], forbidden=x)
+        want = explicit_dijkstra(members, [(u, 0)], x)
         assert res.vertices == tuple(sorted(want))
         for w in res.vertices:
             assert res.raw(w) == want[w], (u, v, x, w)
@@ -114,7 +118,7 @@ def test_assembly_structure(grid8, fo8):
     # anchor leaves come first: the home leaves of u, v and the sorted
     # failures, deduped, each as its cached own-arcs member
     homes = list(dict.fromkeys(tree.leaf_of[w] for w in (5, 40, 3, 20)))
-    assert members[: len(homes)] == [fo8._leaf(leaf) for leaf in homes]
+    assert members[: len(homes)] == [fo8._leaves[leaf] for leaf in homes]
     rest = members[len(homes) :]
     assert rest and not any(isinstance(m, SparseMember) for m in rest)
     # no member is a marked piece's matrix (those contain failures)
@@ -240,7 +244,7 @@ def test_unreachable_source_settles_nothing(zoo):
             if full_bound(fo._to, fo._frm, s, t) < MATRIX_SENTINEL:
                 continue
             assert fo._potential(s, t)(s) >= MATRIX_SENTINEL, (name, s, t)
-            res = fo.query_result(s, t, target=t)
+            res = fo.query_result(s, t)
             assert res.settled == 0 and res.label(t) == UNREACHABLE, (name, s, t)
             checked += 1
     assert checked > 20
@@ -320,3 +324,33 @@ def test_path12_landmarks_and_dead_ends(path12):
             assert [pi(y) >= MATRIX_SENTINEL for y in range(path12.n)] == [
                 y > v and any(v <= lm <= y for lm in active) for y in range(path12.n)
             ], (s, v)
+
+
+def test_tree_of_another_graph_is_rejected(tri60, grid8):
+    # these raised KeyError or IndexError partway through the build: a
+    # tree of another 60-vertex triangulation, and one of an 8x8 grid on a
+    # 4x16 grid
+    cases = [
+        (tri60, generate_random_triangulation(60, max_weight=10, seed=6)),
+        (generate_grid(4, 16, max_weight=9, seed=1), grid8),
+    ]
+    for g, other in cases:
+        tree = build_decomposition(other, leaf_size=8, r_base=4)
+        with pytest.raises(ValueError, match="another graph"):
+            FailureOracle(g, tree=tree)
+        with pytest.raises(ValueError, match="another graph"):
+            TradeoffOracle(g, r=tree.r_sequence[0], k=1, tree=tree)
+
+
+def test_tree_of_the_same_topology_is_accepted(grid8):
+    # a tree holds only vertex and arc ids, so one built for other weights
+    # on the same topology serves g exactly
+    other = generate_grid(8, 8, max_weight=9, seed=2)
+    assert other.weights != grid8.weights
+    tree = build_decomposition(other, leaf_size=8, r_base=4)
+    fo = FailureOracle(grid8, tree=tree)
+    to = TradeoffOracle(grid8, r=32, k=1, tree=tree)
+    rng = random.Random("same-topology")
+    for u, v, x in random_queries(rng, grid8.n, 100, max_failed=1):
+        want = distance_avoiding(grid8, u, v, x)
+        assert fo.distance(u, v, x) == to.distance(u, v, x) == want, (u, v, x)

@@ -14,7 +14,7 @@ import pytest
 
 from planar_oracle import oraclefile
 from planar_oracle.baseline import distance_avoiding
-from planar_oracle.ddg import DenseDistanceGraph, PieceDistanceTable
+from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid
@@ -114,7 +114,7 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
 def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
@@ -490,7 +490,7 @@ def _ext_nodes(o):
 
 
 def _strict_nodes(o):
-    pid = next(p.id for p in o.tree.pieces if len(p.boundary) > 1)
+    pid = next(p.id for p in o.tree.pieces if not p.is_leaf and len(p.boundary) > 1)
     nodes = o.store.strict(pid).nodes[1:]
     o.store._strict[pid] = DenseDistanceGraph(nodes, array("q", [0]) * len(nodes) ** 2)
 
@@ -501,11 +501,13 @@ def _rows_cut_to_one(o):
 
 
 def _table(change):
+    """The first exit piece's table replaced with ``change(boundary,
+    vertices, table)``, a table over other sources or targets."""
+
     def edit(o):
         q = min(o.piece_tables)
-        t = o.piece_tables[q]
-        sources, targets, matrix = change(o.tree.pieces[q].boundary, t.targets, t.matrix)
-        o.piece_tables[q] = PieceDistanceTable(sources, targets, matrix)
+        piece = o.tree.pieces[q]
+        o.piece_tables[q] = change(piece.boundary, piece.vertices, o.piece_tables[q])
 
     return edit
 
@@ -530,9 +532,9 @@ def _trailing_entry(o, raw, spans):
         _resaved(_strict_nodes),
         _resaved(_rows_cut_to_one),
         _drop_first("vor"),
-        _resaved(_table(lambda s, t, m: (s[1:], t, m[len(t) :]))),
-        _resaved(_table(lambda s, t, m: (s, t[1:], array("q", [0]) * (len(s) * (len(t) - 1))))),
-        _resaved(_table(lambda s, t, m: (s, t, m[: len(m) // 2]))),
+        _resaved(_table(lambda s, t, m: m[len(t) :])),
+        _resaved(_table(lambda s, t, m: array("q", [0]) * (len(s) * (len(t) - 1)))),
+        _resaved(_table(lambda s, t, m: m[: len(m) // 2])),
         _drop_first("table"),
     ],
     ids=[

@@ -147,8 +147,7 @@ def test_table_shapes(to8):
                 assert len(row) == len(qb)
     for q, table in to8.piece_tables.items():
         piece = tree.pieces[q]
-        assert table.targets == piece.vertices
-        assert len(table.matrix) == len(piece.boundary) * len(piece.vertices)
+        assert len(table) == len(piece.boundary) * len(piece.vertices)
 
 
 def test_vor_rows_avoid_tuple_interiors(grid8, to8):
@@ -193,11 +192,14 @@ def test_vor_rows_avoid_tuple_interiors(grid8, to8):
 
 
 def test_last_result_instrumentation(to8):
-    to8.last_result = None
-    d = to8.distance(0, 63, {30})
-    assert d != UNREACHABLE
-    assert to8.last_result is not None
-    assert to8.last_result.union_vertices > 0
+    # each query returns its scan by value, on the main path and on the
+    # fallback alike
+    main, fallback = (0, 63, (30,)), (0, 63, (2,))
+    assert to8._plan(*main) is not None and to8._plan(*fallback) is None
+    for u, v, x in (main, fallback):
+        res = to8.query_result(u, v, x)
+        assert res.label(v) == to8.distance(u, v, x) != UNREACHABLE
+        assert res.union_vertices > 0
 
 
 def test_unreachable_target(path12):
@@ -256,7 +258,7 @@ def test_main_path_exact(request, graph, r, k, leaf_size, r_base):
         if plan is None:
             continue
         main += 1
-        assert to._main(u, v, x, *plan) == distance_avoiding(g, u, v, x), (u, v, x)
+        assert to._main(u, v, x, *plan).label(v) == distance_avoiding(g, u, v, x), (u, v, x)
     assert main > 20
 
 
@@ -305,9 +307,10 @@ def test_exit_cost_bounds_potential(kind, size, seed, k, pick):
     pis = {}
     checked = 0
     for (ids, q, y), row in to.vor.items():
-        ptable = to.piece_tables[q]
-        for v in to.tree.pieces[q].vertices:
-            hop = [ptable.raw(b, v) for b in to.tree.pieces[q].boundary]
+        table = to.piece_tables[q]
+        vertices = to.tree.pieces[q].vertices
+        for j, v in enumerate(vertices):
+            hop = table[j :: len(vertices)]
             c = min(map(sum, zip(row, hop)), default=MATRIX_SENTINEL)
             if c < MATRIX_SENTINEL:
                 for s in to.ext[ids].nodes:
