@@ -8,12 +8,12 @@ between.  The directional (``vor``) row of a vertex y ∈ ∂T and an exit
 piece Q holds the distances, under the same rules, from y to the boundary
 of Q: paths through the graph outside the tuple pieces.
 
-Both tables come from one pass per tuple.  The strict matrices of the
-siblings hanging off the tuple pieces' root paths, less those on the paths
-(``DecompositionTree.cover``), tile the graph minus the tuple pieces'
-interiors.  One forbidden-transit Dijkstra per vertex y of ∂T over the
-union of those matrices gives ext(T)'s row y and y's row for every exit
-piece.
+T's exit pieces (``tuple_exits``) are the siblings hanging off the tuple
+pieces' root paths that hold no tuple piece (``DecompositionTree.cover``).
+Their strict matrices tile the graph minus the tuple pieces' interiors,
+so both tables come from one pass per tuple: one forbidden-transit
+Dijkstra per vertex y of ∂T over the union of those matrices gives
+ext(T)'s row y and y's row for every exit piece.
 """
 
 from __future__ import annotations
@@ -24,12 +24,20 @@ from .graph import MATRIX_SENTINEL
 from .ddg import DdgStore, DenseDistanceGraph
 from .frdijkstra import DdgUnion, multi_dijkstra
 
-__all__ = ["ExternalDdgBuilder", "tuple_boundary"]
+__all__ = ["ExternalDdgBuilder", "tuple_boundary", "tuple_exits"]
 
 
 def tuple_boundary(pieces, ids: tuple[int, ...]) -> tuple[int, ...]:
     """∂T: the sorted union of the boundaries of the pieces ``ids``."""
     return tuple(sorted({v for pid in ids for v in pieces[pid].boundary}))
+
+
+def tuple_exits(tree, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted siblings off the tuple pieces' root paths that hold no
+    tuple piece: the tuple interiors host the failures at query time, so
+    no stored path may run through them."""
+    paths = {node for pid in ids for node in tree.root_path(pid)}
+    return tuple(sorted(tree.cover(ids, paths)))
 
 
 class ExternalDdgBuilder:
@@ -48,11 +56,7 @@ class ExternalDdgBuilder:
         pieces = tree.pieces
         nodes = tuple_boundary(pieces, ids)
         node_set = set(nodes)
-        # the tuple pieces and their ancestors stay out: the tuple interiors
-        # host the failures at query time, so no stored path may run
-        # through them
-        paths = {node for pid in ids for node in tree.root_path(pid)}
-        union = DdgUnion([self.store.strict(sib) for sib in tree.cover(ids, paths)])
+        union = DdgUnion([self.store.strict(sib) for sib in tuple_exits(tree, ids)])
         matrix = array("q")
         vor: dict[tuple[tuple[int, ...], int, int], array] = {}
         for y in nodes:

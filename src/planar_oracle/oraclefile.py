@@ -1,18 +1,18 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 8; files of any other version are rejected), a kind byte, the
+(currently 9; files of any other version are rejected), a kind byte, the
 graph in its text form, the decomposition tree, the trade-off r and k, and
 the tables in the order ``_layout`` walks them.  The tree section holds
 the marked r sequence, the piece count, one parent id per piece (-1 for
 the root) and, in piece order, each leaf's vertex and arc ids; a load
 derives every other part of the tree by the build's rules.  The tables
-are the strict matrices of the internal pieces (a load builds the
-leaves' from the graph, as a build does) and a trade-off oracle's
-per-tuple tables and exit-piece tables.  The tree, r and k fix every
-table's shape, so a table is its raw entries alone, unreachable ones
-written as -1: no key, node list or length.  Building the same oracle
-twice produces identical bytes.
+are the strict matrices of the internal pieces and a trade-off oracle's
+per-tuple tables; a load builds the leaves' matrices and the exit
+pieces' tables from the graph, as a build does.  The tree, r and k fix
+every table's shape, so a table is its raw entries alone, unreachable
+ones written as -1: no key, node list or length.  Building the same
+oracle twice produces identical bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
@@ -48,7 +48,7 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 8
+_VERSION = 9
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
@@ -241,26 +241,22 @@ def _layout(oracle):
     """(kind, key, entries) of every table the oracle's file stores, in
     file order: the internal pieces' strict matrices by piece id; then for
     a trade-off oracle, per (k+1)-tuple T of its r-division in build order,
-    T's ids (one u32 each), ext(T) and the row of each exit piece q and
-    y ∈ ∂T; then the exit pieces' tables.  Only the tree, r and k decide
-    it, so the bytes cannot drift."""
+    T's ids (one u32 each), ext(T) and the row of each exit piece q of T
+    (``tuple_exits``) and y ∈ ∂T.  Only the tree, r and k decide it, so
+    the bytes cannot drift."""
     pieces = oracle.tree.pieces
     for p in pieces:
         if not p.is_leaf:
             yield "strict", p.id, len(p.boundary) ** 2
     if not isinstance(oracle, TradeoffOracle):
         return
-    exits: set[int] = set()
-    for ids, family in oracle._tuples():
+    for ids, exits in oracle._tuples():
         yield "tuple", ids, len(ids)
         nodes = tuple_boundary(pieces, ids)
         yield "ext", ids, len(nodes) ** 2
-        exits.update(family)
-        for q in family:
+        for q in exits:
             for y in nodes:
                 yield "vor", (ids, q, y), len(pieces[q].boundary)
-    for q in sorted(exits):
-        yield "table", q, len(pieces[q].boundary) * len(pieces[q].vertices)
 
 
 def _write_tables(fh: BinaryIO, oracle) -> None:
@@ -271,10 +267,8 @@ def _write_tables(fh: BinaryIO, oracle) -> None:
             _w_matrix(fh, oracle.store.strict(key).matrix)
         elif kind == "ext":
             _w_matrix(fh, oracle.ext[key].matrix)
-        elif kind == "vor":
-            _w_matrix(fh, oracle.vor[key])
         else:
-            _w_matrix(fh, oracle.piece_tables[key])
+            _w_matrix(fh, oracle.vor[key])
 
 
 def _read_tables(rd: _Reader, oracle) -> None:
@@ -289,10 +283,8 @@ def _read_tables(rd: _Reader, oracle) -> None:
             oracle.store._strict[key] = DenseDistanceGraph(pieces[key].boundary, mat)
         elif kind == "ext":
             oracle.ext[key] = DenseDistanceGraph(tuple_boundary(pieces, key), mat)
-        elif kind == "vor":
-            oracle.vor[key] = mat
         else:
-            oracle.piece_tables[key] = mat
+            oracle.vor[key] = mat
     if rd.left:
         raise OracleFileError(f"{rd.left} bytes after the last table")
 

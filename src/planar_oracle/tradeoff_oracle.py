@@ -5,15 +5,15 @@ budget k, then precomputes, for every (k+1)-subset T of the division:
 
 * ext(T): the strict-external matrix over ∂T, the union of the tuple's
   boundaries (paths outside the tuple pieces), and
-* directional tables: for every vertex y of ∂T and every piece Q that can
-  play the exit role for this tuple (a sibling hanging off a tuple piece's
-  root path), the distances from y to the boundary of Q through the graph
-  outside the tuple pieces, avoiding every other vertex of ∂T in between,
+* directional tables: for every vertex y of ∂T and every exit piece Q of
+  the tuple (a sibling hanging off a tuple piece's root path that holds no
+  tuple piece), the distances from y to the boundary of Q through the graph
+  outside the tuple pieces, avoiding every other vertex of ∂T in between.
 
-together with plain boundary-to-everything tables for each such Q.  Both
-per-tuple tables come from one Dijkstra per vertex of ∂T (see the external
-module).  The exit pieces, the members behind those runs and the members
-of a query's union are all one walk, ``DecompositionTree.cover``.
+Both come from one Dijkstra per vertex of ∂T over the exit pieces' strict
+matrices (``external.tuple_exits``, the walk a query's union also takes,
+``DecompositionTree.cover``).  Set-up, at build and load alike, builds a
+boundary-to-everything table for every piece that can be an exit.
 
 A query picks a tuple that covers u and the failed vertices (one piece
 each), reads the precomputed matrices, and runs one small union A* scan
@@ -45,7 +45,7 @@ from .ddg import (
     compute_leaf_ddg,  # unused here: perfbench/tracing.py wraps this name
     compute_piece_distance_table,
 )
-from .external import ExternalDdgBuilder
+from .external import ExternalDdgBuilder, tuple_exits
 from .failure_oracle import FailureOracle
 from .frdijkstra import MultiDijkstraResult, multi_dijkstra
 
@@ -79,9 +79,9 @@ class TradeoffOracle(FailureOracle):
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
         """Fix the r-division, index for each vertex the division pieces
-        that hold it, in division order, and set up the shared state with
-        empty tables.  r must be marked and no leaf may have more than r
-        vertices, or that leaf lies under no division piece."""
+        that hold it, in division order, and build the exit pieces' tables.
+        r must be marked and no leaf may have more than r vertices, or that
+        leaf lies under no division piece."""
         rdiv = tree.r_division(r)
         if any(p.is_leaf and len(p.vertices) > r for p in tree.pieces):
             raise ValueError(f"r={r} is smaller than a leaf of the tree")
@@ -99,30 +99,35 @@ class TradeoffOracle(FailureOracle):
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
         # exit piece's boundary
         self.vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-        # exit piece -> its boundary-to-vertices table
-        # (``compute_piece_distance_table``)
-        self.piece_tables: dict[int, array] = {}
+        # exit piece -> its boundary-to-vertices table; an exit's parent has
+        # more than r vertices, and a tuple of the whole division has none
+        pieces = tree.pieces
+        self.piece_tables: dict[int, array] = {
+            p.id: compute_piece_distance_table(g, p)
+            for p in pieces
+            if k + 1 < len(rdiv) and p.parent is not None and len(pieces[p.parent].vertices) > r
+        }
 
     # -- build ---------------------------------------------------------------
 
     def _tuples(self):
-        """(ids, exit pieces) of every (k+1)-tuple T of the r-division, in
-        build and file order; the exit pieces are the sorted siblings
-        hanging off the root paths of T's pieces."""
+        """(ids, ``tuple_exits(ids)``) of every (k+1)-tuple T of the
+        r-division, in build and file order.
+
+        They hold every exit a query reads.  ``_plan``'s ``q_node`` holds
+        no tuple piece: each chosen piece holds u or a failed vertex, which
+        ``q_node`` excludes, and each pad is picked outside it.  Its sibling
+        ``s_node`` is above the tuple piece ``r_i``, so ``q_node`` hangs
+        off ``r_i``'s root path."""
         # combinations allocates k + 1 indices even when it yields nothing
         if self.k >= len(self.rdiv):
             return
         for ids in itertools.combinations(self.rdiv, self.k + 1):
-            yield ids, tuple(sorted(self.tree.cover(ids)))
+            yield ids, tuple_exits(self.tree, ids)
 
     def _build(self) -> None:
         builder = ExternalDdgBuilder(self.tree, self.store)
         for ids, exits in self._tuples():
-            for q in exits:
-                if q not in self.piece_tables:
-                    self.piece_tables[q] = compute_piece_distance_table(
-                        self.graph, self.tree.pieces[q]
-                    )
             self.ext[ids], rows = builder.ext(ids, exits)
             self.vor.update(rows)
 
@@ -172,9 +177,8 @@ class TradeoffOracle(FailureOracle):
             return None
         r_v = free_v[0]
         q_node = highest_excluding_ancestor(tree, r_v, anchors_needed)
+        # q_node is not the root, which holds u
         s_node = tree.sibling_of(q_node)
-        if s_node is None:
-            return None
         spiece = tree.pieces[s_node]
         inside_s = [w for w in anchors_needed if spiece.contains(w)]
         if u in inside_s:
@@ -184,19 +188,16 @@ class TradeoffOracle(FailureOracle):
         arc = self._first_arc_at(spiece, i)
         if arc is None:
             return None
-        # the division piece under s_node owning that arc
-        for r_i in self.rdiv:
-            if tree.is_ancestor(s_node, r_i) and sorted_contains(tree.pieces[r_i].arcs, arc):
-                break
-        else:
-            return None
+        # the division piece under s_node owning that arc; s_node's parent
+        # holds r_v, so the division pieces under s_node partition its arcs
+        under = (pid for pid in self.rdiv if tree.is_ancestor(s_node, pid))
+        r_i = next(pid for pid in under if sorted_contains(tree.pieces[pid].arcs, arc))
         anchors = {i: r_i}
         for w in anchors_needed:
             if w != i:
                 anchors[w] = self._canonical_rdiv(w)
-        chosen = sorted(set(anchors.values()))
-        if len(chosen) != len(anchors):
-            return None
+        # distinct: the trigger rejected a division piece holding two anchors
+        chosen = sorted(anchors.values())
         pads: list[int] = []
         need = self.k + 1 - len(chosen)
         if need:

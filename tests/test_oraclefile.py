@@ -114,7 +114,7 @@ def test_bad_magic(tmp_path):
         load_oracle(p)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99])
 def test_bad_version(tmp_path, fo8, version):
     p = tmp_path / "v.bin"
     save_oracle(fo8, p)
@@ -425,7 +425,6 @@ def _resaved(edit):
         crafted.store._strict = dict(oracle.store._strict)
         crafted.ext = dict(oracle.ext)
         crafted.vor = dict(oracle.vor)
-        crafted.piece_tables = dict(oracle.piece_tables)
         edit(crafted)
         save_oracle(crafted, path)
 
@@ -500,18 +499,6 @@ def _rows_cut_to_one(o):
         o.vor[key] = row[:1]
 
 
-def _table(change):
-    """The first exit piece's table replaced with ``change(boundary,
-    vertices, table)``, a table over other sources or targets."""
-
-    def edit(o):
-        q = min(o.piece_tables)
-        piece = o.tree.pieces[q]
-        o.piece_tables[q] = change(piece.boundary, piece.vertices, o.piece_tables[q])
-
-    return edit
-
-
 def _outside_division(o, ids, spans):
     other = next(p.id for p in o.tree.pieces if p.id not in o.rdiv)
     return tuple(sorted((ids[0], other)))
@@ -532,10 +519,6 @@ def _trailing_entry(o, raw, spans):
         _resaved(_strict_nodes),
         _resaved(_rows_cut_to_one),
         _drop_first("vor"),
-        _resaved(_table(lambda s, t, m: m[len(t) :])),
-        _resaved(_table(lambda s, t, m: array("q", [0]) * (len(s) * (len(t) - 1)))),
-        _resaved(_table(lambda s, t, m: m[: len(m) // 2])),
-        _drop_first("table"),
     ],
     ids=[
         "ext-tuple-missing",
@@ -546,10 +529,6 @@ def _trailing_entry(o, raw, spans):
         "strict-nodes-not-piece-boundary",
         "rows-cut-to-one-entry",
         "row-missing",
-        "table-sources-not-boundary",
-        "table-targets-not-vertices",
-        "table-half-length",
-        "table-missing",
     ],
 )
 def test_tradeoff_tables_checked_at_load(tmp_path, to8, craft):

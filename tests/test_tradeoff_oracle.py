@@ -150,6 +150,75 @@ def test_table_shapes(to8):
         assert len(table) == len(piece.boundary) * len(piece.vertices)
 
 
+@pytest.fixture(scope="module")
+def tri32(tri60):
+    return TradeoffOracle(tri60, r=32, k=1, leaf_size=8, r_base=4)
+
+
+@pytest.mark.parametrize("name", ["to8", "to16", "tri32"])
+def test_vor_rows_only_for_tuple_exits(request, name):
+    # a sibling off one tuple piece's root path that holds another tuple
+    # piece is no exit: no query reads its rows, so none is stored
+    to = request.getfixturevalue(name)
+    tree = to.tree
+    exits_of = {}
+    for ids, exits in to._tuples():
+        assert exits == external.tuple_exits(tree, ids) == tuple(sorted(exits))
+        assert not any(tree.is_ancestor(q, pid) for q in exits for pid in ids), ids
+        exits_of[ids] = exits
+    assert to.vor
+    for ids, q, y in to.vor:
+        assert q in exits_of[ids], (ids, q)
+    rows = sum(len(exits) * len(to.ext[ids].nodes) for ids, exits in exits_of.items())
+    assert len(to.vor) == rows
+
+
+@pytest.mark.parametrize("name", ["to8", "to16", "tri32"])
+def test_plan_exit_is_a_tuple_exit(request, name):
+    to = request.getfixturevalue(name)
+    rng = random.Random(f"plan-exit-{name}")
+    main = 0
+    for u, v, x in _queries(rng, to.graph.n, to.k, 400):
+        plan = to._plan(u, v, x)
+        if plan is not None:
+            ids, q = plan
+            assert q in external.tuple_exits(to.tree, ids), (u, v, x)
+            main += 1
+    assert main > 50
+
+
+@pytest.mark.parametrize("name", ["to8", "to16", "tri32"])
+def test_piece_tables_built_at_setup(tmp_path, request, monkeypatch, name):
+    # the exit pieces' tables depend on the graph and the tree alone: set-up
+    # builds them, walking no tuple, and a load builds the same bytes
+    to = request.getfixturevalue(name)
+    path = tmp_path / "o.bin"
+    save_oracle(to, path)
+
+    def no_walk(self):
+        raise AssertionError("set-up walked the tuples")
+
+    with monkeypatch.context() as m:
+        m.setattr(TradeoffOracle, "_tuples", no_walk)
+        bare = TradeoffOracle.__new__(TradeoffOracle)
+        bare._setup(to.graph, to.tree, to.r, to.k)
+    loaded = load_oracle(path)
+    for oracle in (bare, loaded):
+        assert oracle.piece_tables.keys() == to.piece_tables.keys()
+        for q, table in to.piece_tables.items():
+            assert oracle.piece_tables[q].tobytes() == table.tobytes(), q
+    for ids, exits in to._tuples():
+        assert set(exits) <= loaded.piece_tables.keys(), ids
+
+
+def test_no_piece_tables_without_exits(grid8):
+    # with k + 1 pieces or more no tuple has an exit
+    rdiv = build_decomposition(grid8, leaf_size=8, r_base=4).r_division(32)
+    for k in (len(rdiv) - 1, len(rdiv)):
+        to = TradeoffOracle(grid8, r=32, k=k, leaf_size=8, r_base=4)
+        assert not to.vor and not to.piece_tables, k
+
+
 def test_vor_rows_avoid_tuple_interiors(grid8, to8):
     """Every stored row must be achievable without entering the tuple."""
     tree = to8.tree
