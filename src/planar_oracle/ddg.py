@@ -8,6 +8,13 @@ pieces.  The piece distance tables of the trade-off oracle (boundary to
 every piece vertex, paths unrestricted inside the piece) run through the
 same kernel, which fills a flat matrix row by row.
 
+The dynamic oracle changes one arc of a region at a time.
+``repair_strict_matrix`` turns the region's old matrix into the new one
+with the same kernel: one Dijkstra into the arc's tail and one out of its
+head, then a min-plus pass for a cut or an insertion, or the old rows the
+arc's old weight attained re-run for a raise or a deletion (Ramalingam and
+Reps, J. Algorithms 1996; Demetrescu and Italiano, J. ACM 2004).
+
 Every leaf's matrix is built when a store is made, and internal pieces'
 matrices by the build's ``build_internal`` or read from an oracle file;
 queries only look them up.  An anchor leaf joins a union as its own arcs
@@ -30,6 +37,7 @@ __all__ = [
     "compute_piece_distance_table",
     "DdgStore",
     "piece_adjacency",
+    "repair_strict_matrix",
     "strict_matrix",
 ]
 
@@ -112,6 +120,17 @@ def _dijkstra_rows(
     return matrix
 
 
+def _strict_setup(vertices, nodes, arcs):
+    """Local index map, out-adjacency, the nodes' local indices and the
+    flags that block every node, for the strict kernel."""
+    loc, adj = piece_adjacency(vertices, arcs)
+    local = [loc[v] for v in nodes]
+    blocked = [False] * len(vertices)
+    for i in local:
+        blocked[i] = True
+    return loc, adj, local, blocked
+
+
 def strict_matrix(
     vertices: Sequence[int],
     nodes: Sequence[int],
@@ -120,12 +139,66 @@ def strict_matrix(
     """Strict matrix over ``nodes``: entry (i, j) is the shortest
     nodes[i]-to-nodes[j] path over ``arcs`` that passes through no other
     node.  Every node must be one of ``vertices``."""
-    loc, adj = piece_adjacency(vertices, arcs)
-    local = [loc[v] for v in nodes]
-    blocked = [False] * len(vertices)
-    for i in local:
-        blocked[i] = True
+    _, adj, local, blocked = _strict_setup(vertices, nodes, arcs)
     return _dijkstra_rows(adj, local, local, blocked)
+
+
+def repair_strict_matrix(
+    vertices: Sequence[int],
+    nodes: Sequence[int],
+    arcs: Sequence[tuple[int, int, int]],
+    old: array,
+    tail: int,
+    head: int,
+    w_old: int | None,
+    w_new: int | None,
+) -> array:
+    """``strict_matrix(vertices, nodes, arcs)`` from ``old``, the matrix
+    before one arc tail -> head changed from weight ``w_old`` to ``w_new``
+    (None: the arc is absent on that side).  ``arcs`` are the arcs after
+    the change, and ``nodes`` are the same on both sides.
+
+    With da[i] the strict distance nodes[i] -> tail and db[j] the strict
+    distance head -> nodes[j], a shortest strict path through the arc is
+    da[i] + w + db[j].  A shortest path into tail never leaves it by the
+    arc, nor one out of head enters it by the arc, so da and db are the
+    same on both sides.  A cut or an insertion takes the minimum of the old
+    entry and that sum; a raise or a deletion re-runs only the rows with an
+    entry the old arc attained.  A strict path passes through no node, so
+    a tail or head that is a node ends its vector at itself."""
+    loc, adj, local, blocked = _strict_setup(vertices, nodes, arcs)
+    a, b = loc[tail], loc[head]
+    if blocked[a]:
+        da = [0 if i == a else MATRIX_SENTINEL for i in local]
+    else:
+        _, radj = piece_adjacency(vertices, [(h, t, w) for t, h, w in arcs])
+        da = _dijkstra_rows(radj, [a], local, blocked)
+    if blocked[b]:
+        db = [0 if j == b else MATRIX_SENTINEL for j in local]
+    else:
+        db = _dijkstra_rows(adj, [b], local, blocked)
+    k = len(local)
+    new = array("q", old)
+    if w_old is None or (w_new is not None and w_new <= w_old):
+        for i, x in enumerate(da):
+            if x < MATRIX_SENTINEL:
+                x += w_new
+                row = i * k
+                for j, y in enumerate(db):
+                    if x + y < new[row + j]:
+                        new[row + j] = x + y
+        return new
+    rows = [
+        i
+        for i, x in enumerate(da)
+        if x < MATRIX_SENTINEL
+        and any(old[i * k + j] == x + w_old + y for j, y in enumerate(db) if y < MATRIX_SENTINEL)
+    ]
+    if rows:
+        fresh = _dijkstra_rows(adj, [local[i] for i in rows], local, blocked)
+        for n, i in enumerate(rows):
+            new[i * k : (i + 1) * k] = fresh[n * k : (n + 1) * k]
+    return new
 
 
 # ----------------------------------------------------------------------

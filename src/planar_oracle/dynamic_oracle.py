@@ -5,16 +5,17 @@ graph, a strict boundary matrix per region, and public vertex/arc ids that
 stay stable across internal rebuilds.  Updates touch only the regions they
 land in:
 
-* weight changes recompute one region matrix (each matrix depends only on
-  its own region's arcs, so every other region's matrix stays
-  bit-identical),
+* a weight change repairs one region matrix, re-running only what the
+  changed arc can affect (``ddg.repair_strict_matrix``); each matrix
+  depends only on its own region's arcs, so every other region's matrix
+  stays bit-identical, and setting an arc's current weight changes nothing,
 * edge insertions first decide planarity locally, before anything changes:
   one walk of the face at the tail's splice corner, plus a search of the
   tail's component when the walk misses the head's corner; accepted arcs
-  are spliced in and the regions whose arc set or boundary grew are
-  recomputed,
-* edge deletions shrink one region, leaving its old boundary as a valid
-  superset,
+  are spliced in, the region that takes the arc repairs its matrix, and
+  every region whose boundary grew is recomputed,
+* edge deletions shrink one region and repair its matrix, leaving its old
+  boundary as a valid superset,
 * vertex deletions take the vertex and its arcs out of every region that
   holds them and recompute those regions, so no region names a dead vertex.
 
@@ -34,10 +35,10 @@ all the decomposition reads, as it was.
 
 A query is one A* scan from u toward v over a union of every region matrix
 plus the raw arcs of u's and v's regions.  The matrix part is one
-``DdgUnion``, built on first use and kept across queries: a recomputed
-region whose boundary is unchanged (a weight change, a deletion that keeps
-the boundary, an arc re-inserted between its old ends) swaps its new matrix
-into its slot, and any other change drops the union for the next query to
+``DdgUnion``, built on first use and kept across queries: a region whose
+new matrix keeps its boundary (a weight change, a deletion that keeps the
+boundary, an arc re-inserted between its old ends) swaps it into its
+slot, and any other change drops the union for the next query to
 rebuild.  Each query overlays only the one or two raw members, each built
 on first use and kept until its region changes.
 
@@ -71,7 +72,7 @@ from .graph import (
     dart_target,
 )
 from .decomposition import build_decomposition
-from .ddg import DenseDistanceGraph, strict_matrix
+from .ddg import DenseDistanceGraph, repair_strict_matrix, strict_matrix
 from .failure_oracle import _FAR, landmark_potential, landmark_tables
 from .frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 
@@ -224,16 +225,25 @@ class DynamicOracle:
             (self.arc_tail[a], self.arc_head[a], self.arc_weight[a]) for a in sorted(reg.arcs)
         )
 
-    def _recompute(self, ri: int) -> None:
-        """Strict boundary-to-boundary matrix of region ri, public ids.  The
-        region's raw member is rebuilt on its next use; the kept union takes
-        the new matrix into the region's slot if the boundary is unchanged,
-        and is dropped otherwise."""
+    def _recompute(self, ri: int, change=None) -> None:
+        """Strict boundary-to-boundary matrix of region ri, public ids.
+
+        ``change`` is (tail, head, old weight, new weight), None for an arc
+        absent on that side, when one arc of the region is all that changed
+        since its matrix was made.  If the boundary is also unchanged, the
+        old matrix is repaired (``repair_strict_matrix``); otherwise every
+        row is recomputed.  The region's raw member is rebuilt on its next
+        use; the kept union takes the new matrix into the region's slot if
+        the boundary is unchanged, and is dropped otherwise."""
         reg = self.regions[ri]
         old = reg.ddg
         verts = tuple(sorted(reg.vertices))
         nodes = tuple(sorted(reg.boundary))
-        matrix = strict_matrix(verts, nodes, self._arc_triples(reg))
+        arcs = list(self._arc_triples(reg))
+        if change is not None and old is not None and old.nodes == nodes:
+            matrix = repair_strict_matrix(verts, nodes, arcs, old.matrix, *change)
+        else:
+            matrix = strict_matrix(verts, nodes, arcs)
         reg.ddg = DenseDistanceGraph(nodes, matrix)
         reg.member = None
         if self._union is not None:
@@ -281,14 +291,17 @@ class DynamicOracle:
     def set_weight(self, arc: int, weight: int) -> None:
         self._check_alive_arc(arc)
         _check_weight(weight)
-        weight_sum = self.weight_sum + weight - self.arc_weight[arc]
+        old = self.arc_weight[arc]
+        if weight == old:
+            return
+        weight_sum = self.weight_sum + weight - old
         self._check_budget(weight_sum)
-        lower = weight < self.arc_weight[arc]
         self.arc_weight[arc] = weight
         self.weight_sum = weight_sum
-        self._recompute(self.region_of_arc[arc])
-        if lower:
-            self._lower(self.arc_tail[arc], self.arc_head[arc], weight)
+        tail, head = self.arc_tail[arc], self.arc_head[arc]
+        self._recompute(self.region_of_arc[arc], (tail, head, old, weight))
+        if weight < old:
+            self._lower(tail, head, weight)
 
     def insert_vertex(self) -> int:
         self.v_alive.append(True)
@@ -358,7 +371,7 @@ class DynamicOracle:
             self._rebuild()
         else:
             for rj in sorted(touched):
-                self._recompute(rj)
+                self._recompute(rj, (tail, head, None, weight) if rj == ri else None)
             self._lower(tail, head, weight)
         return arc
 
@@ -370,7 +383,7 @@ class DynamicOracle:
         self.weight_sum -= self.arc_weight[arc]
         ri = self.region_of_arc.pop(arc)
         self.regions[ri].arcs.discard(arc)
-        self._recompute(ri)
+        self._recompute(ri, (self.arc_tail[arc], self.arc_head[arc], self.arc_weight[arc], None))
 
     def delete_vertex(self, v: int) -> None:
         """Remove a vertex and every arc touching it."""

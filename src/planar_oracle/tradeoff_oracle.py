@@ -99,13 +99,23 @@ class TradeoffOracle(FailureOracle):
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
         # exit piece's boundary
         self.vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-        # exit piece -> its boundary-to-vertices table; an exit's parent has
-        # more than r vertices, and a tuple of the whole division has none
+        # exit piece -> its boundary-to-vertices table.  A piece is an exit
+        # of some tuple exactly when its parent has more than r vertices (it
+        # hangs off a division piece's root path) and at least k + 1
+        # division pieces lie outside it (it holds no tuple piece)
         pieces = tree.pieces
+        under = [0] * len(pieces)  # division pieces at or below each piece
+        for pid in rdiv:
+            under[pid] = 1
+        for p in reversed(pieces):  # children before parents
+            if p.parent is not None:
+                under[p.parent] += under[p.id]
         self.piece_tables: dict[int, array] = {
             p.id: compute_piece_distance_table(g, p)
             for p in pieces
-            if k + 1 < len(rdiv) and p.parent is not None and len(pieces[p.parent].vertices) > r
+            if p.parent is not None
+            and len(pieces[p.parent].vertices) > r
+            and len(rdiv) - under[p.id] > k
         }
 
     # -- build ---------------------------------------------------------------

@@ -6,6 +6,7 @@ from array import array
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planar_oracle.baseline import sssp
 from planar_oracle.ddg import (
@@ -14,9 +15,12 @@ from planar_oracle.ddg import (
     compute_ddg_internal,
     compute_leaf_ddg,
     compute_piece_distance_table,
+    repair_strict_matrix,
+    strict_matrix,
 )
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.frdijkstra import multi_dijkstra
+from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
 from conftest import built_store, compute_ddg, in_piece_distance, leaves, minplus_closure
@@ -213,3 +217,56 @@ def test_store_memoizes(setup8):
 def test_ddg_validation():
     with pytest.raises(ValueError):
         DenseDistanceGraph((0, 1), array("q", [0]))
+
+
+REPAIR_GRAPHS = [
+    generate_grid(4, 4, max_weight=6, seed=4),
+    generate_grid(6, 5, max_weight=6, seed=5),
+    generate_random_triangulation(30, max_weight=6, seed=6),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    gi=st.integers(0, len(REPAIR_GRAPHS) - 1),
+    pick=st.integers(0, 10**6),
+    others=st.lists(st.integers(0, 10**6), max_size=8),
+    tail_node=st.booleans(),
+    head_node=st.booleans(),
+    kind=st.sampled_from(["cut", "raise", "equal", "zero", "delete", "insert"]),
+    w=st.integers(0, 9),
+    dw=st.integers(1, 9),
+    zeros=st.booleans(),
+)
+def test_repair_matches_strict_matrix(
+    gi, pick, others, tail_node, head_node, kind, w, dw, zeros
+):
+    # one arc changes; the repaired matrix is the one strict_matrix computes
+    # from scratch, byte for byte, whether or not the arc's ends are nodes
+    g = REPAIR_GRAPHS[gi]
+    arcs = [(t, h, wt % 3 if zeros else wt) for t, h, wt in g.arcs]
+    i = pick % len(arcs)
+    t, h, _ = arcs[i]
+    nodes = {x % g.n for x in others} - {t, h}
+    if tail_node:
+        nodes.add(t)
+    if head_node:
+        nodes.add(h)
+    nodes = sorted(nodes)
+    w_old, w_new = {
+        "cut": (w + dw, w),
+        "raise": (w, w + dw),
+        "equal": (w, w),
+        "zero": (dw, 0),
+        "delete": (w, None),
+        "insert": (None, w),
+    }[kind]
+
+    def arcs_with(wt):
+        return arcs[:i] + ([] if wt is None else [(t, h, wt)]) + arcs[i + 1 :]
+
+    vertices = range(g.n)
+    old = strict_matrix(vertices, nodes, arcs_with(w_old))
+    after = arcs_with(w_new)
+    got = repair_strict_matrix(vertices, nodes, after, old, t, h, w_old, w_new)
+    assert got.tobytes() == strict_matrix(vertices, nodes, after).tobytes()

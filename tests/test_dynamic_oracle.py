@@ -9,6 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from planar_oracle import dynamic_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
+from planar_oracle.ddg import strict_matrix
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.failure_oracle import ACTIVE_LANDMARKS, _FAR
 from planar_oracle.frdijkstra import DdgUnion
@@ -187,6 +188,16 @@ def assert_structure(dyn):
         assert len(reg.boundary) <= max(2 * reg.divided_boundary, floor)
 
 
+def assert_matrices_fresh(dyn):
+    """Every region's matrix, repaired or recomputed, is the one
+    strict_matrix builds from the region's current arcs, byte for byte."""
+    for ri, reg in enumerate(dyn.regions):
+        nodes = tuple(sorted(reg.boundary))
+        want = strict_matrix(sorted(reg.vertices), nodes, dyn._arc_triples(reg))
+        assert reg.ddg.nodes == nodes, ri
+        assert reg.ddg.matrix.tobytes() == want.tobytes(), ri
+
+
 def assert_answers(dyn, rng, queries):
     snap, vmap, _ = dyn.export_graph()
     idx = {p: i for i, p in enumerate(vmap)}
@@ -317,6 +328,82 @@ def test_weight_changes_never_rebuild():
     before = region_state(dyn)
     dyn._rebuild()
     assert region_state(dyn) == before
+
+
+def test_same_weight_changes_nothing():
+    dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
+    u = interior_vertex(dyn)
+    arc = next(a for a in dyn.rot[u] if dyn.arc_tail[a] == u)
+    dyn.distance(u, 35)
+    reg = dyn.regions[dyn.region_of_arc[arc]]
+    kept = (reg.ddg, reg.member, dyn._union)
+    assert None not in kept
+    with pytest.raises(ValueError):
+        dyn.set_weight(arc, -1)
+    dyn.set_weight(arc, dyn.arc_weight[arc])
+    assert all(x is y for x, y in zip((reg.ddg, reg.member, dyn._union), kept))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate_grid(10, 10, max_weight=9, seed=4),
+        generate_random_triangulation(120, max_weight=9, seed=4),
+    ],
+    ids=["grid10", "tri120"],
+)
+def test_repaired_matrices_match_fresh(g, monkeypatch):
+    # every update kind, on arcs with neither, one or both ends on a
+    # region boundary; after each, every region matrix is strict_matrix's
+    repairs = []
+
+    def spy(vertices, nodes, arcs, old, tail, head, w_old, w_new):
+        repairs.append((tail in nodes, head in nodes))
+        return repair(vertices, nodes, arcs, old, tail, head, w_old, w_new)
+
+    repair = dynamic_oracle.repair_strict_matrix
+    monkeypatch.setattr(dynamic_oracle, "repair_strict_matrix", spy)
+    dyn = DynamicOracle(g, r=16)
+    rng = random.Random(f"repair-{g.n}")
+    kinds = ["cut", "zero", "raise", "same", "delete", "reinsert", "vertex", "drop_vertex"]
+    for step in range(240):
+        kind = kinds[step % len(kinds)]
+        # cycle through the four ways an arc's ends can lie on a boundary
+        ends = divmod(step // len(kinds) % 4, 2)
+        arcs = [
+            a
+            for a in alive_arcs_of(dyn)
+            if (
+                dyn.arc_tail[a] in dyn.regions[dyn.region_of_arc[a]].boundary,
+                dyn.arc_head[a] in dyn.regions[dyn.region_of_arc[a]].boundary,
+            )
+            == ends
+        ] or alive_arcs_of(dyn)
+        a = rng.choice(arcs)
+        old = dyn.arc_weight[a]
+        if kind == "cut":
+            dyn.set_weight(a, rng.randrange(old + 1))
+        elif kind == "zero":
+            dyn.set_weight(a, 0)
+        elif kind == "raise":
+            dyn.set_weight(a, old + rng.randint(1, 9))
+        elif kind == "same":
+            dyn.set_weight(a, old)
+        elif kind == "delete":
+            dyn.delete_edge(a)
+        elif kind == "reinsert":
+            reinsert(dyn, a, rng.randint(0, 9))
+        elif kind == "vertex":
+            x = dyn.insert_vertex()
+            hub = interior_vertex(dyn)
+            insert_anywhere(dyn, hub, x, rng.randint(0, 9))
+            insert_anywhere(dyn, x, hub, rng.randint(0, 9))
+        else:
+            dyn.delete_vertex(rng.choice(alive_vertices_of(dyn)))
+        assert_matrices_fresh(dyn)
+    assert_answers(dyn, rng, 40)
+    # repairs ran with every boundary role of the arc's ends
+    assert set(repairs) == {(False, False), (True, False), (False, True), (True, True)}
 
 
 @pytest.mark.parametrize(
@@ -578,6 +665,10 @@ class DynamicMachine(RuleBasedStateMachine):
     @invariant()
     def region_structure(self):
         assert_structure(self.dyn)
+
+    @invariant()
+    def region_matrices_fresh(self):
+        assert_matrices_fresh(self.dyn)
 
 
 TestDynamicMachine = DynamicMachine.TestCase
