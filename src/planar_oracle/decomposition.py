@@ -26,7 +26,6 @@ __all__ = [
     "DecompositionTree",
     "build_decomposition",
     "child_boundary",
-    "highest_excluding_ancestor",
 ]
 
 
@@ -104,13 +103,6 @@ class DecompositionTree:
                 stack.append((c, False))
 
     # -- navigation -------------------------------------------------------
-
-    def sibling_of(self, node: int) -> int | None:
-        par = self.pieces[node].parent
-        if par is None:
-            return None
-        a, b = self.pieces[par].children
-        return b if node == a else a
 
     def root_path(self, node: int) -> Iterable[int]:
         """Node ids from ``node`` up to and including the root."""
@@ -241,31 +233,6 @@ def build_decomposition(
     rs.sort()
 
     return DecompositionTree(g, pieces, tuple(rs))
-
-
-def highest_excluding_ancestor(
-    tree: DecompositionTree,
-    node: int,
-    forbidden: Iterable[int],
-) -> int:
-    """Highest ancestor of ``node`` whose vertex set avoids ``forbidden``.
-
-    With nothing forbidden this is the root.  Raises ValueError if a
-    forbidden vertex already sits inside the starting piece.
-    """
-    forb = sorted(set(forbidden))
-    piece = tree.pieces[node]
-    if any(piece.contains(x) for x in forb):
-        raise ValueError("forbidden vertex inside the starting piece")
-    best = node
-    cur = piece.parent
-    while cur is not None:
-        p = tree.pieces[cur]
-        if any(p.contains(x) for x in forb):
-            break
-        best = cur
-        cur = p.parent
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -193,10 +193,6 @@ class MultiDijkstraResult:
         d = self.raw(v)
         return UNREACHABLE if d >= MATRIX_SENTINEL else d
 
-    def items(self):
-        dist = self.dist
-        return ((v, dist[v]) for v in self.vertices if dist[v] < MATRIX_SENTINEL)
-
 
 def multi_dijkstra(
     members: Sequence,

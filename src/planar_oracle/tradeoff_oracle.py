@@ -15,15 +15,20 @@ matrices (``external.tuple_exits``, the walk a query's union also takes,
 ``DecompositionTree.cover``).  Set-up, at build and load alike, builds a
 boundary-to-everything table for every piece that can be an exit.
 
-A query picks a tuple that covers u and the failed vertices (one piece
-each), reads the precomputed matrices, and runs one small union A* scan
-toward v that stops when v settles.  Each y of ∂T has an exit arc y -> v
-whose length is the best directional row entry plus the table hop from
-the exit piece's boundary to v; it is read only if y settles.  Queries
-whose layout the main path cannot serve run the failure oracle's query
-instead, over the same strict matrices; it is the same kind of
-target-stopped scan and is exact for any failed set.  Either way the
-query returns its scan, and the oracle is not changed by it.
+A query reads the tables of one tuple: the home pieces (each vertex's
+division piece above its home leaf) of u and the failed vertices.  When
+v's home piece is among them, or there is room for it, v joins them and
+the scan needs no exit; the first other division pieces pad the tuple to
+k + 1.  Otherwise v lies in one exit piece of the tuple, and each y of ∂T
+has an exit arc y -> v whose length is the best directional row entry
+plus the table hop from the exit piece's boundary to v; it is read only
+if y settles.  Either way one small union A* scan over the tuple's
+matrices runs toward v and stops when v settles.  The exit tables ignore
+failures, so a query with a failed vertex in v's exit piece, or one that
+no stored tuple fits, runs the failure oracle's query instead, over the
+same strict matrices; it is the same kind of target-stopped scan and is
+exact for any failed set.  Either way the query returns its scan, and
+the oracle is not changed by it.
 """
 
 from __future__ import annotations
@@ -34,12 +39,8 @@ from bisect import bisect_left
 from operator import add
 from typing import Iterable
 
-from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, sorted_contains
-from .decomposition import (
-    DecompositionTree,
-    build_decomposition,
-    highest_excluding_ancestor,
-)
+from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
+from .decomposition import DecompositionTree, build_decomposition
 from .ddg import (
     DenseDistanceGraph,
     compute_leaf_ddg,  # unused here: perfbench/tracing.py wraps this name
@@ -78,10 +79,9 @@ class TradeoffOracle(FailureOracle):
         self._build()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
-        """Fix the r-division, index for each vertex the division pieces
-        that hold it, in division order, and build the exit pieces' tables.
-        r must be marked and no leaf may have more than r vertices, or that
-        leaf lies under no division piece."""
+        """Fix the r-division, index each vertex's home piece, and build
+        the exit pieces' tables.  r must be marked and no leaf may have more
+        than r vertices, or that leaf lies under no division piece."""
         rdiv = tree.r_division(r)
         if any(p.is_leaf and len(p.vertices) > r for p in tree.pieces):
             raise ValueError(f"r={r} is smaller than a leaf of the tree")
@@ -89,11 +89,17 @@ class TradeoffOracle(FailureOracle):
         self.r = r
         self.k = k
         self.rdiv: tuple[int, ...] = rdiv
-        held: list[list[int]] = [[] for _ in range(g.n)]
-        for pid in rdiv:
-            for w in tree.pieces[pid].vertices:
-                held[w].append(pid)
-        self._rdiv_of: list[tuple[int, ...]] = [tuple(pids) for pids in held]
+        pieces = tree.pieces
+        # the division piece at or above each piece, None above the division
+        division = set(rdiv)
+        above: list[int | None] = []
+        for p in pieces:  # parents before children
+            if p.id in division:
+                above.append(p.id)
+            else:
+                above.append(None if p.parent is None else above[p.parent])
+        # home piece: the division piece above each vertex's home leaf
+        self._home: tuple[int, ...] = tuple(above[leaf] for leaf in tree.leaf_of)
 
         self.ext: dict[tuple[int, ...], DenseDistanceGraph] = {}
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
@@ -103,7 +109,6 @@ class TradeoffOracle(FailureOracle):
         # of some tuple exactly when its parent has more than r vertices (it
         # hangs off a division piece's root path) and at least k + 1
         # division pieces lie outside it (it holds no tuple piece)
-        pieces = tree.pieces
         under = [0] * len(pieces)  # division pieces at or below each piece
         for pid in rdiv:
             under[pid] = 1
@@ -124,11 +129,9 @@ class TradeoffOracle(FailureOracle):
         """(ids, ``tuple_exits(ids)``) of every (k+1)-tuple T of the
         r-division, in build and file order.
 
-        They hold every exit a query reads.  ``_plan``'s ``q_node`` holds
-        no tuple piece: each chosen piece holds u or a failed vertex, which
-        ``q_node`` excludes, and each pad is picked outside it.  Its sibling
-        ``s_node`` is above the tuple piece ``r_i``, so ``q_node`` hangs
-        off ``r_i``'s root path."""
+        They hold every exit a query reads: ``_plan``'s exit piece holds no
+        tuple piece and its parent holds one, so it hangs off that piece's
+        root path."""
         # combinations allocates k + 1 indices even when it yields nothing
         if self.k >= len(self.rdiv):
             return
@@ -142,15 +145,6 @@ class TradeoffOracle(FailureOracle):
             self.vor.update(rows)
 
     # -- query helpers ---------------------------------------------------------
-
-    def _canonical_rdiv(self, w: int) -> int:
-        """The division piece above w's home leaf."""
-        tree = self.tree
-        leaf = tree.leaf_of[w]
-        for pid in self._rdiv_of[w]:
-            if tree.is_ancestor(pid, leaf):
-                return pid
-        raise AssertionError("no division piece holds the home leaf")
 
     def _validate(self, u: int, v: int, failed: Iterable[int]) -> tuple[int, ...]:
         x = super()._validate(u, v, failed)
@@ -171,74 +165,57 @@ class TradeoffOracle(FailureOracle):
         return self._main(u, v, x, ids, q)
 
     def _plan(self, u: int, v: int, x: tuple[int, ...]):
-        """Choose the tuple and exit piece, or None when only the fallback
-        layout works."""
-        tree = self.tree
-        rdiv_of = self._rdiv_of
-        anchors_needed = (u,) + x
-        # trigger: two covered vertices inside one division piece; the
-        # anchors are distinct, so that is a piece listed twice
-        held = [pid for w in anchors_needed for pid in rdiv_of[w]]
-        anchored = set(held)
-        if len(anchored) < len(held):
-            return None
-        free_v = [pid for pid in rdiv_of[v] if pid not in anchored]
-        if not free_v:
-            return None
-        r_v = free_v[0]
-        q_node = highest_excluding_ancestor(tree, r_v, anchors_needed)
-        # q_node is not the root, which holds u
-        s_node = tree.sibling_of(q_node)
-        spiece = tree.pieces[s_node]
-        inside_s = [w for w in anchors_needed if spiece.contains(w)]
-        if u in inside_s:
-            i = u
-        else:
-            i = min(inside_s)
-        arc = self._first_arc_at(spiece, i)
-        if arc is None:
-            return None
-        # the division piece under s_node owning that arc; s_node's parent
-        # holds r_v, so the division pieces under s_node partition its arcs
-        under = (pid for pid in self.rdiv if tree.is_ancestor(s_node, pid))
-        r_i = next(pid for pid in under if sorted_contains(tree.pieces[pid].arcs, arc))
-        anchors = {i: r_i}
-        for w in anchors_needed:
-            if w != i:
-                anchors[w] = self._canonical_rdiv(w)
-        # distinct: the trigger rejected a division piece holding two anchors
-        chosen = sorted(anchors.values())
-        pads: list[int] = []
-        need = self.k + 1 - len(chosen)
-        if need:
-            taken = set(chosen)
+        """``(ids, q)``: the stored tuple ``ids`` and v's exit piece q, or
+        q None when v resides in the tuple; None when only the fallback
+        works.
+
+        ``chosen`` holds the home pieces of u and the failed vertices.  When
+        it holds v's too, or has room for it, v resides in the tuple: v's
+        home piece joins, and the first division pieces not chosen, in id
+        order, pad the tuple to k + 1; with fewer division pieces no stored
+        tuple fits.  Otherwise the k + 1 home pieces are distinct and v's
+        lies outside them.  q is then the highest ancestor-or-self of v's
+        home leaf that holds no tuple piece; its parent holds one, so q is
+        one of ``tuple_exits(ids)`` and has a piece table.  That table and
+        the ``vor`` rows ignore failures, so a failed vertex in q leaves the
+        query to the fallback.
+
+        Both plans are exact.  A pad never hides a failure: a failed vertex
+        strictly inside a division piece has that piece as its home piece,
+        so it lies in a chosen piece, whose cover ``_assembly`` refines
+        around it.  A failed vertex on a pad's boundary, or in any other
+        piece, lies on its home piece's boundary and so on ∂T, where the
+        scan blocks it and no ext(T) or ``vor`` path passes through it.  On
+        a resident plan v is a node because its home leaf is a member."""
+        home = self._home
+        chosen = {home[w] for w in (u, *x)}
+        if home[v] in chosen or len(chosen) <= self.k:
+            chosen.add(home[v])
             for pid in self.rdiv:
-                if len(pads) == need:
+                if len(chosen) > self.k:
                     break
-                if pid in taken:
-                    continue
-                if self.tree.is_ancestor(q_node, pid):
-                    continue
-                if pid in rdiv_of[v]:
-                    continue
-                pads.append(pid)
-            if len(pads) < need:
+                chosen.add(pid)
+            if len(chosen) <= self.k:
                 return None
-        ids = tuple(sorted(chosen + pads))
-        return ids, q_node
+            return tuple(sorted(chosen)), None
+        ids = tuple(sorted(chosen))
+        tree = self.tree
+        pieces = tree.pieces
+        q = tree.leaf_of[v]
+        # the root holds every tuple piece, so the walk stops below it
+        while not any(tree.is_ancestor(pieces[q].parent, pid) for pid in ids):
+            q = pieces[q].parent
+        if any(pieces[q].contains(f) for f in x):
+            return None
+        return ids, q
 
-    def _first_arc_at(self, piece, i: int) -> int | None:
-        """The smallest arc of ``piece`` with i as an end, or None."""
-        arcs = piece.arcs
-        return min((a for a in self.graph.rotation[i] if sorted_contains(arcs, a)), default=None)
-
-    def _assembly(self, ids, u, x):
+    def _assembly(self, ids, residents, x):
         """Union members for a stored tuple under failures: ext of the
         tuple, then per tuple piece its strict matrix when no resident's
         home leaf lies under it, and otherwise those home leaves as their
         own arcs and the strict matrices of the unmarked siblings hanging
-        off their paths up to the piece.  The residents are u and the failed
-        vertices.
+        off their paths up to the piece.  The residents are u, the failed
+        vertices and, on a plan with no exit piece, v.
 
         A resident whose home leaf lies outside the piece necessarily sits
         on the piece boundary, so the strict matrix already exposes it as a
@@ -247,7 +224,7 @@ class TradeoffOracle(FailureOracle):
         tree = self.tree
         marked = self._marked(x)
         strict = self.store.strict
-        homes = dict.fromkeys(tree.leaf_of[w] for w in (u, *x))
+        homes = dict.fromkeys(tree.leaf_of[w] for w in residents)
         members = [self.ext[ids]]
         for pid in ids:
             leaves = [leaf for leaf in homes if tree.is_ancestor(pid, leaf)]
@@ -258,29 +235,34 @@ class TradeoffOracle(FailureOracle):
             members.extend(strict(sib) for sib in tree.cover(leaves, marked, pid))
         return members
 
-    def _main(self, u, v, x, ids, q_node):
+    def _main(self, u, v, x, ids, q):
         """One union A* scan from u toward v over the tuple's assembly,
-        stopped when v settles.  Each unfailed y of ∂T has an exit arc
-        y -> v of length c(y) = min over s in ∂Q of vor(T, Q, y)[s] + hop[s],
-        computed only if y settles.  c(y) is the length of a path in the
-        graph, so it bounds the landmark potential π(y) from above and π
-        stays consistent; v's label is min(d(v), min over y of d(y) + c(y))."""
-        members = self._assembly(ids, u, x)
-        vertices = self.tree.pieces[q_node].vertices
-        # hop[i]: in-piece distance from the i-th exit boundary vertex to v,
-        # the table's column of v
-        hop = self.piece_tables[q_node][bisect_left(vertices, v) :: len(vertices)]
-        vor = self.vor
+        stopped when v settles.  With no exit piece (q None) v is a
+        resident and the union alone reaches it.  Otherwise each unfailed y
+        of ∂T has an exit arc y -> v of length
+        c(y) = min over s in ∂Q of vor(T, Q, y)[s] + hop[s], computed only
+        if y settles.  c(y) is the length of a path in the graph, so it
+        bounds the landmark potential π(y) from above and π stays
+        consistent; v's label is min(d(v), min over y of d(y) + c(y))."""
+        if q is None:
+            residents, exit_cost = (u, *x, v), None
+        else:
+            residents = (u, *x)
+            vertices = self.tree.pieces[q].vertices
+            # hop[i]: in-piece distance from the i-th exit boundary vertex
+            # to v, the table's column of v
+            hop = self.piece_tables[q][bisect_left(vertices, v) :: len(vertices)]
+            vor = self.vor
 
-        def exit_cost(y: int) -> int:
-            row = vor.get((ids, q_node, y))
-            if row is None:  # y is not on ∂T
-                return MATRIX_SENTINEL
-            # a sum with an unreachable part stays at or above MATRIX_SENTINEL
-            return min(map(add, row, hop), default=MATRIX_SENTINEL)
+            def exit_cost(y: int) -> int:
+                row = vor.get((ids, q, y))
+                if row is None:  # y is not on ∂T
+                    return MATRIX_SENTINEL
+                # a sum with an unreachable part stays at or above MATRIX_SENTINEL
+                return min(map(add, row, hop), default=MATRIX_SENTINEL)
 
         return multi_dijkstra(
-            members,
+            self._assembly(ids, residents, x),
             [(u, 0)],
             forbidden=x,
             target=v,

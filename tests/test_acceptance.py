@@ -143,7 +143,7 @@ def test_criterion_1_failure_oracle_exactness(suite1, capsys):
 def test_criterion_2_tradeoff_oracle_exactness(trade_small, trade_wide, capsys):
     t0 = time.monotonic()
     g8, small, small_secs = trade_small
-    home = [small._canonical_rdiv(v) for v in range(g8.n)]
+    home = small._home
     adj8 = _adjacency(g8)
     rows = {}
     checked = exhaustive = bad = spot_bad = 0

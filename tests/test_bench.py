@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +118,25 @@ def test_tracer_targets_exist(monkeypatch):
     finally:
         tracer.close()
     assert ddg.compute_ddg_internal is strict
+
+
+@pytest.mark.parametrize(
+    "workload", ["failure-grid", "failure-tri", "tradeoff-grid", "dynamic-grid"]
+)
+def test_perfbench_smoke(workload):
+    # a short traced run of each workload: the benchmark reads oracle
+    # attributes by name (``vor``, ``ext``, ``store``, ``regions``), so a
+    # rename must fail here rather than as a failed benchmark run
+    proc = subprocess.run(
+        [
+            sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
+            "--seed", "1", "--ops", "24", "--trace", "1",
+        ],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
 
 
 def test_leaf_hook_reached(grid8, monkeypatch):

@@ -5,11 +5,7 @@ import random
 
 import pytest
 
-from planar_oracle.decomposition import (
-    _split_piece,
-    build_decomposition,
-    highest_excluding_ancestor,
-)
+from planar_oracle.decomposition import _split_piece, build_decomposition
 
 from conftest import leaves
 
@@ -137,16 +133,6 @@ def test_is_ancestor_matches_root_path(tree8):
         assert tree8.is_ancestor(a, b) == (a in set(tree8.root_path(b)))
 
 
-def test_sibling_of(tree8):
-    assert tree8.sibling_of(0) is None
-    for p in tree8.pieces:
-        if p.id == 0:
-            continue
-        sib = tree8.sibling_of(p.id)
-        assert sib is not None and sib != p.id
-        assert tree8.pieces[sib].parent == p.parent
-
-
 def _random_antichain(rng, tree, top):
     """Nodes strictly under ``top``, none an ancestor of another: each node
     met is dropped with its subtree, taken, or split into its children."""
@@ -184,7 +170,8 @@ def test_cover_tiles_top(name, request):
             paths.update(itertools.takewhile(lambda n: n != top, tree.root_path(s)))
         # each sibling of a path node once, strictly under top
         assert len(set(sibs)) == len(sibs)
-        assert set(sibs) == {tree.sibling_of(n) for n in paths}
+        pieces = tree.pieces
+        assert set(sibs) == {c for n in paths for c in pieces[pieces[n].parent].children if c != n}
         assert all(s != top and tree.is_ancestor(top, s) for s in sibs)
         # the starts and the siblings off their paths tile top's arcs once
         tiles = starts + tree.cover(starts, paths, top)
@@ -197,30 +184,6 @@ def test_cover_tiles_top(name, request):
         assert tree.cover(starts, skip, top) == [s for s in sibs if s not in skip]
         checked += 1
     assert checked >= 300
-
-
-def test_highest_excluding_ancestor(tree8):
-    rng = random.Random(1)
-    for _ in range(60):
-        leaf = rng.choice(leaves(tree8))
-        piece = tree8.pieces[leaf]
-        outside = [
-            v for v in tree8.pieces[0].vertices if not piece.contains(v)
-        ]
-        forb = rng.sample(outside, min(3, len(outside)))
-        top = highest_excluding_ancestor(tree8, leaf, forb)
-        assert tree8.is_ancestor(top, leaf)
-        assert not any(tree8.pieces[top].contains(x) for x in forb)
-        par = tree8.pieces[top].parent
-        if par is not None:
-            assert any(tree8.pieces[par].contains(x) for x in forb)
-
-
-def test_highest_excluding_rejects_inside(tree8):
-    leaf = leaves(tree8)[0]
-    inside = tree8.pieces[leaf].vertices[0]
-    with pytest.raises(ValueError):
-        highest_excluding_ancestor(tree8, leaf, [inside])
 
 
 def test_degenerate_graphs(single, disconnected, path12):

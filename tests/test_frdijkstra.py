@@ -298,8 +298,7 @@ def test_cone_structure(grid8):
     assert 5 in members[0].nodes
     # one member per root-path sibling
     leaf = tree.leaf_of[5]
-    sibs = [tree.sibling_of(x) for x in tree.root_path(leaf)]
-    assert len(members) == 1 + sum(1 for s in sibs if s is not None)
+    assert len(members) == 1 + len(tree.cover([leaf]))
 
 
 def test_error_cases():
@@ -322,9 +321,8 @@ def test_counters_and_metadata():
     assert 0 < res.settled <= len(res.vertices)
     assert res.relaxations >= 0
     assert res.union_vertices == sum(len(m.nodes) for m in members)
-    for v, d in res.items():
-        assert d < MATRIX_SENTINEL
-        assert res.raw(v) == d
+    for v in res.vertices:
+        assert res.raw(v) == res.dist[v]
     # absent vertex
     assert res.raw(999) == MATRIX_SENTINEL
     assert res.label(999) == UNREACHABLE
@@ -349,7 +347,8 @@ def test_relaxations_count_every_pair_examined():
         forb = rng.sample(ids, 3)
         if trial % 2:
             res = multi_dijkstra(union, [(src, 0)], forbidden=forb)
-            relaxed = [y for y, _ in res.items() if y == src or y not in forb]
+            reached = [y for y in res.vertices if res.raw(y) < MATRIX_SENTINEL]
+            relaxed = [y for y in reached if y == src or y not in forb]
             assert res.relaxations == sum(pairs(y) for y in relaxed)
         else:
             # exit_cost is read once for each settled, unblocked vertex
@@ -404,7 +403,7 @@ def test_held_result_keeps_its_labels():
     runs = []
     for v in union.vertices:
         res = multi_dijkstra(union, [(v, 0)], forbidden=union.vertices[:2])
-        runs.append((res, list(res.items())))
-    for res, items in runs:
-        assert list(res.items()) == items
-    assert len({tuple(items) for _, items in runs}) > 1
+        runs.append((res, [res.raw(v) for v in union.vertices]))
+    for res, labels in runs:
+        assert [res.raw(v) for v in union.vertices] == labels
+    assert len({tuple(labels) for _, labels in runs}) > 1

@@ -30,7 +30,7 @@ def to16(grid16):
 
 def test_exact_k1_both_paths(grid8, to8):
     rng = random.Random("to-k1")
-    main = fallback = 0
+    queries = []
     for qi in range(250):
         u, v = rng.randrange(64), rng.randrange(64)
         if u == v:
@@ -40,7 +40,12 @@ def test_exact_k1_both_paths(grid8, to8):
             c = rng.randrange(64)
             if c not in (u, v):
                 x.add(c)
-        if to8._plan(u, v, tuple(sorted(x))) is None:
+        queries.append((u, v, tuple(sorted(x))))
+    # few random queries fall back; these are built to
+    queries += _built_to_fall_back(to8, rng, 20)
+    main = fallback = 0
+    for u, v, x in queries:
+        if to8._plan(u, v, x) is None:
             fallback += 1
         else:
             main += 1
@@ -61,10 +66,13 @@ def test_loaded_oracle_builds_no_external_tables(tmp_path, grid8, to8, monkeypat
 
     monkeypatch.setattr(ExternalDdgBuilder, "ext", no_ext)
     rng = random.Random("to-no-ext")
-    main = fallback = 0
+    queries = []
     for _ in range(200):
         u, v, f = rng.sample(range(64), 3)
-        x = (f,) if rng.random() < 0.8 else ()
+        queries.append((u, v, (f,) if rng.random() < 0.8 else ()))
+    queries += _built_to_fall_back(loaded, rng, 20)
+    main = fallback = 0
+    for u, v, x in queries:
         if loaded._plan(u, v, x) is None:
             fallback += 1
         else:
@@ -182,9 +190,88 @@ def test_plan_exit_is_a_tuple_exit(request, name):
         plan = to._plan(u, v, x)
         if plan is not None:
             ids, q = plan
-            assert q in external.tuple_exits(to.tree, ids), (u, v, x)
+            # a plan with v resident in the tuple has no exit piece
+            assert q is None or q in external.tuple_exits(to.tree, ids), (u, v, x)
             main += 1
     assert main > 50
+
+
+@pytest.fixture(scope="module")
+def to8_k0(grid8):
+    return TradeoffOracle(grid8, r=32, k=0, leaf_size=8, r_base=4)
+
+
+def _home_piece(to, w):
+    """The division piece above w's home leaf, by search."""
+    tree = to.tree
+    (pid,) = [pid for pid in to.rdiv if tree.is_ancestor(pid, tree.leaf_of[w])]
+    return pid
+
+
+def _built_to_fall_back(to, rng, count):
+    """Up to ``count`` queries with a failed vertex on the boundary of v's
+    exit piece: u and k failed vertices in k + 1 distinct home pieces, and
+    v under an exit of their tuple that holds a failed vertex."""
+    if not to.k:
+        return []
+    tree = to.tree
+    out = []
+    for _ in range(200 * count):
+        if len(out) == count:
+            break
+        u, *x = rng.sample(range(to.graph.n), to.k + 1)
+        ids = tuple(sorted({_home_piece(to, w) for w in (u, *x)}))
+        if len(ids) <= to.k:
+            continue
+        holding = [
+            q for q in external.tuple_exits(tree, ids)
+            if any(tree.pieces[q].contains(f) for f in x)
+        ]
+        if not holding:
+            continue
+        q = rng.choice(holding)
+        under = [w for w in tree.pieces[q].vertices if tree.is_ancestor(q, tree.leaf_of[w])]
+        if under:
+            out.append((u, rng.choice(under), tuple(sorted(x))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["to8", "to16", "tri32", "to8_k0"])
+def test_plan_kinds(request, name):
+    # every query gets the plan the rule names: v resident in a stored
+    # tuple with every home piece, one exit that is v's piece of the
+    # anchors' tuple, or the fallback when that exit holds a failure
+    to = request.getfixturevalue(name)
+    tree = to.tree
+    assert len(to.rdiv) > to.k  # a stored tuple always fits
+    rng = random.Random(f"plan-kinds-{name}")
+    queries = list(_queries(rng, to.graph.n, to.k, 400)) + _built_to_fall_back(to, rng, 20)
+    kinds = {"resident": 0, "exit": 0, "fallback": 0}
+    for u, v, x in queries:
+        anchors = {_home_piece(to, w) for w in (u, *x)}
+        home_v = _home_piece(to, v)
+        plan = to._plan(u, v, x)
+        if home_v in anchors or len(anchors) <= to.k:
+            assert plan is not None, (u, v, x)
+            ids, q = plan
+            assert q is None and ids in to.ext, (u, v, x)
+            assert anchors | {home_v} <= set(ids), (u, v, x)
+            kinds["resident"] += 1
+            continue
+        ids = tuple(sorted(anchors))
+        leaf = tree.leaf_of[v]
+        (q,) = [e for e in external.tuple_exits(tree, ids) if tree.is_ancestor(e, leaf)]
+        if any(tree.pieces[q].contains(f) for f in x):
+            assert plan is None, (u, v, x)
+            kinds["fallback"] += 1
+        else:
+            assert plan == (ids, q), (u, v, x)
+            kinds["exit"] += 1
+    assert kinds["resident"] >= 10 and kinds["exit"] >= 10, kinds
+    if to.k:
+        assert kinds["fallback"] >= 10, kinds
+    else:  # with no failure, no exit piece can hold one
+        assert kinds["fallback"] == 0, kinds
 
 
 @pytest.mark.parametrize("name", ["to8", "to16", "tri32"])
@@ -262,11 +349,13 @@ def test_vor_rows_avoid_tuple_interiors(grid8, to8):
 
 
 def test_last_result_instrumentation(to8):
-    # each query returns its scan by value, on the main path and on the
-    # fallback alike
-    main, fallback = (0, 63, (30,)), (0, 63, (2,))
-    assert to8._plan(*main) is not None and to8._plan(*fallback) is None
-    for u, v, x in (main, fallback):
+    # each query returns its scan by value, on the main path, with an exit
+    # piece or with v resident, and on the fallback alike; 20 lies in v's
+    # exit piece of the tuple of u's and 20's home pieces
+    exit_, resident, fallback = (0, 63, (30,)), (0, 63, (2,)), (63, 0, (20,))
+    assert to8._plan(*exit_)[1] is not None and to8._plan(*resident)[1] is None
+    assert to8._plan(*fallback) is None
+    for u, v, x in (exit_, resident, fallback):
         res = to8.query_result(u, v, x)
         assert res.label(v) == to8.distance(u, v, x) != UNREACHABLE
         assert res.union_vertices > 0
@@ -332,28 +421,6 @@ def test_main_path_exact(request, graph, r, k, leaf_size, r_base):
     assert main > 20
 
 
-def _linear_first_arc(self, piece, i):
-    # the plan's arc search before it read i's rotation: the first arc of
-    # the piece, in id order, with i as an end
-    for a in piece.arcs:
-        if self.graph.tails[a] == i or self.graph.heads[a] == i:
-            return a
-    return None
-
-
-def test_plan_arc_search_matches_linear_scan(grid8, to8, to16, tri60, monkeypatch):
-    tri = TradeoffOracle(tri60, r=32, k=1, leaf_size=8, r_base=4)
-    plans = []
-    for to in (to8, to16, tri):
-        rng = random.Random("plan-arc")
-        for u, v, x in _queries(rng, to.graph.n, to.k, 600):
-            plans.append((to, u, v, x, to._plan(u, v, x)))
-    assert sum(1 for *_, plan in plans if plan is not None) >= 500
-    monkeypatch.setattr(TradeoffOracle, "_first_arc_at", _linear_first_arc)
-    for to, u, v, x, plan in plans:
-        assert to._plan(u, v, x) == plan, (u, v, x)
-
-
 @settings(max_examples=12, deadline=None)
 @given(
     kind=st.sampled_from(["grid", "tri"]),
@@ -391,18 +458,15 @@ def test_exit_cost_bounds_potential(kind, size, seed, k, pick):
     assert checked > 0 or not to.vor
 
 
-def test_division_index_matches_piece_search(tmp_path, to8, to16, tri60):
-    # the per-vertex division pieces _plan reads, on built and loaded oracles
-    tri = TradeoffOracle(tri60, r=32, k=1, leaf_size=8, r_base=4)
-    for to in (to8, to16, tri):
+def test_division_index_matches_piece_search(tmp_path, to8, to16, tri32):
+    # the home pieces _plan reads, on built and loaded oracles
+    for to in (to8, to16, tri32):
         path = tmp_path / "o.bin"
         save_oracle(to, path)
         for oracle in (to, load_oracle(path)):
-            pieces = oracle.tree.pieces
-            assert len(oracle._rdiv_of) == oracle.graph.n
+            assert len(oracle._home) == oracle.graph.n
             for w in range(oracle.graph.n):
-                want = [pid for pid in oracle.rdiv if pieces[pid].contains(w)]
-                assert list(oracle._rdiv_of[w]) == want, w
+                assert oracle._home[w] == _home_piece(oracle, w), w
 
 
 def test_huge_k_builds_no_tuples():
