@@ -23,12 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
 from .baseline import distance_avoiding
+from .decomposition import build_decomposition
 from .failure_oracle import FailureOracle
 from .generate import generate_grid, generate_random_triangulation
 from .oraclefile import save_oracle
 from .tradeoff_oracle import TradeoffOracle
 
-__all__ = ["BenchReport", "bench_config", "run_bench", "thread_cap"]
+__all__ = ["BenchReport", "bench_config", "build_oracle", "run_bench", "thread_cap"]
 
 _FIELDS = (
     "mode",
@@ -74,7 +75,7 @@ def bench_config(
     n: int,
     mode: str,
     seed: int = 0,
-    r: int = 64,
+    r: int | None = None,
     k: int = 1,
     leaf_size: int = 32,
     r_base: int = 4,
@@ -82,6 +83,7 @@ def bench_config(
     max_weight: int | None = 16,
 ) -> dict:
     """One sweep point.  kind is grid | tri, mode is failure | tradeoff.
+    r=None takes the smallest marked r (see ``build_oracle``), and
     max_weight=None benches the unit-weight instance."""
     if kind not in ("grid", "tri"):
         raise ValueError(f"unknown graph kind {kind!r}")
@@ -99,6 +101,16 @@ def bench_config(
         "queries": queries,
         "max_weight": max_weight,
     }
+
+
+def build_oracle(g, mode: str, r: int | None, k: int, leaf_size: int, r_base: int):
+    """A failure oracle, or a trade-off oracle over r and k.  r=None takes
+    the tree's smallest marked r, which no leaf exceeds; the failure oracle
+    reads neither r nor k."""
+    if mode == "failure":
+        return FailureOracle(g, leaf_size=leaf_size, r_base=r_base)
+    tree = build_decomposition(g, leaf_size, r_base)
+    return TradeoffOracle(g, r=tree.r_sequence[0] if r is None else r, k=k, tree=tree)
 
 
 def _make_graph(cfg: dict):
@@ -132,16 +144,7 @@ def _run_one(cfg: dict) -> dict:
     g = _make_graph(cfg)
 
     t0 = time.perf_counter()
-    if cfg["mode"] == "failure":
-        oracle = FailureOracle(g, leaf_size=cfg["leaf_size"], r_base=cfg["r_base"])
-    else:
-        oracle = TradeoffOracle(
-            g,
-            r=cfg["r"],
-            k=cfg["k"],
-            leaf_size=cfg["leaf_size"],
-            r_base=cfg["r_base"],
-        )
+    oracle = build_oracle(g, cfg["mode"], cfg["r"], cfg["k"], cfg["leaf_size"], cfg["r_base"])
     build_ms = (time.perf_counter() - t0) * 1e3
 
     fd, path = tempfile.mkstemp(suffix=".pox")
@@ -169,7 +172,7 @@ def _run_one(cfg: dict) -> dict:
     return {
         "mode": cfg["mode"],
         "n": g.n,
-        "r": cfg["r"] if cfg["mode"] == "tradeoff" else 0,
+        "r": oracle.r if cfg["mode"] == "tradeoff" else 0,
         "k": cfg["k"],
         "build_ms": round(build_ms, 3),
         "bytes_on_disk": size,

@@ -17,12 +17,11 @@ import sys
 from math import isqrt
 
 from .baseline import distance_avoiding
-from .bench import bench_config, run_bench
+from .bench import bench_config, build_oracle, run_bench
 from .dynamic_oracle import DynamicOracle
 from .generate import generate_grid, generate_random_triangulation
 from .graph import UNREACHABLE, EmbeddingError, GraphFormatError, load_graph, save_graph
 from .oraclefile import OracleFileError, load_oracle, save_oracle
-from .failure_oracle import FailureOracle
 from .tradeoff_oracle import TradeoffOracle
 
 __all__ = ["main"]
@@ -98,16 +97,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     g = load_graph(args.graph)
-    if args.mode == "failure":
-        oracle = FailureOracle(g, leaf_size=args.leaf_size, r_base=args.r_base)
-    else:
-        oracle = TradeoffOracle(
-            g,
-            r=args.r,
-            k=args.k,
-            leaf_size=args.leaf_size,
-            r_base=args.r_base,
-        )
+    oracle = build_oracle(g, args.mode, args.r, args.k, args.leaf_size, args.r_base)
     save_oracle(oracle, args.out)
     print(f"wrote {args.out}: mode={args.mode} n={g.n}")
     return EXIT_OK
@@ -168,11 +158,9 @@ def _cmd_bench(args) -> int:
     configs = []
     for mode in args.mode.split(","):
         mode = mode.strip()
-        if mode not in ("failure", "tradeoff"):
-            raise ValueError(f"unknown oracle mode {mode!r}")
         for n in args.n:
-            # failure mode reads no r; 64 only fills in the report's column
-            for r in args.r if mode == "tradeoff" else [64]:
+            # the failure oracle reads neither r nor k; its rows report r = 0
+            for r in args.r if mode == "tradeoff" else [None]:
                 for k in args.k if mode == "tradeoff" else [4]:
                     configs.append(
                         bench_config(
@@ -250,7 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an oracle file from a graph")
     p.add_argument("graph")
     p.add_argument("--mode", choices=("failure", "tradeoff"), default="failure")
-    p.add_argument("--r", type=int, default=64, help="r-division granularity (tradeoff)")
+    p.add_argument(
+        "--r", type=int, help="r-division granularity (tradeoff; default: smallest marked r)"
+    )
     p.add_argument("--k", type=int, default=1, help="failure budget (tradeoff)")
     p.add_argument("--leaf-size", type=int, default=32)
     p.add_argument("--r-base", type=int, default=4)
@@ -273,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep configurations and emit a report")
     p.add_argument("--kind", choices=("grid", "tri"), default="grid")
     p.add_argument("--n", type=_int_list, default=[256], help="comma-separated sizes")
-    p.add_argument("--r", type=_int_list, default=[64], help="comma-separated r values")
+    p.add_argument("--r", type=_int_list, default=[None], help="comma-separated r values")
     p.add_argument("--k", type=_int_list, default=[1], help="comma-separated budgets")
     p.add_argument("--mode", default="failure", help="comma-separated oracle modes")
     p.add_argument("--leaf-size", type=int, default=32)

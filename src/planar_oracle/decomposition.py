@@ -16,10 +16,10 @@ marked for a geometric sequence of r-divisions.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import Iterable, Sequence
 
 from .graph import EmbeddedPlanarGraph, EmbeddingError, sorted_contains, trace_faces
+from .graph import arc_ends, components
 
 __all__ = [
     "Piece",
@@ -172,9 +172,7 @@ def child_boundary(
 ) -> tuple[int, ...]:
     """Boundary of a child piece: those of its ``vertices`` that an arc of
     its sibling touches or that lie on its parent's boundary."""
-    tails, heads = g.tails, g.heads
-    edge = {tails[a] for a in sibling_arcs}
-    edge.update([heads[a] for a in sibling_arcs])
+    edge = arc_ends(sibling_arcs, g.tails, g.heads)
     edge.update(parent_boundary)
     # fresh int objects, made one after another, so a scan relaxing over a
     # strict matrix's nodes reads few cache lines: ints shared with the
@@ -250,7 +248,7 @@ def _split_piece(g, verts, arcs):
     first and the rest distributed onto the lighter side, which keeps every
     side within 2|P|/3 + |separator|.
     """
-    comps = _components(g, verts, arcs)
+    comps = components(verts, arcs, g.tails, g.heads)
     if len(comps) > 1:
         giant_vs, giant_arcs = comps[0]
         if 3 * len(giant_vs) > 2 * len(verts):
@@ -258,33 +256,6 @@ def _split_piece(g, verts, arcs):
             return sep, _pack_components(comps[1:], sides)
         return (), _pack_components(comps)
     return _cycle_split(g, verts, arcs)
-
-
-def _components(g, verts, arcs):
-    idx = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in arcs:
-        t, h = find(idx[g.tails[a]]), find(idx[g.heads[a]])
-        if t != h:
-            parent[t] = h
-    groups: dict[int, list[int]] = {}
-    for i, v in enumerate(verts):
-        groups.setdefault(find(i), []).append(v)
-    comp_arcs: dict[int, list[int]] = {r: [] for r in groups}
-    for a in arcs:
-        comp_arcs[find(idx[g.tails[a]])].append(a)
-    out = []
-    for r, vs in groups.items():
-        out.append((tuple(sorted(vs)), tuple(sorted(comp_arcs[r]))))
-    out.sort(key=lambda cv: (-len(cv[0]), cv[0][0]))
-    return out
 
 
 def _pack_components(comps, initial=None):
@@ -355,23 +326,10 @@ def _cycle_split(g, verts, arcs):
     for ei, (u, v) in enumerate(hedges):
         adj[u].append((v, ei))
         adj[v].append((u, ei))
-    for rows in adj:
-        rows.sort()
-    par = [-1] * n_aux
-    par_edge = [-1] * n_aux
-    depth = [-1] * n_aux
-    depth[0] = 0
-    tree_edge = [False] * len(hedges)
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v, ei in adj[u]:
-            if depth[v] == -1:
-                depth[v] = depth[u] + 1
-                par[v] = u
-                par_edge[v] = ei
-                tree_edge[ei] = True
-                q.append(v)
+    par, par_edge, depth, order = _bfs(adj)
+    tree_edge = bytearray(len(hedges))
+    for v in order[1:]:
+        tree_edge[par_edge[v]] = 1
 
     nontree = [ei for ei in range(len(hedges)) if not tree_edge[ei]]
     if not nontree:
@@ -388,27 +346,13 @@ def _cycle_split(g, verts, arcs):
         f1, f2 = eface[ei]
         dadj[f1].append((f2, ei))
         dadj[f2].append((f1, ei))
-    for rows in dadj:
-        rows.sort()
-    dpar = [-1] * n_faces
-    ddepth = [-1] * n_faces
+    dpar, _, ddepth, order = _bfs(dadj)
     dchildren: list[list[int]] = [[] for _ in range(n_faces)]
-    ddepth[0] = 0
-    order = [0]
-    q = deque([0])
-    while q:
-        f = q.popleft()
-        for f2, ei in dadj[f]:
-            if ddepth[f2] == -1:
-                ddepth[f2] = ddepth[f] + 1
-                dpar[f2] = f
-                dchildren[f].append(f2)
-                order.append(f2)
-                q.append(f2)
     subtree = [1] * n_faces
-    for f in reversed(order):
-        if dpar[f] != -1:
-            subtree[dpar[f]] += subtree[f]
+    for f in order[1:]:
+        dchildren[dpar[f]].append(f)
+    for f in reversed(order[1:]):
+        subtree[dpar[f]] += subtree[f]
 
     def child_face(ei):
         f1, f2 = eface[ei]
@@ -443,6 +387,30 @@ def _cycle_split(g, verts, arcs):
     return _fallback_split(g, verts, arcs)
 
 
+def _bfs(adj):
+    """BFS from node 0 over adjacency lists of (node, edge) pairs, sorting
+    each list in place before it is walked, so the tree does not depend on
+    input order.  Returns (parent, parent edge, depth, visit order), with
+    -1 for the root's parent and edge and for every unreached node."""
+    n = len(adj)
+    par = [-1] * n
+    par_edge = [-1] * n
+    depth = [-1] * n
+    depth[0] = 0
+    order = [0]
+    for u in order:  # grows while it is walked: the BFS queue
+        rows = adj[u]
+        rows.sort()
+        d = depth[u] + 1
+        for v, ei in rows:
+            if depth[v] == -1:
+                depth[v] = d
+                par[v] = u
+                par_edge[v] = ei
+                order.append(v)
+    return par, par_edge, depth, order
+
+
 def _evaluate_candidate(
     g, verts, arcs, p, hedges, hedge_of_arc, eface,
     par, par_edge, depth, dchildren, inside_root, ei,
@@ -452,25 +420,15 @@ def _evaluate_candidate(
     Returns (separator, sides, max_side), or None when the cycle fails to
     separate any arcs.  Arcs on the cycle itself join the enclosed side.
     """
-    u, v = hedges[ei]
+    a, b = hedges[ei]
     cycle_edges = {ei}
     cycle_verts: set[int] = set()
-    a, b = u, v
-    while depth[a] > depth[b]:
+    while a != b:  # climb from the deeper end until the ends meet
+        if depth[a] < depth[b]:
+            a, b = b, a
         cycle_verts.add(a)
         cycle_edges.add(par_edge[a])
         a = par[a]
-    while depth[b] > depth[a]:
-        cycle_verts.add(b)
-        cycle_edges.add(par_edge[b])
-        b = par[b]
-    while a != b:
-        cycle_verts.add(a)
-        cycle_verts.add(b)
-        cycle_edges.add(par_edge[a])
-        cycle_edges.add(par_edge[b])
-        a = par[a]
-        b = par[b]
     cycle_verts.add(a)
 
     inside_faces = bytearray(len(dchildren))
@@ -491,14 +449,8 @@ def _evaluate_candidate(
     if not arcs_a or not arcs_b:
         return None
 
-    va: set[int] = set()
-    for arc in arcs_a:
-        va.add(g.tails[arc])
-        va.add(g.heads[arc])
-    vb: set[int] = set()
-    for arc in arcs_b:
-        vb.add(g.tails[arc])
-        vb.add(g.heads[arc])
+    va = arc_ends(arcs_a, g.tails, g.heads)
+    vb = arc_ends(arcs_b, g.tails, g.heads)
     sep = tuple(sorted(verts[x] for x in cycle_verts if x < p))
     sides = [
         (tuple(sorted(va)), tuple(arcs_a)),
@@ -513,8 +465,8 @@ def _fallback_split(g, verts, arcs):
         raise EmbeddingError("cannot split a piece with fewer than two arcs")
     half = len(arcs) // 2
     arcs_a, arcs_b = arcs[:half], arcs[half:]
-    va = {g.tails[a] for a in arcs_a} | {g.heads[a] for a in arcs_a}
-    vb = {g.tails[a] for a in arcs_b} | {g.heads[a] for a in arcs_b}
+    va = arc_ends(arcs_a, g.tails, g.heads)
+    vb = arc_ends(arcs_b, g.tails, g.heads)
     sep = tuple(sorted(va & vb))
     return sep, [
         (tuple(sorted(va)), tuple(arcs_a)),

@@ -4,17 +4,13 @@ Build time precomputes the decomposition tree and the strict matrix of
 every node, and each leaf as a union member of its own arcs; a load reads
 the internal matrices from its file and rebuilds the leaves.  Queries
 only read this state.  A query with failed set X assembles a small union of
-matrices that jointly cover every path from u that avoids X:
-
-* for each anchor vertex w in {u, v} plus X, w's home leaf joins the union
-  as its own arcs, failed vertices included (every leaf vertex is a node,
-  so u and v need no grafting), and
-* the stored strict matrix of every sibling hanging off the anchor
-  leaves' root paths joins in (``DecompositionTree.cover``), except
-  siblings whose piece has a failed vertex strictly inside it; such a piece
-  is exactly one whose stored matrix may hide a failed vertex on an
-  internal path, and the walk from that failed vertex's own leaf re-covers
-  its arcs with finer pieces.
+matrices that jointly cover every path from u that avoids X: the home
+leaves of u, v and X as their own arcs, failed vertices included (every
+leaf vertex is a node, so u and v need no grafting), and the stored strict
+matrices of the siblings hanging off their root paths, except siblings
+with a failed vertex strictly inside.  ``FailureOracle._cover`` builds it
+and states why it is exact; the trade-off oracle's tuple assembly is the
+same walk below each tuple piece.
 
 One Dijkstra over the union from u, never relaxing out of a failed
 vertex, then yields the exact label of v.  The scan is A* toward v and
@@ -186,16 +182,36 @@ class FailureOracle:
         return frozenset(marked)
 
     def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> list:
-        """Union members for (u, v, failed): the home leaves of u, v and the
-        sorted failed vertices, each once, then the strict matrices of the
-        unmarked siblings up their root paths."""
+        """Union members for (u, v, failed): ``_cover`` of the root with
+        residents u, v and the sorted failed vertices."""
         x = self._validate(u, v, failed)
+        return self._cover((0,), (u, v, *sorted(x)), x)
+
+    def _cover(self, tops, residents, x) -> list:
+        """Members covering the disjoint nodes ``tops`` around the
+        ``residents``, every failed vertex among them.  A top holding none of
+        their home leaves joins as its strict matrix; otherwise those leaves
+        join as their own arcs, then the strict matrices of
+        ``tree.cover(leaves, marked, top)``.
+
+        Exact for a scan that blocks x: a resident whose leaf is outside a
+        top sits on that top's boundary, so its matrix has it as a node; and
+        marked siblings, whose matrices may hide a failed vertex strictly
+        inside, are left out, their arcs re-covered by finer pieces from
+        that vertex's own leaf."""
         tree = self.tree
-        leaves = list(dict.fromkeys(tree.leaf_of[w] for w in (u, v, *sorted(x))))
+        marked = self._marked(x)
         strict = self.store.strict
-        return [self._leaves[leaf] for leaf in leaves] + [
-            strict(sib) for sib in tree.cover(leaves, self._marked(x))
-        ]
+        homes = dict.fromkeys(tree.leaf_of[w] for w in residents)
+        members = []
+        for top in tops:
+            leaves = [leaf for leaf in homes if tree.is_ancestor(top, leaf)]
+            if not leaves:
+                members.append(strict(top))
+                continue
+            members.extend(self._leaves[leaf] for leaf in leaves)
+            members.extend(strict(sib) for sib in tree.cover(leaves, marked, top))
+        return members
 
     # -- queries -----------------------------------------------------------
 

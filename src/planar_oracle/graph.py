@@ -117,6 +117,44 @@ def trace_faces(
     return faces
 
 
+def arc_ends(arcs: Sequence[int], tails: Sequence[int], heads: Sequence[int]) -> set[int]:
+    """The vertices that the ``arcs`` touch."""
+    ends = {tails[a] for a in arcs}
+    ends.update([heads[a] for a in arcs])
+    return ends
+
+
+def components(
+    verts: Sequence[int], arcs: Sequence[int], tails: Sequence[int], heads: Sequence[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Connected components of the subgraph with vertices ``verts``, which
+    must hold every arc endpoint, and ``arcs``, ignoring arc directions.
+    Returns (sorted vertices, sorted arcs) per component, largest first,
+    ties by smallest vertex; an isolated vertex is a component of its own."""
+    idx = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in arcs:
+        t, h = find(idx[tails[a]]), find(idx[heads[a]])
+        if t != h:
+            parent[t] = h
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(verts):
+        groups.setdefault(find(i), []).append(v)
+    comp_arcs: dict[int, list[int]] = {r: [] for r in groups}
+    for a in arcs:
+        comp_arcs[find(idx[tails[a]])].append(a)
+    out = [(tuple(sorted(vs)), tuple(sorted(comp_arcs[r]))) for r, vs in groups.items()]
+    out.sort(key=lambda cv: (-len(cv[0]), cv[0][0]))
+    return out
+
+
 def check_planar(
     arc_ids: Sequence[int],
     tails: Sequence[int],
@@ -131,35 +169,17 @@ def check_planar(
     EmbeddingError when the rotation system is not planar.
     """
     faces = trace_faces(arc_ids, tails, heads, rotation)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in arc_ids:
-        t, h = tails[a], heads[a]
-        parent.setdefault(t, t)
-        parent.setdefault(h, h)
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-    # per component root: [V, E, F]
-    counts: dict[int, list[int]] = {}
-    for x in parent:
-        counts.setdefault(find(x), [0, 0, 0])[0] += 1
-    for a in arc_ids:
-        counts[find(tails[a])][1] += 1
+    comps = components(sorted(arc_ends(arc_ids, tails, heads)), arc_ids, tails, heads)
+    comp_of = {v: i for i, (vs, _) in enumerate(comps) for v in vs}
+    nf = [0] * len(comps)
     for face in faces:
-        counts[find(tails[face[0] >> 1])][2] += 1
-    for nv, ne, nf in counts.values():
-        if nv - ne + nf != 2:
+        nf[comp_of[tails[face[0] >> 1]]] += 1
+    for (vs, arcs), f in zip(comps, nf):
+        if len(vs) - len(arcs) + f != 2:
             raise EmbeddingError(
-                f"Euler check failed on a component: V={nv} E={ne} F={nf}"
+                f"Euler check failed on a component: V={len(vs)} E={len(arcs)} F={f}"
             )
-    return len(faces), len(counts)
+    return len(faces), len(comps)
 
 
 class EmbeddedPlanarGraph:

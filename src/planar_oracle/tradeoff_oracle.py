@@ -23,12 +23,14 @@ k + 1.  Otherwise v lies in one exit piece of the tuple, and each y of ∂T
 has an exit arc y -> v whose length is the best directional row entry
 plus the table hop from the exit piece's boundary to v; it is read only
 if y settles.  Either way one small union A* scan over the tuple's
-matrices runs toward v and stops when v settles.  The exit tables ignore
-failures, so a query with a failed vertex in v's exit piece, or one that
-no stored tuple fits, runs the failure oracle's query instead, over the
-same strict matrices; it is the same kind of target-stopped scan and is
-exact for any failed set.  Either way the query returns its scan, and
-the oracle is not changed by it.
+matrices runs toward v and stops when v settles; below the tuple pieces
+its members come from the failure oracle's cover walk,
+``FailureOracle._cover``.  The exit tables ignore failures, so a query
+with a failed vertex in v's exit piece, or one that no stored tuple fits,
+runs the failure oracle's query instead, over the same strict matrices;
+it is the same kind of target-stopped scan and is exact for any failed
+set.  Either way the query returns its scan, and the oracle is not
+changed by it.
 """
 
 from __future__ import annotations
@@ -211,29 +213,11 @@ class TradeoffOracle(FailureOracle):
 
     def _assembly(self, ids, residents, x):
         """Union members for a stored tuple under failures: ext of the
-        tuple, then per tuple piece its strict matrix when no resident's
-        home leaf lies under it, and otherwise those home leaves as their
-        own arcs and the strict matrices of the unmarked siblings hanging
-        off their paths up to the piece.  The residents are u, the failed
-        vertices and, on a plan with no exit piece, v.
-
-        A resident whose home leaf lies outside the piece necessarily sits
-        on the piece boundary, so the strict matrix already exposes it as a
-        node and no finer cover is needed for it.  Tuple pieces are disjoint
-        nodes of one division, so no leaf or sibling comes up twice."""
-        tree = self.tree
-        marked = self._marked(x)
-        strict = self.store.strict
-        homes = dict.fromkeys(tree.leaf_of[w] for w in residents)
-        members = [self.ext[ids]]
-        for pid in ids:
-            leaves = [leaf for leaf in homes if tree.is_ancestor(pid, leaf)]
-            if not leaves:
-                members.append(strict(pid))
-                continue
-            members.extend(self._leaves[leaf] for leaf in leaves)
-            members.extend(strict(sib) for sib in tree.cover(leaves, marked, pid))
-        return members
+        tuple, then ``_cover`` of the tuple pieces.  The residents are u,
+        the failed vertices and, on a plan with no exit piece, v.  Tuple
+        pieces are disjoint nodes of one division, so no leaf or sibling
+        comes up twice."""
+        return [self.ext[ids], *self._cover(ids, residents, x)]
 
     def _main(self, u, v, x, ids, q):
         """One union A* scan from u toward v over the tuple's assembly,

@@ -124,6 +124,17 @@ def test_build_tradeoff_and_verify(tmp_path, graph_file):
     assert rc == cli.EXIT_OK
 
 
+def test_build_tradeoff_defaults_and_verify(tmp_path):
+    # the default r is the smallest marked one, 128 here; a fixed default
+    # of 64 is never marked under leaf size 32 and r-base 4
+    gpath, opath = tmp_path / "g.pgr", tmp_path / "g.oracle"
+    args = ["gen", "--kind", "grid", "--n", "256", "--max-weight", "9", "--out", str(gpath)]
+    assert cli.main(args) == cli.EXIT_OK
+    assert cli.main(["build", str(gpath), "--mode", "tradeoff", "--out", str(opath)]) == 0
+    assert load_oracle(str(opath)).r == 128
+    assert cli.main(["verify", str(opath), "--random", "40"]) == cli.EXIT_OK
+
+
 def test_verify_reports_mismatch(tmp_path, graph_file, capsys):
     # sabotage a stored matrix so loaded answers drift from the baseline
     g = load_graph(graph_file)
@@ -181,6 +192,14 @@ def test_bench_tradeoff_r_not_marked_is_invalid(r):
         ]
     )
     assert rc == cli.EXIT_INVALID
+
+
+def test_bench_tradeoff_defaults(capsys):
+    rc = cli.main(["bench", "--mode", "tradeoff", "--n", "256", "--queries", "4", "--threads", "1"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["r"] == "128"
 
 
 def test_bench_json_to_file(tmp_path):

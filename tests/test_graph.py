@@ -71,6 +71,17 @@ def test_rejects_nonplanar_rotation():
         EmbeddedPlanarGraph(4, arcs, rotation)
 
 
+def test_euler_check_is_per_component():
+    # the toroidal K4 above beside a separate directed triangle: summed
+    # over the graph V - E + F = 7 - 9 + 4 = 2, so only a count per
+    # component rejects it
+    arcs = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 1), (1, 3, 1)]
+    arcs += [(4, 5, 1), (5, 6, 1), (6, 4, 1)]
+    rotation = [[3, 0, 4], [0, 1, 5], [1, 2, 4], [2, 3, 5], [8, 6], [6, 7], [7, 8]]
+    with pytest.raises(EmbeddingError, match="V=4 E=6 F=2"):
+        EmbeddedPlanarGraph(7, arcs, rotation)
+
+
 def test_disconnected_accepted():
     g = make_disconnected()
     assert component_count(g) == 3
