@@ -29,7 +29,7 @@ from .generate import generate_grid, generate_random_triangulation
 from .oraclefile import save_oracle
 from .tradeoff_oracle import TradeoffOracle
 
-__all__ = ["BenchReport", "bench_config", "build_oracle", "run_bench", "thread_cap"]
+__all__ = ["BenchReport", "bench_config", "build_oracle", "random_query", "run_bench", "thread_cap"]
 
 _FIELDS = (
     "mode",
@@ -121,23 +121,28 @@ def _make_graph(cfg: dict):
     return generate_random_triangulation(cfg["n"], max_weight=mw, seed=cfg["seed"])
 
 
+def random_query(rng: random.Random, n: int, failures: int) -> tuple[int, int, tuple[int, ...]]:
+    """(u, v, x) drawn from ``rng`` on n >= 2 vertices: u, then v != u,
+    then min(failures, n - 2) distinct failed vertices other than both,
+    returned sorted."""
+    u = rng.randrange(n)
+    v = rng.randrange(n)
+    while v == u:
+        v = rng.randrange(n)
+    x: set[int] = set()
+    while len(x) < min(failures, n - 2):
+        c = rng.randrange(n)
+        if c != u and c != v:
+            x.add(c)
+    return u, v, tuple(sorted(x))
+
+
 def _sample_queries(cfg: dict, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
     rng = random.Random(f"bench:{cfg['seed']}:{cfg['kind']}:{n}:{cfg['mode']}")
-    out = []
-    for qi in range(cfg["queries"]):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        while v == u:
-            v = rng.randrange(n)
-        want = cfg["k"] if cfg["mode"] == "tradeoff" else qi % 5
-        want = min(want, n - 2)
-        x: set[int] = set()
-        while len(x) < want:
-            c = rng.randrange(n)
-            if c != u and c != v:
-                x.add(c)
-        out.append((u, v, tuple(sorted(x))))
-    return out
+    return [
+        random_query(rng, n, cfg["k"] if cfg["mode"] == "tradeoff" else qi % 5)
+        for qi in range(cfg["queries"])
+    ]
 
 
 def _run_one(cfg: dict) -> dict:

@@ -17,7 +17,7 @@ import sys
 from math import isqrt
 
 from .baseline import distance_avoiding
-from .bench import bench_config, build_oracle, run_bench
+from .bench import bench_config, build_oracle, random_query, run_bench
 from .dynamic_oracle import DynamicOracle
 from .generate import generate_grid, generate_random_triangulation
 from .graph import UNREACHABLE, EmbeddingError, GraphFormatError, load_graph, save_graph
@@ -115,16 +115,7 @@ def _cmd_query(args) -> int:
 def _random_queries(n: int, count: int, seed: int, k_max: int):
     rng = random.Random(f"verify:{seed}:{n}:{k_max}")
     for qi in range(count):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        while v == u:
-            v = rng.randrange(n)
-        x: set[int] = set()
-        while len(x) < min(qi % (k_max + 1), n - 2):
-            c = rng.randrange(n)
-            if c != u and c != v:
-                x.add(c)
-        yield qi + 1, u, v, tuple(sorted(x))
+        yield (qi + 1, *random_query(rng, n, qi % (k_max + 1)))
 
 
 def _cmd_verify(args) -> int:

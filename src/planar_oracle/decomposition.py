@@ -45,9 +45,6 @@ class Piece:
     def contains(self, v: int) -> bool:
         return sorted_contains(self.vertices, v)
 
-    def on_boundary(self, v: int) -> bool:
-        return sorted_contains(self.boundary, v)
-
     @property
     def is_leaf(self) -> bool:
         return not self.children
@@ -104,38 +101,31 @@ class DecompositionTree:
 
     # -- navigation -------------------------------------------------------
 
-    def root_path(self, node: int) -> Iterable[int]:
-        """Node ids from ``node`` up to and including the root."""
-        cur: int | None = node
-        while cur is not None:
-            yield cur
-            cur = self.pieces[cur].parent
-
-    def cover(
-        self, starts: Iterable[int], skip: Iterable[int] = (), top: int | None = None
-    ) -> list[int]:
+    def cover(self, starts: Iterable[int], top: int | None = None) -> list[int]:
         """Siblings of the nodes on each start's path up to ``top`` (the
-        root by default; never ``top`` itself), each once, in the order first
-        found, leaving out the ids in ``skip``.
+        root by default; never ``top`` itself) that lie on no start's path,
+        each once, in the order first found.
 
-        For an antichain of starts under ``top`` and ``skip`` holding their
-        paths, the starts and these siblings partition ``top``'s arcs: the
-        one walk behind failure queries, ext(T), ``vor`` rows and exit
-        pieces."""
+        For an antichain of starts under ``top``, the starts and these
+        siblings partition ``top``'s arcs: the one walk behind failure
+        queries, ext(T), ``vor`` rows and exit pieces."""
         pieces = self.pieces
-        seen = set(skip)
-        out: list[int] = []
+        on_path: set[int] = set()
+        steps: list[tuple[int, int]] = []  # (path node, its parent)
         for node in starts:
-            while node != top:
+            while node != top and node not in on_path:
+                on_path.add(node)
                 par = pieces[node].parent
                 if par is None:
                     break
-                a, b = pieces[par].children
-                sib = b if node == a else a
-                if sib not in seen:
-                    seen.add(sib)
-                    out.append(sib)
+                steps.append((node, par))
                 node = par
+        out: list[int] = []
+        for node, par in steps:
+            a, b = pieces[par].children
+            sib = b if node == a else a
+            if sib not in on_path:
+                out.append(sib)
         return out
 
     def is_ancestor(self, anc: int, node: int) -> bool:

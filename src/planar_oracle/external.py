@@ -8,12 +8,13 @@ between.  The directional (``vor``) row of a vertex y ∈ ∂T and an exit
 piece Q holds the distances, under the same rules, from y to the boundary
 of Q: paths through the graph outside the tuple pieces.
 
-T's exit pieces (``tuple_exits``) are the siblings hanging off the tuple
-pieces' root paths that hold no tuple piece (``DecompositionTree.cover``).
-Their strict matrices tile the graph minus the tuple pieces' interiors,
-so both tables come from one pass per tuple: one forbidden-transit
-Dijkstra per vertex y of ∂T over the union of those matrices gives
-ext(T)'s row y and y's row for every exit piece.
+T's exit pieces (``tuple_exits``) are ``DecompositionTree.cover`` of the
+tuple pieces: the siblings hanging off their root paths that lie on no
+such path, and so hold no tuple piece.  With the tuple pieces they
+partition the graph's arcs, so the exits' strict matrices tile the graph
+minus the tuple pieces, and both tables come from one pass per tuple:
+one forbidden-transit Dijkstra per vertex y of ∂T over the union of
+those matrices gives ext(T)'s row y and y's row for every exit piece.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ def tuple_exits(tree, ids: tuple[int, ...]) -> tuple[int, ...]:
     """The sorted siblings off the tuple pieces' root paths that hold no
     tuple piece: the tuple interiors host the failures at query time, so
     no stored path may run through them."""
-    paths = {node for pid in ids for node in tree.root_path(pid)}
-    return tuple(sorted(tree.cover(ids, paths)))
+    return tuple(sorted(tree.cover(ids)))
 
 
 class ExternalDdgBuilder:
@@ -51,12 +51,12 @@ class ExternalDdgBuilder:
         """ext(T) for the sorted, distinct piece ids ``ids``, and the
         directional rows keyed by (ids, exit piece, y) for every exit piece
         in ``exits`` and every y ∈ ∂T, each row over the exit piece's
-        boundary."""
-        tree = self.tree
-        pieces = tree.pieces
+        boundary.  ``exits`` must be ``tuple_exits(tree, ids)``: the scans
+        run over their strict matrices."""
+        pieces = self.tree.pieces
         nodes = tuple_boundary(pieces, ids)
         node_set = set(nodes)
-        union = DdgUnion([self.store.strict(sib) for sib in tuple_exits(tree, ids)])
+        union = DdgUnion([self.store.strict(sib) for sib in exits])
         matrix = array("q")
         vor: dict[tuple[tuple[int, ...], int, int], array] = {}
         for y in nodes:

@@ -7,10 +7,10 @@ only read this state.  A query with failed set X assembles a small union of
 matrices that jointly cover every path from u that avoids X: the home
 leaves of u, v and X as their own arcs, failed vertices included (every
 leaf vertex is a node, so u and v need no grafting), and the stored strict
-matrices of the siblings hanging off their root paths, except siblings
-with a failed vertex strictly inside.  ``FailureOracle._cover`` builds it
-and states why it is exact; the trade-off oracle's tuple assembly is the
-same walk below each tuple piece.
+matrices of the siblings hanging off their root paths that lie on no such
+path.  Together they tile the graph's arcs once: the Fakcharoenphol-Rao
+union.  ``FailureOracle._cover`` builds it and states why it is exact; the
+trade-off oracle's tuple assembly is the same walk below each tuple piece.
 
 One Dijkstra over the union from u, never relaxing out of a failed
 vertex, then yields the exact label of v.  The scan is A* toward v and
@@ -170,37 +170,29 @@ class FailureOracle:
             raise ValueError("query endpoint is a failed vertex")
         return x
 
-    def _marked(self, x: frozenset[int]) -> frozenset[int]:
-        """Nodes whose stored matrix is invalidated: ancestors of a failed
-        vertex's leaf holding that vertex strictly inside."""
-        tree = self.tree
-        marked: set[int] = set()
-        for f in x:
-            for node in tree.root_path(tree.leaf_of[f]):
-                if not tree.pieces[node].on_boundary(f):
-                    marked.add(node)
-        return frozenset(marked)
-
     def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> list:
         """Union members for (u, v, failed): ``_cover`` of the root with
         residents u, v and the sorted failed vertices."""
         x = self._validate(u, v, failed)
-        return self._cover((0,), (u, v, *sorted(x)), x)
+        return self._cover((0,), (u, v, *sorted(x)))
 
-    def _cover(self, tops, residents, x) -> list:
-        """Members covering the disjoint nodes ``tops`` around the
-        ``residents``, every failed vertex among them.  A top holding none of
-        their home leaves joins as its strict matrix; otherwise those leaves
-        join as their own arcs, then the strict matrices of
-        ``tree.cover(leaves, marked, top)``.
+    def _cover(self, tops, residents) -> list:
+        """Members tiling the disjoint nodes ``tops`` around the
+        ``residents``, every failed vertex among them.  A top holding none
+        of their home leaves joins as its strict matrix; otherwise those
+        leaves join as their own arcs, then the strict matrices of
+        ``tree.cover(leaves, top)``.
 
-        Exact for a scan that blocks x: a resident whose leaf is outside a
-        top sits on that top's boundary, so its matrix has it as a node; and
-        marked siblings, whose matrices may hide a failed vertex strictly
-        inside, are left out, their arcs re-covered by finer pieces from
-        that vertex's own leaf."""
+        The members partition the tops' arcs, so every path inside the
+        tops is a chain of member entries joined at member nodes.  The
+        union is exact for a scan that blocks the failed vertices because
+        each one is a node wherever it appears: in its home leaf, a member
+        of its own arcs, and on the boundary of every strict member.  A
+        strict member lies on no resident's root path, so it does not hold
+        the failed vertex's home leaf; a piece holding a vertex strictly
+        inside holds every leaf of that vertex, so the vertex is on the
+        member's boundary, a node of its strict matrix."""
         tree = self.tree
-        marked = self._marked(x)
         strict = self.store.strict
         homes = dict.fromkeys(tree.leaf_of[w] for w in residents)
         members = []
@@ -210,7 +202,7 @@ class FailureOracle:
                 members.append(strict(top))
                 continue
             members.extend(self._leaves[leaf] for leaf in leaves)
-            members.extend(strict(sib) for sib in tree.cover(leaves, marked, top))
+            members.extend(strict(sib) for sib in tree.cover(leaves, top))
         return members
 
     # -- queries -----------------------------------------------------------

@@ -62,6 +62,8 @@ class OracleFileError(ValueError):
 
 
 def _w_u32(fh: BinaryIO, x: int) -> None:
+    if not 0 <= x < 1 << 32:
+        raise ValueError(f"{x} does not fit the file's unsigned 32-bit field")
     fh.write(struct.pack("<I", x))
 
 

@@ -211,13 +211,13 @@ class TradeoffOracle(FailureOracle):
             return None
         return ids, q
 
-    def _assembly(self, ids, residents, x):
+    def _assembly(self, ids, residents):
         """Union members for a stored tuple under failures: ext of the
         tuple, then ``_cover`` of the tuple pieces.  The residents are u,
         the failed vertices and, on a plan with no exit piece, v.  Tuple
         pieces are disjoint nodes of one division, so no leaf or sibling
         comes up twice."""
-        return [self.ext[ids], *self._cover(ids, residents, x)]
+        return [self.ext[ids], *self._cover(ids, residents)]
 
     def _main(self, u, v, x, ids, q):
         """One union A* scan from u toward v over the tuple's assembly,
@@ -246,7 +246,7 @@ class TradeoffOracle(FailureOracle):
                 return min(map(add, row, hop), default=MATRIX_SENTINEL)
 
         return multi_dijkstra(
-            self._assembly(ids, residents, x),
+            self._assembly(ids, residents),
             [(u, 0)],
             forbidden=x,
             target=v,
@@ -257,7 +257,7 @@ class TradeoffOracle(FailureOracle):
     def _fallback(self, u, v, x):
         """The failure oracle's query, for layouts the stored tuples cannot
         serve: one union A* scan toward v over the leaves of u, v and the
-        failed set and the unmarked siblings up their root paths, stopped
-        when v settles."""
+        failed set and the siblings off their root paths, stopped when v
+        settles."""
         return super().query_result(u, v, x)
 

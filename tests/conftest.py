@@ -1,4 +1,4 @@
-"""Shared graph fixtures and reference computations.
+"""Shared graph and oracle fixtures and reference computations.
 
 The zoo spans the shapes the library must handle: dense grids, random
 triangulations, a one-way path (asymmetric reachability), a disconnected
@@ -18,9 +18,11 @@ from array import array
 import pytest
 
 from planar_oracle.ddg import DdgStore, DenseDistanceGraph
+from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import SparseMember
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 from planar_oracle.generate import generate_grid, generate_random_triangulation
+from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 
 def make_path12() -> EmbeddedPlanarGraph:
@@ -298,3 +300,13 @@ def zoo(grid4, grid8, grid16, tri60, tri200, path12, disconnected, single):
         "disconnected": disconnected,
         "single": single,
     }
+
+
+@pytest.fixture(scope="module")
+def fo8(grid8):
+    return FailureOracle(grid8, leaf_size=8, r_base=4)
+
+
+@pytest.fixture(scope="module")
+def to8(grid8):
+    return TradeoffOracle(grid8, r=32, k=1, leaf_size=8, r_base=4)

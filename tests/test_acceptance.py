@@ -248,7 +248,8 @@ def _strict_avoiding_rows(g, banned_arcs, bset, src):
 
 
 def _exit_family(tree, ids):
-    """Siblings of every node on the tuple pieces' root paths."""
+    """Siblings of every node on the tuple pieces' root paths that hold no
+    tuple piece."""
     fam = set()
     for pid in ids:
         node = pid
@@ -256,7 +257,7 @@ def _exit_family(tree, ids):
             a, b = tree.pieces[tree.pieces[node].parent].children
             fam.add(b if node == a else a)
             node = tree.pieces[node].parent
-    return tuple(sorted(fam))
+    return tuple(sorted(q for q in fam if not any(tree.is_ancestor(q, pid) for pid in ids)))
 
 
 def test_criterion_4_external_tables_match_direct_computation(zoo, capsys):

@@ -194,6 +194,21 @@ def test_bench_tradeoff_r_not_marked_is_invalid(r):
     assert rc == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("command", ["build", "bench"])
+def test_k_beyond_u32_is_invalid(tmp_path, graph_file, capsys, command):
+    # the file stores k as a u32; a larger k used to escape as struct.error
+    # and exit 1, the code for a verification mismatch
+    out = tmp_path / "o.bin"
+    if command == "build":
+        argv = ["build", str(graph_file), "--mode", "tradeoff", "--leaf-size", "8"]
+    else:
+        argv = ["bench", "--n", "36", "--mode", "tradeoff", "--leaf-size", "8", "--threads", "1"]
+    rc = cli.main([*argv, "--k", str(1 << 32), "--out", str(out)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bench_tradeoff_defaults(capsys):
     rc = cli.main(["bench", "--mode", "tradeoff", "--n", "256", "--queries", "4", "--threads", "1"])
     out = capsys.readouterr().out

@@ -10,6 +10,13 @@ from planar_oracle.decomposition import _split_piece, build_decomposition
 from conftest import leaves
 
 
+def root_path(tree, node):
+    """Node ids from ``node`` up to and including the root."""
+    while node is not None:
+        yield node
+        node = tree.pieces[node].parent
+
+
 @pytest.fixture(scope="module")
 def tree8(grid8):
     return build_decomposition(grid8, leaf_size=8, r_base=4)
@@ -102,7 +109,7 @@ def test_one_mark_per_root_path(tree8):
     for r in tree8.r_sequence:
         marks = set(tree8.r_division(r))
         for leaf in leaves(tree8):
-            hits = [node for node in tree8.root_path(leaf) if node in marks]
+            hits = [node for node in root_path(tree8, leaf) if node in marks]
             assert len(hits) == 1
 
 
@@ -130,7 +137,7 @@ def test_is_ancestor_matches_root_path(tree8):
     ids = [p.id for p in tree8.pieces]
     for _ in range(300):
         a, b = rng.choice(ids), rng.choice(ids)
-        assert tree8.is_ancestor(a, b) == (a in set(tree8.root_path(b)))
+        assert tree8.is_ancestor(a, b) == (a in set(root_path(tree8, b)))
 
 
 def _random_antichain(rng, tree, top):
@@ -167,21 +174,17 @@ def test_cover_tiles_top(name, request):
             assert tree.cover(starts) == sibs
         paths = set()
         for s in starts:
-            paths.update(itertools.takewhile(lambda n: n != top, tree.root_path(s)))
-        # each sibling of a path node once, strictly under top
+            paths.update(itertools.takewhile(lambda n: n != top, root_path(tree, s)))
+        # each sibling of a path node off every path once, strictly under top
         assert len(set(sibs)) == len(sibs)
         pieces = tree.pieces
-        assert set(sibs) == {c for n in paths for c in pieces[pieces[n].parent].children if c != n}
+        assert set(sibs) == {
+            c for n in paths for c in pieces[pieces[n].parent].children if c not in paths
+        }
         assert all(s != top and tree.is_ancestor(top, s) for s in sibs)
         # the starts and the siblings off their paths tile top's arcs once
-        tiles = starts + tree.cover(starts, paths, top)
-        if len(starts) == 1:
-            assert tiles == starts + sibs
-        arcs = sorted(a for t in tiles for a in tree.pieces[t].arcs)
+        arcs = sorted(a for t in starts + sibs for a in tree.pieces[t].arcs)
         assert arcs == list(tree.pieces[top].arcs), (top, starts)
-        # skipped ids never come back, and the rest keep their order
-        skip = set(rng.sample(sibs, rng.randint(0, len(sibs))))
-        assert tree.cover(starts, skip, top) == [s for s in sibs if s not in skip]
         checked += 1
     assert checked >= 300
 

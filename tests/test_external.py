@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.external import ExternalDdgBuilder
+from planar_oracle.external import ExternalDdgBuilder, tuple_exits
 from planar_oracle.graph import MATRIX_SENTINEL
 
 from conftest import built_store, minplus_closure
@@ -34,7 +34,7 @@ def masked_sssp(g, banned_arcs, src):
 def check_tuple(g, tree, builder, ids):
     """closure(ext) must equal brute distances outside the tuple's arcs.
     The directional rows are checked by acceptance criterion 4."""
-    ext, _ = builder.ext(ids, ())
+    ext, _ = builder.ext(ids, tuple_exits(tree, ids))
     expect_nodes = tuple(
         sorted({v for pid in ids for v in tree.pieces[pid].boundary})
     )

@@ -30,11 +30,6 @@ ALT_ZOO = ("grid8", "tri200", "path12", "disconnected", "single")
 
 
 @pytest.fixture(scope="module")
-def fo8(grid8):
-    return FailureOracle(grid8, leaf_size=8, r_base=4)
-
-
-@pytest.fixture(scope="module")
 def fo_tri(tri60):
     return FailureOracle(tri60, leaf_size=8, r_base=4)
 
@@ -112,6 +107,12 @@ def test_query_result_consistency(grid8, fo8):
     assert 0 < res.settled <= len(res.vertices)
 
 
+def strict_pieces(oracle, members):
+    """The pieces whose stored strict matrices are among ``members``."""
+    piece_of = {id(m): pid for pid, m in oracle.store._strict.items()}
+    return [piece_of[id(m)] for m in members if id(m) in piece_of]
+
+
 def test_assembly_structure(grid8, fo8):
     members = fo8.assemble(5, 40, {20, 3})
     tree = fo8.tree
@@ -121,21 +122,25 @@ def test_assembly_structure(grid8, fo8):
     assert members[: len(homes)] == [fo8._leaves[leaf] for leaf in homes]
     rest = members[len(homes) :]
     assert rest and not any(isinstance(m, SparseMember) for m in rest)
-    # no member is a marked piece's matrix (those contain failures)
-    marked = fo8._marked(frozenset({20, 3}))
-    assert marked
-    assert not any(m is fo8.store.strict(p) for p in marked for m in rest)
+    # every other member is a strict matrix, of a piece on no home leaf's
+    # root path
+    sibs = strict_pieces(fo8, rest)
+    assert len(sibs) == len(rest)
+    assert not any(tree.is_ancestor(p, leaf) for p in sibs for leaf in homes)
     # endpoints are nodes of their home leaf members
     assert 5 in members[0].nodes
 
 
-def test_marked_pieces_contain_failures(grid8, fo8):
-    members = fo8.assemble(0, 63, {27, 36})
-    tree = fo8.tree
-    marked = fo8._marked(frozenset({27, 36}))
-    for pid in marked:
-        assert tree.pieces[pid].contains(27) or tree.pieces[pid].contains(36)
-        assert not any(m is fo8.store.strict(pid) for m in members)
+def test_no_strict_member_hides_a_failure(grid8, fo8):
+    # a failed vertex in a strict member's piece is on its boundary, a
+    # node of the matrix where the scan blocks it
+    pieces = fo8.tree.pieces
+    for x in ({20, 3}, {27, 36}, {9, 18, 27, 54}):
+        for u, v in ((5, 40), (0, 63)):
+            for pid in strict_pieces(fo8, fo8.assemble(u, v, x)):
+                for f in x:
+                    inside = pieces[pid].contains(f) and f not in pieces[pid].boundary
+                    assert not inside, (u, v, x, pid, f)
 
 
 def test_validation(grid8, fo8):

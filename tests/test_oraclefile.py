@@ -36,16 +36,6 @@ def write_resealed(path, raw):
     path.write_bytes(bytes(raw))
 
 
-@pytest.fixture(scope="module")
-def fo8(grid8):
-    return FailureOracle(grid8, leaf_size=8, r_base=4)
-
-
-@pytest.fixture(scope="module")
-def to8(grid8):
-    return TradeoffOracle(grid8, r=32, k=1, leaf_size=8, r_base=4)
-
-
 def test_failure_round_trip(tmp_path, grid8, fo8):
     path = tmp_path / "f.bin"
     save_oracle(fo8, path)

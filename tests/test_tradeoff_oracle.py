@@ -19,11 +19,6 @@ from conftest import run_with_2gib_address_space
 
 
 @pytest.fixture(scope="module")
-def to8(grid8):
-    return TradeoffOracle(grid8, r=32, k=1, leaf_size=8, r_base=4)
-
-
-@pytest.fixture(scope="module")
 def to16(grid16):
     return TradeoffOracle(grid16, r=64, k=2, leaf_size=16, r_base=2)
 
@@ -194,6 +189,38 @@ def test_plan_exit_is_a_tuple_exit(request, name):
             assert q is None or q in external.tuple_exits(to.tree, ids), (u, v, x)
             main += 1
     assert main > 50
+
+
+@pytest.mark.parametrize("name", ["fo8", "to8", "tri32"])
+def test_union_members_tile_once(request, name):
+    # assemble's members tile the graph's arcs exactly once, and on a main
+    # plan the members after ext tile the tuple pieces' arcs exactly once
+    oracle = request.getfixturevalue(name)
+    pieces = oracle.tree.pieces
+    piece_of = {
+        id(m): pid
+        for table in (oracle._leaves, oracle.store._strict)
+        for pid, m in table.items()
+    }
+
+    def arcs(members):
+        return sorted(a for m in members for a in pieces[piece_of[id(m)]].arcs)
+
+    rng = random.Random(f"tile-{name}")
+    k = getattr(oracle, "k", 4)
+    main = 0
+    for u, v, x in _queries(rng, oracle.graph.n, k, 300):
+        assert arcs(oracle.assemble(u, v, x)) == list(pieces[0].arcs), (u, v, x)
+        plan = oracle._plan(u, v, x) if isinstance(oracle, TradeoffOracle) else None
+        if plan is not None:
+            ids, q = plan
+            residents = (u, *x) if q is not None else (u, *x, v)
+            ext, *members = oracle._assembly(ids, residents)
+            assert ext is oracle.ext[ids]
+            want = sorted(a for pid in ids for a in pieces[pid].arcs)
+            assert arcs(members) == want, (u, v, x, ids)
+            main += 1
+    assert main > 50 or not isinstance(oracle, TradeoffOracle)
 
 
 @pytest.fixture(scope="module")
