@@ -39,8 +39,9 @@ plus the raw arcs of u's and v's regions.  The matrix part is one
 new matrix keeps its boundary (a weight change, a deletion that keeps the
 boundary, an arc re-inserted between its old ends) swaps it into its
 slot, and any other change drops the union for the next query to
-rebuild.  Each query overlays only the one or two raw members, each built
-on first use and kept until its region changes.
+rebuild.  Each query takes a view of it with every slot live and adds
+only the one or two raw members, each built on first use and kept until
+its region changes.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
 Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
@@ -481,7 +482,8 @@ class DynamicOracle:
             # slot ri holds region ri's matrix, so _recompute can swap it
             self._union = DdgUnion([reg.ddg for reg in self.regions])
         mu, mv = self._raw_member(u), self._raw_member(v)
-        union = self._union.overlay([mu] if mu is mv else [mu, mv])
+        base = self._union
+        union = base.view(range(len(base.slots)), [mu] if mu is mv else [mu, mv])
         # with no landmarks (a division of no vertices) the scan is Dijkstra
         pi = landmark_potential(self._to, self._frm, u, v) if self._far_row else None
         res = multi_dijkstra(union, [(u, 0)], target=v, potential=pi)

@@ -2,15 +2,19 @@
 
 Build time precomputes the decomposition tree and the strict matrix of
 every node, and each leaf as a union member of its own arcs; a load reads
-the internal matrices from its file and rebuilds the leaves.  Queries
-only read this state.  A query with failed set X assembles a small union of
-matrices that jointly cover every path from u that avoids X: the home
-leaves of u, v and X as their own arcs, failed vertices included (every
-leaf vertex is a node, so u and v need no grafting), and the stored strict
-matrices of the siblings hanging off their root paths that lie on no such
-path.  Together they tile the graph's arcs once: the Fakcharoenphol-Rao
-union.  ``FailureOracle._cover`` builds it and states why it is exact; the
-trade-off oracle's tuple assembly is the same walk below each tuple piece.
+the internal matrices from its file and rebuilds the leaves.  Both end by
+indexing every strict matrix once, piece i's in slot i of one
+``DdgUnion``.  Queries only read this state.  A query with failed set X
+assembles a small union of matrices that jointly cover every path from u
+that avoids X: the home leaves of u, v and X as their own arcs, failed
+vertices included (every leaf vertex is a node, so u and v need no
+grafting), and the stored strict matrices of the siblings hanging off their
+root paths that lie on no such path.  Together they tile the graph's arcs
+once: the Fakcharoenphol-Rao union.  ``FailureOracle._cover`` picks it and
+states why it is exact, and the query's union is a view of the oracle's
+that marks those matrices' slots live and adds the leaves, so it indexes
+no matrix.  The trade-off oracle's tuple assembly is the same walk below
+each tuple piece.
 
 One Dijkstra over the union from u, never relaxing out of a failed
 vertex, then yields the exact label of v.  The scan is A* toward v and
@@ -40,7 +44,7 @@ from typing import Callable, Iterable
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 from .decomposition import DecompositionTree, build_decomposition
 from .ddg import DdgStore, _dijkstra_rows, compute_leaf_ddg
-from .frdijkstra import MultiDijkstraResult, SparseMember, multi_dijkstra
+from .frdijkstra import DdgUnion, MultiDijkstraResult, SparseMember, multi_dijkstra
 
 __all__ = ["FailureOracle"]
 
@@ -139,6 +143,7 @@ class FailureOracle:
     ):
         self._setup(g, tree if tree is not None else build_decomposition(g, leaf_size, r_base))
         self.store.build_internal()
+        self._index()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree) -> None:
         """The state built and loaded oracles share: every leaf's strict
@@ -158,6 +163,12 @@ class FailureOracle:
         }
         _, self._to, self._frm = landmark_tables(g)
 
+    def _index(self) -> None:
+        """Index every piece's strict matrix once, slot i holding piece i.
+        A build or a load calls this last; a query's union is a view of
+        this one, so it indexes nothing."""
+        self._union = DdgUnion(list(map(self.store.strict, range(len(self.tree.pieces)))))
+
     # -- assembly ----------------------------------------------------------
 
     def _validate(self, u: int, v: int, failed: Iterable[int]) -> frozenset[int]:
@@ -170,18 +181,19 @@ class FailureOracle:
             raise ValueError("query endpoint is a failed vertex")
         return x
 
-    def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> list:
-        """Union members for (u, v, failed): ``_cover`` of the root with
-        residents u, v and the sorted failed vertices."""
+    def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> DdgUnion:
+        """The union for (u, v, failed): the view of ``_cover`` of the root
+        with residents u, v and the sorted failed vertices."""
         x = self._validate(u, v, failed)
-        return self._cover((0,), (u, v, *sorted(x)))
+        return self._union.view(*self._cover((0,), (u, v, *sorted(x))))
 
-    def _cover(self, tops, residents) -> list:
-        """Members tiling the disjoint nodes ``tops`` around the
-        ``residents``, every failed vertex among them.  A top holding none
-        of their home leaves joins as its strict matrix; otherwise those
-        leaves join as their own arcs, then the strict matrices of
-        ``tree.cover(leaves, top)``.
+    def _cover(self, tops, residents) -> tuple[list[int], list[SparseMember]]:
+        """``(slots, leaves)`` tiling the disjoint nodes ``tops`` around the
+        ``residents``, every failed vertex among them: the pieces whose
+        strict matrices join, which are their slots in the oracle's union,
+        and the home leaves that join as their own arcs.  A top holding
+        none of the residents' home leaves joins whole; otherwise those
+        leaves join, then ``tree.cover(leaves, top)``.
 
         The members partition the tops' arcs, so every path inside the
         tops is a chain of member entries joined at member nodes.  The
@@ -193,17 +205,17 @@ class FailureOracle:
         inside holds every leaf of that vertex, so the vertex is on the
         member's boundary, a node of its strict matrix."""
         tree = self.tree
-        strict = self.store.strict
         homes = dict.fromkeys(tree.leaf_of[w] for w in residents)
-        members = []
+        slots: list[int] = []
+        leaves: list[SparseMember] = []
         for top in tops:
-            leaves = [leaf for leaf in homes if tree.is_ancestor(top, leaf)]
-            if not leaves:
-                members.append(strict(top))
+            below = [leaf for leaf in homes if tree.is_ancestor(top, leaf)]
+            if not below:
+                slots.append(top)
                 continue
-            members.extend(self._leaves[leaf] for leaf in leaves)
-            members.extend(strict(sib) for sib in tree.cover(leaves, top))
-        return members
+            leaves.extend(self._leaves[leaf] for leaf in below)
+            slots.extend(tree.cover(below, top))
+        return slots, leaves
 
     # -- queries -----------------------------------------------------------
 

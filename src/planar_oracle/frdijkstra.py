@@ -6,13 +6,18 @@ and runs a single multi-source Dijkstra across the overlay.  Distances in
 the union equal distances in the graph the members jointly describe.
 
 The union is keyed by vertex id, and a sparse member's per-node out-lists
-are built once, so joining a union never touches its arcs.  Labels live in
-lists indexed by vertex id, filled afresh per run (one C-level fill of
-max-id + 1 entries, about 14 µs at n = 4096 in CPython 3.11), so a held
-result keeps its labels whatever runs later.
+are built once, so joining a union never touches its arcs.  Members sit in
+slots, and a bytearray marks the live ones.  An owner whose matrices change
+rarely or never indexes all of them once, one slot each, and a query takes
+a ``view`` of that index: it marks the query's slots live and adds its
+sparse members, so it costs a pass over its member list, not over their
+nodes, and the scan skips the rows of dead slots.  Labels live in lists
+indexed by vertex id, filled afresh per run (one C-level fill of max-id + 1
+entries, about 14 µs at n = 4096 in CPython 3.11), so a held result keeps
+its labels whatever runs later.
 
 When a vertex settles, the scan relaxes all of its out-pairs in one loop:
-its sparse arcs and its whole row in every matrix member it belongs to.
+its sparse arcs and its whole row in every live matrix slot it belongs to.
 The row's columns that have settled already are not skipped: a settled
 label is final, so relaxing into it changes nothing, and under a potential
 few vertices settle, so keeping lists of unsettled columns would cost more
@@ -43,6 +48,7 @@ alone.  A potential stays consistent on the exit arcs when
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .graph import MATRIX_SENTINEL, UNREACHABLE
@@ -93,15 +99,25 @@ def _merge_sparse(sparse_out: dict, m: SparseMember) -> None:
 class DdgUnion:
     """Overlay of members on shared vertex ids, ready to run Dijkstra on.
 
-    ``dense_in`` maps a vertex to its (member index, local index) pairs in
-    matrix members; ``sparse_out`` maps it to its (head, weight) arcs over
-    all sparse members.  Every union vertex is a key of one or both.
+    Each member sits in one of ``slots``, and the bytearray ``live`` marks
+    the slots that take part; ``members`` are the live slots' members, in
+    slot order, followed by any sparse members added by ``view``.
+    ``dense_in`` maps a vertex to its (slot, local index) pairs in matrix
+    slots, dead ones included; ``sparse_out`` maps it to its (head, weight)
+    arcs over the sparse members.  A union vertex is a key of
+    ``sparse_out`` or has a live slot in ``dense_in``.
+
+    ``DdgUnion(members)`` puts member i in slot i, every slot live.  An
+    owner whose matrices change rarely or never indexes them once this way
+    (``replace`` swaps one in place), and each query takes a ``view`` that
+    marks its own slots live.
     """
 
-    __slots__ = ("members", "dense_in", "sparse_out", "size", "union_vertices")
+    __slots__ = ("slots", "live", "members", "dense_in", "sparse_out", "size", "union_vertices")
 
     def __init__(self, members: Sequence):
-        self.members = tuple(members)
+        self.slots = self.members = tuple(members)
+        self.live = bytearray(b"\x01") * len(self.slots)
         dense_in: dict[int, list[tuple[int, int]]] = {}
         sparse_out: dict[int, tuple[tuple[int, int], ...]] = {}
         total = 0
@@ -120,21 +136,27 @@ class DdgUnion:
         self.size = max(max(dense_in, default=-1), max(sparse_out, default=-1)) + 1
         self.union_vertices = total
 
-    def overlay(self, sparse: Sequence[SparseMember]) -> DdgUnion:
-        """A new union of this one's members followed by the sparse members
-        ``sparse``.  It shares this union's ``dense_in`` and builds only its
-        own ``sparse_out``, so its cost grows with ``sparse`` alone; neither
-        union modifies the other."""
+    def view(self, live_slots: Iterable[int], sparse: Sequence[SparseMember]) -> DdgUnion:
+        """A union of this one's slots ``live_slots`` and the sparse members
+        ``sparse``.  It shares this union's ``slots`` and ``dense_in``, and
+        builds only its own ``live`` and ``sparse_out``, so its cost grows
+        with its member count and ``sparse``, not with the matrices' nodes;
+        neither union modifies the other."""
+        slots = self.slots
+        live = bytearray(len(slots))
+        for mi in live_slots:
+            live[mi] = 1
         new = DdgUnion.__new__(DdgUnion)
-        new.members = self.members + tuple(sparse)
+        new.slots = slots
+        new.live = live
+        new.members = members = (*compress(slots, live), *sparse)
         new.dense_in = self.dense_in
-        new.sparse_out = sparse_out = dict(self.sparse_out)
-        total = self.union_vertices
-        for m in sparse:
-            total += len(m.nodes)
-            _merge_sparse(sparse_out, m)
+        new.sparse_out = sparse_out = {}
+        for m in members:
+            if isinstance(m, SparseMember):
+                _merge_sparse(sparse_out, m)
         new.size = max(self.size, max(sparse_out, default=-1) + 1)
-        new.union_vertices = total
+        new.union_vertices = sum(len(m.nodes) for m in members)
         return new
 
     def replace(self, mi: int, m) -> None:
@@ -143,17 +165,25 @@ class DdgUnion:
         Unlike the constructor, this does not scan m's entries for a
         negative one, which would cost a pass over the whole matrix on
         every swap: m must be a strict matrix of nonnegative arcs."""
-        if m.nodes != self.members[mi].nodes:
+        slots = self.slots
+        if m.nodes != slots[mi].nodes:
             raise ValueError("a replacement member must keep the node list")
-        self.members = self.members[:mi] + (m,) + self.members[mi + 1 :]
+        if self.live[mi]:
+            # live slots lead ``members``, in slot order
+            i = self.live.count(1, 0, mi)
+            self.members = self.members[:i] + (m,) + self.members[i + 1 :]
+        self.slots = slots[:mi] + (m,) + slots[mi + 1 :]
 
     def __contains__(self, v) -> bool:
-        return v in self.dense_in or v in self.sparse_out
+        if v in self.sparse_out:
+            return True
+        live = self.live
+        return any(live[mi] for mi, _ in self.dense_in.get(v, ()))
 
     @property
     def vertices(self) -> tuple[int, ...]:
         """The union's vertex ids, sorted; computed on each call."""
-        return tuple(sorted(self.dense_in.keys() | self.sparse_out.keys()))
+        return tuple(sorted(v for v in self.dense_in.keys() | self.sparse_out.keys() if v in self))
 
 
 class MultiDijkstraResult:
@@ -262,7 +292,8 @@ def multi_dijkstra(
     for v, _ in sources:
         blocked[v] = 0
 
-    mems = union.members
+    mems = union.slots
+    live = union.live
     dense_in = union.dense_in
     sparse_out = union.sparse_out
     done = bytearray(size)
@@ -292,6 +323,8 @@ def multi_dijkstra(
             rows.append(((stop, exit_cost(u)),))
             relaxations += 1
         for mi, li in dense_in.get(u, ()):
+            if not live[mi]:
+                continue
             m = mems[mi]
             nodes = m.nodes
             k = len(nodes)

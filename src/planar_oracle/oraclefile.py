@@ -345,4 +345,5 @@ def load_oracle(path: str):
             except ValueError as exc:
                 raise OracleFileError(str(exc)) from exc
         _read_tables(rd, oracle)
+        oracle._index()
         return oracle

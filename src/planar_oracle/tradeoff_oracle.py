@@ -25,7 +25,9 @@ plus the table hop from the exit piece's boundary to v; it is read only
 if y settles.  Either way one small union A* scan over the tuple's
 matrices runs toward v and stops when v settles; below the tuple pieces
 its members come from the failure oracle's cover walk,
-``FailureOracle._cover``.  The exit tables ignore failures, so a query
+``FailureOracle._cover``.  The union is a view of the one the oracle
+indexes at set-up, which holds ext(T) of every tuple after the pieces'
+strict matrices.  The exit tables ignore failures, so a query
 with a failed vertex in v's exit piece, or one that no stored tuple fits,
 runs the failure oracle's query instead, over the same strict matrices;
 it is the same kind of target-stopped scan and is exact for any failed
@@ -50,7 +52,7 @@ from .ddg import (
 )
 from .external import ExternalDdgBuilder, tuple_exits
 from .failure_oracle import FailureOracle
-from .frdijkstra import MultiDijkstraResult, multi_dijkstra
+from .frdijkstra import DdgUnion, MultiDijkstraResult, multi_dijkstra
 
 __all__ = ["TradeoffOracle"]
 
@@ -79,6 +81,7 @@ class TradeoffOracle(FailureOracle):
         self._setup(g, tree, r, k)
         self.store.build_internal()
         self._build()
+        self._index()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
         """Fix the r-division, index each vertex's home piece, and build
@@ -146,6 +149,13 @@ class TradeoffOracle(FailureOracle):
             self.ext[ids], rows = builder.ext(ids, exits)
             self.vor.update(rows)
 
+    def _index(self) -> None:
+        """The failure oracle's union of every piece, then ext(T) of every
+        tuple in ``_tuples`` order, one slot each after the pieces."""
+        pieces = len(self.tree.pieces)
+        self._ext_slot = {ids: pieces + i for i, ids in enumerate(self.ext)}
+        self._union = DdgUnion([*map(self.store.strict, range(pieces)), *self.ext.values()])
+
     # -- query helpers ---------------------------------------------------------
 
     def _validate(self, u: int, v: int, failed: Iterable[int]) -> tuple[int, ...]:
@@ -211,13 +221,15 @@ class TradeoffOracle(FailureOracle):
             return None
         return ids, q
 
-    def _assembly(self, ids, residents):
-        """Union members for a stored tuple under failures: ext of the
-        tuple, then ``_cover`` of the tuple pieces.  The residents are u,
-        the failed vertices and, on a plan with no exit piece, v.  Tuple
-        pieces are disjoint nodes of one division, so no leaf or sibling
-        comes up twice."""
-        return [self.ext[ids], *self._cover(ids, residents)]
+    def _assembly(self, ids, residents) -> DdgUnion:
+        """The union for a stored tuple under failures: the view of
+        ``_cover`` of the tuple pieces plus the slot of ext(T).  The
+        residents are u, the failed vertices and, on a plan with no exit
+        piece, v.  Tuple pieces are disjoint nodes of one division, so no
+        leaf or sibling comes up twice."""
+        slots, leaves = self._cover(ids, residents)
+        slots.append(self._ext_slot[ids])
+        return self._union.view(slots, leaves)
 
     def _main(self, u, v, x, ids, q):
         """One union A* scan from u toward v over the tuple's assembly,

@@ -481,9 +481,9 @@ def test_criterion_7_union_scan_matches_explicit_arcs(suite1, capsys):
     compared = bad = 0
     for name, g, fo, _leaf, _secs in suite1:
         for u, v, failed in _suite1_queries(name, g.n):
-            members = fo.assemble(u, v, failed)
-            res = multi_dijkstra(members, [(u, 0)], forbidden=failed)
-            want = explicit_dijkstra(members, [(u, 0)], failed)
+            union = fo.assemble(u, v, failed)
+            res = multi_dijkstra(union, [(u, 0)], forbidden=failed)
+            want = explicit_dijkstra(union.members, [(u, 0)], failed)
             same = res.vertices == tuple(sorted(want)) and all(
                 res.raw(w) == want[w] for w in res.vertices
             )

@@ -781,10 +781,11 @@ def test_tables_stay_feasible(seed, updates):
 
 
 def assert_union_current(dyn):
-    """The kept union holds region ri's matrix in slot ri, and its index
-    equals that of a freshly built matrix union."""
+    """The kept union holds region ri's matrix in slot ri, every slot live,
+    and its index equals that of a freshly built matrix union."""
     union = dyn._union
-    assert list(union.members) == [reg.ddg for reg in dyn.regions]
+    assert list(union.slots) == list(union.members) == [reg.ddg for reg in dyn.regions]
+    assert set(union.live) == {1}
     assert union.dense_in == DdgUnion([reg.ddg for reg in dyn.regions]).dense_in
 
 

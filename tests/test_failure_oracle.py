@@ -92,9 +92,9 @@ def test_strategies_agree(grid8, fo8):
     # the assembly's members expanded into literal arcs
     rng = random.Random("fo-strat")
     for u, v, x in random_queries(rng, grid8.n, 60):
-        members = fo8.assemble(u, v, x)
-        res = multi_dijkstra(members, [(u, 0)], forbidden=x)
-        want = explicit_dijkstra(members, [(u, 0)], x)
+        union = fo8.assemble(u, v, x)
+        res = multi_dijkstra(union, [(u, 0)], forbidden=x)
+        want = explicit_dijkstra(union.members, [(u, 0)], x)
         assert res.vertices == tuple(sorted(want))
         for w in res.vertices:
             assert res.raw(w) == want[w], (u, v, x, w)
@@ -114,21 +114,22 @@ def strict_pieces(oracle, members):
 
 
 def test_assembly_structure(grid8, fo8):
-    members = fo8.assemble(5, 40, {20, 3})
+    members = fo8.assemble(5, 40, {20, 3}).members
     tree = fo8.tree
-    # anchor leaves come first: the home leaves of u, v and the sorted
+    # anchor leaves come last: the home leaves of u, v and the sorted
     # failures, deduped, each as its cached own-arcs member
     homes = list(dict.fromkeys(tree.leaf_of[w] for w in (5, 40, 3, 20)))
-    assert members[: len(homes)] == [fo8._leaves[leaf] for leaf in homes]
-    rest = members[len(homes) :]
+    rest = members[: -len(homes)]
+    assert members[len(rest) :] == tuple(fo8._leaves[leaf] for leaf in homes)
     assert rest and not any(isinstance(m, SparseMember) for m in rest)
     # every other member is a strict matrix, of a piece on no home leaf's
-    # root path
+    # root path, in piece order: its slot in the oracle's union
     sibs = strict_pieces(fo8, rest)
     assert len(sibs) == len(rest)
+    assert sibs == sorted(sibs)
     assert not any(tree.is_ancestor(p, leaf) for p in sibs for leaf in homes)
     # endpoints are nodes of their home leaf members
-    assert 5 in members[0].nodes
+    assert 5 in members[len(rest)].nodes
 
 
 def test_no_strict_member_hides_a_failure(grid8, fo8):
@@ -137,7 +138,7 @@ def test_no_strict_member_hides_a_failure(grid8, fo8):
     pieces = fo8.tree.pieces
     for x in ({20, 3}, {27, 36}, {9, 18, 27, 54}):
         for u, v in ((5, 40), (0, 63)):
-            for pid in strict_pieces(fo8, fo8.assemble(u, v, x)):
+            for pid in strict_pieces(fo8, fo8.assemble(u, v, x).members):
                 for f in x:
                     inside = pieces[pid].contains(f) and f not in pieces[pid].boundary
                     assert not inside, (u, v, x, pid, f)
@@ -192,7 +193,7 @@ def test_potential_consistent_on_union_arcs(alt_oracles, data):
     x = data.draw(st.sets(st.sampled_from(others), max_size=4)) if others else set()
     pi = fo._potential(u, v)
     assert pi(v) == 0
-    members = fo.assemble(u, v, x)
+    members = fo.assemble(u, v, x).members
     for y, z, w in union_arcs(members):
         assert pi(y) <= w + pi(z), (name, u, v, x, y, z, w)
     for y in {y for m in members for y in m.nodes}:
@@ -208,11 +209,11 @@ def test_potential_scan_matches_explicit_dijkstra(alt_oracles):
         if g.n < 2:
             continue
         for u, v, x in random_queries(rng, g.n, 60):
-            members = fo.assemble(u, v, x)
+            union = fo.assemble(u, v, x)
             res = multi_dijkstra(
-                members, [(u, 0)], forbidden=x, target=v, potential=fo._potential(u, v)
+                union, [(u, 0)], forbidden=x, target=v, potential=fo._potential(u, v)
             )
-            want = explicit_dijkstra(members, [(u, 0)], x)
+            want = explicit_dijkstra(union.members, [(u, 0)], x)
             assert res.raw(v) == want[v], (name, u, v, x)
 
 

@@ -270,7 +270,7 @@ def test_source_overrides_forbidden():
 
 def cone_members(g, u):
     """Home leaf of u (with u as a node) plus every root-path sibling."""
-    return FailureOracle(g, leaf_size=8, r_base=4).assemble(u, u)
+    return FailureOracle(g, leaf_size=8, r_base=4).assemble(u, u).members
 
 
 def test_forbidden_monotone(grid8):
@@ -294,8 +294,8 @@ def test_cone_equals_global_sssp(grid8, tri60):
 def test_cone_structure(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
     members = cone_members(grid8, 5)
-    # first member is the home leaf with the vertex grafted in
-    assert 5 in members[0].nodes
+    # last member is the home leaf, holding the vertex as a node
+    assert 5 in members[-1].nodes
     # one member per root-path sibling
     leaf = tree.leaf_of[5]
     assert len(members) == 1 + len(tree.cover([leaf]))
@@ -407,3 +407,116 @@ def test_held_result_keeps_its_labels():
     for res, labels in runs:
         assert [res.raw(v) for v in union.vertices] == labels
     assert len({tuple(labels) for _, labels in runs}) > 1
+
+
+def _view_case(rng, n_ids=24):
+    """A base union of seeded random matrices, some of its slots, and
+    sparse members over ids that may lie only in dead slots."""
+    base = DdgUnion(random_members(rng, n_ids=n_ids, n_members=8))
+    live = sorted(rng.sample(range(len(base.slots)), rng.randrange(1, 6)))
+    sparse = []
+    for _ in range(rng.randrange(0, 3)):
+        nodes = sorted(rng.sample(range(n_ids), rng.randrange(1, 6)))
+        arcs = [(rng.choice(nodes), rng.choice(nodes), rng.randrange(0, 30)) for _ in range(6)]
+        sparse.append(SparseMember(nodes, arcs))
+    return base, live, sparse
+
+
+def _same_run(got, want, ids):
+    assert [got.raw(v) for v in ids] == [want.raw(v) for v in ids]
+    assert (got.settled, got.relaxations) == (want.settled, want.relaxations)
+    assert got.union_vertices == want.union_vertices
+    assert got.vertices == want.vertices
+
+
+def test_view_matches_a_union_of_its_members():
+    # a view scans like a union built afresh from its live members and its
+    # sparse ones; ids held only by dead slots are not in it
+    rng = random.Random(47)
+    ids = range(-2, 30)
+    dead_only = 0
+    for _ in range(60):
+        base, live, sparse = _view_case(rng)
+        view = base.view(live, sparse)
+        fresh = DdgUnion([*(base.slots[mi] for mi in live), *sparse])
+        assert view.members == fresh.members
+        assert view.union_vertices == fresh.union_vertices
+        assert view.vertices == fresh.vertices
+        assert [v in view for v in ids] == [v in fresh for v in ids]
+        for v in ids:
+            if v in base and v not in view:
+                dead_only += 1
+                with pytest.raises(ValueError):
+                    multi_dijkstra(view, [(v, 0)])
+        src = rng.choice(fresh.vertices)
+        forb = rng.sample(fresh.vertices, min(2, len(fresh.vertices)))
+        _same_run(
+            multi_dijkstra(view, [(src, 0)], forbidden=forb),
+            multi_dijkstra(fresh, [(src, 0)], forbidden=forb),
+            ids,
+        )
+        target = rng.choice(fresh.vertices)
+        _same_run(
+            multi_dijkstra(view, [(src, 0)], target=target),
+            multi_dijkstra(fresh, [(src, 0)], target=target),
+            ids,
+        )
+    assert dead_only > 0
+
+
+def test_view_source_in_a_dead_slot_raises():
+    a = dense([0, 1], {(0, 1): 2})
+    b = dense([1, 2], {(1, 2): 3})
+    view = DdgUnion([a, b]).view([0], [])
+    assert 2 not in view and 1 in view
+    assert multi_dijkstra(view, [(0, 0)]).label(2) == UNREACHABLE
+    with pytest.raises(ValueError):
+        multi_dijkstra(view, [(2, 0)])
+
+
+def _union_state(union):
+    return (
+        union.slots,
+        bytes(union.live),
+        union.members,
+        {v: list(pairs) for v, pairs in union.dense_in.items()},
+        dict(union.sparse_out),
+        union.size,
+        union.union_vertices,
+    )
+
+
+def test_views_leave_each_other_and_the_base_unchanged():
+    rng = random.Random(53)
+    for _ in range(20):
+        base, live, sparse = _view_case(rng)
+        before = _union_state(base)
+        first = base.view(live, sparse)
+        first_state = _union_state(first)
+        labels = [multi_dijkstra(first, [(v, 0)]).dist for v in first.vertices]
+        _, other_live, other_sparse = _view_case(rng)
+        second = base.view(other_live, other_sparse)
+        multi_dijkstra(second, [(second.vertices[0], 0)])
+        assert _union_state(base) == before
+        assert _union_state(first) == first_state
+        assert second.dense_in is base.dense_in and second.slots is base.slots
+        assert [multi_dijkstra(first, [(v, 0)]).dist for v in first.vertices] == labels
+
+
+def test_replace_updates_the_indexed_slot():
+    # the new matrix serves the base and later views; an earlier view keeps
+    # the old one
+    a = dense([0, 1], {(0, 1): 5})
+    b = dense([1, 2], {(1, 2): 3})
+    base = DdgUnion([a, b])
+    old_view = base.view([0, 1], [])
+    cheaper = dense([0, 1], {(0, 1): 1})
+    base.replace(0, cheaper)
+    assert base.slots == base.members == (cheaper, b)
+    new_view = base.view([0], [])
+    assert new_view.members == (cheaper,)
+    assert multi_dijkstra(base, [(0, 0)]).label(2) == 4
+    assert multi_dijkstra(new_view, [(0, 0)]).label(1) == 1
+    assert multi_dijkstra(old_view, [(0, 0)]).label(2) == 8
+    with pytest.raises(ValueError):
+        base.replace(1, dense([1, 3], {}))

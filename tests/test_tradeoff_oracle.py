@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planar_oracle import external, tradeoff_oracle
+from planar_oracle import external, failure_oracle, tradeoff_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.external import ExternalDdgBuilder
+from planar_oracle.frdijkstra import DdgUnion, multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 from planar_oracle.oraclefile import load_oracle, save_oracle
@@ -210,17 +211,47 @@ def test_union_members_tile_once(request, name):
     k = getattr(oracle, "k", 4)
     main = 0
     for u, v, x in _queries(rng, oracle.graph.n, k, 300):
-        assert arcs(oracle.assemble(u, v, x)) == list(pieces[0].arcs), (u, v, x)
+        assert arcs(oracle.assemble(u, v, x).members) == list(pieces[0].arcs), (u, v, x)
         plan = oracle._plan(u, v, x) if isinstance(oracle, TradeoffOracle) else None
         if plan is not None:
             ids, q = plan
             residents = (u, *x) if q is not None else (u, *x, v)
-            ext, *members = oracle._assembly(ids, residents)
+            members = list(oracle._assembly(ids, residents).members)
+            # ext(T) is the one member that is no piece's
+            (ext,) = [m for m in members if id(m) not in piece_of]
             assert ext is oracle.ext[ids]
+            members.remove(ext)
             want = sorted(a for pid in ids for a in pieces[pid].arcs)
             assert arcs(members) == want, (u, v, x, ids)
             main += 1
     assert main > 50 or not isinstance(oracle, TradeoffOracle)
+
+
+@pytest.mark.parametrize("name", ["fo8", "to8", "tri32"])
+def test_query_view_scans_like_a_fresh_union(request, monkeypatch, name):
+    # a query scans a view of the union the oracle indexed at set-up; a
+    # union built afresh from the view's members, as every query built it
+    # before, gives the same labels and counters on every scan
+    oracle = request.getfixturevalue(name)
+    scans = []
+
+    def both(union, *args, **kwargs):
+        res = multi_dijkstra(union, *args, **kwargs)
+        scans.append((res, multi_dijkstra(DdgUnion(list(union.members)), *args, **kwargs)))
+        return res
+
+    for mod in (failure_oracle, tradeoff_oracle):
+        monkeypatch.setattr(mod, "multi_dijkstra", both)
+    rng = random.Random(f"view-{name}")
+    ids = range(oracle.graph.n)
+    for u, v, x in _queries(rng, oracle.graph.n, getattr(oracle, "k", 4), 300):
+        scans.clear()
+        res = oracle.query_result(u, v, x)
+        (got, want), = scans
+        assert got is res and res.union.dense_in is oracle._union.dense_in
+        assert [got.raw(w) for w in ids] == [want.raw(w) for w in ids], (u, v, x)
+        assert (got.settled, got.relaxations) == (want.settled, want.relaxations)
+        assert (got.union_vertices, got.vertices) == (want.union_vertices, want.vertices)
 
 
 @pytest.fixture(scope="module")
