@@ -1,12 +1,14 @@
 """Dense distance graphs over piece boundaries.
 
 Every stored matrix is strict: an entry is a path that touches the matrix's
-nodes only at its two ends.  For a piece, one Dijkstra per boundary vertex
-settles the other boundary vertices but never relaxes out of them; the
-external module builds the strict matrices of the graph outside a tuple of
-pieces.  The piece distance tables of the trade-off oracle (boundary to
-every piece vertex, paths unrestricted inside the piece) run through the
-same kernel, which fills a flat matrix row by row.
+nodes only at its two ends.  For a leaf, one Dijkstra per boundary vertex
+settles the other boundary vertices but never relaxes out of them.  Every
+other one comes from the strict matrices tiling its arcs, as Fakcharoenphol
+and Rao (JCSS 2006) build them (``union_strict_matrix``): an internal
+piece's from its children's, ext(T) from its exit pieces'.  The piece
+distance tables of the trade-off oracle (boundary to every piece vertex,
+paths unrestricted inside the piece) run through the leaves' kernel,
+which fills a flat matrix row by row.
 
 The dynamic oracle changes one arc of a region at a time.
 ``repair_strict_matrix`` turns the region's old matrix into the new one
@@ -15,10 +17,9 @@ head, then a min-plus pass for a cut or an insertion, or the old rows the
 arc's old weight attained re-run for a raise or a deletion (Ramalingam and
 Reps, J. Algorithms 1996; Demetrescu and Italiano, J. ACM 2004).
 
-Every leaf's matrix is built when a store is made, and internal pieces'
-matrices by the build's ``build_internal`` or read from an oracle file;
-queries only look them up.  An anchor leaf joins a union as its own arcs
-instead (``compute_leaf_ddg``), so no per-query Dijkstra runs.
+A store builds every piece's matrix when it is made, at build and load
+alike; queries only look them up.  An anchor leaf joins a union as its own
+arcs instead (``compute_leaf_ddg``), so no per-query Dijkstra runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import heapq
 from array import array
 from typing import Iterable, Sequence
 
-from .frdijkstra import SparseMember
+from .frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "piece_adjacency",
     "repair_strict_matrix",
     "strict_matrix",
+    "union_strict_matrix",
 ]
 
 
@@ -206,12 +208,39 @@ def repair_strict_matrix(
 # ----------------------------------------------------------------------
 
 
-def compute_ddg_internal(g: EmbeddedPlanarGraph, piece) -> DenseDistanceGraph:
+def union_strict_matrix(members, nodes: Sequence[int], each_row=None) -> array:
+    """Strict matrix over ``nodes`` of the graph the union of ``members``
+    describes: entry (i, j) is the shortest nodes[i]-to-nodes[j] path over
+    the members that passes through no other node, from one
+    ``multi_dijkstra`` per node with every other node forbidden.  A node
+    outside the union reaches only itself.  ``each_row(y, raw)``, if given,
+    is called per node y with ``raw``, y's label at any vertex id."""
+    union = DdgUnion(members)
+    node_set = set(nodes)
+    matrix = array("q")
+    for y in nodes:
+        if y in union:
+            # the source overrides its own forbidden entry
+            raw = multi_dijkstra(union, [(y, 0)], forbidden=node_set).raw
+        else:
+            raw = lambda x, y=y: 0 if x == y else MATRIX_SENTINEL
+        matrix.extend(map(raw, nodes))
+        if each_row is not None:
+            each_row(y, raw)
+    return matrix
+
+
+def compute_ddg_internal(g: EmbeddedPlanarGraph, piece, below=None) -> DenseDistanceGraph:
     """Strict-internal DDG: boundary-to-boundary paths inside the piece
-    that visit no other boundary vertex."""
-    matrix = strict_matrix(
-        piece.vertices, piece.boundary, (g.arcs[a] for a in piece.arcs)
-    )
+    that visit no other boundary vertex, over a leaf's arcs, or for an
+    internal piece over ``below[c]``, its children's matrices: a child
+    holding a boundary vertex has it on its own boundary
+    (``child_boundary``), so such a path is a chain of child entries."""
+    if below is None:
+        arcs = (g.arcs[a] for a in piece.arcs)
+        matrix = strict_matrix(piece.vertices, piece.boundary, arcs)
+    else:
+        matrix = union_strict_matrix([below[c] for c in piece.children], piece.boundary)
     return DenseDistanceGraph(piece.boundary, matrix)
 
 
@@ -241,32 +270,24 @@ def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> array:
 
 
 class DdgStore:
-    """Strict-internal DDGs, one per decomposition node.
-
-    A new store holds every leaf's matrix.  A build then computes the
-    internal pieces' matrices with ``build_internal``, and a load reads
-    them from its file; after that ``strict`` is a plain lookup.  Anchor
-    leaves never come from here: they join as their own arcs (see
-    ``compute_leaf_ddg``).
+    """Strict-internal DDGs, one per decomposition node, all built by
+    ``compute_ddg_internal`` when the store is made, children before
+    parents; ``strict`` is a plain lookup.  Anchor leaves never come from
+    here: they join as their own arcs (see ``compute_leaf_ddg``).
     """
 
     def __init__(self, g: EmbeddedPlanarGraph, tree):
-        self.graph = g
         self.tree = tree
-        self._strict: dict[int, DenseDistanceGraph] = {
-            p.id: compute_ddg_internal(g, p) for p in tree.pieces if p.is_leaf
-        }
+        strict: dict[int, DenseDistanceGraph] = {}
+        # every child has a larger id than its parent
+        for p in reversed(tree.pieces):
+            strict[p.id] = compute_ddg_internal(g, p, None if p.is_leaf else strict)
+        self._strict = strict
 
     def strict(self, node_id: int) -> DenseDistanceGraph:
         return self._strict[node_id]
 
-    def build_internal(self) -> None:
-        """Compute the matrix of every internal piece."""
-        for p in self.tree.pieces:
-            if not p.is_leaf:
-                self._strict[p.id] = compute_ddg_internal(self.graph, p)
-
     def stored_entry_count(self) -> int:
-        """Entries of the internal pieces' matrices, the ones a file stores."""
+        """Entries of the internal pieces' matrices."""
         pieces = self.tree.pieces
         return sum(len(d.matrix) for pid, d in self._strict.items() if not pieces[pid].is_leaf)

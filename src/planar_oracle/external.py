@@ -13,17 +13,15 @@ tuple pieces: the siblings hanging off their root paths that lie on no
 such path, and so hold no tuple piece.  With the tuple pieces they
 partition the graph's arcs, so the exits' strict matrices tile the graph
 minus the tuple pieces, and both tables come from one pass per tuple:
-one forbidden-transit Dijkstra per vertex y of ∂T over the union of
-those matrices gives ext(T)'s row y and y's row for every exit piece.
+``ddg.union_strict_matrix`` over those matrices runs one forbidden-transit
+Dijkstra per vertex y of ∂T, giving ext(T)'s row y and y's exit rows.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .graph import MATRIX_SENTINEL
-from .ddg import DdgStore, DenseDistanceGraph
-from .frdijkstra import DdgUnion, multi_dijkstra
+from .ddg import DdgStore, DenseDistanceGraph, union_strict_matrix
 
 __all__ = ["ExternalDdgBuilder", "tuple_boundary", "tuple_exits"]
 
@@ -55,23 +53,11 @@ class ExternalDdgBuilder:
         run over their strict matrices."""
         pieces = self.tree.pieces
         nodes = tuple_boundary(pieces, ids)
-        node_set = set(nodes)
-        union = DdgUnion([self.store.strict(sib) for sib in exits])
-        matrix = array("q")
         vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-        for y in nodes:
-            if y in union:
-                # the source overrides its own forbidden entry
-                raw = multi_dijkstra(union, [(y, 0)], forbidden=node_set).raw
-            else:
-                raw = _empty_path_only(y)
-            matrix.extend(raw(x) for x in nodes)
+
+        def vor_rows(y, raw):
             for q in exits:
                 vor[(ids, q, y)] = array("q", [raw(s) for s in pieces[q].boundary])
+
+        matrix = union_strict_matrix(list(map(self.store.strict, exits)), nodes, vor_rows)
         return DenseDistanceGraph(nodes, matrix), vor
-
-
-def _empty_path_only(y: int):
-    """Distances from a y whose every arc lies inside a tuple piece: the
-    only usable path from y is the empty one."""
-    return lambda s: 0 if s == y else MATRIX_SENTINEL

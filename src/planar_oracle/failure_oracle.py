@@ -1,10 +1,10 @@
 """Exact distance oracle under vertex failures.
 
-Build time precomputes the decomposition tree and the strict matrix of
-every node, and each leaf as a union member of its own arcs; a load reads
-the internal matrices from its file and rebuilds the leaves.  Both end by
-indexing every strict matrix once, piece i's in slot i of one
-``DdgUnion``.  Queries only read this state.  A query with failed set X
+Build and load alike precompute the strict matrix of every node of the
+decomposition tree, bottom-up (``ddg.DdgStore``), and each leaf as a union
+member of its own arcs; a build makes the tree, a load reads it from its
+file.  Both end by indexing every strict matrix once, piece i's in slot i
+of one ``DdgUnion``.  Queries only read this state.  A query with failed set X
 assembles a small union of matrices that jointly cover every path from u
 that avoids X: the home leaves of u, v and X as their own arcs, failed
 vertices included (every leaf vertex is a node, so u and v need no
@@ -142,13 +142,11 @@ class FailureOracle:
         tree: DecompositionTree | None = None,
     ):
         self._setup(g, tree if tree is not None else build_decomposition(g, leaf_size, r_base))
-        self.store.build_internal()
         self._index()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree) -> None:
-        """The state built and loaded oracles share: every leaf's strict
-        matrix and member, and the landmark tables.  A build then computes
-        the internal matrices, a load reads them from its file.  ``tree``
+        """The state built and loaded oracles share: every piece's strict
+        matrix, every leaf's member, and the landmark tables.  ``tree``
         must be one of g's topology; its weights may differ."""
         t = tree.graph
         if (t.n, t.tails, t.heads, t.rotation) != (g.n, g.tails, g.heads, g.rotation):

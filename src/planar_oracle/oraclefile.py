@@ -1,18 +1,18 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 9; files of any other version are rejected), a kind byte, the
-graph in its text form, the decomposition tree, the trade-off r and k, and
-the tables in the order ``_layout`` walks them.  The tree section holds
-the marked r sequence, the piece count, one parent id per piece (-1 for
-the root) and, in piece order, each leaf's vertex and arc ids; a load
-derives every other part of the tree by the build's rules.  The tables
-are the strict matrices of the internal pieces and a trade-off oracle's
-per-tuple tables; a load builds the leaves' matrices and the exit
-pieces' tables from the graph, as a build does.  The tree, r and k fix
-every table's shape, so a table is its raw entries alone, unreachable
-ones written as -1: no key, node list or length.  Building the same
-oracle twice produces identical bytes.
+(currently 10; files of any other version are rejected), a kind byte, the
+graph in its text form, the decomposition tree, and for a trade-off
+oracle r, k and the tables in the order ``_layout`` walks them.  The tree
+section holds the marked r sequence, the piece count, one parent id per
+piece (-1 for the root) and, in piece order, each leaf's vertex and arc
+ids; a load derives every other part of the tree by the build's rules.
+A load builds every strict matrix and exit piece table with the build's
+own code, so the only tables are a trade-off oracle's per-tuple ext(T)
+and directional rows.  The tree, r and k fix every table's shape, so a
+table is its raw entries alone, unreachable ones written as -1: no key,
+node list or length.  Building the same oracle twice produces identical
+bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
@@ -25,7 +25,9 @@ lists are in range and strictly increasing, leaf arcs end inside their
 leaf, sibling arcs are disjoint, and the root is the whole graph.  The
 trade-off r must be marked and at least every leaf's size.  Each tuple's
 stored ids must be the tuple the walk expects next, which also bounds the
-walk by the file's size, and the tables must fill the file exactly.
+walk by the file's size, and the tables must fill the file exactly.  The
+entries of ext(T) and the directional rows are trusted: only the trailer
+guards them.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .tradeoff_oracle import TradeoffOracle
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 9
+_VERSION = 10
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
@@ -241,17 +243,14 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
 
 def _layout(oracle):
     """(kind, key, entries) of every table the oracle's file stores, in
-    file order: the internal pieces' strict matrices by piece id; then for
-    a trade-off oracle, per (k+1)-tuple T of its r-division in build order,
-    T's ids (one u32 each), ext(T) and the row of each exit piece q of T
-    (``tuple_exits``) and y ∈ ∂T.  Only the tree, r and k decide it, so
-    the bytes cannot drift."""
-    pieces = oracle.tree.pieces
-    for p in pieces:
-        if not p.is_leaf:
-            yield "strict", p.id, len(p.boundary) ** 2
+    file order: none for a failure oracle; for a trade-off oracle, per
+    (k+1)-tuple T of its r-division in build order, T's ids (one u32
+    each), ext(T) and the row of each exit piece q of T (``tuple_exits``)
+    and y ∈ ∂T.  Only the tree, r and k decide it, so the bytes cannot
+    drift."""
     if not isinstance(oracle, TradeoffOracle):
         return
+    pieces = oracle.tree.pieces
     for ids, exits in oracle._tuples():
         yield "tuple", ids, len(ids)
         nodes = tuple_boundary(pieces, ids)
@@ -265,8 +264,6 @@ def _write_tables(fh: BinaryIO, oracle) -> None:
     for kind, key, _ in _layout(oracle):
         if kind == "tuple":
             fh.write(_pack_ids(key))
-        elif kind == "strict":
-            _w_matrix(fh, oracle.store.strict(key).matrix)
         elif kind == "ext":
             _w_matrix(fh, oracle.ext[key].matrix)
         else:
@@ -281,9 +278,7 @@ def _read_tables(rd: _Reader, oracle) -> None:
                 raise OracleFileError(f"stored tuple ids are not the expected {key}")
             continue
         mat = rd.matrix(entries)
-        if kind == "strict":
-            oracle.store._strict[key] = DenseDistanceGraph(pieces[key].boundary, mat)
-        elif kind == "ext":
+        if kind == "ext":
             oracle.ext[key] = DenseDistanceGraph(tuple_boundary(pieces, key), mat)
         else:
             oracle.vor[key] = mat
@@ -335,15 +330,15 @@ def load_oracle(path: str):
         g = _read_graph(rd)
         tree = _read_tree(rd, g)
         if kind == _KIND_FAILURE:
-            oracle = FailureOracle.__new__(FailureOracle)
-            oracle._setup(g, tree)
-        else:
-            oracle = TradeoffOracle.__new__(TradeoffOracle)
-            r, k = rd.u32(), rd.u32()
-            try:
-                oracle._setup(g, tree, r, k)
-            except ValueError as exc:
-                raise OracleFileError(str(exc)) from exc
+            if rd.left:
+                raise OracleFileError(f"{rd.left} bytes after the tree")
+            return FailureOracle(g, tree=tree)
+        oracle = TradeoffOracle.__new__(TradeoffOracle)
+        r, k = rd.u32(), rd.u32()
+        try:
+            oracle._setup(g, tree, r, k)
+        except ValueError as exc:
+            raise OracleFileError(str(exc)) from exc
         _read_tables(rd, oracle)
         oracle._index()
         return oracle

@@ -79,7 +79,6 @@ class TradeoffOracle(FailureOracle):
             raise ValueError("k must be non-negative")
         tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
         self._setup(g, tree, r, k)
-        self.store.build_internal()
         self._build()
         self._index()
 

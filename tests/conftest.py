@@ -17,7 +17,7 @@ from array import array
 
 import pytest
 
-from planar_oracle.ddg import DdgStore, DenseDistanceGraph
+from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import SparseMember
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
@@ -64,13 +64,6 @@ def component_count(g):
     for t, h in zip(g.tails, g.heads):
         parent[find(t)] = find(h)
     return len({find(v) for v in range(g.n)})
-
-
-def built_store(g, tree):
-    """A DdgStore holding every piece's strict matrix, as a build leaves it."""
-    store = DdgStore(g, tree)
-    store.build_internal()
-    return store
 
 
 def leaves(tree):

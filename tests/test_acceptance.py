@@ -16,7 +16,7 @@ import time
 import pytest
 
 from planar_oracle.baseline import distance_avoiding, sssp
-from planar_oracle.ddg import strict_matrix
+from planar_oracle.ddg import DdgStore, strict_matrix
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.external import ExternalDdgBuilder
@@ -27,7 +27,7 @@ from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddingError
 from planar_oracle.oraclefile import save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
-from conftest import built_store, compute_ddg, explicit_dijkstra, minplus_closure
+from conftest import compute_ddg, explicit_dijkstra, minplus_closure
 
 
 def _report(capsys, num, ok, detail):
@@ -198,16 +198,16 @@ def test_criterion_3_closure_identity_per_piece(zoo, capsys):
     for _name, g in sorted(zoo.items()):
         leaf = 8 if g.n > 100 else 6
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
-        store = built_store(g, tree)
+        store = DdgStore(g, tree)
         for p in tree.pieces:
             base = store.strict(p.id)
-            if p.is_leaf:
-                # a leaf's stored matrix is the strict matrix over its
-                # sorted boundary
-                nodes = tuple(sorted(p.boundary))
-                arcs = (g.arcs[a] for a in p.arcs)
-                assert base.nodes == nodes
-                assert base.matrix.tobytes() == strict_matrix(p.vertices, nodes, arcs).tobytes()
+            # every piece's matrix, a leaf's from its arcs and an internal
+            # piece's from its children's, is the strict matrix over its
+            # sorted boundary and its own arcs, byte for byte
+            nodes = tuple(sorted(p.boundary))
+            arcs = (g.arcs[a] for a in p.arcs)
+            assert base.nodes == nodes
+            assert base.matrix.tobytes() == strict_matrix(p.vertices, nodes, arcs).tobytes()
             bad += minplus_closure(base).matrix != compute_ddg(g, p).matrix
             pieces += 1
     elapsed = time.monotonic() - t0
@@ -271,7 +271,7 @@ def test_criterion_4_external_tables_match_direct_computation(zoo, capsys):
         tree = build_decomposition(g, leaf_size=leaf, r_base=4)
         if not tree.r_sequence:
             continue
-        builder = ExternalDdgBuilder(tree, built_store(g, tree))
+        builder = ExternalDdgBuilder(tree, DdgStore(g, tree))
         r = tree.r_sequence[0]
         rdiv = tree.r_division(r)
         for size in (1, 2, 3):

@@ -150,9 +150,9 @@ def test_leaf_hook_reached(grid8, monkeypatch):
         (tradeoff_oracle, "compute_leaf_ddg"),
         (ddg, "compute_ddg_internal"),
     ):
-        def counting(g, piece, _orig=getattr(mod, name), _at=f"{mod.__name__}.{name}"):
+        def counting(g, piece, *below, _orig=getattr(mod, name), _at=f"{mod.__name__}.{name}"):
             calls.append((_at, piece.id))
-            return _orig(g, piece)
+            return _orig(g, piece, *below)
 
         monkeypatch.setattr(mod, name, counting)
     fo = FailureOracle(grid8, leaf_size=8, r_base=4)

@@ -7,10 +7,10 @@ import pytest
 
 from planar_oracle import cli
 from planar_oracle.baseline import distance_avoiding
-from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid
 from planar_oracle.graph import load_graph
 from planar_oracle.oraclefile import load_oracle, save_oracle
+from planar_oracle.tradeoff_oracle import TradeoffOracle
 
 
 @pytest.fixture
@@ -136,13 +136,14 @@ def test_build_tradeoff_defaults_and_verify(tmp_path):
 
 
 def test_verify_reports_mismatch(tmp_path, graph_file, capsys):
-    # sabotage a stored matrix so loaded answers drift from the baseline
+    # sabotage the stored ext(T) tables, which a load trusts, so loaded
+    # answers drift from the baseline
     g = load_graph(graph_file)
-    oracle = FailureOracle(g, leaf_size=8, r_base=4)
-    for pid, ddg in oracle.store._strict.items():
-        for i in range(len(ddg.matrix)):
-            if 0 < ddg.matrix[i] < 10**9:
-                ddg.matrix[i] += 1
+    oracle = TradeoffOracle(g, r=16, k=1, leaf_size=4)
+    for ext in oracle.ext.values():
+        for i in range(len(ext.matrix)):
+            if 0 < ext.matrix[i] < 10**9:
+                ext.matrix[i] += 1
     bad_path = tmp_path / "bad.bin"
     save_oracle(oracle, bad_path)
     rc = cli.main(["verify", str(bad_path), "--random", "60", "--seed", "0"])

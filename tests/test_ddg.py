@@ -23,7 +23,7 @@ from planar_oracle.frdijkstra import multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
-from conftest import built_store, compute_ddg, in_piece_distance, leaves, minplus_closure
+from conftest import compute_ddg, in_piece_distance, leaves, minplus_closure
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def test_closure_identity(setup8, tri60, path12, disconnected):
     for g in (tri60, path12, disconnected):
         cases.append((g, build_decomposition(g, leaf_size=6, r_base=4)))
     for g, tree in cases:
-        store = built_store(g, tree)
+        store = DdgStore(g, tree)
         for p in tree.pieces:
             if p.is_leaf:
                 continue
@@ -110,7 +110,7 @@ def test_closure_identity(setup8, tri60, path12, disconnected):
 def test_strict_entries_dominate_full(setup8):
     # strict paths are a subset of all paths, so entries only grow
     g, tree = setup8
-    store = built_store(g, tree)
+    store = DdgStore(g, tree)
     for p in tree.pieces:
         if p.is_leaf:
             continue
@@ -198,17 +198,14 @@ def test_closure_matches_floyd_warshall():
 
 
 def test_store_memoizes(setup8):
-    # a new store holds every leaf's matrix, and the build step every
-    # internal piece's; only the internal ones count as stored entries
+    # a new store holds every piece's matrix, each leaf's as its own arcs
+    # give it; only the internal ones count as stored entries
     g, tree = setup8
     store = DdgStore(g, tree)
-    assert sorted(store._strict) == leaves(tree)
-    assert store.stored_entry_count() == 0
+    assert sorted(store._strict) == [p.id for p in tree.pieces]
     leaf = leaves(tree)[0]
     assert store.strict(leaf) is store.strict(leaf)
     assert store.strict(leaf).matrix == compute_ddg_internal(g, tree.pieces[leaf]).matrix
-    store.build_internal()
-    assert sorted(store._strict) == [p.id for p in tree.pieces]
     assert store.stored_entry_count() == sum(
         len(p.boundary) ** 2 for p in tree.pieces if not p.is_leaf
     )

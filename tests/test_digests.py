@@ -26,8 +26,8 @@ TREE_DIGESTS = {
 
 # sha256 of the saved oracle file of a 12x12 grid
 FILE_DIGESTS = {
-    "failure": "a412a6ea56ad178562990ddeb34a91007b54433a22da69a26bfb4641e8241309",
-    "tradeoff": "82656c426c5e0d1331faf6901680586998cff89a5f6c533459847f746205f5c5",
+    "failure": "c6bec7aeb991d4d6cc9846c3c7b7ade0a5351bf1b91abeaa2f942f0a87c1cc05",
+    "tradeoff": "662a509438e83f7f71c943e2cb1eb5fdc1ed4fef2c846c769d54a27441c07747",
 }
 
 

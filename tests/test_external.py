@@ -5,11 +5,12 @@ import itertools
 
 import pytest
 
+from planar_oracle.ddg import DdgStore
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.external import ExternalDdgBuilder, tuple_exits
 from planar_oracle.graph import MATRIX_SENTINEL
 
-from conftest import built_store, minplus_closure
+from conftest import minplus_closure
 
 
 def masked_sssp(g, banned_arcs, src):
@@ -58,7 +59,7 @@ def check_tuple(g, tree, builder, ids):
 @pytest.fixture(scope="module")
 def world(grid8):
     tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    return grid8, tree, ExternalDdgBuilder(tree, built_store(grid8, tree))
+    return grid8, tree, ExternalDdgBuilder(tree, DdgStore(grid8, tree))
 
 
 def test_single_pieces(world):
@@ -78,7 +79,7 @@ def test_pairs(world):
 
 def test_triple(tri200):
     tree = build_decomposition(tri200, leaf_size=8, r_base=4)
-    builder = ExternalDdgBuilder(tree, built_store(tri200, tree))
+    builder = ExternalDdgBuilder(tree, DdgStore(tri200, tree))
     r = tree.r_sequence[0]
     rdiv = tree.r_division(r)
     ids = tuple(sorted(rdiv[:3]))
