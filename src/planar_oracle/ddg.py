@@ -1,21 +1,25 @@
 """Dense distance graphs over piece boundaries.
 
 Every stored matrix is strict: an entry is a path that touches the matrix's
-nodes only at its two ends.  For a leaf, one Dijkstra per boundary vertex
-settles the other boundary vertices but never relaxes out of them.  Every
-other one comes from the strict matrices tiling its arcs, as Fakcharoenphol
-and Rao (JCSS 2006) build them (``union_strict_matrix``): an internal
-piece's from its children's, ext(T) from its exit pieces'.  The piece
-distance tables of the trade-off oracle (boundary to every piece vertex,
-paths unrestricted inside the piece) run through the leaves' kernel,
-which fills a flat matrix row by row.
+nodes only at its two ends.  One kernel builds them all
+(``strict_matrix``).  It numbers its members' vertices locally, turns a
+sparse member's arcs and a matrix member's rows into out-lists, and runs
+one Dijkstra per node that settles the other nodes but never relaxes out
+of them.  A leaf's member is its own arcs; every other matrix comes from
+the strict matrices tiling its arcs, as Fakcharoenphol and Rao (JCSS 2006)
+build them: an internal piece's from its children's, ext(T) and its
+directional rows from its exit pieces' (``external``).  The piece distance
+tables of the trade-off oracle (boundary to every piece vertex, paths
+unrestricted inside the piece) run the same Dijkstra over a piece's own
+arcs with no node blocked.
 
 The dynamic oracle changes one arc of a region at a time.
 ``repair_strict_matrix`` turns the region's old matrix into the new one
-with the same kernel: one Dijkstra into the arc's tail and one out of its
-head, then a min-plus pass for a cut or an insertion, or the old rows the
-arc's old weight attained re-run for a raise or a deletion (Ramalingam and
-Reps, J. Algorithms 1996; Demetrescu and Italiano, J. ACM 2004).
+over the same local out-lists: one Dijkstra into the arc's tail and one
+out of its head, then a min-plus pass for a cut or an insertion, or the
+old rows the arc's old weight attained re-run for a raise or a deletion
+(Ramalingam and Reps, J. Algorithms 1996; Demetrescu and Italiano, J. ACM
+2004).
 
 A store builds every piece's matrix when it is made, at build and load
 alike; queries only look them up.  An anchor leaf joins a union as its own
@@ -26,9 +30,9 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .frdijkstra import DdgUnion, SparseMember, multi_dijkstra
+from .frdijkstra import SparseMember
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
 __all__ = [
@@ -37,10 +41,8 @@ __all__ = [
     "compute_leaf_ddg",
     "compute_piece_distance_table",
     "DdgStore",
-    "piece_adjacency",
     "repair_strict_matrix",
     "strict_matrix",
-    "union_strict_matrix",
 ]
 
 
@@ -72,20 +74,8 @@ class DenseDistanceGraph:
 
 
 # ----------------------------------------------------------------------
-# piece-local Dijkstra machinery
+# the local-id Dijkstra kernel
 # ----------------------------------------------------------------------
-
-
-def piece_adjacency(
-    vertices: Sequence[int], arcs: Iterable[tuple[int, int, int]]
-) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
-    """Local index map and out-adjacency lists for (tail, head, weight)
-    arcs whose endpoints all lie in ``vertices``."""
-    loc = {v: i for i, v in enumerate(vertices)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    for t, h, w in arcs:
-        adj[loc[t]].append((loc[h], w))
-    return loc, adj
 
 
 def _dijkstra_rows(
@@ -122,43 +112,63 @@ def _dijkstra_rows(
     return matrix
 
 
-def _strict_setup(vertices, nodes, arcs):
-    """Local index map, out-adjacency, the nodes' local indices and the
-    flags that block every node, for the strict kernel."""
-    loc, adj = piece_adjacency(vertices, arcs)
-    local = [loc[v] for v in nodes]
-    blocked = [False] * len(vertices)
-    for i in local:
-        blocked[i] = True
-    return loc, adj, local, blocked
+def _local_graph(members: Sequence, nodes: Sequence[int], extra: Sequence[int] = ()):
+    """``(loc, adj, blocked)`` for the graph the union of ``members``
+    (``SparseMember``s and ``DenseDistanceGraph``s) describes.  ``loc``
+    numbers the members' vertices in order, then any of ``nodes`` and
+    ``extra`` that no member holds; ``adj[i]`` lists local vertex i's
+    (local head, weight) out-pairs: its sparse members' arcs and its whole
+    row in each matrix member.  ``blocked`` flags the ``nodes``."""
+    loc: dict[int, int] = {}
+    for m in members:
+        for v in m.nodes:
+            loc.setdefault(v, len(loc))
+    for v in (*nodes, *extra):
+        loc.setdefault(v, len(loc))
+    adj: list[list[tuple[int, int]]] = [[] for _ in loc]
+    for m in members:
+        if isinstance(m, SparseMember):
+            for t, h, w in m.arcs:
+                adj[loc[t]].append((loc[h], w))
+        else:
+            cols = [loc[v] for v in m.nodes]
+            k = len(cols)
+            for i, u in enumerate(cols):
+                adj[u] += zip(cols, m.matrix[i * k : i * k + k])
+    blocked = [False] * len(loc)
+    for v in nodes:
+        blocked[loc[v]] = True
+    return loc, adj, blocked
 
 
 def strict_matrix(
-    vertices: Sequence[int],
-    nodes: Sequence[int],
-    arcs: Iterable[tuple[int, int, int]],
+    members: Sequence, nodes: Sequence[int], targets: Sequence[int] | None = None
 ) -> array:
-    """Strict matrix over ``nodes``: entry (i, j) is the shortest
-    nodes[i]-to-nodes[j] path over ``arcs`` that passes through no other
-    node.  Every node must be one of ``vertices``."""
-    _, adj, local, blocked = _strict_setup(vertices, nodes, arcs)
-    return _dijkstra_rows(adj, local, local, blocked)
+    """Strict matrix of the graph the union of ``members`` describes, one
+    row per node and one column per target (``nodes`` by default): entry
+    (i, j) is the shortest nodes[i]-to-targets[j] path over the members
+    that passes through no other node.  A node or target that no member
+    holds reaches only itself."""
+    if targets is None:
+        targets = nodes
+    loc, adj, blocked = _local_graph(members, nodes, targets)
+    return _dijkstra_rows(adj, [loc[v] for v in nodes], [loc[t] for t in targets], blocked)
 
 
 def repair_strict_matrix(
-    vertices: Sequence[int],
+    member: SparseMember,
     nodes: Sequence[int],
-    arcs: Sequence[tuple[int, int, int]],
     old: array,
     tail: int,
     head: int,
     w_old: int | None,
     w_new: int | None,
 ) -> array:
-    """``strict_matrix(vertices, nodes, arcs)`` from ``old``, the matrix
-    before one arc tail -> head changed from weight ``w_old`` to ``w_new``
-    (None: the arc is absent on that side).  ``arcs`` are the arcs after
-    the change, and ``nodes`` are the same on both sides.
+    """``strict_matrix([member], nodes)`` from ``old``, the matrix before
+    one arc tail -> head changed from weight ``w_old`` to ``w_new`` (None:
+    the arc is absent on that side).  ``member`` holds the arcs after the
+    change and both of the arc's ends, and ``nodes`` are the same on both
+    sides.
 
     With da[i] the strict distance nodes[i] -> tail and db[j] the strict
     distance head -> nodes[j], a shortest strict path through the arc is
@@ -168,12 +178,16 @@ def repair_strict_matrix(
     entry and that sum; a raise or a deletion re-runs only the rows with an
     entry the old arc attained.  A strict path passes through no node, so
     a tail or head that is a node ends its vector at itself."""
-    loc, adj, local, blocked = _strict_setup(vertices, nodes, arcs)
+    loc, adj, blocked = _local_graph([member], nodes)
+    local = [loc[v] for v in nodes]
     a, b = loc[tail], loc[head]
     if blocked[a]:
         da = [0 if i == a else MATRIX_SENTINEL for i in local]
     else:
-        _, radj = piece_adjacency(vertices, [(h, t, w) for t, h, w in arcs])
+        radj: list[list[tuple[int, int]]] = [[] for _ in adj]
+        for u, out in enumerate(adj):
+            for v, w in out:
+                radj[v].append((u, w))
         da = _dijkstra_rows(radj, [a], local, blocked)
     if blocked[b]:
         db = [0 if j == b else MATRIX_SENTINEL for j in local]
@@ -208,44 +222,22 @@ def repair_strict_matrix(
 # ----------------------------------------------------------------------
 
 
-def union_strict_matrix(members, nodes: Sequence[int], each_row=None) -> array:
-    """Strict matrix over ``nodes`` of the graph the union of ``members``
-    describes: entry (i, j) is the shortest nodes[i]-to-nodes[j] path over
-    the members that passes through no other node, from one
-    ``multi_dijkstra`` per node with every other node forbidden.  A node
-    outside the union reaches only itself.  ``each_row(y, raw)``, if given,
-    is called per node y with ``raw``, y's label at any vertex id."""
-    union = DdgUnion(members)
-    node_set = set(nodes)
-    matrix = array("q")
-    for y in nodes:
-        if y in union:
-            # the source overrides its own forbidden entry
-            raw = multi_dijkstra(union, [(y, 0)], forbidden=node_set).raw
-        else:
-            raw = lambda x, y=y: 0 if x == y else MATRIX_SENTINEL
-        matrix.extend(map(raw, nodes))
-        if each_row is not None:
-            each_row(y, raw)
-    return matrix
-
-
 def compute_ddg_internal(g: EmbeddedPlanarGraph, piece, below=None) -> DenseDistanceGraph:
     """Strict-internal DDG: boundary-to-boundary paths inside the piece
-    that visit no other boundary vertex, over a leaf's arcs, or for an
+    that visit no other boundary vertex, over a leaf's own arcs, or for an
     internal piece over ``below[c]``, its children's matrices: a child
     holding a boundary vertex has it on its own boundary
     (``child_boundary``), so such a path is a chain of child entries."""
     if below is None:
-        arcs = (g.arcs[a] for a in piece.arcs)
-        matrix = strict_matrix(piece.vertices, piece.boundary, arcs)
+        members = [compute_leaf_ddg(g, piece)]
     else:
-        matrix = union_strict_matrix([below[c] for c in piece.children], piece.boundary)
-    return DenseDistanceGraph(piece.boundary, matrix)
+        members = [below[c] for c in piece.children]
+    return DenseDistanceGraph(piece.boundary, strict_matrix(members, piece.boundary))
 
 
 def compute_leaf_ddg(g: EmbeddedPlanarGraph, piece) -> SparseMember:
-    """A leaf piece as a union member of its own arcs.
+    """A leaf piece as a union member of its own arcs; the strict kernel
+    and the piece tables read any piece's arcs this way.
 
     Every leaf vertex is a node and every leaf arc is kept; no Dijkstra
     runs here.  Failed vertices stay in: the union scan never relaxes out
@@ -260,7 +252,8 @@ def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> array:
     """Plain in-piece distances from each boundary vertex to every piece
     vertex: a flat matrix with one row per ``piece.boundary`` vertex and one
     column per ``piece.vertices`` vertex."""
-    loc, adj = piece_adjacency(piece.vertices, (g.arcs[a] for a in piece.arcs))
+    loc, adj, _ = _local_graph([compute_leaf_ddg(g, piece)], piece.boundary)
+    # local ids follow piece.vertices, so every column is a piece vertex
     return _dijkstra_rows(adj, [loc[s] for s in piece.boundary], range(len(piece.vertices)))
 
 

@@ -33,15 +33,17 @@ No other update can trip these budgets: deletions only shrink regions, a
 new vertex joins no region, and weight changes leave the topology, which is
 all the decomposition reads, as it was.
 
-A query is one A* scan from u toward v over a union of every region matrix
-plus the raw arcs of u's and v's regions.  The matrix part is one
+Each region keeps its raw arcs as one ``SparseMember``, rebuilt with its
+matrix: the member is the input of the strict kernel
+(``ddg.strict_matrix``) and of the repair, and queries reuse it.  A query
+is one A* scan from u toward v over a union of every region matrix plus
+the raw members of u's and v's regions.  The matrix part is one
 ``DdgUnion``, built on first use and kept across queries: a region whose
 new matrix keeps its boundary (a weight change, a deletion that keeps the
 boundary, an arc re-inserted between its old ends) swaps it into its
 slot, and any other change drops the union for the next query to
 rebuild.  Each query takes a view of it with every slot live and adds
-only the one or two raw members, each built on first use and kept until
-its region changes.
+only the one or two raw members, which it looks up.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
 Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
@@ -86,10 +88,10 @@ def _is_index(x) -> bool:
 
 
 class _Region:
-    """One region: its vertices, boundary and arc ids, the strict matrix
-    over its boundary, its raw arcs as a union member (built on first use),
-    and its boundary size when the last division made it (0 for a region
-    started since)."""
+    """One region: its vertices, boundary and arc ids, its raw arcs as a
+    union member and the strict matrix over its boundary (both made by
+    ``DynamicOracle._recompute``), and its boundary size when the last
+    division made it (0 for a region started since)."""
 
     __slots__ = ("vertices", "boundary", "arcs", "ddg", "member", "divided_boundary")
 
@@ -221,32 +223,29 @@ class DynamicOracle:
         self._far_row = [_FAR] * (len(to[0]) if to else 0)
         self.rebuild_count += 1
 
-    def _arc_triples(self, reg: _Region):
-        return (
-            (self.arc_tail[a], self.arc_head[a], self.arc_weight[a]) for a in sorted(reg.arcs)
-        )
-
     def _recompute(self, ri: int, change=None) -> None:
-        """Strict boundary-to-boundary matrix of region ri, public ids.
+        """Raw member and strict boundary-to-boundary matrix of region ri,
+        public ids.  The member, the region's current arcs by id, is built
+        first, as the input of both the kernel and the repair.
 
         ``change`` is (tail, head, old weight, new weight), None for an arc
         absent on that side, when one arc of the region is all that changed
         since its matrix was made.  If the boundary is also unchanged, the
         old matrix is repaired (``repair_strict_matrix``); otherwise every
-        row is recomputed.  The region's raw member is rebuilt on its next
-        use; the kept union takes the new matrix into the region's slot if
-        the boundary is unchanged, and is dropped otherwise."""
+        row is recomputed.  The kept union takes the new matrix into the
+        region's slot if the boundary is unchanged, and is dropped
+        otherwise."""
         reg = self.regions[ri]
         old = reg.ddg
-        verts = tuple(sorted(reg.vertices))
         nodes = tuple(sorted(reg.boundary))
-        arcs = list(self._arc_triples(reg))
+        t, h, w = self.arc_tail, self.arc_head, self.arc_weight
+        arcs = [(t[a], h[a], w[a]) for a in sorted(reg.arcs)]
+        reg.member = SparseMember(sorted(reg.vertices), arcs)
         if change is not None and old is not None and old.nodes == nodes:
-            matrix = repair_strict_matrix(verts, nodes, arcs, old.matrix, *change)
+            matrix = repair_strict_matrix(reg.member, nodes, old.matrix, *change)
         else:
-            matrix = strict_matrix(verts, nodes, arcs)
+            matrix = strict_matrix([reg.member], nodes)
         reg.ddg = DenseDistanceGraph(nodes, matrix)
-        reg.member = None
         if self._union is not None:
             if old is not None and old.nodes == nodes:
                 self._union.replace(ri, reg.ddg)
@@ -462,13 +461,10 @@ class DynamicOracle:
     # -- queries ------------------------------------------------------------------
 
     def _raw_member(self, v: int) -> SparseMember:
-        """The raw arcs of v's first home region, or v alone if it has none."""
+        """The raw member of v's first home region, as ``_recompute`` last
+        built it, or v alone if v has no home region."""
         for reg in self.regions:
             if v in reg.vertices:
-                if reg.member is None:
-                    reg.member = SparseMember(
-                        tuple(sorted(reg.vertices)), tuple(self._arc_triples(reg))
-                    )
                 return reg.member
         return SparseMember((v,), ())
 

@@ -13,15 +13,17 @@ tuple pieces: the siblings hanging off their root paths that lie on no
 such path, and so hold no tuple piece.  With the tuple pieces they
 partition the graph's arcs, so the exits' strict matrices tile the graph
 minus the tuple pieces, and both tables come from one pass per tuple:
-``ddg.union_strict_matrix`` over those matrices runs one forbidden-transit
-Dijkstra per vertex y of ∂T, giving ext(T)'s row y and y's exit rows.
+``ddg.strict_matrix`` over those matrices, with ∂T and then each exit's
+boundary as its columns, runs one Dijkstra per vertex y of ∂T that never
+passes through another vertex of ∂T.  Row y splits into ext(T)'s row y and
+y's exit rows.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .ddg import DdgStore, DenseDistanceGraph, union_strict_matrix
+from .ddg import DdgStore, DenseDistanceGraph, strict_matrix
 
 __all__ = ["ExternalDdgBuilder", "tuple_boundary", "tuple_exits"]
 
@@ -53,11 +55,19 @@ class ExternalDdgBuilder:
         run over their strict matrices."""
         pieces = self.tree.pieces
         nodes = tuple_boundary(pieces, ids)
+        # columns: ∂T, then each exit's boundary from its offset
+        targets = list(nodes)
+        spans = []
+        for q in exits:
+            spans.append((q, len(targets), len(targets) + len(pieces[q].boundary)))
+            targets += pieces[q].boundary
+        rows = strict_matrix(list(map(self.store.strict, exits)), nodes, targets)
+        width = len(targets)
+        matrix = array("q")
         vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-
-        def vor_rows(y, raw):
-            for q in exits:
-                vor[(ids, q, y)] = array("q", [raw(s) for s in pieces[q].boundary])
-
-        matrix = union_strict_matrix(list(map(self.store.strict, exits)), nodes, vor_rows)
+        for i, y in enumerate(nodes):
+            at = i * width
+            matrix += rows[at : at + len(nodes)]
+            for q, start, stop in spans:
+                vor[(ids, q, y)] = rows[at + start : at + stop]
         return DenseDistanceGraph(nodes, matrix), vor

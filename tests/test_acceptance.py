@@ -21,7 +21,7 @@ from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.failure_oracle import FailureOracle
-from planar_oracle.frdijkstra import multi_dijkstra
+from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE, EmbeddingError
 from planar_oracle.oraclefile import save_oracle
@@ -205,9 +205,9 @@ def test_criterion_3_closure_identity_per_piece(zoo, capsys):
             # piece's from its children's, is the strict matrix over its
             # sorted boundary and its own arcs, byte for byte
             nodes = tuple(sorted(p.boundary))
-            arcs = (g.arcs[a] for a in p.arcs)
+            own = SparseMember(p.vertices, [g.arcs[a] for a in p.arcs])
             assert base.nodes == nodes
-            assert base.matrix.tobytes() == strict_matrix(p.vertices, nodes, arcs).tobytes()
+            assert base.matrix.tobytes() == strict_matrix([own], nodes).tobytes()
             bad += minplus_closure(base).matrix != compute_ddg(g, p).matrix
             pieces += 1
     elapsed = time.monotonic() - t0

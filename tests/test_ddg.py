@@ -19,11 +19,11 @@ from planar_oracle.ddg import (
     strict_matrix,
 )
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.frdijkstra import multi_dijkstra
+from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
-from conftest import compute_ddg, in_piece_distance, leaves, minplus_closure
+from conftest import compute_ddg, explicit_dijkstra, in_piece_distance, leaves, minplus_closure
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,40 @@ def test_closure_matches_floyd_warshall():
                 assert got == fw[i][j]
 
 
+def test_strict_matrix_mixes_members_and_extra_targets():
+    # sparse and matrix members on scattered ids, with a node and a target
+    # that no member holds; every row is a Dijkstra over the members' literal arcs
+    # that never passes through a node
+    S = MATRIX_SENTINEL
+    rng = random.Random(28)
+    for _ in range(60):
+        ids = rng.sample(range(3, 300), 12)
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            verts = rng.sample(ids, rng.randint(2, 6))
+            if rng.random() < 0.5:
+                arcs = {(t, h): rng.randint(0, 9) for t in verts for h in verts if t != h}
+                kept = rng.sample(sorted(arcs), rng.randint(0, len(arcs)))
+                members.append(SparseMember(verts, [(t, h, arcs[t, h]) for t, h in kept]))
+            else:
+                entries = [rng.choice([S, 0, rng.randint(1, 20)]) for _ in verts for _ in verts]
+                members.append(DenseDistanceGraph(tuple(verts), array("q", entries)))
+        held = sorted({v for m in members for v in m.nodes})
+        outside, beyond = 1, 2  # no member holds either
+        nodes = [*rng.sample(held, rng.randint(1, len(held))), outside]
+        rng.shuffle(nodes)
+        targets = [*nodes, *rng.sample(held, rng.randint(0, len(held))), beyond]
+        got = strict_matrix(members, nodes, targets)
+        assert len(got) == len(nodes) * len(targets)
+        for i, y in enumerate(nodes):
+            if y == outside:
+                want = {y: 0}
+            else:
+                want = explicit_dijkstra(members, [(y, 0)], forbidden=nodes)
+            row = got[i * len(targets) : (i + 1) * len(targets)]
+            assert list(row) == [want.get(t, S) for t in targets]
+
+
 def test_store_memoizes(setup8):
     # a new store holds every piece's matrix, each leaf's as its own arcs
     # give it; only the internal ones count as stored entries
@@ -262,8 +296,7 @@ def test_repair_matches_strict_matrix(
     def arcs_with(wt):
         return arcs[:i] + ([] if wt is None else [(t, h, wt)]) + arcs[i + 1 :]
 
-    vertices = range(g.n)
-    old = strict_matrix(vertices, nodes, arcs_with(w_old))
-    after = arcs_with(w_new)
-    got = repair_strict_matrix(vertices, nodes, after, old, t, h, w_old, w_new)
-    assert got.tobytes() == strict_matrix(vertices, nodes, after).tobytes()
+    before, after = (SparseMember(range(g.n), arcs_with(wt)) for wt in (w_old, w_new))
+    old = strict_matrix([before], nodes)
+    got = repair_strict_matrix(after, nodes, old, t, h, w_old, w_new)
+    assert got.tobytes() == strict_matrix([after], nodes).tobytes()

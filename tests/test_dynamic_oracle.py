@@ -12,7 +12,7 @@ from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.ddg import strict_matrix
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.failure_oracle import ACTIVE_LANDMARKS, _FAR
-from planar_oracle.frdijkstra import DdgUnion
+from planar_oracle.frdijkstra import DdgUnion, SparseMember
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import (
     MATRIX_SENTINEL,
@@ -193,7 +193,8 @@ def assert_matrices_fresh(dyn):
     strict_matrix builds from the region's current arcs, byte for byte."""
     for ri, reg in enumerate(dyn.regions):
         nodes = tuple(sorted(reg.boundary))
-        want = strict_matrix(sorted(reg.vertices), nodes, dyn._arc_triples(reg))
+        arcs = [(dyn.arc_tail[a], dyn.arc_head[a], dyn.arc_weight[a]) for a in reg.arcs]
+        want = strict_matrix([SparseMember(sorted(reg.vertices), arcs)], nodes)
         assert reg.ddg.nodes == nodes, ri
         assert reg.ddg.matrix.tobytes() == want.tobytes(), ri
 
@@ -357,9 +358,9 @@ def test_repaired_matrices_match_fresh(g, monkeypatch):
     # region boundary; after each, every region matrix is strict_matrix's
     repairs = []
 
-    def spy(vertices, nodes, arcs, old, tail, head, w_old, w_new):
+    def spy(member, nodes, old, tail, head, w_old, w_new):
         repairs.append((tail in nodes, head in nodes))
-        return repair(vertices, nodes, arcs, old, tail, head, w_old, w_new)
+        return repair(member, nodes, old, tail, head, w_old, w_new)
 
     repair = dynamic_oracle.repair_strict_matrix
     monkeypatch.setattr(dynamic_oracle, "repair_strict_matrix", spy)

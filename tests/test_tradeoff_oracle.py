@@ -427,21 +427,24 @@ def test_unreachable_target(path12):
 
 def test_one_dijkstra_per_tuple_boundary_vertex(grid16, monkeypatch):
     """The build reads ext(T) and the directional rows from the same runs:
-    at most one union Dijkstra per vertex of each tuple's boundary.  The
-    strict matrices the tables start from are built first, with the store."""
+    exactly one Dijkstra source per vertex of each tuple's boundary, and no
+    union scan.  The strict matrices the tables start from are built
+    first, with the store."""
     to = TradeoffOracle(grid16, r=64, k=1, leaf_size=16, r_base=2)
-    runs = 0
-    for mod in (ddg, tradeoff_oracle):
+    sources = 0
 
-        def counting(*args, _inner=mod.multi_dijkstra, **kwargs):
-            nonlocal runs
-            runs += 1
-            return _inner(*args, **kwargs)
+    def counting(adj, rows, *args, _inner=ddg._dijkstra_rows):
+        nonlocal sources
+        sources += len(rows)
+        return _inner(adj, rows, *args)
 
-        monkeypatch.setattr(mod, "multi_dijkstra", counting)
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the build ran a union scan")
+
+    monkeypatch.setattr(ddg, "_dijkstra_rows", counting)
+    monkeypatch.setattr(tradeoff_oracle, "multi_dijkstra", no_scan)
     to._build()  # every tuple's tables again, over the stored strict matrices
-    bound = sum(len(ext.nodes) for ext in to.ext.values())
-    assert 0 < runs <= bound
+    assert 0 < sum(len(ext.nodes) for ext in to.ext.values()) == sources
 
 
 def _queries(rng, n, k, count):
