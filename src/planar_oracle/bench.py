@@ -1,7 +1,7 @@
 """Benchmark sweeps over graph size, division granularity and failure budget.
 
-Each configuration builds one oracle, saves it to measure its on-disk
-size, answers a seeded batch of random queries, and cross-checks every
+Each configuration builds one oracle, counts the table entries it
+stores, answers a seeded batch of random queries, and cross-checks every
 answer against the brute-force baseline.  Timings vary between runs;
 every other report field is deterministic for a fixed seed.
 
@@ -17,7 +17,6 @@ import json
 import math
 import os
 import random
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
@@ -26,7 +25,6 @@ from .baseline import distance_avoiding
 from .decomposition import build_decomposition
 from .failure_oracle import FailureOracle
 from .generate import generate_grid, generate_random_triangulation
-from .oraclefile import save_oracle
 from .tradeoff_oracle import TradeoffOracle
 
 __all__ = ["BenchReport", "bench_config", "build_oracle", "random_query", "run_bench", "thread_cap"]
@@ -37,7 +35,7 @@ _FIELDS = (
     "r",
     "k",
     "build_ms",
-    "bytes_on_disk",
+    "stored_entries",
     "mean_query_us",
     "p95_query_us",
     "union_vertex_count_mean",
@@ -89,6 +87,9 @@ def bench_config(
         raise ValueError(f"unknown graph kind {kind!r}")
     if mode not in ("failure", "tradeoff"):
         raise ValueError(f"unknown oracle mode {mode!r}")
+    if not 0 <= k < 1 << 32:
+        # an oracle file stores k as a u32: bench only what build can write
+        raise ValueError(f"k={k} does not fit the oracle file's unsigned 32-bit field")
     return {
         "kind": kind,
         "n": n,
@@ -152,13 +153,12 @@ def _run_one(cfg: dict) -> dict:
     oracle = build_oracle(g, cfg["mode"], cfg["r"], cfg["k"], cfg["leaf_size"], cfg["r_base"])
     build_ms = (time.perf_counter() - t0) * 1e3
 
-    fd, path = tempfile.mkstemp(suffix=".pox")
-    os.close(fd)
-    try:
-        save_oracle(oracle, path)
-        size = os.path.getsize(path)
-    finally:
-        os.unlink(path)
+    # the oracle's space: internal strict matrices, then a trade-off
+    # oracle's ext(T) and directional rows
+    entries = oracle.store.stored_entry_count()
+    if cfg["mode"] == "tradeoff":
+        entries += sum(len(ext.matrix) for ext in oracle.ext.values())
+        entries += sum(map(len, oracle.vor.values()))
 
     batch = _sample_queries(cfg, g.n)
     times = []
@@ -180,7 +180,7 @@ def _run_one(cfg: dict) -> dict:
         "r": oracle.r if cfg["mode"] == "tradeoff" else 0,
         "k": cfg["k"],
         "build_ms": round(build_ms, 3),
-        "bytes_on_disk": size,
+        "stored_entries": entries,
         "mean_query_us": round(sum(times_us) / len(times_us), 1) if times_us else 0.0,
         "p95_query_us": round(p95, 1),
         "union_vertex_count_mean": round(sum(unions) / len(unions), 2) if unions else 0.0,

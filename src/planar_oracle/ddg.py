@@ -117,8 +117,9 @@ def _local_graph(members: Sequence, nodes: Sequence[int], extra: Sequence[int] =
     (``SparseMember``s and ``DenseDistanceGraph``s) describes.  ``loc``
     numbers the members' vertices in order, then any of ``nodes`` and
     ``extra`` that no member holds; ``adj[i]`` lists local vertex i's
-    (local head, weight) out-pairs: its sparse members' arcs and its whole
-    row in each matrix member.  ``blocked`` flags the ``nodes``."""
+    (local head, weight) out-pairs: its sparse members' arcs and its row in
+    each matrix member, less the unreachable and diagonal entries, which
+    never lower a label.  ``blocked`` flags the ``nodes``."""
     loc: dict[int, int] = {}
     for m in members:
         for v in m.nodes:
@@ -134,7 +135,11 @@ def _local_graph(members: Sequence, nodes: Sequence[int], extra: Sequence[int] =
             cols = [loc[v] for v in m.nodes]
             k = len(cols)
             for i, u in enumerate(cols):
-                adj[u] += zip(cols, m.matrix[i * k : i * k + k])
+                adj[u] += [
+                    (h, w)
+                    for h, w in zip(cols, m.matrix[i * k : i * k + k])
+                    if w < MATRIX_SENTINEL and h != u
+                ]
     blocked = [False] * len(loc)
     for v in nodes:
         blocked[loc[v]] = True

@@ -1,33 +1,30 @@
 """Byte-deterministic oracle files.
 
 Layout (little-endian, fixed-width): a four-byte magic, the format version
-(currently 10; files of any other version are rejected), a kind byte, the
+(currently 11; files of any other version are rejected), a kind byte, the
 graph in its text form, the decomposition tree, and for a trade-off
-oracle r, k and the tables in the order ``_layout`` walks them.  The tree
-section holds the marked r sequence, the piece count, one parent id per
-piece (-1 for the root) and, in piece order, each leaf's vertex and arc
-ids; a load derives every other part of the tree by the build's rules.
-A load builds every strict matrix and exit piece table with the build's
-own code, so the only tables are a trade-off oracle's per-tuple ext(T)
-and directional rows.  The tree, r and k fix every table's shape, so a
-table is its raw entries alone, unreachable ones written as -1: no key,
-node list or length.  Building the same oracle twice produces identical
-bytes.
+oracle r, k and the piece ids of every tuple of its r-division, in build
+order.  The tree section holds the marked r sequence, the piece count,
+one parent id per piece (-1 for the root) and, in piece order, each
+leaf's vertex and arc ids; a load derives every other part of the tree by
+the build's rules.  No file stores a table: a load is the build's own
+constructor over the graph and the tree it read, ``FailureOracle(g,
+tree=tree)`` or ``TradeoffOracle(g, r, k, tree=tree)``, so every strict
+matrix, piece table, ext(T) and directional row is rebuilt and none is
+trusted.  Building the same oracle twice produces identical bytes.
 
 The file ends in a four-byte trailer: the CRC32 (``zlib.crc32``) of every
 byte before it.  ``load_oracle`` reads the magic and version, then checks
-the trailer before it parses anything else, so a corrupted file, such as
-one with a flipped matrix entry, raises OracleFileError instead of loading
-and answering wrongly.  A crafted file with a valid trailer raises
-OracleFileError too unless its tree is one the build could make: parents
-precede their pieces, every internal piece has two children, leaf id
-lists are in range and strictly increasing, leaf arcs end inside their
-leaf, sibling arcs are disjoint, and the root is the whole graph.  The
-trade-off r must be marked and at least every leaf's size.  Each tuple's
-stored ids must be the tuple the walk expects next, which also bounds the
-walk by the file's size, and the tables must fill the file exactly.  The
-entries of ext(T) and the directional rows are trusted: only the trailer
-guards them.
+the trailer before it parses anything else, so a corrupted file raises
+OracleFileError instead of loading.  A crafted file with a valid trailer
+raises OracleFileError too unless its tree is one the build could make:
+parents precede their pieces, every internal piece has two children,
+leaf id lists are in range and strictly increasing, leaf arcs end inside
+their leaf, sibling arcs are disjoint, and the root is the whole graph.
+The trade-off r must be marked and at least every leaf's size.  Each
+tuple's stored ids must be the tuple the walk expects next, which bounds
+the walk, and so the tables a load builds, by the file's size, and the
+ids must fill the file exactly.
 """
 
 from __future__ import annotations
@@ -35,22 +32,18 @@ from __future__ import annotations
 import io
 import os
 import struct
-import sys
 import zlib
-from array import array
 from typing import BinaryIO
 
-from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, dumps_graph, loads_graph
+from .graph import EmbeddedPlanarGraph, dumps_graph, loads_graph
 from .decomposition import DecompositionTree, Piece, child_boundary
-from .ddg import DenseDistanceGraph
-from .external import tuple_boundary
 from .failure_oracle import FailureOracle
-from .tradeoff_oracle import TradeoffOracle
+from .tradeoff_oracle import TradeoffOracle, checked_division, division_tuples
 
 __all__ = ["save_oracle", "load_oracle", "OracleFileError"]
 
 _MAGIC = b"PODX"
-_VERSION = 10
+_VERSION = 11
 _CRC_CHUNK = 1 << 20  # bytes hashed per read at load
 _KIND_FAILURE = 1
 _KIND_TRADEOFF = 2
@@ -76,13 +69,6 @@ def _pack_ids(ids) -> bytes:
 def _w_ids(fh: BinaryIO, ids) -> None:
     _w_u32(fh, len(ids))
     fh.write(_pack_ids(ids))
-
-
-def _w_matrix(fh: BinaryIO, mat: array) -> None:
-    out = array("q", (x if x < MATRIX_SENTINEL else -1 for x in mat))
-    if sys.byteorder == "big":
-        out.byteswap()
-    fh.write(out.tobytes())
 
 
 def _w_blob(fh: BinaryIO, data: bytes) -> None:
@@ -139,16 +125,6 @@ class _Reader:
         if ids and max(ids) >= n:
             raise OracleFileError(f"vertex id {max(ids)} past the graph's {n} vertices")
         return ids
-
-    def matrix(self, entries: int) -> array:
-        mat = array("q")
-        mat.frombytes(self.take(8 * entries))
-        if sys.byteorder == "big":
-            mat.byteswap()
-        for i, x in enumerate(mat):
-            if x < 0:
-                mat[i] = MATRIX_SENTINEL
-        return mat
 
     def blob(self) -> bytes:
         return self.take(self.u32())
@@ -238,52 +214,28 @@ def _read_tree(rd: _Reader, g: EmbeddedPlanarGraph) -> DecompositionTree:
     return DecompositionTree(g, pieces, r_sequence)
 
 
-# -- tables -------------------------------------------------------------------
+# -- tuple ids ----------------------------------------------------------------
 
 
-def _layout(oracle):
-    """(kind, key, entries) of every table the oracle's file stores, in
-    file order: none for a failure oracle; for a trade-off oracle, per
-    (k+1)-tuple T of its r-division in build order, T's ids (one u32
-    each), ext(T) and the row of each exit piece q of T (``tuple_exits``)
-    and y ∈ ∂T.  Only the tree, r and k decide it, so the bytes cannot
-    drift."""
-    if not isinstance(oracle, TradeoffOracle):
-        return
-    pieces = oracle.tree.pieces
-    for ids, exits in oracle._tuples():
-        yield "tuple", ids, len(ids)
-        nodes = tuple_boundary(pieces, ids)
-        yield "ext", ids, len(nodes) ** 2
-        for q in exits:
-            for y in nodes:
-                yield "vor", (ids, q, y), len(pieces[q].boundary)
+def _write_tuples(fh: BinaryIO, oracle: TradeoffOracle) -> None:
+    for ids in division_tuples(oracle.rdiv, oracle.k):
+        fh.write(_pack_ids(ids))
 
 
-def _write_tables(fh: BinaryIO, oracle) -> None:
-    for kind, key, _ in _layout(oracle):
-        if kind == "tuple":
-            fh.write(_pack_ids(key))
-        elif kind == "ext":
-            _w_matrix(fh, oracle.ext[key].matrix)
-        else:
-            _w_matrix(fh, oracle.vor[key])
-
-
-def _read_tables(rd: _Reader, oracle) -> None:
-    pieces = oracle.tree.pieces
-    for kind, key, entries in _layout(oracle):
-        if kind == "tuple":
-            if rd.take(4 * entries) != _pack_ids(key):
-                raise OracleFileError(f"stored tuple ids are not the expected {key}")
-            continue
-        mat = rd.matrix(entries)
-        if kind == "ext":
-            oracle.ext[key] = DenseDistanceGraph(tuple_boundary(pieces, key), mat)
-        else:
-            oracle.vor[key] = mat
+def _read_tuples(rd: _Reader, tree: DecompositionTree, r: int, k: int) -> None:
+    """Check r, then that the stored tuple ids are the ones a build over
+    ``tree``, r and k makes, and that they fill the file: each tuple takes
+    its 4 * (k + 1) bytes before the next one is made, so a crafted r or k
+    never walks further than the file is long."""
+    try:
+        rdiv = checked_division(tree, r)
+    except ValueError as exc:
+        raise OracleFileError(str(exc)) from exc
+    for ids in division_tuples(rdiv, k):
+        if rd.take(4 * len(ids)) != _pack_ids(ids):
+            raise OracleFileError(f"stored tuple ids are not the expected {ids}")
     if rd.left:
-        raise OracleFileError(f"{rd.left} bytes after the last table")
+        raise OracleFileError(f"{rd.left} bytes after the last tuple")
 
 
 # -- top level ----------------------------------------------------------------
@@ -306,7 +258,7 @@ def save_oracle(oracle, path: str) -> None:
     if kind == _KIND_TRADEOFF:
         _w_u32(buf, oracle.r)
         _w_u32(buf, oracle.k)
-    _write_tables(buf, oracle)
+        _write_tuples(buf, oracle)
 
     with buf.getbuffer() as body:
         crc = zlib.crc32(body)
@@ -333,12 +285,6 @@ def load_oracle(path: str):
             if rd.left:
                 raise OracleFileError(f"{rd.left} bytes after the tree")
             return FailureOracle(g, tree=tree)
-        oracle = TradeoffOracle.__new__(TradeoffOracle)
         r, k = rd.u32(), rd.u32()
-        try:
-            oracle._setup(g, tree, r, k)
-        except ValueError as exc:
-            raise OracleFileError(str(exc)) from exc
-        _read_tables(rd, oracle)
-        oracle._index()
-        return oracle
+        _read_tuples(rd, tree, r, k)
+        return TradeoffOracle(g, r, k, tree=tree)

@@ -12,8 +12,10 @@ budget k, then precomputes, for every (k+1)-subset T of the division:
 
 Both come from one Dijkstra per vertex of ∂T over the exit pieces' strict
 matrices (``external.tuple_exits``, the walk a query's union also takes,
-``DecompositionTree.cover``).  Set-up, at build and load alike, builds a
-boundary-to-everything table for every piece that can be an exit.
+``DecompositionTree.cover``).  Set-up builds a boundary-to-everything
+table for every piece that can be an exit.  A load runs this constructor
+too: an oracle file stores each tuple's piece ids but no table, so every
+ext(T) and directional row is rebuilt from the graph and the tree.
 
 A query reads the tables of one tuple: the home pieces (each vertex's
 division piece above its home leaf) of u and the failed vertices.  When
@@ -57,6 +59,23 @@ from .frdijkstra import DdgUnion, MultiDijkstraResult, multi_dijkstra
 __all__ = ["TradeoffOracle"]
 
 
+def checked_division(tree: DecompositionTree, r: int) -> tuple[int, ...]:
+    """``tree.r_division(r)``.  r must be marked and no leaf may have more
+    than r vertices, or that leaf lies under no division piece; either
+    fault raises ValueError."""
+    rdiv = tree.r_division(r)
+    if any(p.is_leaf and len(p.vertices) > r for p in tree.pieces):
+        raise ValueError(f"r={r} is smaller than a leaf of the tree")
+    return rdiv
+
+
+def division_tuples(rdiv: tuple[int, ...], k: int):
+    """Every (k+1)-tuple T of the division ``rdiv``, in build and file
+    order."""
+    # combinations allocates k + 1 indices even when it yields nothing
+    return itertools.combinations(rdiv, k + 1) if k < len(rdiv) else iter(())
+
+
 class TradeoffOracle(FailureOracle):
     """Exact failure oracle with per-tuple precomputation.
 
@@ -83,12 +102,9 @@ class TradeoffOracle(FailureOracle):
         self._index()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
-        """Fix the r-division, index each vertex's home piece, and build
-        the exit pieces' tables.  r must be marked and no leaf may have more
-        than r vertices, or that leaf lies under no division piece."""
-        rdiv = tree.r_division(r)
-        if any(p.is_leaf and len(p.vertices) > r for p in tree.pieces):
-            raise ValueError(f"r={r} is smaller than a leaf of the tree")
+        """Fix the r-division (``checked_division``), index each vertex's
+        home piece, and build the exit pieces' tables."""
+        rdiv = checked_division(tree, r)
         super()._setup(g, tree)
         self.r = r
         self.k = k
@@ -130,16 +146,13 @@ class TradeoffOracle(FailureOracle):
     # -- build ---------------------------------------------------------------
 
     def _tuples(self):
-        """(ids, ``tuple_exits(ids)``) of every (k+1)-tuple T of the
-        r-division, in build and file order.
+        """(ids, ``tuple_exits(ids)``) of every tuple of
+        ``division_tuples``.
 
         They hold every exit a query reads: ``_plan``'s exit piece holds no
         tuple piece and its parent holds one, so it hangs off that piece's
         root path."""
-        # combinations allocates k + 1 indices even when it yields nothing
-        if self.k >= len(self.rdiv):
-            return
-        for ids in itertools.combinations(self.rdiv, self.k + 1):
+        for ids in division_tuples(self.rdiv, self.k):
             yield ids, tuple_exits(self.tree, ids)
 
     def _build(self) -> None:

@@ -40,7 +40,7 @@ def test_run_inline_and_verified():
     for rec in report.records:
         assert rec["verified"] is True
         assert rec["n"] == 36
-        assert rec["bytes_on_disk"] > 0
+        assert rec["stored_entries"] > 0
         assert rec["build_ms"] >= 0
         assert rec["mean_query_us"] > 0
         assert rec["p95_query_us"] >= rec["mean_query_us"] * 0.1
@@ -50,7 +50,7 @@ def test_run_inline_and_verified():
 
 
 def test_non_timing_fields_deterministic():
-    keep = ("mode", "n", "r", "k", "bytes_on_disk", "union_vertex_count_mean", "verified")
+    keep = ("mode", "n", "r", "k", "stored_entries", "union_vertex_count_mean", "verified")
     a = run_bench(small_configs(), threads=1)
     b = run_bench(small_configs(), threads=1)
     for ra, rb in zip(a.records, b.records):
@@ -59,7 +59,7 @@ def test_non_timing_fields_deterministic():
 
 
 def test_parallel_matches_inline():
-    keep = ("mode", "n", "bytes_on_disk", "union_vertex_count_mean", "verified")
+    keep = ("mode", "n", "stored_entries", "union_vertex_count_mean", "verified")
     a = run_bench(small_configs(), threads=1)
     b = run_bench(small_configs(), threads=2)
     for ra, rb in zip(a.records, b.records):
@@ -101,7 +101,7 @@ def test_report_round_trip_types():
     report = run_bench(small_configs()[:1], threads=1)
     rec = report.records[0]
     assert isinstance(rec["build_ms"], float)
-    assert isinstance(rec["bytes_on_disk"], int)
+    assert isinstance(rec["stored_entries"], int)
     assert isinstance(BenchReport(report.records).to_csv(), str)
 
 

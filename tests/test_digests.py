@@ -26,8 +26,8 @@ TREE_DIGESTS = {
 
 # sha256 of the saved oracle file of a 12x12 grid
 FILE_DIGESTS = {
-    "failure": "c6bec7aeb991d4d6cc9846c3c7b7ade0a5351bf1b91abeaa2f942f0a87c1cc05",
-    "tradeoff": "662a509438e83f7f71c943e2cb1eb5fdc1ed4fef2c846c769d54a27441c07747",
+    "failure": "ebc955868899e775fb84d496ca6730f73878ef1aba3a72ae8974407b5606055b",
+    "tradeoff": "e37736ddff04b4889cd1538d0e87a07e496f521d0036b07f890fc9285016d022",
 }
 
 
