@@ -90,6 +90,8 @@ def bench_config(
     if not 0 <= k < 1 << 32:
         # an oracle file stores k as a u32: bench only what build can write
         raise ValueError(f"k={k} does not fit the oracle file's unsigned 32-bit field")
+    if queries < 0:
+        raise ValueError(f"queries={queries} is negative")
     return {
         "kind": kind,
         "n": n,

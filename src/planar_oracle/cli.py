@@ -124,6 +124,8 @@ def _cmd_verify(args) -> int:
     if args.queries is not None:
         batch = _read_query_lines(args.queries)
     else:
+        if args.random < 0:
+            raise ValueError(f"verify --random needs a count of at least 0, got {args.random}")
         if g.n < 2:
             raise ValueError(f"verify --random needs at least 2 vertices, the graph has {g.n}")
         k_max = oracle.k if isinstance(oracle, TradeoffOracle) else 4

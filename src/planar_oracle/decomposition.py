@@ -175,13 +175,11 @@ def build_decomposition(
     g: EmbeddedPlanarGraph,
     leaf_size: int = 32,
     r_base: int = 4,
-    extra_marks: Sequence[int] = (),
 ) -> DecompositionTree:
     """Decompose ``g`` recursively and mark a geometric family of r-divisions.
 
     ``leaf_size`` caps leaf piece vertex counts; ``r_base`` is the growth
-    factor of the marked sequence leaf_size*b, leaf_size*b^2, ..., n.  Values
-    in ``extra_marks`` get marked in addition to the geometric sequence.
+    factor of the marked sequence leaf_size*b, leaf_size*b^2, ..., n.
     """
     if leaf_size < 3:
         raise ValueError("leaf_size must be at least 3")
@@ -215,10 +213,6 @@ def build_decomposition(
         rs.append(r)
         r *= r_base
     rs.append(max(g.n, 1))
-    for r in extra_marks:
-        if r not in rs:
-            rs.append(r)
-    rs.sort()
 
     return DecompositionTree(g, pieces, tuple(rs))
 

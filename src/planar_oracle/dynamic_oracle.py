@@ -1,9 +1,9 @@
 """Exact distance oracle under edge and vertex updates.
 
-The oracle keeps one r-division worth of regions over a snapshot of the
-graph, a strict boundary matrix per region, and public vertex/arc ids that
-stay stable across internal rebuilds.  Updates touch only the regions they
-land in:
+The oracle keeps regions over a snapshot of the graph, the leaves of a
+decomposition with leaf size r (so they form its r-division), a strict
+boundary matrix per region, and public vertex/arc ids that stay stable
+across internal rebuilds.  Updates touch only the regions they land in:
 
 * a weight change repairs one region matrix, re-running only what the
   changed arc can affect (``ddg.repair_strict_matrix``); each matrix
@@ -191,15 +191,15 @@ class DynamicOracle:
         self._divide(*self.export_graph())
 
     def _divide(self, g: EmbeddedPlanarGraph, pub_v, pub_a) -> None:
-        """Regions, matrices and landmark tables from the r-division of g,
-        whose vertex i and arc j have public ids pub_v[i] and pub_a[j]."""
-        # only the r-division is read, so pieces need not split below r
-        tree = build_decomposition(g, leaf_size=max(3, self.r), extra_marks=(self.r,))
+        """Regions, matrices and landmark tables from the leaves of a
+        decomposition of g with leaf size r, whose vertex i and arc j have
+        public ids pub_v[i] and pub_a[j]."""
+        # with leaf size r, the r-division is the leaves, in id order
+        tree = build_decomposition(g, leaf_size=self.r)
         self.regions = []
         self.region_of_arc = {}
         self._union = None
-        for pid in tree.r_division(self.r):
-            piece = tree.pieces[pid]
+        for piece in (p for p in tree.pieces if p.is_leaf):
             reg = _Region(
                 {pub_v[v] for v in piece.vertices},
                 {pub_v[v] for v in piece.boundary},

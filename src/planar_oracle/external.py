@@ -8,9 +8,10 @@ between.  The directional (``vor``) row of a vertex y ∈ ∂T and an exit
 piece Q holds the distances, under the same rules, from y to the boundary
 of Q: paths through the graph outside the tuple pieces.
 
-T's exit pieces (``tuple_exits``) are ``DecompositionTree.cover`` of the
-tuple pieces: the siblings hanging off their root paths that lie on no
-such path, and so hold no tuple piece.  With the tuple pieces they
+T's exit pieces are ``DecompositionTree.cover`` of the tuple pieces: the
+siblings hanging off their root paths that lie on no such path, and so
+hold no tuple piece; the tuple interiors host the failures at query time,
+so no stored path may run through them.  With the tuple pieces they
 partition the graph's arcs, so the exits' strict matrices tile the graph
 minus the tuple pieces, and both tables come from one pass per tuple:
 ``ddg.strict_matrix`` over those matrices, with ∂T and then each exit's
@@ -25,19 +26,12 @@ from array import array
 
 from .ddg import DdgStore, DenseDistanceGraph, strict_matrix
 
-__all__ = ["ExternalDdgBuilder", "tuple_boundary", "tuple_exits"]
+__all__ = ["ExternalDdgBuilder", "tuple_boundary"]
 
 
 def tuple_boundary(pieces, ids: tuple[int, ...]) -> tuple[int, ...]:
     """∂T: the sorted union of the boundaries of the pieces ``ids``."""
     return tuple(sorted({v for pid in ids for v in pieces[pid].boundary}))
-
-
-def tuple_exits(tree, ids: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted siblings off the tuple pieces' root paths that hold no
-    tuple piece: the tuple interiors host the failures at query time, so
-    no stored path may run through them."""
-    return tuple(sorted(tree.cover(ids)))
 
 
 class ExternalDdgBuilder:
@@ -51,8 +45,8 @@ class ExternalDdgBuilder:
         """ext(T) for the sorted, distinct piece ids ``ids``, and the
         directional rows keyed by (ids, exit piece, y) for every exit piece
         in ``exits`` and every y ∈ ∂T, each row over the exit piece's
-        boundary.  ``exits`` must be ``tuple_exits(tree, ids)``: the scans
-        run over their strict matrices."""
+        boundary.  ``exits`` must be the sorted ``tree.cover(ids)``: the
+        scans run over their strict matrices."""
         pieces = self.tree.pieces
         nodes = tuple_boundary(pieces, ids)
         # columns: ∂T, then each exit's boundary from its offset

@@ -145,9 +145,9 @@ class FailureOracle:
         self._index()
 
     def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree) -> None:
-        """The state built and loaded oracles share: every piece's strict
-        matrix, every leaf's member, and the landmark tables.  ``tree``
-        must be one of g's topology; its weights may differ."""
+        """The state every oracle over a tree starts from: every piece's
+        strict matrix, every leaf's member, and the landmark tables.
+        ``tree`` must be one of g's topology; its weights may differ."""
         t = tree.graph
         if (t.n, t.tails, t.heads, t.rotation) != (g.n, g.tails, g.heads, g.rotation):
             raise ValueError("the decomposition tree was built for another graph")
@@ -163,8 +163,8 @@ class FailureOracle:
 
     def _index(self) -> None:
         """Index every piece's strict matrix once, slot i holding piece i.
-        A build or a load calls this last; a query's union is a view of
-        this one, so it indexes nothing."""
+        The constructor calls this last, a load included; a query's union
+        is a view of this one, so it indexes nothing."""
         self._union = DdgUnion(list(map(self.store.strict, range(len(self.tree.pieces)))))
 
     # -- assembly ----------------------------------------------------------

@@ -10,12 +10,14 @@ budget k, then precomputes, for every (k+1)-subset T of the division:
   tuple piece), the distances from y to the boundary of Q through the graph
   outside the tuple pieces, avoiding every other vertex of ∂T in between.
 
-Both come from one Dijkstra per vertex of ∂T over the exit pieces' strict
-matrices (``external.tuple_exits``, the walk a query's union also takes,
-``DecompositionTree.cover``).  Set-up builds a boundary-to-everything
-table for every piece that can be an exit.  A load runs this constructor
-too: an oracle file stores each tuple's piece ids but no table, so every
-ext(T) and directional row is rebuilt from the graph and the tree.
+Set-up is one walk over the tuples.  A tuple's exit pieces are
+``DecompositionTree.cover`` of its pieces, the walk a query's union also
+takes; ext(T) and the directional tables come from one Dijkstra per
+vertex of ∂T over those pieces' strict matrices, and each exit the walk
+meets gets a boundary-to-everything table the first time.  A load runs
+this constructor too: an oracle file stores each tuple's piece ids but no
+table, so every ext(T) and directional row is rebuilt from the graph and
+the tree.
 
 A query reads the tables of one tuple: the home pieces (each vertex's
 division piece above its home leaf) of u and the failed vertices.  When
@@ -52,7 +54,7 @@ from .ddg import (
     compute_leaf_ddg,  # unused here: perfbench/tracing.py wraps this name
     compute_piece_distance_table,
 )
-from .external import ExternalDdgBuilder, tuple_exits
+from .external import ExternalDdgBuilder
 from .failure_oracle import FailureOracle
 from .frdijkstra import DdgUnion, MultiDijkstraResult, multi_dijkstra
 
@@ -97,15 +99,8 @@ class TradeoffOracle(FailureOracle):
         if k < 0:
             raise ValueError("k must be non-negative")
         tree = tree if tree is not None else build_decomposition(g, leaf_size, r_base)
-        self._setup(g, tree, r, k)
-        self._build()
-        self._index()
-
-    def _setup(self, g: EmbeddedPlanarGraph, tree: DecompositionTree, r: int, k: int) -> None:
-        """Fix the r-division (``checked_division``), index each vertex's
-        home piece, and build the exit pieces' tables."""
         rdiv = checked_division(tree, r)
-        super()._setup(g, tree)
+        self._setup(g, tree)
         self.r = r
         self.k = k
         self.rdiv: tuple[int, ...] = rdiv
@@ -125,45 +120,22 @@ class TradeoffOracle(FailureOracle):
         # (tuple, exit piece, boundary vertex) -> raw distance row over the
         # exit piece's boundary
         self.vor: dict[tuple[tuple[int, ...], int, int], array] = {}
-        # exit piece -> its boundary-to-vertices table.  A piece is an exit
-        # of some tuple exactly when its parent has more than r vertices (it
-        # hangs off a division piece's root path) and at least k + 1
-        # division pieces lie outside it (it holds no tuple piece)
-        under = [0] * len(pieces)  # division pieces at or below each piece
-        for pid in rdiv:
-            under[pid] = 1
-        for p in reversed(pieces):  # children before parents
-            if p.parent is not None:
-                under[p.parent] += under[p.id]
-        self.piece_tables: dict[int, array] = {
-            p.id: compute_piece_distance_table(g, p)
-            for p in pieces
-            if p.parent is not None
-            and len(pieces[p.parent].vertices) > r
-            and len(rdiv) - under[p.id] > k
-        }
-
-    # -- build ---------------------------------------------------------------
-
-    def _tuples(self):
-        """(ids, ``tuple_exits(ids)``) of every tuple of
-        ``division_tuples``.
-
-        They hold every exit a query reads: ``_plan``'s exit piece holds no
-        tuple piece and its parent holds one, so it hangs off that piece's
-        root path."""
-        for ids in division_tuples(self.rdiv, self.k):
-            yield ids, tuple_exits(self.tree, ids)
-
-    def _build(self) -> None:
-        builder = ExternalDdgBuilder(self.tree, self.store)
-        for ids, exits in self._tuples():
+        # exit piece -> its boundary-to-vertices table, built when a tuple
+        # first names it
+        self.piece_tables: dict[int, array] = {}
+        builder = ExternalDdgBuilder(tree, self.store)
+        for ids in division_tuples(rdiv, k):
+            exits = tuple(sorted(tree.cover(ids)))
             self.ext[ids], rows = builder.ext(ids, exits)
             self.vor.update(rows)
+            for q in exits:
+                if q not in self.piece_tables:
+                    self.piece_tables[q] = compute_piece_distance_table(g, pieces[q])
+        self._index()
 
     def _index(self) -> None:
         """The failure oracle's union of every piece, then ext(T) of every
-        tuple in ``_tuples`` order, one slot each after the pieces."""
+        tuple in ``division_tuples`` order, one slot each after the pieces."""
         pieces = len(self.tree.pieces)
         self._ext_slot = {ids: pieces + i for i, ids in enumerate(self.ext)}
         self._union = DdgUnion([*map(self.store.strict, range(pieces)), *self.ext.values()])
@@ -200,9 +172,9 @@ class TradeoffOracle(FailureOracle):
         tuple fits.  Otherwise the k + 1 home pieces are distinct and v's
         lies outside them.  q is then the highest ancestor-or-self of v's
         home leaf that holds no tuple piece; its parent holds one, so q is
-        one of ``tuple_exits(ids)`` and has a piece table.  That table and
-        the ``vor`` rows ignore failures, so a failed vertex in q leaves the
-        query to the fallback.
+        in ``tree.cover(ids)``, an exit the set-up walk met, and has a
+        piece table.  That table and the ``vor`` rows ignore failures, so a
+        failed vertex in q leaves the query to the fallback.
 
         Both plans are exact.  A pad never hides a failure: a failed vertex
         strictly inside a division piece has that piece as its home piece,

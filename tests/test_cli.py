@@ -293,6 +293,28 @@ def test_verify_random_on_one_vertex_is_invalid(tmp_path, capsys):
     assert "the graph has 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("count", ["-1", "-5", "0"])
+def test_query_count_must_not_be_negative(tmp_path, graph_file, capsys, command, count):
+    # a negative count used to run zero queries, report them verified and
+    # exit 0; a count of 0 stays allowed
+    if command == "verify":
+        opath = tmp_path / "o.bin"
+        assert cli.main(["build", str(graph_file), "--out", str(opath)]) == cli.EXIT_OK
+        argv = ["verify", str(opath), "--random", count]
+    else:
+        argv = ["bench", "--n", "36", "--leaf-size", "8", "--threads", "1", "--queries", count]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    if count == "0":
+        assert rc == cli.EXIT_OK
+        return
+    assert rc == cli.EXIT_INVALID
+    assert captured.err.startswith("error: ") and count in captured.err
+    assert "verified" not in captured.out
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

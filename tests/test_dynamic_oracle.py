@@ -10,6 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from planar_oracle import dynamic_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.ddg import strict_matrix
+from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.failure_oracle import ACTIVE_LANDMARKS, _FAR
 from planar_oracle.frdijkstra import DdgUnion, SparseMember
@@ -415,20 +416,20 @@ def test_repaired_matrices_match_fresh(g, monkeypatch):
     ],
     ids=["grid16", "tri300"],
 )
-def test_regions_independent_of_leaf_size(g, monkeypatch):
-    # pieces above r split the same way whatever the leaf size, so stopping
-    # the decomposition at r instead of 32 yields the same r-division
+def test_regions_independent_of_leaf_size(g):
+    # pieces above r split the same way whatever the leaf size, so the
+    # regions, the leaves of a decomposition with leaf size r, are the
+    # r-division of one with leaf size 32, in the same order
     r = 64
-    ours = region_state(DynamicOracle(g, r=r))
-    real = dynamic_oracle.build_decomposition
-
-    def leaf_32(graph, leaf_size, **kw):
-        assert leaf_size == r
-        return real(graph, leaf_size=min(32, leaf_size), **kw)
-
-    monkeypatch.setattr(dynamic_oracle, "build_decomposition", leaf_32)
-    assert region_state(DynamicOracle(g, r=r)) == ours
-    assert len(ours) > 1
+    dyn = DynamicOracle(g, r=r)
+    tree = build_decomposition(g, leaf_size=32, r_base=2)
+    want = [
+        (set(piece.vertices), set(piece.boundary), set(piece.arcs))
+        for piece in map(tree.pieces.__getitem__, tree.r_division(r))
+    ]
+    assert [(reg.vertices, reg.boundary, reg.arcs) for reg in dyn.regions] == want
+    assert len(want) > 1
+    assert_matrices_fresh(dyn)
 
 
 def test_boolean_ids_rejected(dyn10):

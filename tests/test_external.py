@@ -7,7 +7,7 @@ import pytest
 
 from planar_oracle.ddg import DdgStore
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.external import ExternalDdgBuilder, tuple_exits
+from planar_oracle.external import ExternalDdgBuilder
 from planar_oracle.graph import MATRIX_SENTINEL
 
 from conftest import minplus_closure
@@ -35,7 +35,7 @@ def masked_sssp(g, banned_arcs, src):
 def check_tuple(g, tree, builder, ids):
     """closure(ext) must equal brute distances outside the tuple's arcs.
     The directional rows are checked by acceptance criterion 4."""
-    ext, _ = builder.ext(ids, tuple_exits(tree, ids))
+    ext, _ = builder.ext(ids, tuple(sorted(tree.cover(ids))))
     expect_nodes = tuple(
         sorted({v for pid in ids for v in tree.pieces[pid].boundary})
     )

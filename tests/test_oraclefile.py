@@ -18,7 +18,7 @@ from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.generate import generate_grid
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, GraphFormatError
 from planar_oracle.oraclefile import OracleFileError, load_oracle, save_oracle
-from planar_oracle.tradeoff_oracle import TradeoffOracle
+from planar_oracle.tradeoff_oracle import TradeoffOracle, division_tuples
 
 from conftest import run_with_2gib_address_space
 
@@ -411,18 +411,6 @@ def test_load_rebuilds_the_built_tree(tmp_path, zoo, name):
     assert _tree_facts(load_oracle(p).tree) == _tree_facts(fo.tree)
 
 
-def test_load_rebuilds_an_extra_mark(tmp_path, grid8):
-    # r = 12 is no power-of-4 multiple of the leaf size; only extra_marks
-    # puts it in the sequence
-    tree = build_decomposition(grid8, leaf_size=4, r_base=4, extra_marks=(12,))
-    to = TradeoffOracle(grid8, r=12, k=1, tree=tree)
-    p = tmp_path / "t.bin"
-    save_oracle(to, p)
-    loaded = load_oracle(p)
-    assert loaded.r == 12 and loaded.rdiv == to.rdiv
-    assert _tree_facts(loaded.tree) == _tree_facts(to.tree)
-
-
 def test_crafted_division_raises_at_load(tmp_path, monkeypatch):
     # a trade-off file whose r-division lacks a piece, with tables that
     # match it: when files stored their divisions it loaded and then raised
@@ -442,7 +430,8 @@ def test_tradeoff_r_below_a_leaf(tmp_path):
     # the division of an r below some leaf's size leaves that leaf under no
     # division piece, and queries whose anchors sit there had no tuple
     g = generate_grid(6, 6, max_weight=5, seed=3)
-    tree = build_decomposition(g, leaf_size=8, r_base=4, extra_marks=(4,))
+    tree = build_decomposition(g, leaf_size=8, r_base=4)
+    tree.r_sequence = (4, *tree.r_sequence)
     with pytest.raises(ValueError, match="leaf"):
         TradeoffOracle(g, r=4, k=1, tree=tree)
     to = TradeoffOracle(g, r=32, k=1, tree=tree)
@@ -466,7 +455,9 @@ def _spans(oracle, raw):
     """(ids, start, end) of every tuple's stored ids in ``raw``, the
     oracle's file, in file order (none for a failure oracle); they end
     where the trailer starts."""
-    tuples = [ids for ids, _ in oracle._tuples()] if isinstance(oracle, TradeoffOracle) else []
+    tuples = []
+    if isinstance(oracle, TradeoffOracle):
+        tuples = list(division_tuples(oracle.rdiv, oracle.k))
     start = len(raw) - 4 - 4 * sum(map(len, tuples))
     spans = []
     for ids in tuples:

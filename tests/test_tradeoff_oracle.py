@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planar_oracle import ddg, external, failure_oracle, tradeoff_oracle
+from planar_oracle import ddg, failure_oracle, tradeoff_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.external import ExternalDdgBuilder
@@ -14,7 +14,7 @@ from planar_oracle.frdijkstra import DdgUnion, multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 from planar_oracle.oraclefile import load_oracle, save_oracle
-from planar_oracle.tradeoff_oracle import TradeoffOracle
+from planar_oracle.tradeoff_oracle import TradeoffOracle, division_tuples
 
 from conftest import run_with_2gib_address_space
 
@@ -22,6 +22,12 @@ from conftest import run_with_2gib_address_space
 @pytest.fixture(scope="module")
 def to16(grid16):
     return TradeoffOracle(grid16, r=64, k=2, leaf_size=16, r_base=2)
+
+
+def _tuple_exits(to):
+    """Each stored tuple, in build order, and its exit pieces: the sorted
+    cover of the tuple pieces."""
+    return {ids: tuple(sorted(to.tree.cover(ids))) for ids in division_tuples(to.rdiv, to.k)}
 
 
 def test_exact_k1_both_paths(grid8, to8):
@@ -139,8 +145,9 @@ def test_construction_validation(grid8):
 
 def test_table_shapes(to8):
     tree = to8.tree
-    tuples = dict(to8._tuples())
+    tuples = _tuple_exits(to8)
     assert list(tuples) == list(itertools.combinations(to8.rdiv, to8.k + 1))
+    assert list(to8.ext) == list(tuples)
     for ids, exits in tuples.items():
         assert ids in to8.ext
         bset = sorted({v for pid in ids for v in tree.pieces[pid].boundary})
@@ -165,11 +172,10 @@ def test_vor_rows_only_for_tuple_exits(request, name):
     # piece is no exit: no query reads its rows, so none is stored
     to = request.getfixturevalue(name)
     tree = to.tree
-    exits_of = {}
-    for ids, exits in to._tuples():
-        assert exits == external.tuple_exits(tree, ids) == tuple(sorted(exits))
+    exits_of = _tuple_exits(to)
+    for ids, exits in exits_of.items():
+        assert len(set(exits)) == len(exits), ids
         assert not any(tree.is_ancestor(q, pid) for q in exits for pid in ids), ids
-        exits_of[ids] = exits
     assert to.vor
     for ids, q, y in to.vor:
         assert q in exits_of[ids], (ids, q)
@@ -187,7 +193,7 @@ def test_plan_exit_is_a_tuple_exit(request, name):
         if plan is not None:
             ids, q = plan
             # a plan with v resident in the tuple has no exit piece
-            assert q is None or q in external.tuple_exits(to.tree, ids), (u, v, x)
+            assert q is None or q in to.tree.cover(ids), (u, v, x)
             main += 1
     assert main > 50
 
@@ -282,7 +288,7 @@ def _built_to_fall_back(to, rng, count):
         if len(ids) <= to.k:
             continue
         holding = [
-            q for q in external.tuple_exits(tree, ids)
+            q for q in sorted(tree.cover(ids))
             if any(tree.pieces[q].contains(f) for f in x)
         ]
         if not holding:
@@ -318,7 +324,7 @@ def test_plan_kinds(request, name):
             continue
         ids = tuple(sorted(anchors))
         leaf = tree.leaf_of[v]
-        (q,) = [e for e in external.tuple_exits(tree, ids) if tree.is_ancestor(e, leaf)]
+        (q,) = [e for e in tree.cover(ids) if tree.is_ancestor(e, leaf)]
         if any(tree.pieces[q].contains(f) for f in x):
             assert plan is None, (u, v, x)
             kinds["fallback"] += 1
@@ -333,28 +339,23 @@ def test_plan_kinds(request, name):
 
 
 @pytest.mark.parametrize("name", ["to8", "to16", "tri32"])
-def test_piece_tables_built_at_setup(tmp_path, request, monkeypatch, name):
-    # the exit pieces' tables depend on the graph and the tree alone: set-up
-    # builds them, walking no tuple, and a load builds the same bytes
+def test_piece_tables_built_at_setup(tmp_path, request, name):
+    # set-up builds a table for every exit of some tuple and for no other
+    # piece, each the in-piece table of the graph and the tree alone, and a
+    # load builds the same bytes
     to = request.getfixturevalue(name)
+    tree = to.tree
+    exits = {q for ids in division_tuples(to.rdiv, to.k) for q in tree.cover(ids)}
+    assert exits and to.piece_tables.keys() == exits
+    for q, table in to.piece_tables.items():
+        want = ddg.compute_piece_distance_table(to.graph, tree.pieces[q])
+        assert table.tobytes() == want.tobytes(), q
     path = tmp_path / "o.bin"
     save_oracle(to, path)
-
-    def no_walk(self):
-        raise AssertionError("set-up walked the tuples")
-
-    with monkeypatch.context() as m:
-        m.setattr(TradeoffOracle, "_tuples", no_walk)
-        bare = TradeoffOracle.__new__(TradeoffOracle)
-        bare._setup(to.graph, to.tree, to.r, to.k)
     loaded = load_oracle(path)
-    for oracle in (bare, loaded):
-        assert oracle.piece_tables.keys() == to.piece_tables.keys()
-        for q, table in to.piece_tables.items():
-            assert oracle.piece_tables[q].tobytes() == table.tobytes(), q
-    # a table for every exit of some tuple, and for no other piece
-    exits = {q for _, qs in to._tuples() for q in qs}
-    assert exits == loaded.piece_tables.keys()
+    assert loaded.piece_tables.keys() == to.piece_tables.keys()
+    for q, table in to.piece_tables.items():
+        assert loaded.piece_tables[q].tobytes() == table.tobytes(), q
 
 
 def test_no_piece_tables_without_exits(grid8):
@@ -432,19 +433,31 @@ def test_one_dijkstra_per_tuple_boundary_vertex(grid16, monkeypatch):
     first, with the store."""
     to = TradeoffOracle(grid16, r=64, k=1, leaf_size=16, r_base=2)
     sources = 0
+    in_ext = False
+
+    def ext(self, *args, _inner=ExternalDdgBuilder.ext):
+        nonlocal in_ext
+        in_ext = True
+        try:
+            return _inner(self, *args)
+        finally:
+            in_ext = False
 
     def counting(adj, rows, *args, _inner=ddg._dijkstra_rows):
         nonlocal sources
-        sources += len(rows)
+        if in_ext:
+            sources += len(rows)
         return _inner(adj, rows, *args)
 
     def no_scan(*args, **kwargs):
         raise AssertionError("the build ran a union scan")
 
+    monkeypatch.setattr(ExternalDdgBuilder, "ext", ext)
     monkeypatch.setattr(ddg, "_dijkstra_rows", counting)
     monkeypatch.setattr(tradeoff_oracle, "multi_dijkstra", no_scan)
-    to._build()  # every tuple's tables again, over the stored strict matrices
-    assert 0 < sum(len(ext.nodes) for ext in to.ext.values()) == sources
+    # every tuple's tables again, each ext call over the new store's matrices
+    fresh = TradeoffOracle(grid16, r=64, k=1, tree=to.tree)
+    assert 0 < sum(len(ext.nodes) for ext in fresh.ext.values()) == sources
 
 
 def _queries(rng, n, k, count):
