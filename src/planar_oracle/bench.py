@@ -27,7 +27,10 @@ from .failure_oracle import FailureOracle
 from .generate import generate_grid, generate_random_triangulation
 from .tradeoff_oracle import TradeoffOracle
 
-__all__ = ["BenchReport", "bench_config", "build_oracle", "random_query", "run_bench", "thread_cap"]
+__all__ = [
+    "BenchPointError", "BenchReport", "bench_config", "build_oracle", "random_query",
+    "run_bench", "thread_cap",
+]
 
 _FIELDS = (
     "mode",
@@ -41,6 +44,11 @@ _FIELDS = (
     "union_vertex_count_mean",
     "verified",
 )
+
+
+class BenchPointError(ValueError):
+    """A point that would not measure what it names: a graph below 4
+    vertices, or a trade-off oracle with no tuple, so no main-path query."""
 
 
 class BenchReport:
@@ -92,6 +100,8 @@ def bench_config(
         raise ValueError(f"k={k} does not fit the oracle file's unsigned 32-bit field")
     if queries < 0:
         raise ValueError(f"queries={queries} is negative")
+    if n < 4:
+        raise BenchPointError(f"n={n} is below 4, the smallest graph bench generates")
     return {
         "kind": kind,
         "n": n,
@@ -109,17 +119,21 @@ def bench_config(
 def build_oracle(g, mode: str, r: int | None, k: int, leaf_size: int, r_base: int):
     """A failure oracle, or a trade-off oracle over r and k.  r=None takes
     the tree's smallest marked r, which no leaf exceeds; the failure oracle
-    reads neither r nor k."""
+    reads neither r nor k.  A trade-off point whose r-division has at most
+    k pieces stores no tuple and raises BenchPointError."""
     if mode == "failure":
         return FailureOracle(g, leaf_size=leaf_size, r_base=r_base)
     tree = build_decomposition(g, leaf_size, r_base)
-    return TradeoffOracle(g, r=tree.r_sequence[0] if r is None else r, k=k, tree=tree)
+    oracle = TradeoffOracle(g, r=tree.r_sequence[0] if r is None else r, k=k, tree=tree)
+    if len(oracle.rdiv) <= k:
+        raise BenchPointError(f"r={oracle.r} gives {len(oracle.rdiv)} pieces, at most k={k}")
+    return oracle
 
 
 def _make_graph(cfg: dict):
     mw = cfg.get("max_weight")
     if cfg["kind"] == "grid":
-        side = max(2, isqrt(cfg["n"]))
+        side = isqrt(cfg["n"])
         return generate_grid(side, side, max_weight=mw, seed=cfg["seed"])
     return generate_random_triangulation(cfg["n"], max_weight=mw, seed=cfg["seed"])
 

@@ -17,7 +17,7 @@ import sys
 from math import isqrt
 
 from .baseline import distance_avoiding
-from .bench import bench_config, build_oracle, random_query, run_bench
+from .bench import BenchPointError, bench_config, build_oracle, random_query, run_bench
 from .dynamic_oracle import DynamicOracle
 from .generate import generate_grid, generate_random_triangulation
 from .graph import UNREACHABLE, EmbeddingError, GraphFormatError, load_graph, save_graph
@@ -148,27 +148,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    configs = []
-    for mode in args.mode.split(","):
-        mode = mode.strip()
-        for n in args.n:
-            # the failure oracle reads neither r nor k; its rows report r = 0
-            for r in args.r if mode == "tradeoff" else [None]:
-                for k in args.k if mode == "tradeoff" else [4]:
-                    configs.append(
-                        bench_config(
-                            args.kind,
-                            n,
-                            mode,
-                            seed=args.seed,
-                            r=r,
-                            k=k,
-                            leaf_size=args.leaf_size,
-                            queries=args.queries,
-                            max_weight=args.max_weight,
-                        )
-                    )
-    report = run_bench(configs, threads=args.threads)
+    try:
+        # the failure oracle reads neither r nor k; its rows report r = 0
+        configs = [
+            bench_config(
+                args.kind, n, mode, seed=args.seed, r=r, k=k, leaf_size=args.leaf_size,
+                queries=args.queries, max_weight=args.max_weight,
+            )
+            for mode in map(str.strip, args.mode.split(","))
+            for n in args.n
+            for r in (args.r if mode == "tradeoff" else [None])
+            for k in (args.k if mode == "tradeoff" else [4])
+        ]
+        report = run_bench(configs, threads=args.threads)
+    except BenchPointError as exc:
+        # a point that would measure nothing is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write_text(args.out, report.render(args.format))
     if not all(rec["verified"] for rec in report.records):
         return EXIT_MISMATCH

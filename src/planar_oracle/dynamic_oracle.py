@@ -37,13 +37,12 @@ Each region keeps its raw arcs as one ``SparseMember``, rebuilt with its
 matrix: the member is the input of the strict kernel
 (``ddg.strict_matrix``) and of the repair, and queries reuse it.  A query
 is one A* scan from u toward v over a union of every region matrix plus
-the raw members of u's and v's regions.  The matrix part is one
-``DdgUnion``, built on first use and kept across queries: a region whose
-new matrix keeps its boundary (a weight change, a deletion that keeps the
-boundary, an arc re-inserted between its old ends) swaps it into its
-slot, and any other change drops the union for the next query to
-rebuild.  Each query takes a view of it with every slot live and adds
-only the one or two raw members, which it looks up.
+the raw members of u's and v's regions.  Every member is a slot of one
+``DdgUnion`` that each division builds and updates keep: region ri's
+matrix sits in slot 2ri and its raw member in slot 2ri + 1, and
+``_recompute`` re-indexes both, whatever the region's new boundary, and
+appends a new region's.  A query takes a view that marks every matrix
+slot live and the raw slots of u's and v's regions, which it looks up.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
 Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
@@ -69,6 +68,7 @@ from operator import sub
 from .graph import (
     _MAX_WEIGHT_SUM,
     _check_weight,
+    UNREACHABLE,
     EmbeddedPlanarGraph,
     EmbeddingError,
     WeightOverflowError,
@@ -198,7 +198,8 @@ class DynamicOracle:
         tree = build_decomposition(g, leaf_size=self.r)
         self.regions = []
         self.region_of_arc = {}
-        self._union = None
+        # _recompute fills slots 2ri and 2ri + 1 as the regions come
+        self._union = DdgUnion(())
         for piece in (p for p in tree.pieces if p.is_leaf):
             reg = _Region(
                 {pub_v[v] for v in piece.vertices},
@@ -232,9 +233,8 @@ class DynamicOracle:
         absent on that side, when one arc of the region is all that changed
         since its matrix was made.  If the boundary is also unchanged, the
         old matrix is repaired (``repair_strict_matrix``); otherwise every
-        row is recomputed.  The kept union takes the new matrix into the
-        region's slot if the boundary is unchanged, and is dropped
-        otherwise."""
+        row is recomputed.  The kept union re-indexes the region's two
+        slots, appending them for a new region."""
         reg = self.regions[ri]
         old = reg.ddg
         nodes = tuple(sorted(reg.boundary))
@@ -246,11 +246,8 @@ class DynamicOracle:
         else:
             matrix = strict_matrix([reg.member], nodes)
         reg.ddg = DenseDistanceGraph(nodes, matrix)
-        if self._union is not None:
-            if old is not None and old.nodes == nodes:
-                self._union.replace(ri, reg.ddg)
-            else:
-                self._union = None
+        self._union.replace(2 * ri, reg.ddg)
+        self._union.replace(2 * ri + 1, reg.member)
 
     def _lower(self, tail: int, head: int, w: int) -> None:
         """Restore table feasibility on the arc tail -> head of length w, the
@@ -460,13 +457,13 @@ class DynamicOracle:
 
     # -- queries ------------------------------------------------------------------
 
-    def _raw_member(self, v: int) -> SparseMember:
-        """The raw member of v's first home region, as ``_recompute`` last
-        built it, or v alone if v has no home region."""
-        for reg in self.regions:
+    def _raw_member(self, v: int) -> int | None:
+        """The union slot of the raw member of v's first home region, None
+        if v has no home region."""
+        for ri, reg in enumerate(self.regions):
             if v in reg.vertices:
-                return reg.member
-        return SparseMember((v,), ())
+                return 2 * ri + 1
+        return None
 
     def distance(self, u: int, v: int):
         """Current length of the shortest path from u to v."""
@@ -474,12 +471,12 @@ class DynamicOracle:
         self._check_alive_vertex(v)
         if u == v:
             return 0
-        if self._union is None:
-            # slot ri holds region ri's matrix, so _recompute can swap it
-            self._union = DdgUnion([reg.ddg for reg in self.regions])
-        mu, mv = self._raw_member(u), self._raw_member(v)
+        su, sv = self._raw_member(u), self._raw_member(v)
+        if su is None or sv is None:
+            # every arc lies in a region, so a vertex in none has no arcs
+            return UNREACHABLE
         base = self._union
-        union = base.view(range(len(base.slots)), [mu] if mu is mv else [mu, mv])
+        union = base.view([*range(0, len(base.slots), 2), su, sv])
         # with no landmarks (a division of no vertices) the scan is Dijkstra
         pi = landmark_potential(self._to, self._frm, u, v) if self._far_row else None
         res = multi_dijkstra(union, [(u, 0)], target=v, potential=pi)

@@ -3,18 +3,18 @@
 Build and load alike precompute the strict matrix of every node of the
 decomposition tree, bottom-up (``ddg.DdgStore``), and each leaf as a union
 member of its own arcs; a build makes the tree, a load reads it from its
-file.  Both end by indexing every strict matrix once, piece i's in slot i
-of one ``DdgUnion``.  Queries only read this state.  A query with failed set X
-assembles a small union of matrices that jointly cover every path from u
-that avoids X: the home leaves of u, v and X as their own arcs, failed
-vertices included (every leaf vertex is a node, so u and v need no
-grafting), and the stored strict matrices of the siblings hanging off their
-root paths that lie on no such path.  Together they tile the graph's arcs
-once: the Fakcharoenphol-Rao union.  ``FailureOracle._cover`` picks it and
-states why it is exact, and the query's union is a view of the oracle's
-that marks those matrices' slots live and adds the leaves, so it indexes
-no matrix.  The trade-off oracle's tuple assembly is the same walk below
-each tuple piece.
+file.  Both end by indexing all of them once, piece i's matrix in slot i
+of one ``DdgUnion`` and the leaves after the pieces.  Queries only read
+this state.  A query with failed set X assembles a small union of members
+that jointly cover every path from u that avoids X: the home leaves of u,
+v and X as their own arcs, failed vertices included (every leaf vertex is
+a node, so u and v need no grafting), and the stored strict matrices of
+the siblings hanging off their root paths that lie on no such path.
+Together they tile the graph's arcs once: the Fakcharoenphol-Rao union.
+``FailureOracle._cover`` picks their slots and states why it is exact,
+and the query's union is a view of the oracle's that marks those slots
+live, so it indexes nothing.  The trade-off oracle's tuple assembly is
+the same walk below each tuple piece.
 
 One Dijkstra over the union from u, never relaxing out of a failed
 vertex, then yields the exact label of v.  The scan is A* toward v and
@@ -161,11 +161,14 @@ class FailureOracle:
         }
         _, self._to, self._frm = landmark_tables(g)
 
-    def _index(self) -> None:
-        """Index every piece's strict matrix once, slot i holding piece i.
-        The constructor calls this last, a load included; a query's union
-        is a view of this one, so it indexes nothing."""
-        self._union = DdgUnion(list(map(self.store.strict, range(len(self.tree.pieces)))))
+    def _index(self, extra=()) -> None:
+        """Index once, one slot each, every member a query may join: piece
+        i's strict matrix in slot i, then the leaves in id order, then
+        ``extra``.  The constructor calls this last, a load included."""
+        pieces = len(self.tree.pieces)
+        self._leaf_slot = {leaf: pieces + i for i, leaf in enumerate(self._leaves)}
+        strict = map(self.store.strict, range(pieces))
+        self._union = DdgUnion([*strict, *self._leaves.values(), *extra])
 
     # -- assembly ----------------------------------------------------------
 
@@ -183,15 +186,15 @@ class FailureOracle:
         """The union for (u, v, failed): the view of ``_cover`` of the root
         with residents u, v and the sorted failed vertices."""
         x = self._validate(u, v, failed)
-        return self._union.view(*self._cover((0,), (u, v, *sorted(x))))
+        return self._union.view(self._cover((0,), (u, v, *sorted(x))))
 
-    def _cover(self, tops, residents) -> tuple[list[int], list[SparseMember]]:
-        """``(slots, leaves)`` tiling the disjoint nodes ``tops`` around the
-        ``residents``, every failed vertex among them: the pieces whose
-        strict matrices join, which are their slots in the oracle's union,
-        and the home leaves that join as their own arcs.  A top holding
-        none of the residents' home leaves joins whole; otherwise those
-        leaves join, then ``tree.cover(leaves, top)``.
+    def _cover(self, tops, residents) -> list[int]:
+        """The slots, in the oracle's union, of the members tiling the
+        disjoint nodes ``tops`` around the ``residents``, every failed
+        vertex among them: the pieces whose strict matrices join, and the
+        home leaves that join as their own arcs.  A top holding none of the
+        residents' home leaves joins whole; otherwise those leaves join,
+        then ``tree.cover(leaves, top)``.
 
         The members partition the tops' arcs, so every path inside the
         tops is a chain of member entries joined at member nodes.  The
@@ -205,15 +208,14 @@ class FailureOracle:
         tree = self.tree
         homes = dict.fromkeys(tree.leaf_of[w] for w in residents)
         slots: list[int] = []
-        leaves: list[SparseMember] = []
         for top in tops:
             below = [leaf for leaf in homes if tree.is_ancestor(top, leaf)]
             if not below:
                 slots.append(top)
                 continue
-            leaves.extend(self._leaves[leaf] for leaf in below)
+            slots.extend(self._leaf_slot[leaf] for leaf in below)
             slots.extend(tree.cover(below, top))
-        return slots, leaves
+        return slots
 
     # -- queries -----------------------------------------------------------
 

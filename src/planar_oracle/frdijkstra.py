@@ -5,24 +5,24 @@ own vertex list (or a raw arc set), overlays them on the shared vertex ids,
 and runs a single multi-source Dijkstra across the overlay.  Distances in
 the union equal distances in the graph the members jointly describe.
 
-The union is keyed by vertex id, and a sparse member's per-node out-lists
-are built once, so joining a union never touches its arcs.  Members sit in
-slots, and a bytearray marks the live ones.  An owner whose matrices change
-rarely or never indexes all of them once, one slot each, and a query takes
-a ``view`` of that index: it marks the query's slots live and adds its
-sparse members, so it costs a pass over its member list, not over their
-nodes, and the scan skips the rows of dead slots.  Labels live in lists
-indexed by vertex id, filled afresh per run (one C-level fill of max-id + 1
-entries, about 14 µs at n = 4096 in CPython 3.11), so a held result keeps
-its labels whatever runs later.
+Members sit in slots, and a bytearray marks the live ones.  Each vertex
+has one row per slot holding it, in one form, ``(slot, heads, weights,
+lo)``: a matrix row references its member and copies nothing, and a raw
+member's row holds the vertex's out-arcs, grouped once when the member is
+indexed.  An owner indexes its members once (``replace`` re-indexes one
+slot), and a query takes a ``view`` that marks its slots live, so it
+costs a pass over its member list, not over their nodes.  Labels live in
+lists indexed by vertex id, filled afresh per run (one C-level fill of
+max-id + 1 entries, about 14 µs at n = 4096 in CPython 3.11), so a held
+result keeps its labels whatever runs later.
 
 When a vertex settles, the scan relaxes all of its out-pairs in one loop:
-its sparse arcs and its whole row in every live matrix slot it belongs to.
-The row's columns that have settled already are not skipped: a settled
-label is final, so relaxing into it changes nothing, and under a potential
-few vertices settle, so keeping lists of unsettled columns would cost more
-than it saves.  An unreachable entry gives a length of MATRIX_SENTINEL or
-more, which beats no label.  The scan uses no Monge structure.
+its row in every live slot it belongs to.  A matrix row's columns that
+have settled already are not skipped: a settled label is final, so
+relaxing into it changes nothing, and under a potential few vertices
+settle, so keeping lists of unsettled columns would cost more than it
+saves.  An unreachable entry gives a length of MATRIX_SENTINEL or more,
+which beats no label.  The scan uses no Monge structure.
 
 Given a ``target``, the scan stops as soon as the target settles, as point
 queries do.  A target-stopped scan may also be goal-directed: a
@@ -64,36 +64,40 @@ __all__ = [
 class SparseMember:
     """Union member backed by raw arcs instead of a distance matrix.
 
-    ``out`` maps each node to the (head, weight) pairs of its out-arcs.
     Both ends of every arc must be nodes, and no weight may be negative.
     """
 
-    __slots__ = ("nodes", "arcs", "out")
+    __slots__ = ("nodes", "arcs")
 
     def __init__(self, nodes: Sequence[int], arcs: Sequence[tuple[int, int, int]]):
         self.nodes = tuple(nodes)
         self.arcs = tuple(arcs)
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in self.nodes}
+        known = set(self.nodes)
         for t, h, w in self.arcs:
             if w < 0:
                 raise ValueError(f"negative member weight on arc {t}->{h}")
-            if t not in out or h not in out:
+            if t not in known or h not in known:
                 raise ValueError(f"arc {t}->{h} has an end outside the member's nodes")
-            out[t].append((h, w))
-        self.out = {v: tuple(pairs) for v, pairs in out.items()}
 
     def __repr__(self) -> str:
         return f"SparseMember(|nodes|={len(self.nodes)}, |arcs|={len(self.arcs)})"
 
 
-def _merge_sparse(sparse_out: dict, m: SparseMember) -> None:
-    """Add sparse member m's out-lists to ``sparse_out`` in place.  A vertex
-    already there gets a new tuple; the member's own out-lists are never
-    modified."""
-    out = m.out
-    shared = {v: sparse_out[v] + out[v] for v in sparse_out.keys() & out.keys()}
-    sparse_out.update(out)
-    sparse_out.update(shared)
+def _member_rows(mi: int, m) -> dict:
+    """The row of each node v of member m in slot mi,
+    ``(mi, heads, weights, lo)``: v's out-pairs in m are
+    ``zip(heads, weights[lo : lo + len(heads)])``."""
+    nodes = m.nodes
+    if isinstance(m, SparseMember):
+        out: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in nodes}
+        for t, h, w in m.arcs:
+            heads, weights = out[t]
+            heads.append(h)
+            weights.append(w)
+        return {v: (mi, tuple(heads), tuple(weights), 0) for v, (heads, weights) in out.items()}
+    k = len(nodes)
+    matrix = m.matrix
+    return {v: (mi, nodes, matrix, li * k) for li, v in enumerate(nodes)}
 
 
 class DdgUnion:
@@ -101,46 +105,33 @@ class DdgUnion:
 
     Each member sits in one of ``slots``, and the bytearray ``live`` marks
     the slots that take part; ``members`` are the live slots' members, in
-    slot order, followed by any sparse members added by ``view``.
-    ``dense_in`` maps a vertex to its (slot, local index) pairs in matrix
-    slots, dead ones included; ``sparse_out`` maps it to its (head, weight)
-    arcs over the sparse members.  A union vertex is a key of
-    ``sparse_out`` or has a live slot in ``dense_in``.
-
-    ``DdgUnion(members)`` puts member i in slot i, every slot live.  An
-    owner whose matrices change rarely or never indexes them once this way
-    (``replace`` swaps one in place), and each query takes a ``view`` that
-    marks its own slots live.
+    slot order.  ``rows`` maps a vertex to its rows, one per slot holding
+    it, dead ones included (see ``_member_rows``); a vertex a ``replace``
+    left in no slot keeps an empty list.  A union vertex is one with a row
+    in a live slot.  ``DdgUnion(members)`` puts member i in slot i, every
+    slot live.
     """
 
-    __slots__ = ("slots", "live", "members", "dense_in", "sparse_out", "size", "union_vertices")
+    __slots__ = ("slots", "live", "members", "rows", "size", "union_vertices")
 
     def __init__(self, members: Sequence):
         self.slots = self.members = tuple(members)
         self.live = bytearray(b"\x01") * len(self.slots)
-        dense_in: dict[int, list[tuple[int, int]]] = {}
-        sparse_out: dict[int, tuple[tuple[int, int], ...]] = {}
-        total = 0
-        for mi, m in enumerate(self.members):
-            total += len(m.nodes)
-            if isinstance(m, SparseMember):
-                _merge_sparse(sparse_out, m)
-            else:
-                if m.min_entry < 0:
-                    raise ValueError(f"negative member weight in member {mi}")
-                for li, v in enumerate(m.nodes):
-                    dense_in.setdefault(v, []).append((mi, li))
-        self.dense_in = dense_in
-        self.sparse_out = sparse_out
+        rows: dict[int, list[tuple]] = {}
+        for mi, m in enumerate(self.slots):
+            if not isinstance(m, SparseMember) and m.min_entry < 0:
+                raise ValueError(f"negative member weight in member {mi}")
+            for v, row in _member_rows(mi, m).items():
+                rows.setdefault(v, []).append(row)
+        self.rows = rows
         # label lists hold one entry per id below this
-        self.size = max(max(dense_in, default=-1), max(sparse_out, default=-1)) + 1
-        self.union_vertices = total
+        self.size = max(rows, default=-1) + 1
+        self.union_vertices = sum(len(m.nodes) for m in self.members)
 
-    def view(self, live_slots: Iterable[int], sparse: Sequence[SparseMember]) -> DdgUnion:
-        """A union of this one's slots ``live_slots`` and the sparse members
-        ``sparse``.  It shares this union's ``slots`` and ``dense_in``, and
-        builds only its own ``live`` and ``sparse_out``, so its cost grows
-        with its member count and ``sparse``, not with the matrices' nodes;
+    def view(self, live_slots: Iterable[int]) -> DdgUnion:
+        """A union of this one's slots ``live_slots``.  It shares this
+        union's ``slots`` and ``rows`` and builds only its own ``live``, so
+        its cost grows with its member count, not with the members' nodes;
         neither union modifies the other."""
         slots = self.slots
         live = bytearray(len(slots))
@@ -149,41 +140,43 @@ class DdgUnion:
         new = DdgUnion.__new__(DdgUnion)
         new.slots = slots
         new.live = live
-        new.members = members = (*compress(slots, live), *sparse)
-        new.dense_in = self.dense_in
-        new.sparse_out = sparse_out = {}
-        for m in members:
-            if isinstance(m, SparseMember):
-                _merge_sparse(sparse_out, m)
-        new.size = max(self.size, max(sparse_out, default=-1) + 1)
+        new.members = members = tuple(compress(slots, live))
+        new.rows = self.rows
+        new.size = self.size
         new.union_vertices = sum(len(m.nodes) for m in members)
         return new
 
     def replace(self, mi: int, m) -> None:
-        """Put matrix member ``m`` in slot ``mi``, in place, instead of a
-        matrix member on the same node list; ``dense_in`` stays valid.
-        Unlike the constructor, this does not scan m's entries for a
-        negative one, which would cost a pass over the whole matrix on
-        every swap: m must be a strict matrix of nonnegative arcs."""
+        """Put member ``m``, on any node list, in slot ``mi``, or in a new
+        live slot if ``mi`` is one past the last; views taken before keep
+        the old rows.  Unlike the constructor, this reads no matrix entry,
+        so a matrix m must hold nonnegative arcs."""
         slots = self.slots
-        if m.nodes != slots[mi].nodes:
-            raise ValueError("a replacement member must keep the node list")
+        if not 0 <= mi <= len(slots):
+            raise IndexError(f"slot {mi} is past the union's {len(slots)} slots")
+        old = slots[mi].nodes if mi < len(slots) else ()
+        if mi == len(slots):
+            self.live.append(1)
+        new = _member_rows(mi, m)
+        rows = dict(self.rows)
+        for v in new.keys() | old:
+            kept = [row for row in rows.get(v, ()) if row[0] != mi]
+            rows[v] = [*kept, new[v]] if v in new else kept
+        self.rows = rows
+        self.slots = slots = slots[:mi] + (m,) + slots[mi + 1 :]
+        self.members = tuple(compress(slots, self.live))
+        self.size = max(self.size, max(m.nodes, default=-1) + 1)
         if self.live[mi]:
-            # live slots lead ``members``, in slot order
-            i = self.live.count(1, 0, mi)
-            self.members = self.members[:i] + (m,) + self.members[i + 1 :]
-        self.slots = slots[:mi] + (m,) + slots[mi + 1 :]
+            self.union_vertices += len(m.nodes) - len(old)
 
     def __contains__(self, v) -> bool:
-        if v in self.sparse_out:
-            return True
         live = self.live
-        return any(live[mi] for mi, _ in self.dense_in.get(v, ()))
+        return any(live[row[0]] for row in self.rows.get(v, ()))
 
     @property
     def vertices(self) -> tuple[int, ...]:
         """The union's vertex ids, sorted; computed on each call."""
-        return tuple(sorted(v for v in self.dense_in.keys() | self.sparse_out.keys() if v in self))
+        return tuple(sorted(v for v in self.rows if v in self))
 
 
 class MultiDijkstraResult:
@@ -196,9 +189,9 @@ class MultiDijkstraResult:
 
     ``settled`` counts the vertices settled, forbidden ones and the target
     included.  ``relaxations`` counts every pair examined out of the settled
-    vertices that are not blocked and not the target: each one's full row
-    in every matrix member it belongs to, unreachable and settled columns
-    included, each of its sparse arcs, and each exit read.
+    vertices that are not blocked and not the target: each one's row in
+    every live slot that holds it (a whole matrix row, unreachable and
+    settled columns included, or its out-arcs), and each exit read.
     """
 
     __slots__ = ("dist", "union", "union_vertices", "settled", "relaxations")
@@ -292,10 +285,10 @@ def multi_dijkstra(
     for v, _ in sources:
         blocked[v] = 0
 
-    mems = union.slots
-    live = union.live
-    dense_in = union.dense_in
-    sparse_out = union.sparse_out
+    # an exit row's slot, one past the union's last, is always live
+    live = union.live + b"\x01"
+    exit_slot = len(live) - 1
+    rows = union.rows
     done = bytearray(size)
     settled = 0
     relaxations = 0
@@ -313,25 +306,20 @@ def multi_dijkstra(
             break
         if blocked[u]:
             continue
-        # u's out-pairs: its sparse arcs, its exit, and its row in each
-        # matrix member; an unreachable weight gives d + w >= MATRIX_SENTINEL,
-        # which beats no label
-        out = sparse_out.get(u, ())
-        relaxations += len(out)
-        rows = [out]
+        # u's out-pairs: its exit and its row in each live slot; an
+        # unreachable weight gives d + w >= MATRIX_SENTINEL, which beats no
+        # label
+        out = rows.get(u, ())
         if exit_cost is not None:
-            rows.append(((stop, exit_cost(u)),))
-            relaxations += 1
-        for mi, li in dense_in.get(u, ()):
-            if not live[mi]:
+            out = [(exit_slot, (stop,), (exit_cost(u),), 0), *out]
+        for row in out:
+            # most of a vertex's rows are dead: test before unpacking
+            if not live[row[0]]:
                 continue
-            m = mems[mi]
-            nodes = m.nodes
-            k = len(nodes)
-            rows.append(zip(nodes, m.matrix[li * k : li * k + k]))
+            _, heads, weights, lo = row
+            k = len(heads)
             relaxations += k
-        for row in rows:
-            for v, w in row:
+            for v, w in zip(heads, weights[lo : lo + k]):
                 nd = d + w
                 if nd < dist[v]:
                     h = pot[v]

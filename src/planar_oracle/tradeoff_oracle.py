@@ -31,7 +31,7 @@ matrices runs toward v and stops when v settles; below the tuple pieces
 its members come from the failure oracle's cover walk,
 ``FailureOracle._cover``.  The union is a view of the one the oracle
 indexes at set-up, which holds ext(T) of every tuple after the pieces'
-strict matrices.  The exit tables ignore failures, so a query
+strict matrices and the leaves.  The exit tables ignore failures, so a query
 with a failed vertex in v's exit piece, or one that no stored tuple fits,
 runs the failure oracle's query instead, over the same strict matrices;
 it is the same kind of target-stopped scan and is exact for any failed
@@ -134,11 +134,11 @@ class TradeoffOracle(FailureOracle):
         self._index()
 
     def _index(self) -> None:
-        """The failure oracle's union of every piece, then ext(T) of every
-        tuple in ``division_tuples`` order, one slot each after the pieces."""
-        pieces = len(self.tree.pieces)
-        self._ext_slot = {ids: pieces + i for i, ids in enumerate(self.ext)}
-        self._union = DdgUnion([*map(self.store.strict, range(pieces)), *self.ext.values()])
+        """The failure oracle's union of every piece and leaf, then ext(T)
+        of every tuple in ``division_tuples`` order, one slot each."""
+        first = len(self.tree.pieces) + len(self._leaves)
+        self._ext_slot = {ids: first + i for i, ids in enumerate(self.ext)}
+        super()._index(self.ext.values())
 
     # -- query helpers ---------------------------------------------------------
 
@@ -211,9 +211,9 @@ class TradeoffOracle(FailureOracle):
         residents are u, the failed vertices and, on a plan with no exit
         piece, v.  Tuple pieces are disjoint nodes of one division, so no
         leaf or sibling comes up twice."""
-        slots, leaves = self._cover(ids, residents)
+        slots = self._cover(ids, residents)
         slots.append(self._ext_slot[ids])
-        return self._union.view(slots, leaves)
+        return self._union.view(slots)
 
     def _main(self, u, v, x, ids, q):
         """One union A* scan from u toward v over the tuple's assembly,

@@ -226,6 +226,13 @@ def run_with_2gib_address_space(code, *argv):
     return out.stdout.strip() or out.stderr
 
 
+def rows_by_slot(union):
+    """A union's rows per vertex in slot order, to compare two indexes of
+    the same members; a vertex a replace left in no slot keeps an empty
+    list, which counts as no rows."""
+    return {v: sorted(rows, key=lambda row: row[0]) for v, rows in union.rows.items() if rows}
+
+
 def random_members(rng, n_ids=12, n_members=4):
     ids = list(range(n_ids))
     members = []

@@ -10,7 +10,15 @@ import sys
 import pytest
 
 from planar_oracle import ddg, failure_oracle, tradeoff_oracle
-from planar_oracle.bench import BenchReport, bench_config, run_bench, thread_cap
+from planar_oracle.bench import (
+    BenchPointError,
+    BenchReport,
+    bench_config,
+    build_oracle,
+    run_bench,
+    thread_cap,
+)
+from planar_oracle.generate import generate_grid
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
@@ -32,6 +40,31 @@ def test_config_validation():
         bench_config("torus", 64, "failure")
     with pytest.raises(ValueError):
         bench_config("grid", 64, "exactly")
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_config_rejects_graphs_below_four_vertices(kind):
+    # the grid generator used to run a 2x2 grid for any n below 4
+    for n in (-5, 0, 3):
+        with pytest.raises(BenchPointError, match=f"n={n}"):
+            bench_config(kind, n, "failure")
+    assert bench_config(kind, 4, "failure")["n"] == 4
+
+
+def test_tradeoff_point_without_tuples_is_rejected():
+    # a 64-vertex grid under leaf size 32 is one division piece, so k = 1
+    # leaves no tuple and every query would take the fallback under a
+    # trade-off label; leaf size 8 gives 3 pieces and 3 tuples
+    g = generate_grid(8, 8, max_weight=16, seed=0)
+    with pytest.raises(BenchPointError, match="r=64 gives 1 pieces, at most k=1"):
+        build_oracle(g, "tradeoff", None, 1, 32, 4)
+    assert len(build_oracle(g, "tradeoff", None, 1, 8, 4).ext) == 3
+    with pytest.raises(BenchPointError, match="at most k=3"):
+        build_oracle(g, "tradeoff", None, 3, 8, 4)
+    cfg = bench_config("grid", 64, "tradeoff", queries=2)
+    for threads in (1, 2):
+        with pytest.raises(BenchPointError):
+            run_bench([bench_config("grid", 64, "failure", queries=2), cfg], threads=threads)
 
 
 def test_run_inline_and_verified():

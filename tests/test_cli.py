@@ -205,6 +205,36 @@ def test_k_beyond_u32_is_invalid(tmp_path, graph_file, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "64", "--mode", "failure,tradeoff"],
+        ["--n", "3"],
+        ["--n", "0", "--kind", "tri"],
+        ["--n", "-5"],
+    ],
+)
+def test_bench_point_that_measures_nothing_is_a_usage_error(capsys, argv):
+    # a trade-off point with no tuple used to print a row that read as a
+    # trade-off result, and an n below 4 to run a 2x2 grid (or fail in isqrt)
+    rc = cli.main(["bench", *argv, "--queries", "2", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_bench_small_tradeoff_point_with_tuples(capsys):
+    rc = cli.main(
+        [
+            "bench", "--n", "64", "--queries", "5", "--mode", "failure,tradeoff",
+            "--leaf-size", "8", "--threads", "1",
+        ]
+    )
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert rc == cli.EXIT_OK
+    assert [row.split(",")[:3] for row in rows] == [["failure", "64", "0"], ["tradeoff", "64", "32"]]
+
+
 def test_bench_tradeoff_defaults(capsys):
     rc = cli.main(["bench", "--mode", "tradeoff", "--n", "256", "--queries", "4", "--threads", "1"])
     out = capsys.readouterr().out

@@ -122,16 +122,17 @@ def test_path_leaves_the_leaf_and_returns(oracles):
 
 def _snapshot(oracle):
     """What a query could change: the oracle's and its store's attribute
-    names, the strict matrices and the leaf members, each member with its
-    nodes, arcs and out-lists."""
+    names, the strict matrices, the leaf members, each with its nodes and
+    arcs, and the oracle's union: its slots and every vertex's rows, which
+    hold the leaves' out-lists."""
+    union = oracle._union
     return (
         sorted(vars(oracle)),
         sorted(vars(oracle.store)),
         dict(oracle.store._strict),
-        {
-            leaf: (m, m.nodes, m.arcs, {v: tuple(out) for v, out in m.out.items()})
-            for leaf, m in oracle._leaves.items()
-        },
+        {leaf: (m, m.nodes, m.arcs) for leaf, m in oracle._leaves.items()},
+        (union, union.slots, bytes(union.live)),
+        {v: tuple(rows) for v, rows in union.rows.items()},
     )
 
 
@@ -169,11 +170,13 @@ def test_queries_leave_cached_leaves_unchanged(name, zoo, tmp_path):
         main += to._plan(u, v, tuple(sorted(x))) is not None
     assert main > 0
 
-    # the same attributes, the same matrix and member objects, and the
-    # same nodes, arcs and out-lists
+    # the same attributes, the same matrix and member objects, the same
+    # nodes and arcs, the same union and the same out-lists in its rows
     for oracle, snap in zip(oracles, before):
-        attrs, store_attrs, strict, members = _snapshot(oracle)
+        attrs, store_attrs, strict, members, union, rows = _snapshot(oracle)
         assert (attrs, store_attrs) == snap[:2]
         assert strict.keys() == snap[2].keys()
         assert all(strict[pid] is m for pid, m in snap[2].items())
         assert members == snap[3]
+        assert union[0] is snap[4][0] and union[1:] == snap[4][1:]
+        assert rows == snap[5]

@@ -19,7 +19,7 @@ from planar_oracle.ddg import (
     strict_matrix,
 )
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.frdijkstra import SparseMember, multi_dijkstra
+from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
@@ -65,9 +65,10 @@ def test_full_ddg_matches_in_piece_brute(setup8):
 
 
 def test_dist_accessor(setup8):
+    # a stored strict matrix reads 0 on its diagonal
     g, tree = setup8
     p = next(p for p in tree.pieces if not p.is_leaf and p.boundary)
-    ddg = compute_ddg(g, p)
+    ddg = DdgStore(g, tree).strict(p.id)
     s = ddg.nodes[0]
     i = ddg.nodes.index(s)
     assert ddg.matrix[i * len(ddg.nodes) + i] == 0
@@ -75,16 +76,16 @@ def test_dist_accessor(setup8):
 
 def test_root_ddg_is_empty(setup8):
     g, tree = setup8
-    ddg = compute_ddg(g, tree.pieces[0])
+    ddg = DdgStore(g, tree).strict(tree.pieces[0].id)
     assert ddg.nodes == ()
     assert len(ddg.matrix) == 0
 
 
 def test_sssp_consistency_of_full_ddg(setup8):
-    # full DDG entries never beat the unrestricted graph distance
+    # stored strict entries never beat the unrestricted graph distance
     g, tree = setup8
     p = next(p for p in tree.pieces if not p.is_leaf and p.boundary)
-    ddg = compute_ddg(g, p)
+    ddg = DdgStore(g, tree).strict(p.id)
     k = len(ddg.nodes)
     for s in ddg.nodes[:3]:
         ref = sssp(g, s)
@@ -140,17 +141,21 @@ def test_leaf_ddg_with_failures(setup8):
 
 def test_leaf_extras_become_nodes(setup8):
     # every leaf vertex is a node, so query endpoints need no grafting, and
-    # every leaf arc is kept, each in its tail's out-list
+    # every leaf arc is kept, each in its tail's row of the member's slot
     g, tree = setup8
     for leaf in leaves(tree)[:6]:
         piece = tree.pieces[leaf]
         member = compute_leaf_ddg(g, piece)
         assert member.nodes == piece.vertices
         assert member.arcs == tuple(g.arcs[a] for a in piece.arcs)
-        assert member.out.keys() == set(piece.vertices)
-        assert sorted((t, h, w) for t, out in member.out.items() for h, w in out) == sorted(
-            member.arcs
-        )
+        rows = DdgUnion([member]).rows
+        assert rows.keys() == set(piece.vertices)
+        indexed = [
+            (t, h, w)
+            for t, (row,) in rows.items()
+            for h, w in zip(row[1], row[2][row[3] : row[3] + len(row[1])])
+        ]
+        assert sorted(indexed) == sorted(member.arcs)
 
 
 def test_piece_distance_table(setup8):

@@ -24,7 +24,7 @@ from planar_oracle.graph import (
     check_planar,
 )
 
-from conftest import union_arcs
+from conftest import rows_by_slot, union_arcs
 
 
 def fresh_distance(dyn, u, v):
@@ -300,7 +300,8 @@ def test_cached_member_follows_its_region(op):
     out = [a for a in dyn.rot[u] if dyn.arc_tail[a] == u]
     dyn.distance(u, dyn.arc_head[out[0]])
     cached = reg.member
-    assert cached is not None and dyn._raw_member(u) is cached
+    slot = dyn._raw_member(u)
+    assert cached is not None and dyn._union.slots[slot] is cached
     if op == "set_weight":
         for a in out:
             dyn.set_weight(a, 40)
@@ -311,7 +312,8 @@ def test_cached_member_follows_its_region(op):
     else:
         dyn.delete_vertex(dyn.arc_head[out[0]])
     assert dyn.rebuild_count == 1 and dyn.regions[homes_of(dyn, u)[0]] is reg
-    assert dyn._raw_member(u) is not cached
+    assert dyn._raw_member(u) == slot
+    assert dyn._union.slots[slot] is reg.member is not cached
     snap, vmap, _ = dyn.export_graph()
     idx = {p: i for i, p in enumerate(vmap)}
     for v in vmap:
@@ -338,12 +340,13 @@ def test_same_weight_changes_nothing():
     arc = next(a for a in dyn.rot[u] if dyn.arc_tail[a] == u)
     dyn.distance(u, 35)
     reg = dyn.regions[dyn.region_of_arc[arc]]
-    kept = (reg.ddg, reg.member, dyn._union)
+    kept = (reg.ddg, reg.member, dyn._union, dyn._union.rows)
     assert None not in kept
     with pytest.raises(ValueError):
         dyn.set_weight(arc, -1)
     dyn.set_weight(arc, dyn.arc_weight[arc])
-    assert all(x is y for x, y in zip((reg.ddg, reg.member, dyn._union), kept))
+    now = (reg.ddg, reg.member, dyn._union, dyn._union.rows)
+    assert all(x is y for x, y in zip(now, kept))
 
 
 @pytest.mark.parametrize(
@@ -672,6 +675,10 @@ class DynamicMachine(RuleBasedStateMachine):
     def region_matrices_fresh(self):
         assert_matrices_fresh(self.dyn)
 
+    @invariant()
+    def union_current(self):
+        assert_union_current(self.dyn)
+
 
 TestDynamicMachine = DynamicMachine.TestCase
 TestDynamicMachine.settings = settings(
@@ -783,12 +790,17 @@ def test_tables_stay_feasible(seed, updates):
 
 
 def assert_union_current(dyn):
-    """The kept union holds region ri's matrix in slot ri, every slot live,
-    and its index equals that of a freshly built matrix union."""
+    """The kept union holds region ri's matrix in slot 2ri and its raw
+    member in slot 2ri + 1, every slot live, and its rows and member sizes
+    equal those of a union indexed afresh from the regions."""
     union = dyn._union
-    assert list(union.slots) == list(union.members) == [reg.ddg for reg in dyn.regions]
-    assert set(union.live) == {1}
-    assert union.dense_in == DdgUnion([reg.ddg for reg in dyn.regions]).dense_in
+    members = [m for reg in dyn.regions for m in (reg.ddg, reg.member)]
+    assert list(union.slots) == list(union.members) == members
+    assert set(union.live) <= {1}
+    fresh = DdgUnion(members)
+    assert rows_by_slot(union) == rows_by_slot(fresh)
+    assert union.union_vertices == fresh.union_vertices
+    assert union.size >= fresh.size
 
 
 @pytest.mark.parametrize(
@@ -806,9 +818,10 @@ def test_kept_union_matches_fresh(op):
         # a new two-vertex region first, so an arc into it grows boundaries
         x, y = dyn.insert_vertex(), dyn.insert_vertex()
         dyn.insert_edge(x, y, 1)
-    assert dyn._union is None
-    dyn.distance(0, 35)
     kept = dyn._union
+    assert_union_current(dyn)
+    dyn.distance(0, 35)
+    assert dyn._union is kept
     assert_union_current(dyn)
     out = [a for a in dyn.rot[hub] if dyn.arc_tail[a] == hub]
     boundary = next(v for v in alive_vertices_of(dyn) if len(homes_of(dyn, v)) > 1)
@@ -833,11 +846,10 @@ def test_kept_union_matches_fresh(op):
         assert any(reg.boundary != before[ri] for ri, reg in enumerate(dyn.regions))
     else:
         dyn._rebuild()
-    if op in ("delete_boundary_vertex", "grow_boundary", "rebuild"):
-        assert dyn._union is None
-    else:
-        assert dyn._union is kept
-        assert_union_current(dyn)
+    # boundary changes re-index their regions' slots: only a division
+    # builds a new union
+    assert (dyn._union is kept) == (op != "rebuild")
+    assert_union_current(dyn)
     assert dyn.rebuild_count == start + (op == "rebuild")
     assert_answers(dyn, random.Random(op), 40)
     assert_union_current(dyn)

@@ -116,9 +116,10 @@ def strict_pieces(oracle, members):
 def test_assembly_structure(grid8, fo8):
     members = fo8.assemble(5, 40, {20, 3}).members
     tree = fo8.tree
-    # anchor leaves come last: the home leaves of u, v and the sorted
-    # failures, deduped, each as its cached own-arcs member
-    homes = list(dict.fromkeys(tree.leaf_of[w] for w in (5, 40, 3, 20)))
+    # anchor leaves come last, in slot order, which is leaf id order: the
+    # home leaves of u, v and the failures, deduped, each as its cached
+    # own-arcs member
+    homes = sorted({tree.leaf_of[w] for w in (5, 40, 3, 20)})
     rest = members[: -len(homes)]
     assert members[len(rest) :] == tuple(fo8._leaves[leaf] for leaf in homes)
     assert rest and not any(isinstance(m, SparseMember) for m in rest)
@@ -129,7 +130,7 @@ def test_assembly_structure(grid8, fo8):
     assert sibs == sorted(sibs)
     assert not any(tree.is_ancestor(p, leaf) for p in sibs for leaf in homes)
     # endpoints are nodes of their home leaf members
-    assert 5 in members[len(rest)].nodes
+    assert 5 in members[len(rest) + homes.index(tree.leaf_of[5])].nodes
 
 
 def test_no_strict_member_hides_a_failure(grid8, fo8):

@@ -11,7 +11,7 @@ from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 
-from conftest import dense, explicit_dijkstra, random_members
+from conftest import dense, explicit_dijkstra, random_members, rows_by_slot
 
 
 def test_single_member_by_hand():
@@ -409,17 +409,25 @@ def test_held_result_keeps_its_labels():
     assert len({tuple(labels) for _, labels in runs}) > 1
 
 
-def _view_case(rng, n_ids=24):
-    """A base union of seeded random matrices, some of its slots, and
-    sparse members over ids that may lie only in dead slots."""
-    base = DdgUnion(random_members(rng, n_ids=n_ids, n_members=8))
-    live = sorted(rng.sample(range(len(base.slots)), rng.randrange(1, 6)))
-    sparse = []
-    for _ in range(rng.randrange(0, 3)):
-        nodes = sorted(rng.sample(range(n_ids), rng.randrange(1, 6)))
+def _sparse(rng, ids, count):
+    """``count`` seeded raw members over some of ``ids``."""
+    members = []
+    for _ in range(count):
+        nodes = sorted(rng.sample(ids, rng.randrange(1, 6)))
         arcs = [(rng.choice(nodes), rng.choice(nodes), rng.randrange(0, 30)) for _ in range(6)]
-        sparse.append(SparseMember(nodes, arcs))
-    return base, live, sparse
+        members.append(SparseMember(nodes, arcs))
+    return members
+
+
+def _view_case(rng, n_ids=24):
+    """A base union of seeded random matrices and raw members over ids
+    that may lie only in dead slots, and some of its slots."""
+    members = random_members(rng, n_ids=n_ids, n_members=8)
+    members += _sparse(rng, range(n_ids), rng.randrange(0, 3))
+    rng.shuffle(members)
+    base = DdgUnion(members)
+    live = sorted(rng.sample(range(len(base.slots)), rng.randrange(1, 6)))
+    return base, live
 
 
 def _same_run(got, want, ids):
@@ -430,15 +438,15 @@ def _same_run(got, want, ids):
 
 
 def test_view_matches_a_union_of_its_members():
-    # a view scans like a union built afresh from its live members and its
-    # sparse ones; ids held only by dead slots are not in it
+    # a view scans like a union built afresh from its live members, matrix
+    # and raw alike; ids held only by dead slots are not in it
     rng = random.Random(47)
     ids = range(-2, 30)
     dead_only = 0
     for _ in range(60):
-        base, live, sparse = _view_case(rng)
-        view = base.view(live, sparse)
-        fresh = DdgUnion([*(base.slots[mi] for mi in live), *sparse])
+        base, live = _view_case(rng)
+        view = base.view(live)
+        fresh = DdgUnion([base.slots[mi] for mi in live])
         assert view.members == fresh.members
         assert view.union_vertices == fresh.union_vertices
         assert view.vertices == fresh.vertices
@@ -467,11 +475,13 @@ def test_view_matches_a_union_of_its_members():
 def test_view_source_in_a_dead_slot_raises():
     a = dense([0, 1], {(0, 1): 2})
     b = dense([1, 2], {(1, 2): 3})
-    view = DdgUnion([a, b]).view([0], [])
-    assert 2 not in view and 1 in view
+    c = SparseMember((2, 3), [(2, 3, 1)])
+    view = DdgUnion([a, b, c]).view([0])
+    assert 2 not in view and 3 not in view and 1 in view
     assert multi_dijkstra(view, [(0, 0)]).label(2) == UNREACHABLE
-    with pytest.raises(ValueError):
-        multi_dijkstra(view, [(2, 0)])
+    for v in (2, 3):
+        with pytest.raises(ValueError):
+            multi_dijkstra(view, [(v, 0)])
 
 
 def _union_state(union):
@@ -479,8 +489,7 @@ def _union_state(union):
         union.slots,
         bytes(union.live),
         union.members,
-        {v: list(pairs) for v, pairs in union.dense_in.items()},
-        dict(union.sparse_out),
+        {v: list(rows) for v, rows in union.rows.items()},
         union.size,
         union.union_vertices,
     )
@@ -489,34 +498,66 @@ def _union_state(union):
 def test_views_leave_each_other_and_the_base_unchanged():
     rng = random.Random(53)
     for _ in range(20):
-        base, live, sparse = _view_case(rng)
+        base, live = _view_case(rng)
         before = _union_state(base)
-        first = base.view(live, sparse)
+        first = base.view(live)
         first_state = _union_state(first)
         labels = [multi_dijkstra(first, [(v, 0)]).dist for v in first.vertices]
-        _, other_live, other_sparse = _view_case(rng)
-        second = base.view(other_live, other_sparse)
+        second = base.view(rng.sample(range(len(base.slots)), rng.randrange(1, 6)))
         multi_dijkstra(second, [(second.vertices[0], 0)])
         assert _union_state(base) == before
         assert _union_state(first) == first_state
-        assert second.dense_in is base.dense_in and second.slots is base.slots
+        assert second.rows is base.rows and second.slots is base.slots
         assert [multi_dijkstra(first, [(v, 0)]).dist for v in first.vertices] == labels
 
 
 def test_replace_updates_the_indexed_slot():
-    # the new matrix serves the base and later views; an earlier view keeps
+    # the new member serves the base and later views; an earlier view keeps
     # the old one
     a = dense([0, 1], {(0, 1): 5})
     b = dense([1, 2], {(1, 2): 3})
     base = DdgUnion([a, b])
-    old_view = base.view([0, 1], [])
+    old_view = base.view([0, 1])
     cheaper = dense([0, 1], {(0, 1): 1})
     base.replace(0, cheaper)
     assert base.slots == base.members == (cheaper, b)
-    new_view = base.view([0], [])
+    new_view = base.view([0])
     assert new_view.members == (cheaper,)
     assert multi_dijkstra(base, [(0, 0)]).label(2) == 4
     assert multi_dijkstra(new_view, [(0, 0)]).label(1) == 1
     assert multi_dijkstra(old_view, [(0, 0)]).label(2) == 8
-    with pytest.raises(ValueError):
-        base.replace(1, dense([1, 3], {}))
+    # a new node list, a raw member and a new slot re-index as well
+    base.replace(1, SparseMember((1, 3), [(1, 3, 2)]))
+    assert 2 not in base and multi_dijkstra(base, [(0, 0)]).label(3) == 3
+    base.replace(2, dense([3, 4], {(3, 4): 6}))
+    assert bytes(base.live) == b"\x01\x01\x01" and base.size == 5
+    assert multi_dijkstra(base, [(0, 0)]).label(4) == 9
+    assert multi_dijkstra(old_view, [(0, 0)]).label(2) == 8
+    for mi in (-1, 4):
+        with pytest.raises(IndexError):
+            base.replace(mi, a)
+
+
+def test_replace_matches_a_fresh_index():
+    # any sequence of swaps, matrix or raw, on any node lists, and of new
+    # slots leaves the rows a union built afresh from the slots would have
+    rng = random.Random(59)
+    ids = range(-2, 32)
+    for _ in range(20):
+        base, _ = _view_case(rng)
+        for _ in range(8):
+            mi = rng.randrange(len(base.slots) + 1)
+            if rng.random() < 0.5:
+                (m,) = random_members(rng, n_ids=28, n_members=1)
+            else:
+                (m,) = _sparse(rng, range(28), 1)
+            base.replace(mi, m)
+            fresh = DdgUnion(base.slots)
+            assert base.members == fresh.members
+            assert rows_by_slot(base) == rows_by_slot(fresh)
+            assert base.union_vertices == fresh.union_vertices
+            assert base.vertices == fresh.vertices
+            src = rng.choice(fresh.vertices)
+            _same_run(
+                multi_dijkstra(base, [(src, 0)]), multi_dijkstra(fresh, [(src, 0)]), ids
+            )

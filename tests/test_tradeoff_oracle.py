@@ -254,7 +254,7 @@ def test_query_view_scans_like_a_fresh_union(request, monkeypatch, name):
         scans.clear()
         res = oracle.query_result(u, v, x)
         (got, want), = scans
-        assert got is res and res.union.dense_in is oracle._union.dense_in
+        assert got is res and res.union.rows is oracle._union.rows
         assert [got.raw(w) for w in ids] == [want.raw(w) for w in ids], (u, v, x)
         assert (got.settled, got.relaxations) == (want.settled, want.relaxations)
         assert (got.union_vertices, got.vertices) == (want.union_vertices, want.vertices)
