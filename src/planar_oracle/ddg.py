@@ -14,12 +14,12 @@ unrestricted inside the piece) run the same Dijkstra over a piece's own
 arcs with no node blocked.
 
 The dynamic oracle changes one arc of a region at a time.
-``repair_strict_matrix`` turns the region's old matrix into the new one
-over the same local out-lists: one Dijkstra into the arc's tail and one
-out of its head, then a min-plus pass for a cut or an insertion, or the
-old rows the arc's old weight attained re-run for a raise or a deletion
-(Ramalingam and Reps, J. Algorithms 1996; Demetrescu and Italiano, J. ACM
-2004).
+``repair_strict_matrix`` turns the region's old matrix into the new one,
+in place, over the same local out-lists: one Dijkstra into the arc's tail
+and one out of its head, then a min-plus pass for a cut or an insertion,
+or the old rows the arc's old weight attained re-run for a raise or a
+deletion (Ramalingam and Reps, J. Algorithms 1996; Demetrescu and
+Italiano, J. ACM 2004).
 
 A store builds every piece's matrix when it is made, at build and load
 alike; queries only look them up.  An anchor leaf joins a union as its own
@@ -53,21 +53,13 @@ class DenseDistanceGraph:
     nodes[j]; MATRIX_SENTINEL means unreachable.
     """
 
-    __slots__ = ("nodes", "matrix", "_min")
+    __slots__ = ("nodes", "matrix")
 
     def __init__(self, nodes: tuple[int, ...], matrix: array):
         if len(matrix) != len(nodes) * len(nodes):
             raise ValueError("matrix shape does not match the node list")
         self.nodes = nodes
         self.matrix = matrix
-        self._min: int | None = None
-
-    @property
-    def min_entry(self) -> int:
-        """Smallest entry, clamped at 0 (0 for empty matrices); validates sign."""
-        if self._min is None:
-            self._min = min(min(self.matrix, default=0), 0)
-        return self._min
 
     def __repr__(self) -> str:
         return f"DenseDistanceGraph(|nodes|={len(self.nodes)})"
@@ -163,17 +155,17 @@ def strict_matrix(
 def repair_strict_matrix(
     member: SparseMember,
     nodes: Sequence[int],
-    old: array,
+    matrix: array,
     tail: int,
     head: int,
     w_old: int | None,
     w_new: int | None,
-) -> array:
-    """``strict_matrix([member], nodes)`` from ``old``, the matrix before
-    one arc tail -> head changed from weight ``w_old`` to ``w_new`` (None:
-    the arc is absent on that side).  ``member`` holds the arcs after the
-    change and both of the arc's ends, and ``nodes`` are the same on both
-    sides.
+) -> None:
+    """Turn ``matrix``, the strict matrix before one arc tail -> head
+    changed from weight ``w_old`` to ``w_new`` (None: the arc is absent on
+    that side), into ``strict_matrix([member], nodes)`` in place.
+    ``member`` holds the arcs after the change and both of the arc's ends,
+    and ``nodes`` are the same on both sides.
 
     With da[i] the strict distance nodes[i] -> tail and db[j] the strict
     distance head -> nodes[j], a shortest strict path through the arc is
@@ -199,27 +191,27 @@ def repair_strict_matrix(
     else:
         db = _dijkstra_rows(adj, [b], local, blocked)
     k = len(local)
-    new = array("q", old)
     if w_old is None or (w_new is not None and w_new <= w_old):
         for i, x in enumerate(da):
             if x < MATRIX_SENTINEL:
                 x += w_new
                 row = i * k
                 for j, y in enumerate(db):
-                    if x + y < new[row + j]:
-                        new[row + j] = x + y
-        return new
+                    if x + y < matrix[row + j]:
+                        matrix[row + j] = x + y
+        return
     rows = [
         i
         for i, x in enumerate(da)
         if x < MATRIX_SENTINEL
-        and any(old[i * k + j] == x + w_old + y for j, y in enumerate(db) if y < MATRIX_SENTINEL)
+        and any(
+            matrix[i * k + j] == x + w_old + y for j, y in enumerate(db) if y < MATRIX_SENTINEL
+        )
     ]
     if rows:
         fresh = _dijkstra_rows(adj, [local[i] for i in rows], local, blocked)
         for n, i in enumerate(rows):
-            new[i * k : (i + 1) * k] = fresh[n * k : (n + 1) * k]
-    return new
+            matrix[i * k : (i + 1) * k] = fresh[n * k : (n + 1) * k]
 
 
 # ----------------------------------------------------------------------

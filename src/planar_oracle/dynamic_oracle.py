@@ -5,8 +5,8 @@ decomposition with leaf size r (so they form its r-division), a strict
 boundary matrix per region, and public vertex/arc ids that stay stable
 across internal rebuilds.  Updates touch only the regions they land in:
 
-* a weight change repairs one region matrix, re-running only what the
-  changed arc can affect (``ddg.repair_strict_matrix``); each matrix
+* a weight change repairs one region matrix in place, re-running only what
+  the changed arc can affect (``ddg.repair_strict_matrix``); each matrix
   depends only on its own region's arcs, so every other region's matrix
   stays bit-identical, and setting an arc's current weight changes nothing,
 * edge insertions first decide planarity locally, before anything changes:
@@ -14,8 +14,8 @@ across internal rebuilds.  Updates touch only the regions they land in:
   tail's component when the walk misses the head's corner; accepted arcs
   are spliced in, the region that takes the arc repairs its matrix, and
   every region whose boundary grew is recomputed,
-* edge deletions shrink one region and repair its matrix, leaving its old
-  boundary as a valid superset,
+* edge deletions shrink one region and repair its matrix in place, leaving
+  its old boundary as a valid superset,
 * vertex deletions take the vertex and its arcs out of every region that
   holds them and recompute those regions, so no region names a dead vertex.
 
@@ -33,16 +33,17 @@ No other update can trip these budgets: deletions only shrink regions, a
 new vertex joins no region, and weight changes leave the topology, which is
 all the decomposition reads, as it was.
 
-Each region keeps its raw arcs as one ``SparseMember``, rebuilt with its
-matrix: the member is the input of the strict kernel
+Each region keeps its raw arcs as one ``SparseMember``, rebuilt on every
+update of the region: the member is the input of the strict kernel
 (``ddg.strict_matrix``) and of the repair, and queries reuse it.  A query
 is one A* scan from u toward v over a union of every region matrix plus
 the raw members of u's and v's regions.  Every member is a slot of one
-``DdgUnion`` that each division builds and updates keep: region ri's
-matrix sits in slot 2ri and its raw member in slot 2ri + 1, and
-``_recompute`` re-indexes both, whatever the region's new boundary, and
-appends a new region's.  A query takes a view that marks every matrix
-slot live and the raw slots of u's and v's regions, which it looks up.
+``DdgUnion`` that each division builds and updates edit in place: region
+ri's matrix sits in slot 2ri and its raw member in slot 2ri + 1.
+``_recompute`` re-indexes the raw slot, and the matrix slot only for a
+new matrix; a new region appends both.  A query takes a view that marks
+every matrix slot live and the raw slots of u's and v's regions, which it
+looks up, and drops the view before it returns.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
 Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
@@ -232,9 +233,10 @@ class DynamicOracle:
         ``change`` is (tail, head, old weight, new weight), None for an arc
         absent on that side, when one arc of the region is all that changed
         since its matrix was made.  If the boundary is also unchanged, the
-        old matrix is repaired (``repair_strict_matrix``); otherwise every
-        row is recomputed.  The kept union re-indexes the region's two
-        slots, appending them for a new region."""
+        matrix is repaired in place (``repair_strict_matrix``), so it keeps
+        its object and its slot's rows in the kept union; otherwise a new
+        matrix is computed and re-indexed in slot 2ri, appended for a new
+        region.  The raw member's slot is re-indexed every time."""
         reg = self.regions[ri]
         old = reg.ddg
         nodes = tuple(sorted(reg.boundary))
@@ -242,11 +244,10 @@ class DynamicOracle:
         arcs = [(t[a], h[a], w[a]) for a in sorted(reg.arcs)]
         reg.member = SparseMember(sorted(reg.vertices), arcs)
         if change is not None and old is not None and old.nodes == nodes:
-            matrix = repair_strict_matrix(reg.member, nodes, old.matrix, *change)
+            repair_strict_matrix(reg.member, nodes, old.matrix, *change)
         else:
-            matrix = strict_matrix([reg.member], nodes)
-        reg.ddg = DenseDistanceGraph(nodes, matrix)
-        self._union.replace(2 * ri, reg.ddg)
+            reg.ddg = DenseDistanceGraph(nodes, strict_matrix([reg.member], nodes))
+            self._union.replace(2 * ri, reg.ddg)
         self._union.replace(2 * ri + 1, reg.member)
 
     def _lower(self, tail: int, head: int, w: int) -> None:

@@ -9,12 +9,14 @@ Members sit in slots, and a bytearray marks the live ones.  Each vertex
 has one row per slot holding it, in one form, ``(slot, heads, weights,
 lo)``: a matrix row references its member and copies nothing, and a raw
 member's row holds the vertex's out-arcs, grouped once when the member is
-indexed.  An owner indexes its members once (``replace`` re-indexes one
-slot), and a query takes a ``view`` that marks its slots live, so it
-costs a pass over its member list, not over their nodes.  Labels live in
-lists indexed by vertex id, filled afresh per run (one C-level fill of
-max-id + 1 entries, about 14 µs at n = 4096 in CPython 3.11), so a held
-result keeps its labels whatever runs later.
+indexed.  An owner indexes its members once, and ``replace`` edits one
+slot's rows in place through the same routine.  A query takes a ``view``
+that marks its slots live: it costs a pass over the slots, not over their
+nodes, and it is valid until the owner's next ``replace`` or in-place
+edit of a member's matrix.  Labels live in lists indexed by vertex id,
+filled afresh per run (one C-level fill of max-id + 1 entries, about
+14 µs at n = 4096 in CPython 3.11), so a held result keeps its labels
+whatever runs later.
 
 When a vertex settles, the scan relaxes all of its out-pairs in one loop:
 its row in every live slot it belongs to.  A matrix row's columns that
@@ -83,33 +85,16 @@ class SparseMember:
         return f"SparseMember(|nodes|={len(self.nodes)}, |arcs|={len(self.arcs)})"
 
 
-def _member_rows(mi: int, m) -> dict:
-    """The row of each node v of member m in slot mi,
-    ``(mi, heads, weights, lo)``: v's out-pairs in m are
-    ``zip(heads, weights[lo : lo + len(heads)])``."""
-    nodes = m.nodes
-    if isinstance(m, SparseMember):
-        out: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in nodes}
-        for t, h, w in m.arcs:
-            heads, weights = out[t]
-            heads.append(h)
-            weights.append(w)
-        return {v: (mi, tuple(heads), tuple(weights), 0) for v, (heads, weights) in out.items()}
-    k = len(nodes)
-    matrix = m.matrix
-    return {v: (mi, nodes, matrix, li * k) for li, v in enumerate(nodes)}
-
-
 class DdgUnion:
     """Overlay of members on shared vertex ids, ready to run Dijkstra on.
 
     Each member sits in one of ``slots``, and the bytearray ``live`` marks
     the slots that take part; ``members`` are the live slots' members, in
     slot order.  ``rows`` maps a vertex to its rows, one per slot holding
-    it, dead ones included (see ``_member_rows``); a vertex a ``replace``
-    left in no slot keeps an empty list.  A union vertex is one with a row
-    in a live slot.  ``DdgUnion(members)`` puts member i in slot i, every
-    slot live.
+    it, dead ones included (see ``_index``); a vertex a ``replace`` left in
+    no slot keeps an empty list.  A union vertex is one with a row in a
+    live slot.  ``DdgUnion(members)`` puts member i in slot i, every slot
+    live.
     """
 
     __slots__ = ("slots", "live", "members", "rows", "size", "union_vertices")
@@ -117,22 +102,47 @@ class DdgUnion:
     def __init__(self, members: Sequence):
         self.slots = self.members = tuple(members)
         self.live = bytearray(b"\x01") * len(self.slots)
-        rows: dict[int, list[tuple]] = {}
-        for mi, m in enumerate(self.slots):
-            if not isinstance(m, SparseMember) and m.min_entry < 0:
-                raise ValueError(f"negative member weight in member {mi}")
-            for v, row in _member_rows(mi, m).items():
-                rows.setdefault(v, []).append(row)
-        self.rows = rows
+        self.rows: dict[int, list[tuple]] = {}
         # label lists hold one entry per id below this
-        self.size = max(rows, default=-1) + 1
+        self.size = 0
+        for mi, m in enumerate(self.slots):
+            self._index(mi, m)
         self.union_vertices = sum(len(m.nodes) for m in self.members)
+
+    def _index(self, mi: int, m, old: Sequence[int] = ()) -> None:
+        """Check member m, then swap slot mi's rows on the ``old`` nodes
+        for m's: the row of node v is ``(mi, heads, weights, lo)``, and v's
+        out-pairs in m are ``zip(heads, weights[lo : lo + len(heads)])``.
+        A matrix row references m and copies nothing; a raw member's row
+        holds v's out-arcs, grouped here."""
+        nodes = m.nodes
+        raw = isinstance(m, SparseMember)
+        if not raw and min(m.matrix, default=0) < 0:
+            raise ValueError(f"negative member weight in member {mi}")
+        rows = self.rows
+        for v in old:
+            rows[v] = [row for row in rows[v] if row[0] != mi]
+        if raw:
+            out: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in nodes}
+            for t, h, w in m.arcs:
+                heads, weights = out[t]
+                heads.append(h)
+                weights.append(w)
+            for v, (heads, weights) in out.items():
+                rows.setdefault(v, []).append((mi, tuple(heads), tuple(weights), 0))
+        else:
+            k = len(nodes)
+            matrix = m.matrix
+            for li, v in enumerate(nodes):
+                rows.setdefault(v, []).append((mi, nodes, matrix, li * k))
+        self.size = max(self.size, max(nodes, default=-1) + 1)
 
     def view(self, live_slots: Iterable[int]) -> DdgUnion:
         """A union of this one's slots ``live_slots``.  It shares this
-        union's ``slots`` and ``rows`` and builds only its own ``live``, so
-        its cost grows with its member count, not with the members' nodes;
-        neither union modifies the other."""
+        union's ``slots`` and ``rows`` and builds its own ``live`` and
+        ``members``, so its cost grows with the slot count, not with the
+        members' nodes.  It is valid until the next ``replace`` or in-place
+        edit of a member's matrix."""
         slots = self.slots
         live = bytearray(len(slots))
         for mi in live_slots:
@@ -148,24 +158,18 @@ class DdgUnion:
 
     def replace(self, mi: int, m) -> None:
         """Put member ``m``, on any node list, in slot ``mi``, or in a new
-        live slot if ``mi`` is one past the last; views taken before keep
-        the old rows.  Unlike the constructor, this reads no matrix entry,
-        so a matrix m must hold nonnegative arcs."""
+        live slot if ``mi`` is one past the last.  The rows are edited in
+        place, so a view taken before is stale; a matrix m with a negative
+        entry raises ValueError and changes nothing."""
         slots = self.slots
         if not 0 <= mi <= len(slots):
             raise IndexError(f"slot {mi} is past the union's {len(slots)} slots")
         old = slots[mi].nodes if mi < len(slots) else ()
+        self._index(mi, m, old)
         if mi == len(slots):
             self.live.append(1)
-        new = _member_rows(mi, m)
-        rows = dict(self.rows)
-        for v in new.keys() | old:
-            kept = [row for row in rows.get(v, ()) if row[0] != mi]
-            rows[v] = [*kept, new[v]] if v in new else kept
-        self.rows = rows
         self.slots = slots = slots[:mi] + (m,) + slots[mi + 1 :]
         self.members = tuple(compress(slots, self.live))
-        self.size = max(self.size, max(m.nodes, default=-1) + 1)
         if self.live[mi]:
             self.union_vertices += len(m.nodes) - len(old)
 

@@ -303,5 +303,6 @@ def test_repair_matches_strict_matrix(
 
     before, after = (SparseMember(range(g.n), arcs_with(wt)) for wt in (w_old, w_new))
     old = strict_matrix([before], nodes)
-    got = repair_strict_matrix(after, nodes, old, t, h, w_old, w_new)
-    assert got.tobytes() == strict_matrix([after], nodes).tobytes()
+    matrix = array("q", old)
+    repair_strict_matrix(after, nodes, matrix, t, h, w_old, w_new)
+    assert matrix.tobytes() == strict_matrix([after], nodes).tobytes()

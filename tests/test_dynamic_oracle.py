@@ -855,6 +855,33 @@ def test_kept_union_matches_fresh(op):
     assert_union_current(dyn)
 
 
+@pytest.mark.parametrize("op", ["set_weight", "delete_edge"])
+def test_repair_keeps_the_matrix_and_its_rows(op):
+    # a repair edits the region's matrix in place: the same matrix object
+    # stays in slot 2ri with the same row tuples, and only the raw slot is
+    # re-indexed
+    dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
+    hub = interior_vertex(dyn)
+    arc = next(a for a in dyn.rot[hub] if dyn.arc_tail[a] == hub)
+    ri = dyn.region_of_arc[arc]
+    ddg = dyn.regions[ri].ddg
+    matrix = ddg.matrix
+    rows = {v: [row for row in dyn._union.rows[v] if row[0] == 2 * ri] for v in ddg.nodes}
+    if op == "set_weight":
+        dyn.set_weight(arc, dyn.arc_weight[arc] + 9)
+    else:
+        dyn.delete_edge(arc)
+    assert dyn.rebuild_count == 1
+    assert dyn.regions[ri].ddg is ddg and ddg.matrix is matrix
+    assert dyn._union.slots[2 * ri] is ddg
+    for v, (row,) in rows.items():
+        (now,) = [r for r in dyn._union.rows[v] if r[0] == 2 * ri]
+        assert now is row, v
+    assert_union_current(dyn)
+    assert_matrices_fresh(dyn)
+    assert_answers(dyn, random.Random(op), 40)
+
+
 def reaches(dyn, t):
     """Alive vertices with a live path to t."""
     seen, stack = {t}, [t]

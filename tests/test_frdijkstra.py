@@ -512,12 +512,10 @@ def test_views_leave_each_other_and_the_base_unchanged():
 
 
 def test_replace_updates_the_indexed_slot():
-    # the new member serves the base and later views; an earlier view keeps
-    # the old one
+    # the new member serves the base and later views
     a = dense([0, 1], {(0, 1): 5})
     b = dense([1, 2], {(1, 2): 3})
     base = DdgUnion([a, b])
-    old_view = base.view([0, 1])
     cheaper = dense([0, 1], {(0, 1): 1})
     base.replace(0, cheaper)
     assert base.slots == base.members == (cheaper, b)
@@ -525,17 +523,26 @@ def test_replace_updates_the_indexed_slot():
     assert new_view.members == (cheaper,)
     assert multi_dijkstra(base, [(0, 0)]).label(2) == 4
     assert multi_dijkstra(new_view, [(0, 0)]).label(1) == 1
-    assert multi_dijkstra(old_view, [(0, 0)]).label(2) == 8
     # a new node list, a raw member and a new slot re-index as well
     base.replace(1, SparseMember((1, 3), [(1, 3, 2)]))
     assert 2 not in base and multi_dijkstra(base, [(0, 0)]).label(3) == 3
     base.replace(2, dense([3, 4], {(3, 4): 6}))
     assert bytes(base.live) == b"\x01\x01\x01" and base.size == 5
     assert multi_dijkstra(base, [(0, 0)]).label(4) == 9
-    assert multi_dijkstra(old_view, [(0, 0)]).label(2) == 8
     for mi in (-1, 4):
         with pytest.raises(IndexError):
             base.replace(mi, a)
+
+
+def test_replace_rejects_a_negative_matrix():
+    # the check the constructor makes, in an existing slot and a new one;
+    # the union is left as it was
+    base = DdgUnion([dense([0, 1], {(0, 1): 5}), SparseMember((1, 2), [(1, 2, 3)])])
+    before = _union_state(base)
+    for mi in (0, 1, 2):
+        with pytest.raises(ValueError):
+            base.replace(mi, dense([0, 2], {(0, 2): -1}))
+        assert _union_state(base) == before
 
 
 def test_replace_matches_a_fresh_index():
