@@ -8,6 +8,16 @@ more), a BFS tree is built, and among all non-tree edges the fundamental
 cycle whose two enclosed regions are most balanced is chosen.  Disconnected
 pieces are split by grouping whole connected components.
 
+Each split renumbers its piece to local ids (vertex i is the piece's i-th
+vertex, arc i its i-th arc) and works on flat per-edge lists from there.  It
+walks the piece's faces once, with ``graph.trace_faces`` over the piece's
+own rotation, and the face count tells a connected piece (V - E + F = 2)
+from one that needs ``graph.components``.  The faces give the triangulated
+auxiliary graph, its BFS tree and the dual tree of the non-tree edges.
+Candidate cycles are tried in ascending (larger side, edge) order, but only
+the smallest key is found without sorting: its cycle nearly always splits,
+and the rest are sorted only when it does not.
+
 A vertex of a piece is *boundary* if some arc outside the piece touches it.
 Pieces of at most ``leaf_size`` vertices become leaves.  Nodes are additionally
 marked for a geometric sequence of r-divisions.
@@ -16,6 +26,8 @@ marked for a geometric sequence of r-divisions.
 from __future__ import annotations
 
 from array import array
+from itertools import compress, islice
+from operator import not_
 from typing import Iterable, Sequence
 
 from .graph import EmbeddedPlanarGraph, EmbeddingError, sorted_contains, trace_faces
@@ -232,14 +244,20 @@ def _split_piece(g, verts, arcs):
     first and the rest distributed onto the lighter side, which keeps every
     side within 2|P|/3 + |separator|.
     """
+    eu, ev, faces = _local_faces(g, verts, arcs)
+    # a piece of a planar embedding is planar, and a planar piece with an
+    # arc is connected exactly when V - E + F = 2: each component with arcs
+    # adds 2 to the sum and each isolated vertex 1
+    if arcs and len(verts) - len(arcs) + len(faces) == 2:
+        return _cycle_split(g, verts, arcs, eu, ev, faces)
     comps = components(verts, arcs, g.tails, g.heads)
-    if len(comps) > 1:
-        giant_vs, giant_arcs = comps[0]
-        if 3 * len(giant_vs) > 2 * len(verts):
-            sep, sides = _cycle_split(g, giant_vs, giant_arcs)
-            return sep, _pack_components(comps[1:], sides)
-        return (), _pack_components(comps)
-    return _cycle_split(g, verts, arcs)
+    giant_vs, giant_arcs = comps[0]
+    if 3 * len(giant_vs) > 2 * len(verts):
+        sep, sides = _cycle_split(
+            g, giant_vs, giant_arcs, *_local_faces(g, giant_vs, giant_arcs)
+        )
+        return sep, _pack_components(comps[1:], sides)
+    return (), _pack_components(comps)
 
 
 def _pack_components(comps, initial=None):
@@ -261,61 +279,65 @@ def _pack_components(comps, initial=None):
     ]
 
 
-def _cycle_split(g, verts, arcs):
-    """Fundamental-cycle split of a connected piece."""
+def _local_faces(g, verts, arcs):
+    """The piece on local ids, vertex i being ``verts[i]`` and arc i
+    ``arcs[i]``: returns each arc's local tail and head, and the faces
+    traced on the piece's own rotation as local darts."""
+    loc = dict(zip(verts, range(len(verts))))
+    arc_loc = dict(zip(arcs, range(len(arcs))))
+    eu = [loc[t] for t in map(g.tails.__getitem__, arcs)]
+    ev = [loc[h] for h in map(g.heads.__getitem__, arcs)]
+    grot = g.rotation
+    rot = {i: [arc_loc[a] for a in grot[v] if a in arc_loc] for i, v in enumerate(verts)}
+    return eu, ev, trace_faces(range(len(arcs)), eu, ev, rot)
+
+
+def _cycle_split(g, verts, arcs, eu, ev, piece_faces):
+    """Fundamental-cycle split of a connected piece, given on local ids.
+
+    Auxiliary edge i is arc ``arcs[i]`` for i below len(arcs); star edges
+    follow.  Edge e joins ``eu[e]`` and ``ev[e]`` (extended here), and
+    ``ef[2*e]`` and ``ef[2*e + 1]`` are the triangulated faces on its two
+    sides."""
     p = len(verts)
-    loc = {v: i for i, v in enumerate(verts)}
-    arcset = set(arcs)
-    rot = {v: [a for a in g.rotation[v] if a in arcset] for v in verts}
-    piece_faces = trace_faces(arcs, g.tails, g.heads, rot)
 
     # --- triangulated auxiliary graph ---------------------------------
-    hedges: list[tuple[int, int]] = []  # local endpoint pairs
-    hedge_of_arc: dict[int, int] = {}
-    for a in arcs:
-        hedge_of_arc[a] = len(hedges)
-        hedges.append((loc[g.tails[a]], loc[g.heads[a]]))
-    eface: list[list[int]] = [[] for _ in arcs]
-
-    def origin_loc(d):
-        a = d >> 1
-        return loc[g.tails[a]] if d & 1 == 0 else loc[g.heads[a]]
-
+    # dart d of arc d >> 1 lies on face ef[d]; a face of four or more
+    # darts gets a star vertex joined to each dart's origin, and its i-th
+    # triangle lies between star edges i - 1 and i
+    ef = [0] * (2 * len(arcs))
     n_aux = p
     face_id = 0
     for face in piece_faces:
         size = len(face)
         if size <= 3:
             for d in face:
-                eface[hedge_of_arc[d >> 1]].append(face_id)
+                ef[d] = face_id
             face_id += 1
         else:
             apex = n_aux
             n_aux += 1
-            base = face_id
-            apex_edges = []
-            for d in face:
-                apex_edges.append(len(hedges))
-                hedges.append((apex, origin_loc(d)))
-                eface.append([])
             for i, d in enumerate(face):
-                eface[hedge_of_arc[d >> 1]].append(base + i)
-                eface[apex_edges[i]].append(base + (i - 1) % size)
-                eface[apex_edges[i]].append(base + i)
+                ef[d] = face_id + i
+                eu.append(apex)
+                ev.append(ev[d >> 1] if d & 1 else eu[d >> 1])
+                ef.append(face_id + (i - 1) % size)
+                ef.append(face_id + i)
             face_id += size
     n_faces = face_id
 
     # --- BFS tree over the auxiliary graph -----------------------------
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_aux)]
-    for ei, (u, v) in enumerate(hedges):
-        adj[u].append((v, ei))
-        adj[v].append((u, ei))
-    par, par_edge, depth, order = _bfs(adj)
-    tree_edge = bytearray(len(hedges))
+    m_aux = len(eu)
+    adj: list[list[int]] = [[] for _ in range(n_aux)]
+    for e, u, v in zip(range(m_aux), eu, ev):
+        adj[u].append(v * m_aux + e)
+        adj[v].append(u * m_aux + e)
+    par, par_edge, depth, order = _bfs(adj, m_aux)
+    del adj  # before the dual is built: the root split sets the peak memory
+    nontree_mark = bytearray(b"\x01") * m_aux
     for v in order[1:]:
-        tree_edge[par_edge[v]] = 1
-
-    nontree = [ei for ei in range(len(hedges)) if not tree_edge[ei]]
+        nontree_mark[par_edge[v]] = 0
+    nontree = list(compress(range(m_aux), nontree_mark))
     if not nontree:
         return _fallback_split(g, verts, arcs)
     if len(nontree) != n_faces - 1:
@@ -325,36 +347,31 @@ def _cycle_split(g, verts, arcs):
         )
 
     # --- dual tree spanned by the non-tree edges -----------------------
-    dadj: list[list[tuple[int, int]]] = [[] for _ in range(n_faces)]
-    for ei in nontree:
-        f1, f2 = eface[ei]
-        dadj[f1].append((f2, ei))
-        dadj[f2].append((f1, ei))
-    dpar, _, ddepth, order = _bfs(dadj)
-    dchildren: list[list[int]] = [[] for _ in range(n_faces)]
+    dadj: list[list[int]] = [[] for _ in range(n_faces)]
+    for e in nontree:
+        f1, f2 = ef[2 * e], ef[2 * e + 1]
+        dadj[f1].append(f2 * m_aux + e)
+        dadj[f2].append(f1 * m_aux + e)
+    dpar, dpar_edge, _, dorder = _bfs(dadj, m_aux)
+    if len(dorder) != n_faces:
+        raise EmbeddingError("piece embedding is not planar: its dual is not a tree")
     subtree = [1] * n_faces
-    for f in order[1:]:
-        dchildren[dpar[f]].append(f)
-    for f in reversed(order[1:]):
+    for f in reversed(dorder[1:]):
         subtree[dpar[f]] += subtree[f]
 
-    def child_face(ei):
-        f1, f2 = eface[ei]
-        return f1 if ddepth[f1] > ddepth[f2] else f2
-
-    cands = sorted(
-        nontree,
-        key=lambda ei: (
-            max(subtree[child_face(ei)], n_faces - subtree[child_face(ei)]),
-            ei,
-        ),
-    )
-
+    # each non-tree edge is the dual tree edge above one face, and its
+    # cycle encloses that face's subtree; key (larger side, edge) as one int
+    keys = [
+        max(subtree[f], n_faces - subtree[f]) * m_aux + dpar_edge[f] for f in dorder[1:]
+    ]
     best = None  # (max_side, (separator, sides))
-    for rank, ei in enumerate(cands):
+    for rank, key in enumerate(_ascending(keys)):
+        ei = key % m_aux
+        inside = ef[2 * ei]
+        if dpar_edge[inside] != ei:
+            inside = ef[2 * ei + 1]
         result = _evaluate_candidate(
-            g, verts, arcs, p, hedges, hedge_of_arc, eface,
-            par, par_edge, depth, dchildren, child_face(ei), ei,
+            g, verts, arcs, eu, ev, ef, par, par_edge, depth, dpar, dorder, inside, ei,
         )
         if result is None:
             continue
@@ -371,11 +388,20 @@ def _cycle_split(g, verts, arcs):
     return _fallback_split(g, verts, arcs)
 
 
-def _bfs(adj):
-    """BFS from node 0 over adjacency lists of (node, edge) pairs, sorting
-    each list in place before it is walked, so the tree does not depend on
-    input order.  Returns (parent, parent edge, depth, visit order), with
-    -1 for the root's parent and edge and for every unreached node."""
+def _ascending(keys):
+    """The distinct ints ``keys`` in ascending order, sorting them only once
+    the smallest has been passed over: its cycle nearly always splits."""
+    yield min(keys)
+    keys.sort()
+    yield from islice(keys, 1, None)
+
+
+def _bfs(adj, stride):
+    """BFS from node 0 over adjacency lists of ``node * stride + edge``
+    ints, sorting each list in place before it is walked, so the tree does
+    not depend on input order.  Returns (parent, parent edge, depth, visit
+    order), with -1 for the root's parent and edge and for every unreached
+    node."""
     n = len(adj)
     par = [-1] * n
     par_edge = [-1] * n
@@ -386,25 +412,25 @@ def _bfs(adj):
         rows = adj[u]
         rows.sort()
         d = depth[u] + 1
-        for v, ei in rows:
+        for x in rows:
+            v = x // stride
             if depth[v] == -1:
                 depth[v] = d
                 par[v] = u
-                par_edge[v] = ei
+                par_edge[v] = x - v * stride
                 order.append(v)
     return par, par_edge, depth, order
 
 
 def _evaluate_candidate(
-    g, verts, arcs, p, hedges, hedge_of_arc, eface,
-    par, par_edge, depth, dchildren, inside_root, ei,
+    g, verts, arcs, eu, ev, ef, par, par_edge, depth, dpar, dorder, inside_root, ei,
 ):
     """Work out the split one fundamental cycle would produce.
 
     Returns (separator, sides, max_side), or None when the cycle fails to
     separate any arcs.  Arcs on the cycle itself join the enclosed side.
     """
-    a, b = hedges[ei]
+    a, b = eu[ei], ev[ei]
     cycle_edges = {ei}
     cycle_verts: set[int] = set()
     while a != b:  # climb from the deeper end until the ends meet
@@ -415,26 +441,28 @@ def _evaluate_candidate(
         a = par[a]
     cycle_verts.add(a)
 
-    inside_faces = bytearray(len(dchildren))
-    stack = [inside_root]
-    while stack:
-        f = stack.pop()
-        inside_faces[f] = 1
-        stack.extend(dchildren[f])
+    # the enclosed faces are inside_root's dual subtree; a BFS order lists
+    # every face after its parent
+    inside_faces = bytearray(len(dorder))
+    inside_faces[inside_root] = 1
+    for f in islice(dorder, dorder.index(inside_root) + 1, None):
+        if inside_faces[dpar[f]]:
+            inside_faces[f] = 1
 
-    arcs_a: list[int] = []
-    arcs_b: list[int] = []
-    for arc in arcs:
-        he = hedge_of_arc[arc]
-        if he in cycle_edges or inside_faces[eface[he][0]]:
-            arcs_a.append(arc)
-        else:
-            arcs_b.append(arc)
+    # any arc off the cycle has both its faces on one side, so the face of
+    # its forward dart places it
+    side_a = bytearray(map(inside_faces.__getitem__, islice(ef, 0, 2 * len(arcs), 2)))
+    for e in cycle_edges:
+        if e < len(arcs):
+            side_a[e] = 1
+    arcs_a = list(compress(arcs, side_a))
+    arcs_b = list(compress(arcs, map(not_, side_a)))
     if not arcs_a or not arcs_b:
         return None
 
     va = arc_ends(arcs_a, g.tails, g.heads)
     vb = arc_ends(arcs_b, g.tails, g.heads)
+    p = len(verts)
     sep = tuple(sorted(verts[x] for x in cycle_verts if x < p))
     sides = [
         (tuple(sorted(va)), tuple(arcs_a)),

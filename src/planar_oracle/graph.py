@@ -11,6 +11,7 @@ Euler's formula per connected component.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -81,36 +82,62 @@ def trace_faces(
     """Return the faces of an embedded (sub)graph as dart cycles.
 
     Darts encode a traversal direction of an arc: ``2*a`` walks arc ``a`` from
-    tail to head, ``2*a + 1`` walks it backwards.  The successor of a dart is
-    found at its target vertex: take the rotation entry after the dart's arc.
-    Every dart lies on exactly one face; the list of orbits is returned in
-    order of each face's smallest dart.
+    tail to head, ``2*a + 1`` walks it backwards.  ``rotation`` maps each
+    vertex to its incident arcs among ``arc_ids``, in clockwise order, and
+    lists each of those arcs once at its tail and once at its head.
+
+    The walk runs on a successor array over darts, built from the rotation
+    alone: the dart entering v along a rotation entry is followed by the
+    dart leaving v along the next entry, cyclically.  From each dart not yet
+    seen, in increasing order, the walk follows successors until it comes
+    back.  So every dart lies on exactly one face, each face starts at its
+    smallest dart, and faces come in order of that dart.  The arrays span
+    every dart up to the largest arc id, so callers pass dense ids.  Raises
+    EmbeddingError when the rotation does not list each arc twice, or a
+    dart's orbit does not close where it began.
     """
-    pos: dict[int, dict[int, int]] = {}
-    for v, rot in rotation.items():
-        pos[v] = {a: i for i, a in enumerate(rot)}
+    arcs = sorted(arc_ids)
+    if not arcs:
+        return []
+    size = 2 * arcs[-1] + 2
+    succ = array("q", [-1]) * size
+    # a dart is unseen once some rotation entry makes it enter a vertex;
+    # the extra last byte stays set, so a walk reaching dart -1 (no
+    # successor) stops there
+    seen = bytearray(b"\x01") * (size + 1)
+    entries = 0
+    try:
+        for v, rot in rotation.items():
+            if not rot:
+                continue
+            entries += len(rot)
+            prev = rot[-1]
+            prev = 2 * prev + (heads[prev] != v)  # the dart entering v along it
+            for a in rot:
+                if heads[a] == v:  # enters v as 2a, leaves as 2a + 1
+                    succ[prev] = 2 * a + 1
+                    prev = 2 * a
+                else:
+                    succ[prev] = 2 * a
+                    prev = 2 * a + 1
+                seen[prev] = 0
+    except IndexError:
+        raise EmbeddingError("a rotation lists an arc outside the traced arcs") from None
+    if entries != 2 * len(arcs):
+        raise EmbeddingError(
+            f"rotations list {entries} arc ends for {len(arcs)} traced arcs"
+        )
 
-    darts: list[int] = []
-    for a in arc_ids:
-        darts.append(2 * a)
-        darts.append(2 * a + 1)
-    darts.sort()
-
-    seen: set[int] = set()
     faces: list[list[int]] = []
-    for start in darts:
-        if start in seen:
+    for start in range(size):
+        if seen[start]:
             continue
         face = []
         d = start
-        while d not in seen:
-            seen.add(d)
+        while not seen[d]:
+            seen[d] = 1
             face.append(d)
-            v = dart_target(d, tails, heads)
-            rot = rotation[v]
-            i = pos[v][d >> 1]
-            a2 = rot[(i + 1) % len(rot)]
-            d = 2 * a2 if tails[a2] == v else 2 * a2 + 1
+            d = succ[d]
         if d != start:  # orbit must close where it began
             raise EmbeddingError("rotation system produced a broken face walk")
         faces.append(face)
@@ -129,28 +156,37 @@ def components(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Connected components of the subgraph with vertices ``verts``, which
     must hold every arc endpoint, and ``arcs``, ignoring arc directions.
-    Returns (sorted vertices, sorted arcs) per component, largest first,
-    ties by smallest vertex; an isolated vertex is a component of its own."""
+    Each component is labelled by one BFS over the arcs' undirected
+    adjacency.  Returns (sorted vertices, sorted arcs) per component,
+    largest first, ties by smallest vertex; an isolated vertex is a
+    component of its own."""
     idx = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in arcs:
-        t, h = find(idx[tails[a]]), find(idx[heads[a]])
-        if t != h:
-            parent[t] = h
-    groups: dict[int, list[int]] = {}
-    for i, v in enumerate(verts):
-        groups.setdefault(find(i), []).append(v)
-    comp_arcs: dict[int, list[int]] = {r: [] for r in groups}
-    for a in arcs:
-        comp_arcs[find(idx[tails[a]])].append(a)
-    out = [(tuple(sorted(vs)), tuple(sorted(comp_arcs[r]))) for r, vs in groups.items()]
+    ends = [(idx[tails[a]], idx[heads[a]]) for a in arcs]
+    nbrs: list[list[int]] = [[] for _ in verts]
+    for t, h in ends:
+        nbrs[t].append(h)
+        nbrs[h].append(t)
+    label = [-1] * len(verts)
+    groups: list[list[int]] = []
+    for s in range(len(verts)):
+        if label[s] >= 0:
+            continue
+        c = len(groups)
+        label[s] = c
+        queue = [s]
+        for u in queue:  # grows while it is walked
+            for w in nbrs[u]:
+                if label[w] < 0:
+                    label[w] = c
+                    queue.append(w)
+        groups.append(queue)
+    comp_arcs: list[list[int]] = [[] for _ in groups]
+    for a, (t, _) in zip(arcs, ends):
+        comp_arcs[label[t]].append(a)
+    out = [
+        (tuple(sorted(verts[i] for i in queue)), tuple(sorted(ars)))
+        for queue, ars in zip(groups, comp_arcs)
+    ]
     out.sort(key=lambda cv: (-len(cv[0]), cv[0][0]))
     return out
 

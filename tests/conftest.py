@@ -2,11 +2,14 @@
 
 The zoo spans the shapes the library must handle: dense grids, random
 triangulations, a one-way path (asymmetric reachability), a disconnected
-graph with an isolated vertex, and a single-vertex graph.  The references
-are plain Dijkstra runs that share no code with the structures under test:
+graph with an isolated vertex, and a single-vertex graph; ``tri300`` and
+``multi`` are read from the text fixtures under ``data/``.  The references
+share no code with the structures under test: plain Dijkstra runs,
 ``compute_ddg`` (in-piece boundary-to-boundary distances, paths free to pass
-other boundary vertices) and ``minplus_closure`` are what the strict
-matrices must compose back to.
+other boundary vertices) and ``minplus_closure``, which the strict matrices
+must compose back to, and the face walk and components that the
+decomposition's kernels must reproduce exactly (``reference_trace_faces``,
+``reference_components``).
 """
 
 import heapq
@@ -20,7 +23,7 @@ import pytest
 from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import SparseMember
-from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
+from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, EmbeddingError, load_graph
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
@@ -53,7 +56,42 @@ def make_single() -> EmbeddedPlanarGraph:
 def component_count(g):
     """Connected components of ``g`` with arc directions ignored; isolated
     vertices count one each."""
-    parent = list(range(g.n))
+    return len(reference_components(range(g.n), range(g.m), g.tails, g.heads))
+
+
+def reference_trace_faces(arc_ids, tails, heads, rotation):
+    """Faces as dart cycles (dart 2a walks arc a forwards, 2a + 1 backwards),
+    walked dart by dart: the successor of a dart is found at its target by
+    looking up its arc's rotation position.  Faces come in order of their
+    smallest dart, each starting there."""
+    pos = {v: {a: i for i, a in enumerate(rot)} for v, rot in rotation.items()}
+    darts = sorted(d for a in arc_ids for d in (2 * a, 2 * a + 1))
+    seen = set()
+    faces = []
+    for start in darts:
+        if start in seen:
+            continue
+        face = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            face.append(d)
+            a = d >> 1
+            v = heads[a] if d & 1 == 0 else tails[a]
+            rot = rotation[v]
+            a2 = rot[(pos[v][a] + 1) % len(rot)]
+            d = 2 * a2 if tails[a2] == v else 2 * a2 + 1
+        if d != start:
+            raise EmbeddingError("broken face walk")
+        faces.append(face)
+    return faces
+
+
+def reference_components(verts, arcs, tails, heads):
+    """(sorted vertices, sorted arcs) per undirected component by
+    union-find, largest first, ties by smallest vertex."""
+    idx = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
 
     def find(x):
         while parent[x] != x:
@@ -61,9 +99,25 @@ def component_count(g):
             x = parent[x]
         return x
 
-    for t, h in zip(g.tails, g.heads):
-        parent[find(t)] = find(h)
-    return len({find(v) for v in range(g.n)})
+    for a in arcs:
+        t, h = find(idx[tails[a]]), find(idx[heads[a]])
+        if t != h:
+            parent[t] = h
+    groups = {}
+    for i, v in enumerate(verts):
+        groups.setdefault(find(i), []).append(v)
+    comp_arcs = {r: [] for r in groups}
+    for a in arcs:
+        comp_arcs[find(idx[tails[a]])].append(a)
+    out = [(tuple(sorted(vs)), tuple(sorted(comp_arcs[r]))) for r, vs in groups.items()]
+    out.sort(key=lambda cv: (-len(cv[0]), cv[0][0]))
+    return out
+
+
+def piece_rotation(g, piece):
+    """Each piece vertex's rotation kept to the piece's own arcs."""
+    arcs = set(piece.arcs)
+    return {v: [a for a in g.rotation[v] if a in arcs] for v in piece.vertices}
 
 
 def leaves(tree):
@@ -270,6 +324,19 @@ def tri60():
 @pytest.fixture(scope="session")
 def tri200():
     return generate_random_triangulation(200, max_weight=15, seed=7)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.fixture(scope="session")
+def tri300():
+    return load_graph(os.path.join(DATA, "tri300.pgr"))
+
+
+@pytest.fixture(scope="session")
+def multi():
+    return load_graph(os.path.join(DATA, "multi.pgr"))
 
 
 @pytest.fixture(scope="session")

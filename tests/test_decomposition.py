@@ -27,6 +27,11 @@ def tree_tri(tri200):
     return build_decomposition(tri200, leaf_size=16, r_base=4)
 
 
+@pytest.fixture(scope="module")
+def tree_multi(multi):
+    return build_decomposition(multi, leaf_size=4, r_base=4)
+
+
 def test_root_covers_everything(grid8, tree8):
     root = tree8.pieces[0]
     assert root.vertices == tuple(range(grid8.n))
@@ -82,18 +87,21 @@ def test_leaf_sizes(tree8, tree_tri):
             assert len(tree.pieces[leaf].vertices) <= cap
 
 
-def test_balance_contract(grid8):
-    tree = build_decomposition(grid8, leaf_size=8, r_base=4)
-    for p in tree.pieces:
-        if p.is_leaf:
-            continue
-        # the split the tree made, recomputed: same sides, and its separator
-        separator, sides = _split_piece(grid8, p.vertices, p.arcs)
-        assert [(tree.pieces[c].vertices, tree.pieces[c].arcs) for c in p.children] == sides
-        if not separator:
-            continue
-        sizes = [len(verts) for verts, _ in sides]
-        assert 3 * max(sizes) <= 2 * len(p.vertices) + 3 * len(separator)
+def test_balance_contract(grid8, tree8, tri200, tree_tri, multi, tree_multi):
+    for g, tree in ((grid8, tree8), (tri200, tree_tri), (multi, tree_multi)):
+        packed = 0
+        for p in tree.pieces:
+            if p.is_leaf:
+                continue
+            # the split the tree made, recomputed: same sides, and its separator
+            separator, sides = _split_piece(g, p.vertices, p.arcs)
+            assert [(tree.pieces[c].vertices, tree.pieces[c].arcs) for c in p.children] == sides
+            # packed components (no separator) keep the contract too
+            packed += not separator
+            sizes = [len(verts) for verts, _ in sides]
+            assert 3 * max(sizes) <= 2 * len(p.vertices) + 3 * len(separator), p.id
+        if g is multi:
+            assert packed, "no split of the disconnected graph packed components"
 
 
 def test_marks_are_antichains(tree8):

@@ -24,6 +24,8 @@ from planar_oracle.graph import load_graph
 from planar_oracle.oraclefile import save_oracle
 from planar_oracle.tradeoff_oracle import TradeoffOracle
 
+from conftest import DATA
+
 # sha256 over repr((parent, vertices, boundary, arcs)) of every piece of
 # the trees of three seeded grids, per leaf size
 TREE_DIGESTS = {
@@ -39,8 +41,6 @@ FIXTURE_TREE_DIGESTS = {
     ("multi", 4): "1a5a6344d0d6111fbe5dbb2a72af739b2b25af72da197f41963206146222f5f5",
     ("multi", 8): "0c809c160f7a265c576e226e6bfdfb4b877f01c81264dc4334b53eff6a1a2996",
 }
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # sha256 of the saved oracle file of a 12x12 grid
 FILE_DIGESTS = {

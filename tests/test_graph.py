@@ -3,17 +3,27 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planar_oracle.decomposition import build_decomposition
 from planar_oracle.graph import (
     EmbeddedPlanarGraph,
     EmbeddingError,
     GraphFormatError,
+    arc_ends,
+    components,
     dumps_graph,
     loads_graph,
     trace_faces,
 )
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 
-from conftest import component_count, make_disconnected, make_path12
+from conftest import (
+    component_count,
+    make_disconnected,
+    make_path12,
+    piece_rotation,
+    reference_components,
+    reference_trace_faces,
+)
 
 
 def test_grid_counts(grid8):
@@ -32,6 +42,58 @@ def test_face_trace_on_square():
     faces = trace_faces(range(4), g.tails, g.heads, {v: list(r) for v, r in enumerate(g.rotation)})
     assert len(faces) == 2
     assert sorted(len(f) for f in faces) == [4, 4]
+
+
+def _seeded_trees(tri200, tri300, multi):
+    """(graph, tree) pairs whose pieces the kernel checks sweep."""
+    for seed in range(3):
+        g = generate_grid(10 + seed, 12, max_weight=9, seed=seed)
+        yield g, build_decomposition(g, leaf_size=8)
+    yield tri200, build_decomposition(tri200, leaf_size=16)
+    yield tri300, build_decomposition(tri300, leaf_size=8)
+    yield multi, build_decomposition(multi, leaf_size=4)
+
+
+def test_kernels_match_references_on_every_piece(tri200, tri300, multi):
+    # the same faces in the same order, each from the same dart, and the
+    # same components in the same order
+    pieces = 0
+    for g, tree in _seeded_trees(tri200, tri300, multi):
+        for p in tree.pieces:
+            rot = piece_rotation(g, p)
+            faces = trace_faces(p.arcs, g.tails, g.heads, rot)
+            assert faces == reference_trace_faces(p.arcs, g.tails, g.heads, rot), p.id
+            want = reference_components(p.vertices, p.arcs, g.tails, g.heads)
+            assert components(p.vertices, p.arcs, g.tails, g.heads) == want, p.id
+            pieces += 1
+    assert pieces > 500
+
+
+def test_kernels_match_references_on_whole_graphs(zoo, tri300, multi):
+    for name, g in {**zoo, "tri300": tri300, "multi": multi}.items():
+        arcs = range(g.m)
+        rot = {v: g.rotation[v] for v in range(g.n)}
+        faces = trace_faces(arcs, g.tails, g.heads, rot)
+        assert faces == reference_trace_faces(arcs, g.tails, g.heads, rot), name
+        # as check_planar asks (arc ends only), and over every vertex
+        for verts in (sorted(arc_ends(arcs, g.tails, g.heads)), range(g.n)):
+            want = reference_components(verts, arcs, g.tails, g.heads)
+            assert components(verts, arcs, g.tails, g.heads) == want, name
+
+
+def test_face_walk_rejects_broken_rotations():
+    arcs = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]
+    tails, heads = [t for t, _, _ in arcs], [h for _, h, _ in arcs]
+    # arc 1 missing from its head's rotation
+    with pytest.raises(EmbeddingError, match="7 arc ends for 4 traced arcs"):
+        trace_faces(range(4), tails, heads, {0: [3, 0], 1: [0, 1], 2: [2], 3: [2, 3]})
+    # ... and arc 0 listed twice at its head to make up the count: dart 2
+    # enters no vertex, so the orbit of dart 0 runs into it and cannot close
+    with pytest.raises(EmbeddingError, match="broken face walk"):
+        trace_faces(range(4), tails, heads, {0: [3, 0], 1: [0, 0, 1], 2: [2], 3: [2, 3]})
+    # a rotation entry beyond the traced arcs
+    with pytest.raises(EmbeddingError, match="outside the traced arcs"):
+        trace_faces(range(3), tails, heads, {0: [3, 0], 1: [0, 1], 2: [1, 2], 3: [2, 3]})
 
 
 def test_rejects_self_loop():
