@@ -2,11 +2,12 @@
 
 Each configuration builds one oracle, counts the table entries it
 stores, answers a seeded batch of random queries, and cross-checks every
-answer against the brute-force baseline.  Timings vary between runs;
-every other report field is deterministic for a fixed seed.
-
-The PLANAR_ORACLE_THREADS environment variable caps how many
-configurations run in parallel (worker processes).
+answer against the brute-force baseline.  Configurations run one after
+another in the calling process.  Every query of a point carries exactly
+its k failures, drawn from a stream seeded by (seed, kind, n, k) alone,
+so a failure point and a trade-off point that share those answer the
+same queries.  Timings vary between runs; every other record field is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from math import isqrt
+from math import ceil, isqrt
 
 from .baseline import distance_avoiding
 from .decomposition import build_decomposition
@@ -28,8 +26,7 @@ from .generate import generate_grid, generate_random_triangulation
 from .tradeoff_oracle import TradeoffOracle
 
 __all__ = [
-    "BenchPointError", "BenchReport", "bench_config", "build_oracle", "random_query",
-    "run_bench", "thread_cap",
+    "BenchPointError", "bench_config", "build_oracle", "random_query", "render", "run_bench",
 ]
 
 _FIELDS = (
@@ -51,31 +48,6 @@ class BenchPointError(ValueError):
     vertices, or a trade-off oracle with no tuple, so no main-path query."""
 
 
-class BenchReport:
-    """Ordered per-configuration records, exportable as CSV or JSON."""
-
-    def __init__(self, records: list[dict]):
-        self.records = list(records)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=_FIELDS, lineterminator="\n")
-        w.writeheader()
-        for rec in self.records:
-            w.writerow(rec)
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps({"records": self.records}, indent=2) + "\n"
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown report format {fmt!r}")
-
-
 def bench_config(
     kind: str,
     n: int,
@@ -88,7 +60,8 @@ def bench_config(
     queries: int = 50,
     max_weight: int | None = 16,
 ) -> dict:
-    """One sweep point.  kind is grid | tri, mode is failure | tradeoff.
+    """One sweep point.  kind is grid | tri, mode is failure | tradeoff,
+    and k is every query's failure count (and the trade-off oracle's budget).
     r=None takes the smallest marked r (see ``build_oracle``), and
     max_weight=None benches the unit-weight instance."""
     if kind not in ("grid", "tri"):
@@ -155,11 +128,8 @@ def random_query(rng: random.Random, n: int, failures: int) -> tuple[int, int, t
 
 
 def _sample_queries(cfg: dict, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    rng = random.Random(f"bench:{cfg['seed']}:{cfg['kind']}:{n}:{cfg['mode']}")
-    return [
-        random_query(rng, n, cfg["k"] if cfg["mode"] == "tradeoff" else qi % 5)
-        for qi in range(cfg["queries"])
-    ]
+    rng = random.Random(f"bench:{cfg['seed']}:{cfg['kind']}:{n}:{cfg['k']}")
+    return [random_query(rng, n, cfg["k"]) for _ in range(cfg["queries"])]
 
 
 def _run_one(cfg: dict) -> dict:
@@ -170,11 +140,12 @@ def _run_one(cfg: dict) -> dict:
     build_ms = (time.perf_counter() - t0) * 1e3
 
     # the oracle's space: internal strict matrices, then a trade-off
-    # oracle's ext(T) and directional rows
+    # oracle's ext(T), directional rows and piece tables
     entries = oracle.store.stored_entry_count()
     if cfg["mode"] == "tradeoff":
         entries += sum(len(ext.matrix) for ext in oracle.ext.values())
         entries += sum(map(len, oracle.vor.values()))
+        entries += sum(map(len, oracle.piece_tables.values()))
 
     batch = _sample_queries(cfg, g.n)
     times = []
@@ -189,7 +160,7 @@ def _run_one(cfg: dict) -> dict:
             verified = False
 
     times_us = sorted(t * 1e6 for t in times)
-    p95 = times_us[max(0, math.ceil(0.95 * len(times_us)) - 1)] if times_us else 0.0
+    p95 = times_us[max(0, ceil(0.95 * len(times_us)) - 1)] if times_us else 0.0
     return {
         "mode": cfg["mode"],
         "n": g.n,
@@ -204,25 +175,19 @@ def _run_one(cfg: dict) -> dict:
     }
 
 
-def thread_cap(requested: int | None = None) -> int:
-    """Worker count: the smaller of the request (default cpu count, max 4)
-    and the PLANAR_ORACLE_THREADS environment cap."""
-    workers = requested if requested else min(4, os.cpu_count() or 1)
-    env = os.environ.get("PLANAR_ORACLE_THREADS")
-    if env is not None:
-        try:
-            workers = min(workers, max(1, int(env)))
-        except ValueError:
-            raise ValueError(
-                f"PLANAR_ORACLE_THREADS must be an integer, got {env!r}"
-            ) from None
-    return max(1, workers)
+def run_bench(configs: list[dict]) -> list[dict]:
+    """Run the configurations one after another; one record each, in order."""
+    return [_run_one(c) for c in configs]
 
 
-def run_bench(configs: list[dict], threads: int | None = None) -> BenchReport:
-    """Run every configuration and collect records in input order."""
-    workers = thread_cap(threads)
-    if workers == 1 or len(configs) <= 1:
-        return BenchReport([_run_one(c) for c in configs])
-    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-        return BenchReport(list(pool.map(_run_one, configs)))
+def render(records: list[dict], fmt: str) -> str:
+    """The records as CSV (header line first) or as a JSON document."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=_FIELDS, lineterminator="\n")
+        w.writeheader()
+        w.writerows(records)
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps({"records": records}, indent=2) + "\n"
+    raise ValueError(f"unknown report format {fmt!r}")

@@ -17,7 +17,7 @@ import sys
 from math import isqrt
 
 from .baseline import distance_avoiding
-from .bench import BenchPointError, bench_config, build_oracle, random_query, run_bench
+from .bench import BenchPointError, bench_config, build_oracle, random_query, render, run_bench
 from .dynamic_oracle import DynamicOracle
 from .generate import generate_grid, generate_random_triangulation
 from .graph import UNREACHABLE, EmbeddingError, GraphFormatError, load_graph, save_graph
@@ -82,7 +82,9 @@ def _cmd_gen(args) -> int:
         if rows is None or cols is None:
             if args.n is None:
                 raise ValueError("gen grid needs --rows/--cols or --n")
-            side = max(2, isqrt(args.n))
+            if args.n < 4:
+                raise ValueError(f"gen grid needs --n of at least 4, got n={args.n}")
+            side = isqrt(args.n)
             rows = rows if rows is not None else side
             cols = cols if cols is not None else side
         g = generate_grid(rows, cols, max_weight=args.max_weight, seed=args.seed)
@@ -149,7 +151,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        # the failure oracle reads neither r nor k; its rows report r = 0
+        # k is each query's failure count; the failure oracle reads neither
+        # r nor k, and its rows report r = 0
         configs = [
             bench_config(
                 args.kind, n, mode, seed=args.seed, r=r, k=k, leaf_size=args.leaf_size,
@@ -158,15 +161,15 @@ def _cmd_bench(args) -> int:
             for mode in map(str.strip, args.mode.split(","))
             for n in args.n
             for r in (args.r if mode == "tradeoff" else [None])
-            for k in (args.k if mode == "tradeoff" else [4])
+            for k in args.k
         ]
-        report = run_bench(configs, threads=args.threads)
+        records = run_bench(configs)
     except BenchPointError as exc:
         # a point that would measure nothing is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_text(args.out, report.render(args.format))
-    if not all(rec["verified"] for rec in report.records):
+    _write_text(args.out, render(records, args.format))
+    if not all(rec["verified"] for rec in records):
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -259,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=16, help="random weights in 1..max")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--queries", type=int, default=50, help="queries per configuration")
-    p.add_argument("--threads", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="report file (default: standard output)")
     p.set_defaults(func=_cmd_bench)

@@ -1,4 +1,4 @@
-"""Benchmark harness: configs, determinism, rendering, thread caps."""
+"""Benchmark harness: configs, query streams, determinism, rendering."""
 
 import csv
 import io
@@ -12,11 +12,11 @@ import pytest
 from planar_oracle import ddg, failure_oracle, tradeoff_oracle
 from planar_oracle.bench import (
     BenchPointError,
-    BenchReport,
+    _sample_queries,
     bench_config,
     build_oracle,
+    render,
     run_bench,
-    thread_cap,
 )
 from planar_oracle.generate import generate_grid
 from planar_oracle.failure_oracle import FailureOracle
@@ -62,15 +62,40 @@ def test_tradeoff_point_without_tuples_is_rejected():
     with pytest.raises(BenchPointError, match="at most k=3"):
         build_oracle(g, "tradeoff", None, 3, 8, 4)
     cfg = bench_config("grid", 64, "tradeoff", queries=2)
-    for threads in (1, 2):
-        with pytest.raises(BenchPointError):
-            run_bench([bench_config("grid", 64, "failure", queries=2), cfg], threads=threads)
+    with pytest.raises(BenchPointError):
+        run_bench([bench_config("grid", 64, "failure", queries=2), cfg])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_failure_and_tradeoff_points_share_one_query_stream(k):
+    # failure points used to draw 0-4 failures per query from a stream
+    # seeded by mode, whatever k they reported
+    points = [
+        bench_config("grid", 36, mode, seed=1, k=k, queries=20) for mode in ("failure", "tradeoff")
+    ]
+    failure, tradeoff = (_sample_queries(cfg, 36) for cfg in points)
+    assert failure == tradeoff
+    assert all(len(x) == k for _, _, x in failure)
+
+
+def test_stored_entries_counts_every_tradeoff_table():
+    # piece tables, kept from set-up, used to be left out of the count
+    cfg = bench_config("grid", 64, "tradeoff", k=1, leaf_size=8, queries=0, max_weight=9)
+    (rec,) = run_bench([cfg])
+    oracle = build_oracle(generate_grid(8, 8, max_weight=9, seed=0), "tradeoff", None, 1, 8, 4)
+    assert oracle.piece_tables
+    assert rec["stored_entries"] == (
+        oracle.store.stored_entry_count()
+        + sum(len(ext.matrix) for ext in oracle.ext.values())
+        + sum(map(len, oracle.vor.values()))
+        + sum(map(len, oracle.piece_tables.values()))
+    )
 
 
 def test_run_inline_and_verified():
-    report = run_bench(small_configs(), threads=1)
-    assert len(report.records) == 2
-    for rec in report.records:
+    records = run_bench(small_configs())
+    assert len(records) == 2
+    for rec in records:
         assert rec["verified"] is True
         assert rec["n"] == 36
         assert rec["stored_entries"] > 0
@@ -78,64 +103,45 @@ def test_run_inline_and_verified():
         assert rec["mean_query_us"] > 0
         assert rec["p95_query_us"] >= rec["mean_query_us"] * 0.1
         assert rec["union_vertex_count_mean"] > 0
-    modes = [rec["mode"] for rec in report.records]
+    modes = [rec["mode"] for rec in records]
     assert modes == ["failure", "tradeoff"]
 
 
 def test_non_timing_fields_deterministic():
     keep = ("mode", "n", "r", "k", "stored_entries", "union_vertex_count_mean", "verified")
-    a = run_bench(small_configs(), threads=1)
-    b = run_bench(small_configs(), threads=1)
-    for ra, rb in zip(a.records, b.records):
-        for field in keep:
-            assert ra[field] == rb[field]
-
-
-def test_parallel_matches_inline():
-    keep = ("mode", "n", "stored_entries", "union_vertex_count_mean", "verified")
-    a = run_bench(small_configs(), threads=1)
-    b = run_bench(small_configs(), threads=2)
-    for ra, rb in zip(a.records, b.records):
+    a = run_bench(small_configs())
+    b = run_bench(small_configs())
+    for ra, rb in zip(a, b):
         for field in keep:
             assert ra[field] == rb[field]
 
 
 def test_csv_rendering():
-    report = run_bench(small_configs()[:1], threads=1)
-    rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+    records = run_bench(small_configs()[:1])
+    text = render(records, "csv")
+    assert text.splitlines()[0] == (
+        "mode,n,r,k,build_ms,stored_entries,mean_query_us,p95_query_us,"
+        "union_vertex_count_mean,verified"
+    )
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 1
     assert rows[0]["mode"] == "failure"
     assert rows[0]["verified"] == "True"
 
 
 def test_json_rendering():
-    report = run_bench(small_configs()[:1], threads=1)
-    doc = json.loads(report.to_json())
+    records = run_bench(small_configs()[:1])
+    doc = json.loads(render(records, "json"))
     assert doc["records"][0]["mode"] == "failure"
     with pytest.raises(ValueError):
-        report.render("yaml")
-    assert report.render("json") == report.to_json()
-    assert report.render("csv") == report.to_csv()
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("PLANAR_ORACLE_THREADS", raising=False)
-    assert thread_cap(3) == 3
-    assert thread_cap() >= 1
-    monkeypatch.setenv("PLANAR_ORACLE_THREADS", "2")
-    assert thread_cap(8) == 2
-    assert thread_cap(1) == 1
-    monkeypatch.setenv("PLANAR_ORACLE_THREADS", "zero")
-    with pytest.raises(ValueError):
-        thread_cap(2)
+        render(records, "yaml")
 
 
 def test_report_round_trip_types():
-    report = run_bench(small_configs()[:1], threads=1)
-    rec = report.records[0]
+    rec = run_bench(small_configs()[:1])[0]
     assert isinstance(rec["build_ms"], float)
     assert isinstance(rec["stored_entries"], int)
-    assert isinstance(BenchReport(report.records).to_csv(), str)
+    assert isinstance(render([rec], "csv"), str)
 
 
 def test_tracer_targets_exist(monkeypatch):

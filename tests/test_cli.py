@@ -44,6 +44,18 @@ def test_gen_needs_sizes(tmp_path):
     assert rc == cli.EXIT_INVALID
 
 
+def test_gen_grid_rejects_n_below_four(tmp_path, capsys):
+    # --n below 4 used to write a 2x2 grid and exit 0 (or fail inside isqrt)
+    path = tmp_path / "g.pgr"
+    for n in (-5, 0, 3):
+        rc = cli.main(["gen", "--kind", "grid", "--n", str(n), "--out", str(path)])
+        assert rc == cli.EXIT_INVALID
+        assert f"n={n}" in capsys.readouterr().err
+        assert not path.exists()
+    assert cli.main(["gen", "--kind", "grid", "--n", "4", "--out", str(path)]) == cli.EXIT_OK
+    assert load_graph(path).n == 4
+
+
 def test_build_query_verify(tmp_path, graph_file, capsys):
     oracle_path = tmp_path / "o.bin"
     rc = cli.main(
@@ -167,7 +179,7 @@ def test_bench_csv(tmp_path, capsys):
         [
             "bench", "--kind", "grid", "--n", "36", "--mode", "failure,tradeoff",
             "--r", "32", "--k", "1", "--leaf-size", "8", "--queries", "5",
-            "--max-weight", "9", "--threads", "1",
+            "--max-weight", "9",
         ]
     )
     out = capsys.readouterr().out
@@ -184,7 +196,7 @@ def test_bench_tradeoff_r_not_marked_is_invalid(r):
     rc = cli.main(
         [
             "bench", "--kind", "grid", "--n", "256", "--mode", "tradeoff",
-            "--r", r, "--leaf-size", "16", "--queries", "2", "--threads", "1",
+            "--r", r, "--leaf-size", "16", "--queries", "2",
         ]
     )
     assert rc == cli.EXIT_INVALID
@@ -198,7 +210,7 @@ def test_k_beyond_u32_is_invalid(tmp_path, graph_file, capsys, command):
     if command == "build":
         argv = ["build", str(graph_file), "--mode", "tradeoff", "--leaf-size", "8"]
     else:
-        argv = ["bench", "--n", "36", "--mode", "tradeoff", "--leaf-size", "8", "--threads", "1"]
+        argv = ["bench", "--n", "36", "--mode", "tradeoff", "--leaf-size", "8"]
     rc = cli.main([*argv, "--k", str(1 << 32), "--out", str(out)])
     assert rc == cli.EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: ")
@@ -217,7 +229,7 @@ def test_k_beyond_u32_is_invalid(tmp_path, graph_file, capsys, command):
 def test_bench_point_that_measures_nothing_is_a_usage_error(capsys, argv):
     # a trade-off point with no tuple used to print a row that read as a
     # trade-off result, and an n below 4 to run a 2x2 grid (or fail in isqrt)
-    rc = cli.main(["bench", *argv, "--queries", "2", "--threads", "1"])
+    rc = cli.main(["bench", *argv, "--queries", "2"])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_USAGE
     assert captured.err.startswith("error: ") and captured.out == ""
@@ -227,7 +239,7 @@ def test_bench_small_tradeoff_point_with_tuples(capsys):
     rc = cli.main(
         [
             "bench", "--n", "64", "--queries", "5", "--mode", "failure,tradeoff",
-            "--leaf-size", "8", "--threads", "1",
+            "--leaf-size", "8",
         ]
     )
     header, *rows = capsys.readouterr().out.splitlines()
@@ -236,11 +248,26 @@ def test_bench_small_tradeoff_point_with_tuples(capsys):
 
 
 def test_bench_tradeoff_defaults(capsys):
-    rc = cli.main(["bench", "--mode", "tradeoff", "--n", "256", "--queries", "4", "--threads", "1"])
+    rc = cli.main(["bench", "--mode", "tradeoff", "--n", "256", "--queries", "4"])
     out = capsys.readouterr().out
     assert rc == cli.EXIT_OK
     header, row = out.splitlines()
     assert dict(zip(header.split(","), row.split(",")))["r"] == "128"
+
+
+def test_bench_failure_rows_per_k(capsys):
+    # failure rows used to ignore --k and print one row labelled k = 4
+    rc = cli.main(["bench", "--mode", "failure", "--k", "0,2", "--n", "36", "--queries", "3"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert rc == cli.EXIT_OK
+    assert [dict(zip(header.split(","), row.split(",")))["k"] for row in rows] == ["0", "2"]
+
+
+def test_bench_threads_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--n", "36", "--threads", "1"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
 
 def test_bench_json_to_file(tmp_path):
@@ -248,8 +275,7 @@ def test_bench_json_to_file(tmp_path):
     rc = cli.main(
         [
             "bench", "--kind", "grid", "--n", "36", "--mode", "failure",
-            "--leaf-size", "8", "--queries", "4", "--format", "json",
-            "--threads", "1", "--out", str(out),
+            "--leaf-size", "8", "--queries", "4", "--format", "json", "--out", str(out),
         ]
     )
     assert rc == cli.EXIT_OK
@@ -333,7 +359,7 @@ def test_query_count_must_not_be_negative(tmp_path, graph_file, capsys, command,
         assert cli.main(["build", str(graph_file), "--out", str(opath)]) == cli.EXIT_OK
         argv = ["verify", str(opath), "--random", count]
     else:
-        argv = ["bench", "--n", "36", "--leaf-size", "8", "--threads", "1", "--queries", count]
+        argv = ["bench", "--n", "36", "--leaf-size", "8", "--queries", count]
     capsys.readouterr()
     rc = cli.main(argv)
     captured = capsys.readouterr()
