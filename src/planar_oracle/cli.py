@@ -20,7 +20,14 @@ from .baseline import distance_avoiding
 from .bench import BenchPointError, bench_config, build_oracle, random_query, render, run_bench
 from .dynamic_oracle import DynamicOracle
 from .generate import generate_grid, generate_random_triangulation
-from .graph import UNREACHABLE, EmbeddingError, GraphFormatError, load_graph, save_graph
+from .graph import (
+    UNREACHABLE,
+    EmbeddingError,
+    GraphFormatError,
+    load_graph,
+    parse_int,
+    save_graph,
+)
 from .oraclefile import OracleFileError, load_oracle, save_oracle
 from .tradeoff_oracle import TradeoffOracle
 
@@ -33,9 +40,16 @@ EXIT_IO = 3
 EXIT_INVALID = 4
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return parse_int(text, signed=True)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [parse_int(tok.strip(), signed=True) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -57,7 +71,7 @@ def _read_query_lines(path: str | None):
             if not body:
                 continue
             try:
-                nums = [int(tok) for tok in body.split()]
+                nums = [parse_int(tok) for tok in body.split()]
             except ValueError:
                 raise ValueError(f"query line {line_no}: non-integer token")
             if len(nums) < 2:
@@ -187,17 +201,19 @@ def _cmd_dyn(args) -> int:
             op, rest = tok[0], tok[1:]
             try:
                 if op == "w" and len(rest) == 2:
-                    oracle.set_weight(int(rest[0]), int(rest[1]))
+                    oracle.set_weight(parse_int(rest[0]), parse_int(rest[1], signed=True))
                 elif op == "ie" and len(rest) in (3, 5):
-                    oracle.insert_edge(*(int(t) for t in rest))
+                    t, h, w, *where = rest
+                    w = parse_int(w, signed=True)
+                    oracle.insert_edge(parse_int(t), parse_int(h), w, *map(parse_int, where))
                 elif op == "de" and len(rest) == 1:
-                    oracle.delete_edge(int(rest[0]))
+                    oracle.delete_edge(parse_int(rest[0]))
                 elif op == "iv" and not rest:
                     oracle.insert_vertex()
                 elif op == "dv" and len(rest) == 1:
-                    oracle.delete_vertex(int(rest[0]))
+                    oracle.delete_vertex(parse_int(rest[0]))
                 elif op == "q" and len(rest) == 2:
-                    u, v = int(rest[0]), int(rest[1])
+                    u, v = parse_int(rest[0]), parse_int(rest[1])
                     rows.append(f"{line_no},{u},{v},{_fmt_distance(oracle.distance(u, v))}\n")
                 else:
                     raise ValueError(f"unknown op {body!r}")
@@ -219,11 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("--kind", choices=("grid", "tri"), default="grid")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--n", type=int, help="vertex count (square side for grids)")
-    p.add_argument("--max-weight", type=int, help="random weights in 1..max (default: all 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=_int_arg)
+    p.add_argument("--cols", type=_int_arg)
+    p.add_argument("--n", type=_int_arg, help="vertex count (square side for grids)")
+    p.add_argument("--max-weight", type=_int_arg, help="random weights in 1..max (default: all 1)")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -231,11 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--mode", choices=("failure", "tradeoff"), default="failure")
     p.add_argument(
-        "--r", type=int, help="r-division granularity (tradeoff; default: smallest marked r)"
+        "--r", type=_int_arg, help="r-division granularity (tradeoff; default: smallest marked r)"
     )
-    p.add_argument("--k", type=int, default=1, help="failure budget (tradeoff)")
-    p.add_argument("--leaf-size", type=int, default=32)
-    p.add_argument("--r-base", type=int, default=4)
+    p.add_argument("--k", type=_int_arg, default=1, help="failure budget (tradeoff)")
+    p.add_argument("--leaf-size", type=_int_arg, default=32)
+    p.add_argument("--r-base", type=_int_arg, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -248,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check oracle answers against brute force")
     p.add_argument("oracle")
     p.add_argument("--queries", help="query file (default: random batch)")
-    p.add_argument("--random", type=int, default=200, help="random query count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--random", type=_int_arg, default=200, help="random query count")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep configurations and emit a report")
@@ -258,10 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_int_list, default=[None], help="comma-separated r values")
     p.add_argument("--k", type=_int_list, default=[1], help="comma-separated budgets")
     p.add_argument("--mode", default="failure", help="comma-separated oracle modes")
-    p.add_argument("--leaf-size", type=int, default=32)
-    p.add_argument("--max-weight", type=int, default=16, help="random weights in 1..max")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--queries", type=int, default=50, help="queries per configuration")
+    p.add_argument("--leaf-size", type=_int_arg, default=32)
+    p.add_argument("--max-weight", type=_int_arg, default=16, help="random weights in 1..max")
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--queries", type=_int_arg, default=50, help="queries per configuration")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="report file (default: standard output)")
     p.set_defaults(func=_cmd_bench)
@@ -269,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dyn", help="replay a mutation script, answers as CSV")
     p.add_argument("graph")
     p.add_argument("script")
-    p.add_argument("--r", type=int, default=32, help="region size")
+    p.add_argument("--r", type=_int_arg, default=32, help="region size")
     p.add_argument("--out", help="output file (default: standard output)")
     p.set_defaults(func=_cmd_dyn)
 

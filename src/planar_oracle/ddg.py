@@ -13,13 +13,15 @@ tables of the trade-off oracle (boundary to every piece vertex, paths
 unrestricted inside the piece) run the same Dijkstra over a piece's own
 arcs with no node blocked.
 
-The dynamic oracle changes one arc of a region at a time.
+The dynamic oracle changes one arc of a region at a time.  A region's
+arcs live in a ``LocalMember``: the kernel's local out-lists, with in-lists
+beside them, built once per region shape and edited one arc at a time.
 ``repair_strict_matrix`` turns the region's old matrix into the new one,
-in place, over the same local out-lists: one Dijkstra into the arc's tail
-and one out of its head, then a min-plus pass for a cut or an insertion,
-or the old rows the arc's old weight attained re-run for a raise or a
-deletion (Ramalingam and Reps, J. Algorithms 1996; Demetrescu and
-Italiano, J. ACM 2004).
+in place, over those kept lists: one Dijkstra into the arc's tail and one
+out of its head, then a min-plus pass for a cut or an insertion, or the
+old rows the arc's old weight attained re-run for a raise or a deletion
+(Ramalingam and Reps, J. Algorithms 1996; Demetrescu and Italiano, J. ACM
+2004).
 
 A store builds every piece's matrix when it is made, at build and load
 alike; queries only look them up.  An anchor leaf joins a union as its own
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from operator import sub
 from typing import Sequence
 
 from .frdijkstra import SparseMember
@@ -41,6 +44,7 @@ __all__ = [
     "compute_leaf_ddg",
     "compute_piece_distance_table",
     "DdgStore",
+    "LocalMember",
     "repair_strict_matrix",
     "strict_matrix",
 ]
@@ -152,20 +156,82 @@ def strict_matrix(
     return _dijkstra_rows(adj, [loc[v] for v in nodes], [loc[t] for t in targets], blocked)
 
 
+class LocalMember(SparseMember):
+    """A sparse member whose arcs live in the strict kernel's local lists,
+    kept for in-place edits of one arc at a time (``edit``).
+
+    Local vertex i is ``nodes[i]``, and ``loc`` maps an id back.  ``out[i]``
+    and ``into[i]`` list i's (local head, weight) and (local tail, weight)
+    pairs; ``out[i]`` keeps the order the arcs were given in, and an added
+    arc goes last.  ``ends`` are the local ids of the strict matrix's nodes,
+    every one a vertex, in matrix order, and ``blocked`` flags them.  The
+    member holds one copy of its arcs: ``arcs`` is read from ``out``."""
+
+    __slots__ = ("loc", "out", "into", "ends", "blocked")
+
+    def __init__(
+        self,
+        vertices: Sequence[int],
+        arcs: Sequence[tuple[int, int, int]],
+        nodes: Sequence[int],
+    ):
+        self.nodes = tuple(vertices)
+        self.loc = loc = {v: i for i, v in enumerate(self.nodes)}
+        self.out = [[] for _ in self.nodes]
+        self.into = [[] for _ in self.nodes]
+        for t, h, w in arcs:
+            self.edit(t, h, None, w)
+        self.ends = [loc[v] for v in nodes]
+        self.blocked = [False] * len(self.nodes)
+        for i in self.ends:
+            self.blocked[i] = True
+
+    @property
+    def arcs(self) -> list[tuple[int, int, int]]:
+        nodes = self.nodes
+        return [(nodes[i], nodes[j], w) for i, out in enumerate(self.out) for j, w in out]
+
+    def row(self, v: int) -> tuple[list[int], list[int]]:
+        """The heads and weights of v's out-arcs, in ``out`` order: v's
+        row in a union slot holding this member."""
+        nodes = self.nodes
+        out = self.out[self.loc[v]]
+        return [nodes[j] for j, _ in out], [w for _, w in out]
+
+    def strict_matrix(self) -> array:
+        """``strict_matrix([self], nodes)``, from the kept lists."""
+        return _dijkstra_rows(self.out, self.ends, self.ends, self.blocked)
+
+    def edit(self, tail: int, head: int, w_old: int | None, w_new: int | None) -> None:
+        """Change the arc tail -> head from weight ``w_old`` to ``w_new``;
+        None is an arc absent on that side.  Both ends must be vertices,
+        and no two arcs may share both ends."""
+        a, b = self.loc[tail], self.loc[head]
+        out, into = self.out[a], self.into[b]
+        if w_old is None:
+            out.append((b, w_new))
+            into.append((a, w_new))
+            return
+        i, j = out.index((b, w_old)), into.index((a, w_old))
+        if w_new is None:
+            del out[i], into[j]
+        else:
+            out[i], into[j] = (b, w_new), (a, w_new)
+
+
 def repair_strict_matrix(
-    member: SparseMember,
-    nodes: Sequence[int],
+    member: LocalMember,
     matrix: array,
     tail: int,
     head: int,
     w_old: int | None,
     w_new: int | None,
 ) -> None:
-    """Turn ``matrix``, the strict matrix before one arc tail -> head
-    changed from weight ``w_old`` to ``w_new`` (None: the arc is absent on
-    that side), into ``strict_matrix([member], nodes)`` in place.
-    ``member`` holds the arcs after the change and both of the arc's ends,
-    and ``nodes`` are the same on both sides.
+    """Turn ``matrix``, the strict matrix of ``member`` before its arc tail
+    -> head changed from weight ``w_old`` to ``w_new`` (None: the arc is
+    absent on that side), into ``member.strict_matrix()`` in place.
+    ``member`` is already edited, and its nodes are the same on both sides.
+    The Dijkstras run on the member's kept out- and in-lists.
 
     With da[i] the strict distance nodes[i] -> tail and db[j] the strict
     distance head -> nodes[j], a shortest strict path through the arc is
@@ -175,21 +241,16 @@ def repair_strict_matrix(
     entry and that sum; a raise or a deletion re-runs only the rows with an
     entry the old arc attained.  A strict path passes through no node, so
     a tail or head that is a node ends its vector at itself."""
-    loc, adj, blocked = _local_graph([member], nodes)
-    local = [loc[v] for v in nodes]
-    a, b = loc[tail], loc[head]
+    local, blocked = member.ends, member.blocked
+    a, b = member.loc[tail], member.loc[head]
     if blocked[a]:
         da = [0 if i == a else MATRIX_SENTINEL for i in local]
     else:
-        radj: list[list[tuple[int, int]]] = [[] for _ in adj]
-        for u, out in enumerate(adj):
-            for v, w in out:
-                radj[v].append((u, w))
-        da = _dijkstra_rows(radj, [a], local, blocked)
+        da = _dijkstra_rows(member.into, [a], local, blocked)
     if blocked[b]:
         db = [0 if j == b else MATRIX_SENTINEL for j in local]
     else:
-        db = _dijkstra_rows(adj, [b], local, blocked)
+        db = _dijkstra_rows(member.out, [b], local, blocked)
     k = len(local)
     if w_old is None or (w_new is not None and w_new <= w_old):
         for i, x in enumerate(da):
@@ -200,16 +261,18 @@ def repair_strict_matrix(
                     if x + y < matrix[row + j]:
                         matrix[row + j] = x + y
         return
+    # no old entry is above the path through the old arc, so row i has an
+    # entry that path attains iff its largest matrix[i * k + j] - db[j] is
+    # da[i] + w_old; an unreachable db[j] counts as 2 * MATRIX_SENTINEL,
+    # which leaves every difference negative
+    far = [y if y < MATRIX_SENTINEL else 2 * MATRIX_SENTINEL for y in db]
     rows = [
         i
         for i, x in enumerate(da)
-        if x < MATRIX_SENTINEL
-        and any(
-            matrix[i * k + j] == x + w_old + y for j, y in enumerate(db) if y < MATRIX_SENTINEL
-        )
+        if x < MATRIX_SENTINEL and max(map(sub, matrix[i * k : i * k + k], far)) == x + w_old
     ]
     if rows:
-        fresh = _dijkstra_rows(adj, [local[i] for i in rows], local, blocked)
+        fresh = _dijkstra_rows(member.out, [local[i] for i in rows], local, blocked)
         for n, i in enumerate(rows):
             matrix[i * k : (i + 1) * k] = fresh[n * k : (n + 1) * k]
 
@@ -267,7 +330,6 @@ class DdgStore:
     """
 
     def __init__(self, g: EmbeddedPlanarGraph, tree):
-        self.tree = tree
         strict: dict[int, DenseDistanceGraph] = {}
         # every child has a larger id than its parent
         for p in reversed(tree.pieces):
@@ -278,6 +340,5 @@ class DdgStore:
         return self._strict[node_id]
 
     def stored_entry_count(self) -> int:
-        """Entries of the internal pieces' matrices."""
-        pieces = self.tree.pieces
-        return sum(len(d.matrix) for pid, d in self._strict.items() if not pieces[pid].is_leaf)
+        """Entries of every piece's matrix, the leaves' included."""
+        return sum(len(d.matrix) for d in self._strict.values())

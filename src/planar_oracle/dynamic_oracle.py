@@ -5,17 +5,20 @@ decomposition with leaf size r (so they form its r-division), a strict
 boundary matrix per region, and public vertex/arc ids that stay stable
 across internal rebuilds.  Updates touch only the regions they land in:
 
-* a weight change repairs one region matrix in place, re-running only what
-  the changed arc can affect (``ddg.repair_strict_matrix``); each matrix
-  depends only on its own region's arcs, so every other region's matrix
-  stays bit-identical, and setting an arc's current weight changes nothing,
+* a weight change edits one region in place and repairs its matrix,
+  re-running only what the changed arc can affect
+  (``ddg.repair_strict_matrix``); each matrix depends only on its own
+  region's arcs, so every other region's matrix stays bit-identical, and
+  setting an arc's current weight changes nothing,
 * edge insertions first decide planarity locally, before anything changes:
   one walk of the face at the tail's splice corner, plus a search of the
-  tail's component when the walk misses the head's corner; accepted arcs
-  are spliced in, the region that takes the arc repairs its matrix, and
-  every region whose boundary grew is recomputed,
-* edge deletions shrink one region and repair its matrix in place, leaving
-  its old boundary as a valid superset,
+  tail's component when the walk misses the head's corner; an accepted
+  arc between two vertices of one region (a deleted arc put back, say)
+  edits that region in place like a weight change, and any other arc
+  recomputes the region that takes it and every region whose boundary
+  grew,
+* edge deletions edit one region in place, leaving its old boundary as a
+  valid superset,
 * vertex deletions take the vertex and its arcs out of every region that
   holds them and recompute those regions, so no region names a dead vertex.
 
@@ -33,17 +36,23 @@ No other update can trip these budgets: deletions only shrink regions, a
 new vertex joins no region, and weight changes leave the topology, which is
 all the decomposition reads, as it was.
 
-Each region keeps its raw arcs as one ``SparseMember``, rebuilt on every
-update of the region: the member is the input of the strict kernel
-(``ddg.strict_matrix``) and of the repair, and queries reuse it.  A query
-is one A* scan from u toward v over a union of every region matrix plus
-the raw members of u's and v's regions.  Every member is a slot of one
-``DdgUnion`` that each division builds and updates edit in place: region
-ri's matrix sits in slot 2ri and its raw member in slot 2ri + 1.
-``_recompute`` re-indexes the raw slot, and the matrix slot only for a
-new matrix; a new region appends both.  A query takes a view that marks
-every matrix slot live and the raw slots of u's and v's regions, which it
-looks up, and drops the view before it returns.
+Each region keeps its raw arcs once, as a ``ddg.LocalMember``: the strict
+kernel's local out-lists with in-lists beside them.  They are built, and
+the region's matrix computed from them, only when the region's shape
+changes: at a division, when its boundary or its vertex set changes, or
+when it starts.  An in-place edit (a weight change, a deletion, or an
+insertion between two of the region's vertices) changes that one arc's
+entry in each list, repairs the matrix on the kept lists, and re-writes
+one row of the union index: the tail's.  A query is one A* scan from u
+toward v over a union of every region matrix plus the raw members of u's
+and v's regions.  Every member is a slot of one ``DdgUnion`` that each
+division builds and updates edit in place: region ri's matrix sits in
+slot 2ri and its raw member in slot 2ri + 1.  A new shape re-indexes
+both slots, and a new region appends them; an in-place edit keeps both
+members and every row but the tail's raw one, which ``DdgUnion.set_row``
+writes.  A query takes a view that marks every matrix slot live and the
+raw slots of u's and v's regions, which it looks up, and drops the view
+before it returns.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
 Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
@@ -76,9 +85,9 @@ from .graph import (
     dart_target,
 )
 from .decomposition import build_decomposition
-from .ddg import DenseDistanceGraph, repair_strict_matrix, strict_matrix
+from .ddg import DenseDistanceGraph, LocalMember, repair_strict_matrix
 from .failure_oracle import _FAR, landmark_potential, landmark_tables
-from .frdijkstra import DdgUnion, SparseMember, multi_dijkstra
+from .frdijkstra import DdgUnion, multi_dijkstra
 
 __all__ = ["DynamicOracle"]
 
@@ -90,9 +99,10 @@ def _is_index(x) -> bool:
 
 class _Region:
     """One region: its vertices, boundary and arc ids, its raw arcs as a
-    union member and the strict matrix over its boundary (both made by
-    ``DynamicOracle._recompute``), and its boundary size when the last
-    division made it (0 for a region started since)."""
+    union member kept on local ids and the strict matrix over its boundary
+    (both made and edited by ``DynamicOracle._recompute``), and its
+    boundary size when the last division made it (0 for a region started
+    since)."""
 
     __slots__ = ("vertices", "boundary", "arcs", "ddg", "member", "divided_boundary")
 
@@ -101,7 +111,7 @@ class _Region:
         self.boundary = boundary
         self.arcs = arcs
         self.ddg: DenseDistanceGraph | None = None
-        self.member: SparseMember | None = None
+        self.member: LocalMember | None = None
         self.divided_boundary = 0
 
 
@@ -227,28 +237,32 @@ class DynamicOracle:
 
     def _recompute(self, ri: int, change=None) -> None:
         """Raw member and strict boundary-to-boundary matrix of region ri,
-        public ids.  The member, the region's current arcs by id, is built
-        first, as the input of both the kernel and the repair.
+        public ids.
 
         ``change`` is (tail, head, old weight, new weight), None for an arc
-        absent on that side, when one arc of the region is all that changed
-        since its matrix was made.  If the boundary is also unchanged, the
-        matrix is repaired in place (``repair_strict_matrix``), so it keeps
-        its object and its slot's rows in the kept union; otherwise a new
-        matrix is computed and re-indexed in slot 2ri, appended for a new
-        region.  The raw member's slot is re-indexed every time."""
+        absent on that side, when one arc between two of the region's
+        vertices is all that changed since its member was made: the member
+        is edited in place, the matrix repaired in place
+        (``repair_strict_matrix``), and the tail's row in the raw slot
+        re-written, so both keep their objects and every other row.
+        Otherwise the region's shape changed: a new member is built from
+        the region's arcs, its matrix computed afresh, and slots 2ri and
+        2ri + 1 re-indexed, appended for a new region."""
         reg = self.regions[ri]
-        old = reg.ddg
+        member = reg.member
+        if change is not None:
+            tail = change[0]
+            member.edit(*change)
+            repair_strict_matrix(member, reg.ddg.matrix, *change)
+            self._union.set_row(2 * ri + 1, tail, *member.row(tail))
+            return
         nodes = tuple(sorted(reg.boundary))
         t, h, w = self.arc_tail, self.arc_head, self.arc_weight
         arcs = [(t[a], h[a], w[a]) for a in sorted(reg.arcs)]
-        reg.member = SparseMember(sorted(reg.vertices), arcs)
-        if change is not None and old is not None and old.nodes == nodes:
-            repair_strict_matrix(reg.member, nodes, old.matrix, *change)
-        else:
-            reg.ddg = DenseDistanceGraph(nodes, strict_matrix([reg.member], nodes))
-            self._union.replace(2 * ri, reg.ddg)
-        self._union.replace(2 * ri + 1, reg.member)
+        reg.member = member = LocalMember(sorted(reg.vertices), arcs, nodes)
+        reg.ddg = DenseDistanceGraph(nodes, member.strict_matrix())
+        self._union.replace(2 * ri, reg.ddg)
+        self._union.replace(2 * ri + 1, member)
 
     def _lower(self, tail: int, head: int, w: int) -> None:
         """Restore table feasibility on the arc tail -> head of length w, the
@@ -352,14 +366,15 @@ class DynamicOracle:
             ri = len(self.regions)
             self.regions.append(_Region(set(), set(), set()))
         reg = self.regions[ri]
+        # an arc between two of the region's vertices changes only itself
+        inside = tail in reg.vertices and head in reg.vertices
         reg.arcs.add(arc)
         reg.vertices.add(tail)
         reg.vertices.add(head)
         self.region_of_arc[arc] = ri
 
         touched = {ri}
-        for z in (tail, head):
-            homes = self._regions_of_vertex(z)
+        for z, homes in ((tail, {*rt, ri}), (head, {*rh, ri})):
             if len(homes) > 1:
                 for rj in homes:
                     if z not in self.regions[rj].boundary:
@@ -369,7 +384,7 @@ class DynamicOracle:
             self._rebuild()
         else:
             for rj in sorted(touched):
-                self._recompute(rj, (tail, head, None, weight) if rj == ri else None)
+                self._recompute(rj, (tail, head, None, weight) if rj == ri and inside else None)
             self._lower(tail, head, weight)
         return arc
 

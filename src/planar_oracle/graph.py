@@ -23,6 +23,7 @@ __all__ = [
     "EmbeddedPlanarGraph",
     "load_graph",
     "loads_graph",
+    "parse_int",
     "save_graph",
     "dumps_graph",
     "trace_faces",
@@ -334,9 +335,6 @@ class EmbeddedPlanarGraph:
         """(head, weight) pairs for arcs leaving ``v``."""
         return self._out[v]
 
-    def in_arcs(self, v: int) -> tuple[tuple[int, int], ...]:
-        return self._in[v]
-
     def check_vertex(self, v: int) -> int:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.n:
             raise ValueError(f"vertex id {v!r} out of range [0, {self.n})")
@@ -366,6 +364,19 @@ class EmbeddedPlanarGraph:
 #   lines 2 .. m+1:     "<tail> <head> <weight>"      (0-based vertex ids)
 #   lines m+2 .. m+n+1: clockwise rotation of vertex i as arc indices
 #   '#' starts a comment; blank lines are ignored.
+#   Every number is ASCII decimal digits; counts and weights may take a
+#   leading '-', which their range checks then reject by name.
+
+
+def parse_int(token: str, signed: bool = False) -> int:
+    """The integer ``token`` spells in ASCII decimal digits, after one
+    leading '-' if ``signed``; ValueError for anything else.  ``int()``
+    alone would also take '1_0', '+1' and non-ASCII digits such as '٣'.
+    Every reader of input text parses its numbers here."""
+    digits = token[1:] if signed and token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
 
 
 def loads_graph(text: str) -> EmbeddedPlanarGraph:
@@ -381,7 +392,7 @@ def loads_graph(text: str) -> EmbeddedPlanarGraph:
     if len(head) != 2:
         raise GraphFormatError(line_no, "expected '<n> <m>' header")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = parse_int(head[0], signed=True), parse_int(head[1], signed=True)
     except ValueError:
         raise GraphFormatError(line_no, "header fields must be integers") from None
     if n < 0 or m < 0:
@@ -397,7 +408,7 @@ def loads_graph(text: str) -> EmbeddedPlanarGraph:
         if len(fields) != 3:
             raise GraphFormatError(line_no, "expected '<tail> <head> <weight>'")
         try:
-            t, h, w = int(fields[0]), int(fields[1]), int(fields[2])
+            t, h, w = parse_int(fields[0]), parse_int(fields[1]), parse_int(fields[2], signed=True)
         except ValueError:
             raise GraphFormatError(line_no, "arc fields must be integers") from None
         if w < 0:
@@ -410,7 +421,7 @@ def loads_graph(text: str) -> EmbeddedPlanarGraph:
             rotation.append([])
             continue
         try:
-            rotation.append([int(x) for x in fields])
+            rotation.append([parse_int(x) for x in fields])
         except ValueError:
             raise GraphFormatError(line_no, "rotation entries must be arc ids") from None
 

@@ -325,6 +325,55 @@ def test_dyn_script_error_is_invalid(tmp_path, graph_file):
     assert rc == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("line", ["1_0 2", "\u0663 5", "+1 34", "1 34 -0"])
+def test_query_tokens_are_ascii_decimal_ids(tmp_path, graph_file, capsys, monkeypatch, line):
+    # int() reads each of these lines as numbers: "1_0 2" used to answer
+    # as "10 2" and "\u0663 5" as "3 5"
+    opath = tmp_path / "o.bin"
+    assert cli.main(["build", str(graph_file), "--leaf-size", "8", "--out", str(opath)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"1 34\n{line}\n"))
+    rc = cli.main(["query", str(opath)])
+    assert rc == cli.EXIT_INVALID
+    assert "query line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["q 0 3_5", "w 0 5_00", "de +1", "dv 1_4", "ie 0 36 5 0 -0"])
+def test_dyn_tokens_are_ascii_decimal(tmp_path, graph_file, capsys, op):
+    # each of these ops used to run, int() reading its tokens as numbers
+    script = tmp_path / "ops.txt"
+    script.write_text(f"iv\n{op}\n")
+    rc = cli.main(["dyn", str(graph_file), str(script)])
+    assert rc == cli.EXIT_INVALID
+    assert "script line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--n", "3_6"], ["--k", "\u0661"], ["--r", "+64"]])
+def test_bench_lists_are_ascii_decimal(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--leaf-size", "8", "--queries", "2", *argv])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert argv[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--rows", "1_2", "--cols", "3", "--out", "g.pgr"],
+        ["gen", "--n", "\u0663\u0666", "--out", "g.pgr"],
+        ["dyn", "g.pgr", "ops.txt", "--r", "+32"],
+    ],
+)
+def test_integer_options_are_ascii_decimal(tmp_path, monkeypatch, capsys, argv):
+    # "gen --rows 1_2 --cols 3" used to write a 12x3 grid
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "expected an integer" in capsys.readouterr().err
+    assert not (tmp_path / "g.pgr").exists()
+
+
 def test_missing_file_is_io_error(tmp_path):
     rc = cli.main(["query", str(tmp_path / "nope.bin")])
     assert rc == cli.EXIT_IO

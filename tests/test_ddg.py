@@ -12,6 +12,7 @@ from planar_oracle.baseline import sssp
 from planar_oracle.ddg import (
     DdgStore,
     DenseDistanceGraph,
+    LocalMember,
     compute_ddg_internal,
     compute_leaf_ddg,
     compute_piece_distance_table,
@@ -238,16 +239,15 @@ def test_strict_matrix_mixes_members_and_extra_targets():
 
 def test_store_memoizes(setup8):
     # a new store holds every piece's matrix, each leaf's as its own arcs
-    # give it; only the internal ones count as stored entries
+    # give it, and every one of them counts as stored entries
     g, tree = setup8
     store = DdgStore(g, tree)
     assert sorted(store._strict) == [p.id for p in tree.pieces]
     leaf = leaves(tree)[0]
     assert store.strict(leaf) is store.strict(leaf)
     assert store.strict(leaf).matrix == compute_ddg_internal(g, tree.pieces[leaf]).matrix
-    assert store.stored_entry_count() == sum(
-        len(p.boundary) ** 2 for p in tree.pieces if not p.is_leaf
-    )
+    assert store.stored_entry_count() == sum(len(p.boundary) ** 2 for p in tree.pieces)
+    assert any(p.is_leaf and p.boundary for p in tree.pieces)
 
 
 def test_ddg_validation():
@@ -302,7 +302,10 @@ def test_repair_matches_strict_matrix(
         return arcs[:i] + ([] if wt is None else [(t, h, wt)]) + arcs[i + 1 :]
 
     before, after = (SparseMember(range(g.n), arcs_with(wt)) for wt in (w_old, w_new))
-    old = strict_matrix([before], nodes)
-    matrix = array("q", old)
-    repair_strict_matrix(after, nodes, matrix, t, h, w_old, w_new)
+    member = LocalMember(range(g.n), before.arcs, nodes)
+    matrix = member.strict_matrix()
+    assert matrix.tobytes() == strict_matrix([before], nodes).tobytes()
+    member.edit(t, h, w_old, w_new)
+    assert sorted(member.arcs) == sorted(after.arcs)
+    repair_strict_matrix(member, matrix, t, h, w_old, w_new)
     assert matrix.tobytes() == strict_matrix([after], nodes).tobytes()

@@ -292,6 +292,9 @@ def test_rebuild_cadence():
 
 @pytest.mark.parametrize("op", ["set_weight", "delete_edge", "insert_edge", "delete_vertex"])
 def test_cached_member_follows_its_region(op):
+    # weight changes and deletions edit the region's member in place; a
+    # vertex joining or leaving the region builds it a new one; either way
+    # the region's raw slot holds the region's current member
     g = generate_grid(6, 6, max_weight=5, seed=2)
     dyn = DynamicOracle(g, r=16)
     # u lives in one region only, so its raw member is that region's
@@ -313,7 +316,9 @@ def test_cached_member_follows_its_region(op):
         dyn.delete_vertex(dyn.arc_head[out[0]])
     assert dyn.rebuild_count == 1 and dyn.regions[homes_of(dyn, u)[0]] is reg
     assert dyn._raw_member(u) == slot
-    assert dyn._union.slots[slot] is reg.member is not cached
+    assert dyn._union.slots[slot] is reg.member
+    assert (reg.member is cached) == (op in ("set_weight", "delete_edge"))
+    assert_union_current(dyn)
     snap, vmap, _ = dyn.export_graph()
     idx = {p: i for i, p in enumerate(vmap)}
     for v in vmap:
@@ -362,9 +367,10 @@ def test_repaired_matrices_match_fresh(g, monkeypatch):
     # region boundary; after each, every region matrix is strict_matrix's
     repairs = []
 
-    def spy(member, nodes, old, tail, head, w_old, w_new):
+    def spy(member, old, tail, head, w_old, w_new):
+        nodes = [member.nodes[i] for i in member.ends]
         repairs.append((tail in nodes, head in nodes))
-        return repair(member, nodes, old, tail, head, w_old, w_new)
+        return repair(member, old, tail, head, w_old, w_new)
 
     repair = dynamic_oracle.repair_strict_matrix
     monkeypatch.setattr(dynamic_oracle, "repair_strict_matrix", spy)
@@ -792,12 +798,23 @@ def test_tables_stay_feasible(seed, updates):
 def assert_union_current(dyn):
     """The kept union holds region ri's matrix in slot 2ri and its raw
     member in slot 2ri + 1, every slot live, and its rows and member sizes
-    equal those of a union indexed afresh from the regions."""
+    equal those of a union indexed afresh from each region's matrix and
+    its current arcs, read from the oracle's arc lists in id order."""
     union = dyn._union
     members = [m for reg in dyn.regions for m in (reg.ddg, reg.member)]
     assert list(union.slots) == list(union.members) == members
     assert set(union.live) <= {1}
-    fresh = DdgUnion(members)
+    t, h, w = dyn.arc_tail, dyn.arc_head, dyn.arc_weight
+    fresh = DdgUnion(
+        [
+            m
+            for reg in dyn.regions
+            for m in (
+                reg.ddg,
+                SparseMember(sorted(reg.vertices), [(t[a], h[a], w[a]) for a in sorted(reg.arcs)]),
+            )
+        ]
+    )
     assert rows_by_slot(union) == rows_by_slot(fresh)
     assert union.union_vertices == fresh.union_vertices
     assert union.size >= fresh.size
@@ -855,31 +872,78 @@ def test_kept_union_matches_fresh(op):
     assert_union_current(dyn)
 
 
-@pytest.mark.parametrize("op", ["set_weight", "delete_edge"])
+@pytest.mark.parametrize("op", ["set_weight", "delete_edge", "reinsert"])
 def test_repair_keeps_the_matrix_and_its_rows(op):
-    # a repair edits the region's matrix in place: the same matrix object
-    # stays in slot 2ri with the same row tuples, and only the raw slot is
-    # re-indexed
+    # an in-place edit keeps the region's matrix and member objects in
+    # slots 2ri and 2ri + 1, and every row tuple of the union but one: the
+    # arc tail's row in the raw slot
     dyn = DynamicOracle(generate_grid(6, 6, max_weight=5, seed=2), r=16)
     hub = interior_vertex(dyn)
     arc = next(a for a in dyn.rot[hub] if dyn.arc_tail[a] == hub)
     ri = dyn.region_of_arc[arc]
-    ddg = dyn.regions[ri].ddg
+    reg = dyn.regions[ri]
+    ddg, member = reg.ddg, reg.member
     matrix = ddg.matrix
-    rows = {v: [row for row in dyn._union.rows[v] if row[0] == 2 * ri] for v in ddg.nodes}
+    rows = {v: list(dyn._union.rows[v]) for v in dyn._union.rows}
     if op == "set_weight":
         dyn.set_weight(arc, dyn.arc_weight[arc] + 9)
-    else:
+    elif op == "delete_edge":
         dyn.delete_edge(arc)
+    else:
+        reinsert(dyn, arc, dyn.arc_weight[arc] + 9)
     assert dyn.rebuild_count == 1
-    assert dyn.regions[ri].ddg is ddg and ddg.matrix is matrix
-    assert dyn._union.slots[2 * ri] is ddg
-    for v, (row,) in rows.items():
-        (now,) = [r for r in dyn._union.rows[v] if r[0] == 2 * ri]
-        assert now is row, v
+    assert dyn.regions[ri] is reg and dyn.region_of_arc.get(arc, ri) == ri
+    assert reg.ddg is ddg and ddg.matrix is matrix and reg.member is member
+    assert dyn._union.slots[2 * ri] is ddg and dyn._union.slots[2 * ri + 1] is member
+    assert rows.keys() == dyn._union.rows.keys()
+    for v, before in rows.items():
+        now = dyn._union.rows[v]
+        assert len(now) == len(before), v
+        for old, new in zip(before, now):
+            assert (new is old) == ((v, new[0]) != (hub, 2 * ri + 1)), (v, new[0])
     assert_union_current(dyn)
     assert_matrices_fresh(dyn)
     assert_answers(dyn, random.Random(op), 40)
+
+
+def test_long_dynamic_grid_mix_matches_fresh_builds():
+    # the benchmark's mix in blocks of 20 operations: 12 queries, 4 weight
+    # changes and 2 arc deletions, each re-inserted at once where it was;
+    # every update edits its region in place, so the kept members, lists,
+    # matrices and union rows must stay equal to fresh builds throughout
+    g = generate_grid(16, 16, max_weight=9, seed=29)
+    dyn = DynamicOracle(g, r=16)
+    members = [reg.member for reg in dyn.regions]
+    rng = random.Random("long-dynamic-grid-mix")
+    current = list(range(g.m))  # public id of each generated arc
+    ops = 0
+    while ops < 1500:
+        draws = ["query"] * 12 + ["weight"] * 4 + ["delete"] * 2
+        rng.shuffle(draws)
+        for draw in draws:
+            if draw == "query":
+                u, v = rng.randrange(g.n), rng.randrange(g.n)
+                assert dyn.distance(u, v) == fresh_distance(dyn, u, v), (ops, u, v)
+            elif draw == "weight":
+                dyn.set_weight(current[rng.randrange(g.m)], rng.randint(1, 9))
+            else:
+                a = rng.randrange(g.m)
+                t, h = g.tails[a], g.heads[a]
+                dyn.delete_edge(current[a])
+                ops += 1
+                if ops % 100 == 0:
+                    assert_matrices_fresh(dyn)
+                    assert_union_current(dyn)
+                where = (g.rotation[t].index(a), g.rotation[h].index(a))
+                current[a] = dyn.insert_edge(t, h, rng.randint(1, 9), *where)
+            ops += 1
+            if ops % 100 == 0:
+                assert_matrices_fresh(dyn)
+                assert_union_current(dyn)
+                assert_answers(dyn, rng, 10)
+    assert dyn.rebuild_count == 1
+    assert [reg.member for reg in dyn.regions] == members
+    assert_structure(dyn)
 
 
 def reaches(dyn, t):

@@ -187,9 +187,30 @@ def test_loads_rejects_negative_weight():
         loads_graph("2 1\n0 1 -1\n0\n0\n")
 
 
-def test_out_in_arcs(path12):
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0_2 1\n0 1 5\n0\n0\n", 1),
+        ("2 +1\n0 1 5\n0\n0\n", 1),
+        ("2 1\n0 1 0_5\n0\n0\n", 2),
+        ("2 1\n0 1 \u0665\n0\n0\n", 2),
+        ("2 1\n-0 1 5\n0\n0\n", 2),
+        ("2 1\n0 1 5\n0_0\n0\n", 3),
+        ("2 1\n0 1 5\n0\n\u0660\n", 4),
+    ],
+    ids=["header_underscore", "header_plus", "weight_underscore", "weight_arabic_indic",
+         "negative_id", "rotation_underscore", "rotation_arabic_indic"],
+)
+def test_loads_takes_ascii_decimal_digits_only(text, line):
+    # int() reads each of these tokens as a number; the format does not
+    with pytest.raises(GraphFormatError) as err:
+        loads_graph(text)
+    assert err.value.line_no == line
+    assert loads_graph("2 1\n0 1 5\n0\n0\n").arcs == ((0, 1, 5),)
+
+
+def test_out_arcs(path12):
     assert path12.out_arcs(0) == ((1, 1),)
-    assert path12.in_arcs(0) == ()
     assert path12.out_arcs(11) == ()
 
 

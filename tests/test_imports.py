@@ -26,8 +26,7 @@ ALLOWED_IMPORTS = {
 ALLOWED = {
     # the public single-source reference that tests check the oracles with
     ("baseline", "sssp"),
-    # public detail of the graph type and its parse error, for callers
-    ("graph", "EmbeddedPlanarGraph.in_arcs"),
+    # public detail of the graph parse error, for callers
     ("graph", "GraphFormatError.line_no"),
 }
 
