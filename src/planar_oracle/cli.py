@@ -25,8 +25,10 @@ from .graph import (
     EmbeddingError,
     GraphFormatError,
     load_graph,
+    open_text,
     parse_int,
     save_graph,
+    token_lines,
 )
 from .oraclefile import OracleFileError, load_oracle, save_oracle
 from .tradeoff_oracle import TradeoffOracle
@@ -64,14 +66,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _read_query_lines(path: str | None):
     """Yield (line_no, u, v, failed) from 'u v x1 x2 ...' lines."""
-    fh = sys.stdin if path is None or path == "-" else open(path, "r", encoding="ascii")
+    fh = sys.stdin if path is None or path == "-" else open_text(path)
     try:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
+        for line_no, tokens in token_lines(fh):
             try:
-                nums = [parse_int(tok) for tok in body.split()]
+                nums = [parse_int(tok) for tok in tokens]
             except ValueError:
                 raise ValueError(f"query line {line_no}: non-integer token")
             if len(nums) < 2:
@@ -192,13 +191,8 @@ def _cmd_dyn(args) -> int:
     g = load_graph(args.graph)
     oracle = DynamicOracle(g, r=args.r)
     rows = ["op_index,u,v,distance\n"]
-    with open(args.script, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            tok = body.split()
-            op, rest = tok[0], tok[1:]
+    with open_text(args.script) as fh:
+        for line_no, (op, *rest) in token_lines(fh):
             try:
                 if op == "w" and len(rest) == 2:
                     oracle.set_weight(parse_int(rest[0]), parse_int(rest[1], signed=True))
@@ -216,7 +210,7 @@ def _cmd_dyn(args) -> int:
                     u, v = parse_int(rest[0]), parse_int(rest[1])
                     rows.append(f"{line_no},{u},{v},{_fmt_distance(oracle.distance(u, v))}\n")
                 else:
-                    raise ValueError(f"unknown op {body!r}")
+                    raise ValueError(f"unknown op {' '.join([op, *rest])!r}")
             except (ValueError, EmbeddingError) as exc:
                 raise ValueError(f"script line {line_no}: {exc}") from None
     _write_text(args.out, "".join(rows))

@@ -1,17 +1,17 @@
 """Dense distance graphs over piece boundaries.
 
 Every stored matrix is strict: an entry is a path that touches the matrix's
-nodes only at its two ends.  One kernel builds them all
-(``strict_matrix``).  It numbers its members' vertices locally, turns a
-sparse member's arcs and a matrix member's rows into out-lists, and runs
-one Dijkstra per node that settles the other nodes but never relaxes out
-of them.  A leaf's member is its own arcs; every other matrix comes from
-the strict matrices tiling its arcs, as Fakcharoenphol and Rao (JCSS 2006)
-build them: an internal piece's from its children's, ext(T) and its
-directional rows from its exit pieces' (``external``).  The piece distance
-tables of the trade-off oracle (boundary to every piece vertex, paths
-unrestricted inside the piece) run the same Dijkstra over a piece's own
-arcs with no node blocked.
+nodes only at its two ends.  One kernel builds them all (``_dijkstra_rows``):
+one Dijkstra per node over local out-lists, which settles the other nodes
+but never relaxes out of them.  Raw arcs reach it in one form, the lists of
+a ``LocalMember``: a leaf's matrix comes from its own arcs.  Every other
+matrix comes from the strict matrices tiling its arcs, whose rows
+``strict_matrix`` merges, as Fakcharoenphol and Rao (JCSS 2006) build them:
+an internal piece's from its children's, ext(T) and its directional rows
+from its exit pieces' (``external``).  The piece distance tables of the
+trade-off oracle (boundary to every piece vertex, paths unrestricted inside
+the piece) run the same Dijkstra over a piece's own arcs with no node
+blocked.
 
 The dynamic oracle changes one arc of a region at a time.  A region's
 arcs live in a ``LocalMember``: the kernel's local out-lists, with in-lists
@@ -35,7 +35,7 @@ from array import array
 from operator import sub
 from typing import Sequence
 
-from .frdijkstra import SparseMember
+from .frdijkstra import SparseMember, _local_ends
 from .graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
 __all__ = [
@@ -54,7 +54,7 @@ class DenseDistanceGraph:
     """Complete digraph on an ordered vertex list, stored as a flat matrix.
 
     ``matrix[i * len(nodes) + j]`` is the distance from nodes[i] to
-    nodes[j]; MATRIX_SENTINEL means unreachable.
+    nodes[j]; MATRIX_SENTINEL means unreachable.  No entry may be negative.
     """
 
     __slots__ = ("nodes", "matrix")
@@ -62,8 +62,14 @@ class DenseDistanceGraph:
     def __init__(self, nodes: tuple[int, ...], matrix: array):
         if len(matrix) != len(nodes) * len(nodes):
             raise ValueError("matrix shape does not match the node list")
+        if min(matrix, default=0) < 0:
+            raise ValueError("negative entry in a distance matrix")
         self.nodes = nodes
         self.matrix = matrix
+
+    def row(self, i: int) -> tuple[tuple[int, ...], array, int]:
+        """Node i's out-pairs as ``(heads, weights, lo)``, copying nothing."""
+        return self.nodes, self.matrix, i * len(self.nodes)
 
     def __repr__(self) -> str:
         return f"DenseDistanceGraph(|nodes|={len(self.nodes)})"
@@ -109,13 +115,12 @@ def _dijkstra_rows(
 
 
 def _local_graph(members: Sequence, nodes: Sequence[int], extra: Sequence[int] = ()):
-    """``(loc, adj, blocked)`` for the graph the union of ``members``
-    (``SparseMember``s and ``DenseDistanceGraph``s) describes.  ``loc``
-    numbers the members' vertices in order, then any of ``nodes`` and
-    ``extra`` that no member holds; ``adj[i]`` lists local vertex i's
-    (local head, weight) out-pairs: its sparse members' arcs and its row in
-    each matrix member, less the unreachable and diagonal entries, which
-    never lower a label.  ``blocked`` flags the ``nodes``."""
+    """``(loc, adj, blocked)`` for the graph the matrices ``members``
+    describe.  ``loc`` numbers the members' vertices in order, then any of
+    ``nodes`` and ``extra`` that no member holds; ``adj[i]`` lists local
+    vertex i's (local head, weight) out-pairs: its row in each member, less
+    the unreachable and diagonal entries, which never lower a label.
+    ``blocked`` flags the ``nodes``."""
     loc: dict[int, int] = {}
     for m in members:
         for v in m.nodes:
@@ -124,18 +129,14 @@ def _local_graph(members: Sequence, nodes: Sequence[int], extra: Sequence[int] =
         loc.setdefault(v, len(loc))
     adj: list[list[tuple[int, int]]] = [[] for _ in loc]
     for m in members:
-        if isinstance(m, SparseMember):
-            for t, h, w in m.arcs:
-                adj[loc[t]].append((loc[h], w))
-        else:
-            cols = [loc[v] for v in m.nodes]
-            k = len(cols)
-            for i, u in enumerate(cols):
-                adj[u] += [
-                    (h, w)
-                    for h, w in zip(cols, m.matrix[i * k : i * k + k])
-                    if w < MATRIX_SENTINEL and h != u
-                ]
+        cols = [loc[v] for v in m.nodes]
+        k = len(cols)
+        for i, u in enumerate(cols):
+            adj[u] += [
+                (h, w)
+                for h, w in zip(cols, m.matrix[i * k : i * k + k])
+                if w < MATRIX_SENTINEL and h != u
+            ]
     blocked = [False] * len(loc)
     for v in nodes:
         blocked[loc[v]] = True
@@ -145,29 +146,29 @@ def _local_graph(members: Sequence, nodes: Sequence[int], extra: Sequence[int] =
 def strict_matrix(
     members: Sequence, nodes: Sequence[int], targets: Sequence[int] | None = None
 ) -> array:
-    """Strict matrix of the graph the union of ``members`` describes, one
-    row per node and one column per target (``nodes`` by default): entry
-    (i, j) is the shortest nodes[i]-to-targets[j] path over the members
-    that passes through no other node.  A node or target that no member
-    holds reaches only itself."""
+    """Strict matrix of the graph the union of the matrices ``members``
+    describes, one row per node and one column per target (``nodes`` by
+    default): entry (i, j) is the shortest nodes[i]-to-targets[j] path over
+    the members that passes through no other node.  A node or target that
+    no member holds reaches only itself."""
     if targets is None:
         targets = nodes
     loc, adj, blocked = _local_graph(members, nodes, targets)
     return _dijkstra_rows(adj, [loc[v] for v in nodes], [loc[t] for t in targets], blocked)
 
 
-class LocalMember(SparseMember):
-    """A sparse member whose arcs live in the strict kernel's local lists,
-    kept for in-place edits of one arc at a time (``edit``).
+class LocalMember:
+    """Raw arcs in the strict kernel's local lists, its one form of them: a
+    union member that can be edited one arc at a time (``edit``).
 
     Local vertex i is ``nodes[i]``, and ``loc`` maps an id back.  ``out[i]``
     and ``into[i]`` list i's (local head, weight) and (local tail, weight)
     pairs; ``out[i]`` keeps the order the arcs were given in, and an added
     arc goes last.  ``ends`` are the local ids of the strict matrix's nodes,
-    every one a vertex, in matrix order, and ``blocked`` flags them.  The
-    member holds one copy of its arcs: ``arcs`` is read from ``out``."""
+    every one a vertex, in matrix order, and ``blocked`` flags them.  Arcs
+    are checked as a ``SparseMember``'s are."""
 
-    __slots__ = ("loc", "out", "into", "ends", "blocked")
+    __slots__ = ("nodes", "loc", "out", "into", "ends", "blocked")
 
     def __init__(
         self,
@@ -177,29 +178,26 @@ class LocalMember(SparseMember):
     ):
         self.nodes = tuple(vertices)
         self.loc = loc = {v: i for i, v in enumerate(self.nodes)}
-        self.out = [[] for _ in self.nodes]
-        self.into = [[] for _ in self.nodes]
+        self.out = out = [[] for _ in self.nodes]
+        self.into = into = [[] for _ in self.nodes]
         for t, h, w in arcs:
-            self.edit(t, h, None, w)
+            a, b = _local_ends(loc, t, h, w)
+            out[a].append((b, w))
+            into[b].append((a, w))
         self.ends = [loc[v] for v in nodes]
         self.blocked = [False] * len(self.nodes)
         for i in self.ends:
             self.blocked[i] = True
 
-    @property
-    def arcs(self) -> list[tuple[int, int, int]]:
+    def row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Local vertex i's out-arcs as ``(heads, weights, 0)``, in ``out``
+        order."""
         nodes = self.nodes
-        return [(nodes[i], nodes[j], w) for i, out in enumerate(self.out) for j, w in out]
-
-    def row(self, v: int) -> tuple[list[int], list[int]]:
-        """The heads and weights of v's out-arcs, in ``out`` order: v's
-        row in a union slot holding this member."""
-        nodes = self.nodes
-        out = self.out[self.loc[v]]
-        return [nodes[j] for j, _ in out], [w for _, w in out]
+        out = self.out[i]
+        return tuple(nodes[j] for j, _ in out), tuple(w for _, w in out), 0
 
     def strict_matrix(self) -> array:
-        """``strict_matrix([self], nodes)``, from the kept lists."""
+        """The strict matrix of the arcs over the ``ends``."""
         return _dijkstra_rows(self.out, self.ends, self.ends, self.blocked)
 
     def edit(self, tail: int, head: int, w_old: int | None, w_new: int | None) -> None:
@@ -289,15 +287,21 @@ def compute_ddg_internal(g: EmbeddedPlanarGraph, piece, below=None) -> DenseDist
     holding a boundary vertex has it on its own boundary
     (``child_boundary``), so such a path is a chain of child entries."""
     if below is None:
-        members = [compute_leaf_ddg(g, piece)]
+        matrix = _piece_lists(g, piece).strict_matrix()
     else:
-        members = [below[c] for c in piece.children]
-    return DenseDistanceGraph(piece.boundary, strict_matrix(members, piece.boundary))
+        matrix = strict_matrix([below[c] for c in piece.children], piece.boundary)
+    return DenseDistanceGraph(piece.boundary, matrix)
+
+
+def _piece_lists(g: EmbeddedPlanarGraph, piece) -> LocalMember:
+    """A piece's own arcs in the kernel's local lists, on its vertices in
+    order, with its boundary as the matrix nodes."""
+    arcs = g.arcs
+    return LocalMember(piece.vertices, [arcs[a] for a in piece.arcs], piece.boundary)
 
 
 def compute_leaf_ddg(g: EmbeddedPlanarGraph, piece) -> SparseMember:
-    """A leaf piece as a union member of its own arcs; the strict kernel
-    and the piece tables read any piece's arcs this way.
+    """A leaf piece as a union member of its own arcs.
 
     Every leaf vertex is a node and every leaf arc is kept; no Dijkstra
     runs here.  Failed vertices stay in: the union scan never relaxes out
@@ -312,9 +316,9 @@ def compute_piece_distance_table(g: EmbeddedPlanarGraph, piece) -> array:
     """Plain in-piece distances from each boundary vertex to every piece
     vertex: a flat matrix with one row per ``piece.boundary`` vertex and one
     column per ``piece.vertices`` vertex."""
-    loc, adj, _ = _local_graph([compute_leaf_ddg(g, piece)], piece.boundary)
+    lists = _piece_lists(g, piece)
     # local ids follow piece.vertices, so every column is a piece vertex
-    return _dijkstra_rows(adj, [loc[s] for s in piece.boundary], range(len(piece.vertices)))
+    return _dijkstra_rows(lists.out, lists.ends, range(len(piece.vertices)))
 
 
 # ----------------------------------------------------------------------

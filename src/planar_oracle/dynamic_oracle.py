@@ -42,17 +42,16 @@ the region's matrix computed from them, only when the region's shape
 changes: at a division, when its boundary or its vertex set changes, or
 when it starts.  An in-place edit (a weight change, a deletion, or an
 insertion between two of the region's vertices) changes that one arc's
-entry in each list, repairs the matrix on the kept lists, and re-writes
-one row of the union index: the tail's.  A query is one A* scan from u
-toward v over a union of every region matrix plus the raw members of u's
-and v's regions.  Every member is a slot of one ``DdgUnion`` that each
-division builds and updates edit in place: region ri's matrix sits in
-slot 2ri and its raw member in slot 2ri + 1.  A new shape re-indexes
-both slots, and a new region appends them; an in-place edit keeps both
-members and every row but the tail's raw one, which ``DdgUnion.set_row``
-writes.  A query takes a view that marks every matrix slot live and the
-raw slots of u's and v's regions, which it looks up, and drops the view
-before it returns.
+entry in each list, repairs the matrix on the kept lists, and has the
+union re-read one row, the tail's.  A query is one A* scan from u toward v
+over a union of every region matrix plus the raw members of u's and v's
+regions.  Every member is a slot of one ``DdgUnion`` that each division
+builds and updates edit in place: region ri's matrix sits in slot 2ri and
+its raw member in slot 2ri + 1.  A new shape re-indexes both slots, and a
+new region appends them; an in-place edit keeps both members and every row
+but the tail's raw one, which ``DdgUnion.set_row`` re-reads.  A query
+takes a view that marks every matrix slot live and the raw slots of u's
+and v's regions, which it looks up, and drops the view before it returns.
 
 The potential is the landmark bound of ``failure_oracle`` (Goldberg and
 Harrelson, SODA 2005), read at the 3 landmarks best at u, over tables
@@ -244,17 +243,16 @@ class DynamicOracle:
         vertices is all that changed since its member was made: the member
         is edited in place, the matrix repaired in place
         (``repair_strict_matrix``), and the tail's row in the raw slot
-        re-written, so both keep their objects and every other row.
-        Otherwise the region's shape changed: a new member is built from
-        the region's arcs, its matrix computed afresh, and slots 2ri and
-        2ri + 1 re-indexed, appended for a new region."""
+        re-read (``DdgUnion.set_row``), so both keep their objects and
+        every other row.  Otherwise the region's shape changed: a new
+        member is built from the region's arcs, its matrix computed afresh,
+        and slots 2ri and 2ri + 1 re-indexed, appended for a new region."""
         reg = self.regions[ri]
         member = reg.member
         if change is not None:
-            tail = change[0]
             member.edit(*change)
             repair_strict_matrix(member, reg.ddg.matrix, *change)
-            self._union.set_row(2 * ri + 1, tail, *member.row(tail))
+            self._union.set_row(2 * ri + 1, member.loc[change[0]])
             return
         nodes = tuple(sorted(reg.boundary))
         t, h, w = self.arc_tail, self.arc_head, self.arc_weight

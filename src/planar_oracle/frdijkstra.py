@@ -7,15 +7,16 @@ the union equal distances in the graph the members jointly describe.
 
 Members sit in slots, and a bytearray marks the live ones.  Each vertex
 has one row per slot holding it, in one form, ``(slot, heads, weights,
-lo)``: a matrix row references its member and copies nothing, and a raw
-member's row holds the vertex's out-arcs, grouped once when the member is
-indexed.  An owner indexes its members once, and ``replace`` edits one
-slot's rows in place through the same routine; an owner that edits one
-vertex's arcs of a raw member in place re-writes that vertex's row alone
-(``set_row``, which writes every raw row).  A query takes a ``view``
-that marks its slots live: it costs a pass over the slots, not over their
-nodes, and it is valid until the owner's next ``replace``, ``set_row`` or
-in-place edit of a member's matrix.  Labels live in lists indexed by vertex id,
+lo)``, that its member hands over (``row``): a matrix row references its
+member and copies nothing, and a raw member's row is the vertex's
+out-arcs as the member grouped them when it was made.  An owner indexes
+its members once, and ``replace`` edits one slot's rows in place through
+the same routine; an owner that edits one vertex's arcs of a raw member
+in place re-reads that vertex's row alone (``set_row``).  A query takes a
+``view`` that marks its slots live: it costs a pass over the slots, not
+over their nodes, and it is valid until the owner's next ``replace``,
+``set_row`` or in-place edit of a member's matrix.  Labels live in lists
+indexed by vertex id,
 filled afresh per run (one C-level fill of max-id + 1 entries, about
 14 µs at n = 4096 in CPython 3.11), so a held result keeps its labels
 whatever runs later.
@@ -66,25 +67,40 @@ __all__ = [
 
 
 class SparseMember:
-    """Union member backed by raw arcs instead of a distance matrix.
+    """Union member backed by raw arcs instead of a distance matrix, which
+    it groups by tail once, when it is made.
 
     Both ends of every arc must be nodes, and no weight may be negative.
     """
 
-    __slots__ = ("nodes", "arcs")
+    __slots__ = ("nodes", "heads", "weights")
 
     def __init__(self, nodes: Sequence[int], arcs: Sequence[tuple[int, int, int]]):
         self.nodes = tuple(nodes)
-        self.arcs = tuple(arcs)
-        known = set(self.nodes)
-        for t, h, w in self.arcs:
-            if w < 0:
-                raise ValueError(f"negative member weight on arc {t}->{h}")
-            if t not in known or h not in known:
-                raise ValueError(f"arc {t}->{h} has an end outside the member's nodes")
+        loc = {v: i for i, v in enumerate(self.nodes)}
+        heads, weights = [[] for _ in self.nodes], [[] for _ in self.nodes]
+        for t, h, w in arcs:
+            i = _local_ends(loc, t, h, w)[0]
+            heads[i].append(h)
+            weights[i].append(w)
+        self.heads, self.weights = list(map(tuple, heads)), list(map(tuple, weights))
+
+    def row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Node i's out-arcs as ``(heads, weights, 0)``."""
+        return self.heads[i], self.weights[i], 0
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(|nodes|={len(self.nodes)}, |arcs|={len(self.arcs)})"
+        return f"SparseMember(|nodes|={len(self.nodes)}, |arcs|={sum(map(len, self.heads))})"
+
+
+def _local_ends(loc: dict[int, int], t: int, h: int, w: int) -> tuple[int, int]:
+    """The local ids of the arc t -> h's ends; ValueError if w < 0 or an
+    end is not in ``loc``."""
+    if w < 0:
+        raise ValueError(f"negative member weight on arc {t}->{h}")
+    if t not in loc or h not in loc:
+        raise ValueError(f"arc {t}->{h} has an end outside the member's nodes")
+    return loc[t], loc[h]
 
 
 class DdgUnion:
@@ -112,45 +128,21 @@ class DdgUnion:
         self.union_vertices = sum(len(m.nodes) for m in self.members)
 
     def _index(self, mi: int, m, old: Sequence[int] = ()) -> None:
-        """Check member m, then swap slot mi's rows on the ``old`` nodes
-        for m's: the row of node v is ``(mi, heads, weights, lo)``, and v's
-        out-pairs in m are ``zip(heads, weights[lo : lo + len(heads)])``.
-        A matrix row references m and copies nothing; a raw member's row
-        holds v's out-arcs, grouped here."""
-        nodes = m.nodes
-        raw = isinstance(m, SparseMember)
-        if not raw and min(m.matrix, default=0) < 0:
-            raise ValueError(f"negative member weight in member {mi}")
+        """Swap slot mi's rows on the ``old`` nodes for member m's: the row
+        of m's node i, v = m.nodes[i], is ``(mi, *m.row(i))``, and v's
+        out-pairs in m are ``zip(heads, weights[lo : lo + len(heads)])``."""
         rows = self.rows
         for v in old:
             rows[v] = [row for row in rows[v] if row[0] != mi]
-        if raw:
-            out: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in nodes}
-            for t, h, w in m.arcs:
-                heads, weights = out[t]
-                heads.append(h)
-                weights.append(w)
-            for v, (heads, weights) in out.items():
-                self.set_row(mi, v, heads, weights)
-        else:
-            k = len(nodes)
-            matrix = m.matrix
-            for li, v in enumerate(nodes):
-                rows.setdefault(v, []).append((mi, nodes, matrix, li * k))
-        self.size = max(self.size, max(nodes, default=-1) + 1)
+        for i, v in enumerate(m.nodes):
+            rows.setdefault(v, []).append((mi, *m.row(i)))
+        self.size = max(self.size, max(m.nodes, default=-1) + 1)
 
-    def set_row(self, mi: int, v: int, heads: Sequence[int], weights: Sequence[int]) -> None:
-        """Make v's row in raw slot mi hold its out-arcs to ``heads`` with
-        ``weights``, in place of the row v had there, if any.  ``_index``
-        writes every raw row here; an owner that edits one vertex's arcs of
-        the member in slot mi in place re-writes that vertex's row alone."""
-        row = (mi, tuple(heads), tuple(weights), 0)
-        rows = self.rows.setdefault(v, [])
-        for i, old in enumerate(rows):
-            if old[0] == mi:
-                rows[i] = row
-                return
-        rows.append(row)
+    def set_row(self, mi: int, i: int) -> None:
+        """Re-read node i's row from the member in slot mi, edited in place."""
+        m = self.slots[mi]
+        rows = self.rows[m.nodes[i]]
+        rows[[row[0] for row in rows].index(mi)] = (mi, *m.row(i))
 
     def view(self, live_slots: Iterable[int]) -> DdgUnion:
         """A union of this one's slots ``live_slots``.  It shares this
@@ -174,8 +166,7 @@ class DdgUnion:
     def replace(self, mi: int, m) -> None:
         """Put member ``m``, on any node list, in slot ``mi``, or in a new
         live slot if ``mi`` is one past the last.  The rows are edited in
-        place, so a view taken before is stale; a matrix m with a negative
-        entry raises ValueError and changes nothing."""
+        place, so a view taken before is stale."""
         slots = self.slots
         if not 0 <= mi <= len(slots):
             raise IndexError(f"slot {mi} is past the union's {len(slots)} slots")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "UNREACHABLE",
@@ -379,13 +379,24 @@ def parse_int(token: str, signed: bool = False) -> int:
     return int(token)
 
 
-def loads_graph(text: str) -> EmbeddedPlanarGraph:
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((line_no, body.split()))
+def open_text(path: str):
+    """``path`` opened as ASCII text.  Any other byte reads as a lone
+    surrogate, which no token parse takes, so the reader names its line."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
 
+
+def token_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line_no, tokens)`` of each of ``lines`` that holds a token once
+    a '#' and the rest of its line are cut; lines count from 1.  Every
+    reader of input text reads its lines here."""
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
+def loads_graph(text: str) -> EmbeddedPlanarGraph:
+    rows = list(token_lines(text.splitlines()))
     if not rows:
         raise GraphFormatError(1, "empty input")
     line_no, head = rows[0]
@@ -434,7 +445,7 @@ def loads_graph(text: str) -> EmbeddedPlanarGraph:
 
 
 def load_graph(path: str) -> EmbeddedPlanarGraph:
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path) as fh:
         return loads_graph(fh.read())
 
 

@@ -22,7 +22,6 @@ import pytest
 
 from planar_oracle.ddg import DenseDistanceGraph
 from planar_oracle.failure_oracle import FailureOracle
-from planar_oracle.frdijkstra import SparseMember
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph, EmbeddingError, load_graph
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.tradeoff_oracle import TradeoffOracle
@@ -211,8 +210,8 @@ def explicit_dijkstra(members, sources, forbidden=()):
     verts = set()
     for m in members:
         verts.update(m.nodes)
-        if isinstance(m, SparseMember):
-            arcs.extend(m.arcs)
+        if not isinstance(m, DenseDistanceGraph):
+            arcs.extend(raw_arcs(m))
         else:
             k = len(m.nodes)
             for i in range(k):
@@ -246,11 +245,17 @@ def explicit_dijkstra(members, sources, forbidden=()):
     return dist
 
 
+def raw_arcs(m):
+    """(tail, head, weight) of every arc of a raw member, read from its
+    rows: node by node, each node's arcs in its row's order."""
+    return [(v, h, w) for i, v in enumerate(m.nodes) for h, w in zip(*m.row(i)[:2])]
+
+
 def union_arcs(members):
     """(tail, head, weight) of every raw arc and finite matrix entry."""
     for m in members:
-        if isinstance(m, SparseMember):
-            yield from m.arcs
+        if not isinstance(m, DenseDistanceGraph):
+            yield from raw_arcs(m)
             continue
         k = len(m.nodes)
         for i, y in enumerate(m.nodes):

@@ -338,6 +338,27 @@ def test_query_tokens_are_ascii_decimal_ids(tmp_path, graph_file, capsys, monkey
     assert "query line 2" in capsys.readouterr().err
 
 
+def test_query_file_with_a_non_ascii_byte_names_its_line(tmp_path, graph_file, capsys):
+    # "\u0663" in UTF-8 is two bytes no ASCII decoder takes; the error
+    # used to come from the decoder, naming no line
+    opath = tmp_path / "o.bin"
+    assert cli.main(["build", str(graph_file), "--leaf-size", "8", "--out", str(opath)]) == 0
+    capsys.readouterr()
+    queries = tmp_path / "q.txt"
+    queries.write_bytes("0 35\n\u0663 5\n".encode("utf-8"))
+    rc = cli.main(["query", str(opath), "--queries", str(queries)])
+    assert rc == cli.EXIT_INVALID
+    assert "query line 2:" in capsys.readouterr().err
+
+
+def test_dyn_script_with_a_non_ascii_byte_names_its_line(tmp_path, graph_file, capsys):
+    script = tmp_path / "ops.txt"
+    script.write_bytes("q 0 35  # \u0663 in a comment is cut\nq \u0663 5\n".encode("utf-8"))
+    rc = cli.main(["dyn", str(graph_file), str(script)])
+    assert rc == cli.EXIT_INVALID
+    assert "script line 2:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("op", ["q 0 3_5", "w 0 5_00", "de +1", "dv 1_4", "ie 0 36 5 0 -0"])
 def test_dyn_tokens_are_ascii_decimal(tmp_path, graph_file, capsys, op):
     # each of these ops used to run, int() reading its tokens as numbers

@@ -123,14 +123,17 @@ def test_path_leaves_the_leaf_and_returns(oracles):
 def _snapshot(oracle):
     """What a query could change: the oracle's and its store's attribute
     names, the strict matrices, the leaf members, each with its nodes and
-    arcs, and the oracle's union: its slots and every vertex's rows, which
+    rows, and the oracle's union: its slots and every vertex's rows, which
     hold the leaves' out-lists."""
     union = oracle._union
     return (
         sorted(vars(oracle)),
         sorted(vars(oracle.store)),
         dict(oracle.store._strict),
-        {leaf: (m, m.nodes, m.arcs) for leaf, m in oracle._leaves.items()},
+        {
+            leaf: (m, m.nodes, list(map(m.row, range(len(m.nodes)))))
+            for leaf, m in oracle._leaves.items()
+        },
         (union, union.slots, bytes(union.live)),
         {v: tuple(rows) for v, rows in union.rows.items()},
     )

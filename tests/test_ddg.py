@@ -20,11 +20,18 @@ from planar_oracle.ddg import (
     strict_matrix,
 )
 from planar_oracle.decomposition import build_decomposition
-from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
+from planar_oracle.frdijkstra import DdgUnion, multi_dijkstra
 from planar_oracle.generate import generate_grid, generate_random_triangulation
 from planar_oracle.graph import MATRIX_SENTINEL, EmbeddedPlanarGraph
 
-from conftest import compute_ddg, explicit_dijkstra, in_piece_distance, leaves, minplus_closure
+from conftest import (
+    compute_ddg,
+    explicit_dijkstra,
+    in_piece_distance,
+    leaves,
+    minplus_closure,
+    raw_arcs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,21 +149,40 @@ def test_leaf_ddg_with_failures(setup8):
 
 def test_leaf_extras_become_nodes(setup8):
     # every leaf vertex is a node, so query endpoints need no grafting, and
-    # every leaf arc is kept, each in its tail's row of the member's slot
+    # every leaf arc is kept, each in its tail's row of the member's slot;
+    # each member kind, the leaf's strict matrix and its arcs in the
+    # kernel's lists too, hands the union its rows as they are
     g, tree = setup8
     for leaf in leaves(tree)[:6]:
         piece = tree.pieces[leaf]
+        own = [g.arcs[a] for a in piece.arcs]
         member = compute_leaf_ddg(g, piece)
         assert member.nodes == piece.vertices
-        assert member.arcs == tuple(g.arcs[a] for a in piece.arcs)
-        rows = DdgUnion([member]).rows
-        assert rows.keys() == set(piece.vertices)
-        indexed = [
-            (t, h, w)
-            for t, (row,) in rows.items()
-            for h, w in zip(row[1], row[2][row[3] : row[3] + len(row[1])])
-        ]
-        assert sorted(indexed) == sorted(member.arcs)
+        # grouped by tail in node order, each tail's arcs in arc order
+        assert raw_arcs(member) == sorted(own, key=lambda a: piece.vertices.index(a[0]))
+        lists = LocalMember(piece.vertices, own, piece.boundary)
+        strict = compute_ddg_internal(g, piece)
+        for m in (member, lists, strict):
+            rows = DdgUnion([m]).rows
+            assert rows.keys() == set(m.nodes)
+            for i, v in enumerate(m.nodes):
+                assert rows[v] == [(0, *m.row(i))]
+        for m in (member, lists):
+            rows = DdgUnion([m]).rows
+            assert rows.keys() == set(piece.vertices)
+            indexed = [
+                (t, h, w)
+                for t, (row,) in rows.items()
+                for h, w in zip(row[1], row[2][row[3] : row[3] + len(row[1])])
+            ]
+            assert sorted(indexed) == sorted(own)
+        # the union references a raw member's tuples and a matrix itself
+        for m in (member, strict):
+            rows = DdgUnion([m]).rows
+            for i, v in enumerate(m.nodes):
+                (row,) = rows[v]
+                heads, weights, _ = m.row(i)
+                assert row[1] is heads and row[2] is weights
 
 
 def test_piece_distance_table(setup8):
@@ -204,7 +230,7 @@ def test_closure_matches_floyd_warshall():
 
 
 def test_strict_matrix_mixes_members_and_extra_targets():
-    # sparse and matrix members on scattered ids, with a node and a target
+    # sparse and full matrices on scattered ids, with a node and a target
     # that no member holds; every row is a Dijkstra over the members' literal arcs
     # that never passes through a node
     S = MATRIX_SENTINEL
@@ -216,11 +242,11 @@ def test_strict_matrix_mixes_members_and_extra_targets():
             verts = rng.sample(ids, rng.randint(2, 6))
             if rng.random() < 0.5:
                 arcs = {(t, h): rng.randint(0, 9) for t in verts for h in verts if t != h}
-                kept = rng.sample(sorted(arcs), rng.randint(0, len(arcs)))
-                members.append(SparseMember(verts, [(t, h, arcs[t, h]) for t, h in kept]))
+                kept = set(rng.sample(sorted(arcs), rng.randint(0, len(arcs))))
+                entries = [arcs[t, h] if (t, h) in kept else S for t in verts for h in verts]
             else:
                 entries = [rng.choice([S, 0, rng.randint(1, 20)]) for _ in verts for _ in verts]
-                members.append(DenseDistanceGraph(tuple(verts), array("q", entries)))
+            members.append(DenseDistanceGraph(tuple(verts), array("q", entries)))
         held = sorted({v for m in members for v in m.nodes})
         outside, beyond = 1, 2  # no member holds either
         nodes = [*rng.sample(held, rng.randint(1, len(held))), outside]
@@ -301,11 +327,11 @@ def test_repair_matches_strict_matrix(
     def arcs_with(wt):
         return arcs[:i] + ([] if wt is None else [(t, h, wt)]) + arcs[i + 1 :]
 
-    before, after = (SparseMember(range(g.n), arcs_with(wt)) for wt in (w_old, w_new))
-    member = LocalMember(range(g.n), before.arcs, nodes)
+    before, after = (LocalMember(range(g.n), arcs_with(wt), nodes) for wt in (w_old, w_new))
+    member = LocalMember(range(g.n), arcs_with(w_old), nodes)
     matrix = member.strict_matrix()
-    assert matrix.tobytes() == strict_matrix([before], nodes).tobytes()
+    assert matrix.tobytes() == before.strict_matrix().tobytes()
     member.edit(t, h, w_old, w_new)
-    assert sorted(member.arcs) == sorted(after.arcs)
+    assert sorted(raw_arcs(member)) == sorted(raw_arcs(after))
     repair_strict_matrix(member, matrix, t, h, w_old, w_new)
-    assert matrix.tobytes() == strict_matrix([after], nodes).tobytes()
+    assert matrix.tobytes() == after.strict_matrix().tobytes()

@@ -9,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from planar_oracle import dynamic_oracle
 from planar_oracle.baseline import distance_avoiding, sssp
-from planar_oracle.ddg import strict_matrix
+from planar_oracle.ddg import LocalMember
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.dynamic_oracle import DynamicOracle
 from planar_oracle.failure_oracle import ACTIVE_LANDMARKS, _FAR
@@ -191,11 +191,11 @@ def assert_structure(dyn):
 
 def assert_matrices_fresh(dyn):
     """Every region's matrix, repaired or recomputed, is the one
-    strict_matrix builds from the region's current arcs, byte for byte."""
+    the strict kernel builds from the region's current arcs, byte for byte."""
     for ri, reg in enumerate(dyn.regions):
         nodes = tuple(sorted(reg.boundary))
         arcs = [(dyn.arc_tail[a], dyn.arc_head[a], dyn.arc_weight[a]) for a in reg.arcs]
-        want = strict_matrix([SparseMember(sorted(reg.vertices), arcs)], nodes)
+        want = LocalMember(sorted(reg.vertices), arcs, nodes).strict_matrix()
         assert reg.ddg.nodes == nodes, ri
         assert reg.ddg.matrix.tobytes() == want.tobytes(), ri
 

@@ -6,12 +6,13 @@ import random
 import pytest
 
 from planar_oracle.baseline import sssp
+from planar_oracle.ddg import LocalMember
 from planar_oracle.decomposition import build_decomposition
 from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 
-from conftest import dense, explicit_dijkstra, random_members, rows_by_slot
+from conftest import dense, explicit_dijkstra, random_members, raw_arcs, rows_by_slot
 
 
 def test_single_member_by_hand():
@@ -142,7 +143,7 @@ def _arcs(members):
     arcs = []
     for m in members:
         if isinstance(m, SparseMember):
-            arcs.extend(m.arcs)
+            arcs.extend(raw_arcs(m))
             continue
         k = len(m.nodes)
         for i in range(k):
@@ -307,11 +308,15 @@ def test_error_cases():
         multi_dijkstra([m], [(7, 0)])
     with pytest.raises(ValueError):
         multi_dijkstra([m], [(0, -1)])
-    bad = dense([0, 1], {(0, 1): -3})
     with pytest.raises(ValueError):
-        multi_dijkstra([bad], [(0, 0)])
+        dense([0, 1], {(0, 1): -3})
     with pytest.raises(ValueError):
         DdgUnion([SparseMember((0, 1), [(0, 1, -2)])])
+    # raw arcs in the strict kernel's lists are checked as a SparseMember's
+    with pytest.raises(ValueError):
+        LocalMember((0, 1), [(0, 1, -5)], (0, 1))
+    with pytest.raises(ValueError):
+        LocalMember((0, 1), [(0, 7, 5)], (0, 1))
 
 
 def test_counters_and_metadata():
@@ -535,8 +540,8 @@ def test_replace_updates_the_indexed_slot():
 
 
 def test_replace_rejects_a_negative_matrix():
-    # the check the constructor makes, in an existing slot and a new one;
-    # the union is left as it was
+    # a negative matrix is refused when it is made, so no replace, in an
+    # existing slot or a new one, can put one in; the union is left as it was
     base = DdgUnion([dense([0, 1], {(0, 1): 5}), SparseMember((1, 2), [(1, 2, 3)])])
     before = _union_state(base)
     for mi in (0, 1, 2):

@@ -11,6 +11,7 @@ from planar_oracle.graph import (
     arc_ends,
     components,
     dumps_graph,
+    load_graph,
     loads_graph,
     trace_faces,
 )
@@ -207,6 +208,15 @@ def test_loads_takes_ascii_decimal_digits_only(text, line):
         loads_graph(text)
     assert err.value.line_no == line
     assert loads_graph("2 1\n0 1 5\n0\n0\n").arcs == ((0, 1, 5),)
+
+
+def test_load_names_the_line_of_a_non_ascii_byte(tmp_path):
+    # the error used to come from the file's ASCII decoder, naming no line
+    path = tmp_path / "g.pgr"
+    path.write_bytes("2 1\n0 1 5  # \u0665 in a comment is cut\n0\n\u0660\n".encode("utf-8"))
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert err.value.line_no == 4
 
 
 def test_out_arcs(path12):

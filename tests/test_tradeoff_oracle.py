@@ -407,7 +407,7 @@ def test_vor_rows_avoid_tuple_interiors(grid8, to8):
     assert checked > 0
 
 
-def test_last_result_instrumentation(to8):
+def test_query_result_returns_its_scan(to8):
     # each query returns its scan by value, on the main path, with an exit
     # piece or with v resident, and on the fallback alike; 20 lies in v's
     # exit piece of the tuple of u's and 20's home pieces
