@@ -353,15 +353,8 @@ class DynamicOracle:
 
         rt = self._regions_of_vertex(tail)
         rh = self._regions_of_vertex(head)
-        both = sorted(set(rt) & set(rh))
-        if both:
-            ri = both[0]
-        elif rt:
-            ri = rt[0]
-        elif rh:
-            ri = rh[0]
-        else:
-            ri = len(self.regions)
+        ri = min(set(rt) & set(rh) or rt or rh, default=len(self.regions))
+        if ri == len(self.regions):
             self.regions.append(_Region(set(), set(), set()))
         reg = self.regions[ri]
         # an arc between two of the region's vertices changes only itself

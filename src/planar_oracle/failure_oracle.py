@@ -71,8 +71,12 @@ def landmark_tables(g: EmbeddedPlanarGraph):
     unreachable direction counts as _FAR, farther than any path; ties go
     to the smallest id, so vertex 0 is the first pick.
     ``to[y][i]`` is d(y, L_i) and ``frm[y][i]`` is d(L_i, y), each _FAR
-    when unreachable: one reverse and one forward Dijkstra per landmark."""
+    when unreachable: one reverse and one forward Dijkstra per landmark,
+    the reverse ones over in-arc lists built here from ``g.arcs``."""
     n = g.n
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t, h, w in g.arcs:
+        inc[h].append((t, w))
     # equal distances share one int object across the 2 * 8 * n entries
     same = {}.setdefault
 
@@ -87,7 +91,7 @@ def landmark_tables(g: EmbeddedPlanarGraph):
     nearest = [2 * _FAR] * n
     while len(landmarks) < min(LANDMARKS, n):
         lm = max(range(n), key=nearest.__getitem__)
-        fwd, rev = far(g._out, lm), far(g._in, lm)
+        fwd, rev = far(g._out, lm), far(inc, lm)
         landmarks.append(lm)
         frm_cols.append(fwd)
         to_cols.append(rev)
@@ -172,7 +176,9 @@ class FailureOracle:
 
     # -- assembly ----------------------------------------------------------
 
-    def _validate(self, u: int, v: int, failed: Iterable[int]) -> frozenset[int]:
+    def _validate(self, u: int, v: int, failed: Iterable[int]) -> tuple[int, ...]:
+        """The distinct ``failed`` vertices, sorted, once u, v and each of
+        them is checked to be a vertex, and neither u nor v failed."""
         self.graph.check_vertex(u)
         self.graph.check_vertex(v)
         x = frozenset(failed)
@@ -180,13 +186,13 @@ class FailureOracle:
             self.graph.check_vertex(f)
         if u in x or v in x:
             raise ValueError("query endpoint is a failed vertex")
-        return x
+        return tuple(sorted(x))
 
     def assemble(self, u: int, v: int, failed: Iterable[int] = ()) -> DdgUnion:
         """The union for (u, v, failed): the view of ``_cover`` of the root
         with residents u, v and the sorted failed vertices."""
         x = self._validate(u, v, failed)
-        return self._union.view(self._cover((0,), (u, v, *sorted(x))))
+        return self._union.view(self._cover((0,), (u, v, *x)))
 
     def _cover(self, tops, residents) -> list[int]:
         """The slots, in the oracle's union, of the members tiling the

@@ -15,11 +15,12 @@ the same routine; an owner that edits one vertex's arcs of a raw member
 in place re-reads that vertex's row alone (``set_row``).  A query takes a
 ``view`` that marks its slots live: it costs a pass over the slots, not
 over their nodes, and it is valid until the owner's next ``replace``,
-``set_row`` or in-place edit of a member's matrix.  Labels live in lists
-indexed by vertex id,
-filled afresh per run (one C-level fill of max-id + 1 entries, about
-14 µs at n = 4096 in CPython 3.11), so a held result keeps its labels
-whatever runs later.
+``set_row`` or in-place edit of a member's matrix.  A union's statistics,
+its live members and their summed node counts, are computed only when
+read, so an untraced query pays nothing for them.  Labels live in lists
+indexed by vertex id, filled afresh per run (one C-level fill of max-id
++ 1 entries, about 14 µs at n = 4096 in CPython 3.11), so a held result
+keeps its labels whatever runs later.
 
 When a vertex settles, the scan relaxes all of its out-pairs in one loop:
 its row in every live slot it belongs to.  A matrix row's columns that
@@ -107,25 +108,36 @@ class DdgUnion:
     """Overlay of members on shared vertex ids, ready to run Dijkstra on.
 
     Each member sits in one of ``slots``, and the bytearray ``live`` marks
-    the slots that take part; ``members`` are the live slots' members, in
-    slot order.  ``rows`` maps a vertex to its rows, one per slot holding
-    it, dead ones included (see ``_index``); a vertex a ``replace`` left in
-    no slot keeps an empty list.  A union vertex is one with a row in a
-    live slot.  ``DdgUnion(members)`` puts member i in slot i, every slot
-    live.
+    the slots that take part.  ``rows`` maps a vertex to its rows, one per
+    slot holding it, dead ones included (see ``_index``); a vertex a
+    ``replace`` left in no slot keeps an empty list.  A union vertex is one
+    with a row in a live slot.  ``members`` and ``union_vertices`` are
+    computed from ``slots`` and ``live`` when read, so a query that reads
+    neither pays nothing for them.  ``DdgUnion(members)`` puts member i in
+    slot i, every slot live.
     """
 
-    __slots__ = ("slots", "live", "members", "rows", "size", "union_vertices")
+    __slots__ = ("slots", "live", "rows", "size")
 
     def __init__(self, members: Sequence):
-        self.slots = self.members = tuple(members)
+        self.slots = tuple(members)
         self.live = bytearray(b"\x01") * len(self.slots)
         self.rows: dict[int, list[tuple]] = {}
         # label lists hold one entry per id below this
         self.size = 0
         for mi, m in enumerate(self.slots):
             self._index(mi, m)
-        self.union_vertices = sum(len(m.nodes) for m in self.members)
+
+    @property
+    def members(self) -> tuple:
+        """The live slots' members, in slot order."""
+        return tuple(compress(self.slots, self.live))
+
+    @property
+    def union_vertices(self) -> int:
+        """The live members' node counts, summed: a vertex in two live
+        members counts twice."""
+        return sum(len(m.nodes) for m in self.members)
 
     def _index(self, mi: int, m, old: Sequence[int] = ()) -> None:
         """Swap slot mi's rows on the ``old`` nodes for member m's: the row
@@ -146,47 +158,36 @@ class DdgUnion:
 
     def view(self, live_slots: Iterable[int]) -> DdgUnion:
         """A union of this one's slots ``live_slots``.  It shares this
-        union's ``slots`` and ``rows`` and builds its own ``live`` and
-        ``members``, so its cost grows with the slot count, not with the
-        members' nodes.  It is valid until the next ``replace``, ``set_row``
-        or in-place edit of a member's matrix."""
-        slots = self.slots
-        live = bytearray(len(slots))
+        union's ``slots`` and ``rows`` and builds only its own ``live``, so
+        its cost grows with the slot count, not with the members' nodes.
+        It is valid until the next ``replace``, ``set_row`` or in-place edit
+        of a member's matrix."""
+        live = bytearray(len(self.slots))
         for mi in live_slots:
             live[mi] = 1
         new = DdgUnion.__new__(DdgUnion)
-        new.slots = slots
+        new.slots = self.slots
         new.live = live
-        new.members = members = tuple(compress(slots, live))
         new.rows = self.rows
         new.size = self.size
-        new.union_vertices = sum(len(m.nodes) for m in members)
         return new
 
     def replace(self, mi: int, m) -> None:
         """Put member ``m``, on any node list, in slot ``mi``, or in a new
         live slot if ``mi`` is one past the last.  The rows are edited in
-        place, so a view taken before is stale."""
+        place, so a view taken before is stale; ``members`` and
+        ``union_vertices`` follow the new slot when next read."""
         slots = self.slots
         if not 0 <= mi <= len(slots):
             raise IndexError(f"slot {mi} is past the union's {len(slots)} slots")
-        old = slots[mi].nodes if mi < len(slots) else ()
-        self._index(mi, m, old)
+        self._index(mi, m, slots[mi].nodes if mi < len(slots) else ())
         if mi == len(slots):
             self.live.append(1)
-        self.slots = slots = slots[:mi] + (m,) + slots[mi + 1 :]
-        self.members = tuple(compress(slots, self.live))
-        if self.live[mi]:
-            self.union_vertices += len(m.nodes) - len(old)
+        self.slots = slots[:mi] + (m,) + slots[mi + 1 :]
 
     def __contains__(self, v) -> bool:
         live = self.live
         return any(live[row[0]] for row in self.rows.get(v, ()))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        """The union's vertex ids, sorted; computed on each call."""
-        return tuple(sorted(v for v in self.rows if v in self))
 
 
 class MultiDijkstraResult:
@@ -202,20 +203,20 @@ class MultiDijkstraResult:
     vertices that are not blocked and not the target: each one's row in
     every live slot that holds it (a whole matrix row, unreachable and
     settled columns included, or its out-arcs), and each exit read.
+    ``union_vertices`` is the scanned ``union``'s, computed when read.
     """
 
-    __slots__ = ("dist", "union", "union_vertices", "settled", "relaxations")
+    __slots__ = ("dist", "union", "settled", "relaxations")
 
     def __init__(self, dist, union, settled, relaxations):
         self.dist: list[int] = dist
         self.union: DdgUnion = union
-        self.union_vertices: int = union.union_vertices
         self.settled = settled
         self.relaxations = relaxations
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.union.vertices
+    def union_vertices(self) -> int:
+        return self.union.union_vertices
 
     def raw(self, v: int) -> int:
         dist = self.dist

@@ -237,7 +237,6 @@ class EmbeddedPlanarGraph:
         "face_count",
         "total_weight",
         "_out",
-        "_in",
     )
 
     def __init__(
@@ -260,12 +259,9 @@ class EmbeddedPlanarGraph:
                 f"sum of |weights| {self.total_weight} exceeds 63-bit budget"
             )
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for t, h, w in self.arcs:
             out[t].append((h, w))
-            inc[h].append((t, w))
         self._out = tuple(tuple(x) for x in out)
-        self._in = tuple(tuple(x) for x in inc)
 
     # ------------------------------------------------------------------
     # validation

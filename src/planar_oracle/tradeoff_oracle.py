@@ -146,7 +146,7 @@ class TradeoffOracle(FailureOracle):
         x = super()._validate(u, v, failed)
         if len(x) > self.k:
             raise ValueError(f"more than k={self.k} failed vertices")
-        return tuple(sorted(x))
+        return x
 
     # -- query -----------------------------------------------------------------
 

@@ -292,6 +292,11 @@ def rows_by_slot(union):
     return {v: sorted(rows, key=lambda row: row[0]) for v, rows in union.rows.items() if rows}
 
 
+def union_vertex_ids(union):
+    """The union's vertex ids, sorted: those with a row in a live slot."""
+    return tuple(sorted(v for v in union.rows if v in union))
+
+
 def random_members(rng, n_ids=12, n_members=4):
     ids = list(range(n_ids))
     members = []

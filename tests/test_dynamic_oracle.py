@@ -24,7 +24,7 @@ from planar_oracle.graph import (
     check_planar,
 )
 
-from conftest import rows_by_slot, union_arcs
+from conftest import rows_by_slot, union_arcs, union_vertex_ids
 
 
 def fresh_distance(dyn, u, v):
@@ -990,7 +990,7 @@ def test_query_potential_consistent_on_scanned_union(monkeypatch):
         for y, z, w in union_arcs(union.members):
             assert pi(y) <= w + pi(z), (step, y, z, w)
         can = reaches(dyn, v)
-        for y in union.vertices:
+        for y in union_vertex_ids(union):
             if pi(y) >= MATRIX_SENTINEL:
                 assert y not in can, (step, y, v)
 

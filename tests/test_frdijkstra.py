@@ -12,7 +12,14 @@ from planar_oracle.failure_oracle import FailureOracle
 from planar_oracle.frdijkstra import DdgUnion, SparseMember, multi_dijkstra
 from planar_oracle.graph import MATRIX_SENTINEL, UNREACHABLE
 
-from conftest import dense, explicit_dijkstra, random_members, raw_arcs, rows_by_slot
+from conftest import (
+    dense,
+    explicit_dijkstra,
+    random_members,
+    raw_arcs,
+    rows_by_slot,
+    union_vertex_ids,
+)
 
 
 def test_single_member_by_hand():
@@ -278,7 +285,7 @@ def test_forbidden_monotone(grid8):
     members = cone_members(grid8, 0)
     base = multi_dijkstra(members, [(0, 0)])
     walled = multi_dijkstra(members, [(0, 0)], forbidden=[9, 18])
-    for v in base.vertices:
+    for v in union_vertex_ids(base.union):
         assert walled.label(v) >= base.label(v)
 
 
@@ -288,7 +295,7 @@ def test_cone_equals_global_sssp(grid8, tri60):
             ref = sssp(g, u)
             members = cone_members(g, u)
             res = multi_dijkstra(members, [(u, 0)])
-            for v in res.vertices:
+            for v in union_vertex_ids(res.union):
                 assert res.label(v) == ref[v], (u, v)
 
 
@@ -323,10 +330,10 @@ def test_counters_and_metadata():
     rng = random.Random(31)
     members = random_members(rng)
     res = multi_dijkstra(members, [(members[0].nodes[0], 0)])
-    assert 0 < res.settled <= len(res.vertices)
+    assert 0 < res.settled <= len(union_vertex_ids(res.union))
     assert res.relaxations >= 0
     assert res.union_vertices == sum(len(m.nodes) for m in members)
-    for v in res.vertices:
+    for v in union_vertex_ids(res.union):
         assert res.raw(v) == res.dist[v]
     # absent vertex
     assert res.raw(999) == MATRIX_SENTINEL
@@ -352,7 +359,7 @@ def test_relaxations_count_every_pair_examined():
         forb = rng.sample(ids, 3)
         if trial % 2:
             res = multi_dijkstra(union, [(src, 0)], forbidden=forb)
-            reached = [y for y in res.vertices if res.raw(y) < MATRIX_SENTINEL]
+            reached = [y for y in union_vertex_ids(union) if res.raw(y) < MATRIX_SENTINEL]
             relaxed = [y for y in reached if y == src or y not in forb]
             assert res.relaxations == sum(pairs(y) for y in relaxed)
         else:
@@ -377,8 +384,8 @@ def test_labels_outside_the_union():
     a = dense([0, 1, 3], {(0, 1): 2, (1, 3): 4})
     b = SparseMember((3, 4, 6), [(3, 6, 1), (6, 4, 5)])
     res = multi_dijkstra([a, b], [(0, 0)])
-    assert res.vertices == (0, 1, 3, 4, 6)
-    assert [res.raw(v) for v in res.vertices] == [0, 2, 6, 12, 7]
+    assert union_vertex_ids(res.union) == (0, 1, 3, 4, 6)
+    assert [res.raw(v) for v in union_vertex_ids(res.union)] == [0, 2, 6, 12, 7]
     assert res.raw(6) == 7  # what a bare dist[-1] would read
     for v in (-1, -7, 7, 10**9, 2, 5):
         assert res.raw(v) == MATRIX_SENTINEL, v
@@ -406,11 +413,12 @@ def test_held_result_keeps_its_labels():
     rng = random.Random(43)
     union = DdgUnion(random_members(rng, n_ids=20, n_members=5))
     runs = []
-    for v in union.vertices:
-        res = multi_dijkstra(union, [(v, 0)], forbidden=union.vertices[:2])
-        runs.append((res, [res.raw(v) for v in union.vertices]))
+    verts = union_vertex_ids(union)
+    for v in verts:
+        res = multi_dijkstra(union, [(v, 0)], forbidden=verts[:2])
+        runs.append((res, [res.raw(v) for v in verts]))
     for res, labels in runs:
-        assert [res.raw(v) for v in union.vertices] == labels
+        assert [res.raw(v) for v in verts] == labels
     assert len({tuple(labels) for _, labels in runs}) > 1
 
 
@@ -439,7 +447,7 @@ def _same_run(got, want, ids):
     assert [got.raw(v) for v in ids] == [want.raw(v) for v in ids]
     assert (got.settled, got.relaxations) == (want.settled, want.relaxations)
     assert got.union_vertices == want.union_vertices
-    assert got.vertices == want.vertices
+    assert union_vertex_ids(got.union) == union_vertex_ids(want.union)
 
 
 def test_view_matches_a_union_of_its_members():
@@ -454,21 +462,22 @@ def test_view_matches_a_union_of_its_members():
         fresh = DdgUnion([base.slots[mi] for mi in live])
         assert view.members == fresh.members
         assert view.union_vertices == fresh.union_vertices
-        assert view.vertices == fresh.vertices
+        assert union_vertex_ids(view) == union_vertex_ids(fresh)
         assert [v in view for v in ids] == [v in fresh for v in ids]
         for v in ids:
             if v in base and v not in view:
                 dead_only += 1
                 with pytest.raises(ValueError):
                     multi_dijkstra(view, [(v, 0)])
-        src = rng.choice(fresh.vertices)
-        forb = rng.sample(fresh.vertices, min(2, len(fresh.vertices)))
+        verts = union_vertex_ids(fresh)
+        src = rng.choice(verts)
+        forb = rng.sample(verts, min(2, len(verts)))
         _same_run(
             multi_dijkstra(view, [(src, 0)], forbidden=forb),
             multi_dijkstra(fresh, [(src, 0)], forbidden=forb),
             ids,
         )
-        target = rng.choice(fresh.vertices)
+        target = rng.choice(verts)
         _same_run(
             multi_dijkstra(view, [(src, 0)], target=target),
             multi_dijkstra(fresh, [(src, 0)], target=target),
@@ -507,13 +516,14 @@ def test_views_leave_each_other_and_the_base_unchanged():
         before = _union_state(base)
         first = base.view(live)
         first_state = _union_state(first)
-        labels = [multi_dijkstra(first, [(v, 0)]).dist for v in first.vertices]
+        verts = union_vertex_ids(first)
+        labels = [multi_dijkstra(first, [(v, 0)]).dist for v in verts]
         second = base.view(rng.sample(range(len(base.slots)), rng.randrange(1, 6)))
-        multi_dijkstra(second, [(second.vertices[0], 0)])
+        multi_dijkstra(second, [(union_vertex_ids(second)[0], 0)])
         assert _union_state(base) == before
         assert _union_state(first) == first_state
         assert second.rows is base.rows and second.slots is base.slots
-        assert [multi_dijkstra(first, [(v, 0)]).dist for v in first.vertices] == labels
+        assert [multi_dijkstra(first, [(v, 0)]).dist for v in verts] == labels
 
 
 def test_replace_updates_the_indexed_slot():
@@ -568,8 +578,8 @@ def test_replace_matches_a_fresh_index():
             assert base.members == fresh.members
             assert rows_by_slot(base) == rows_by_slot(fresh)
             assert base.union_vertices == fresh.union_vertices
-            assert base.vertices == fresh.vertices
-            src = rng.choice(fresh.vertices)
+            assert union_vertex_ids(base) == union_vertex_ids(fresh)
+            src = rng.choice(union_vertex_ids(fresh))
             _same_run(
                 multi_dijkstra(base, [(src, 0)]), multi_dijkstra(fresh, [(src, 0)]), ids
             )
